@@ -19,13 +19,20 @@ small n.  Expected-cost calculators mirror the simulated processes exactly.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import AdviceDistribution, ConfigError, ParameterError
-from .rotation import DEGENERATE_TOL, exact_grover_queries, round_cost
+from .distributions import (
+    AdviceDistribution,
+    ConfigError,
+    ParameterError,
+    _check_int,
+    _rank_weighted_sums,
+)
+from .rotation import _angle_terms, _iter_average, exact_grover_queries, round_cost
 
 __all__ = [
     "DEFAULT_GEOMETRIC_RATIO",
@@ -61,8 +68,6 @@ AMPLIFY_RATIO_BOUNDS = (1.0, 4.0 / 3.0)
 # Relative nudge before floor() on iterated powers, per the schedule rule:
 # multiply in float, never take floating logs.
 _FLOOR_EPS = 1e-12
-
-_CHUNK = 1 << 22
 
 
 @dataclass
@@ -118,9 +123,7 @@ def _exact_report(f: float, o_mu: float, o_mu_inv: float) -> ExpectationReport:
 
 
 def _check_rank(dist: AdviceDistribution, marked_rank: int) -> None:
-    if not isinstance(marked_rank, (int, np.integer)) or isinstance(marked_rank, bool):
-        raise ParameterError(f"marked rank must be an integer, got {marked_rank!r}")
-    if not 1 <= marked_rank <= dist.n:
+    if _check_int(marked_rank, "marked rank", 1) > dist.n:
         raise ParameterError(f"marked rank {marked_rank} outside 1..{dist.n}")
 
 
@@ -138,6 +141,14 @@ def _check_amplify_ratio(k: float) -> float:
         raise ParameterError(
             f"iteration-budget ratio must lie in ({lo}, {hi:.4g}), got {k}")
     return k
+
+
+def _powers(k: float):
+    """1, k, k^2, ... by iterated multiplication (never floating logs)."""
+    power = 1.0
+    while True:
+        yield power
+        power *= k
 
 
 def _floored_power(power: float) -> int:
@@ -159,12 +170,9 @@ def classical_sequential(dist: AdviceDistribution, marked_rank: int) -> RunResul
 
 def classical_expected(dist: AdviceDistribution) -> float:
     """Expected probes of the sequential scan: sum_x p_x * x."""
-    partials = []
-    for lo in range(0, dist.n, _CHUNK):
-        hi = min(lo + _CHUNK, dist.n)
-        xs = np.arange(lo + 1, hi + 1, dtype=np.float64)
-        partials.append(float(np.dot(dist.probs[lo:hi], xs)))
-    return math.fsum(partials)
+    (mean,) = _rank_weighted_sums(dist.probs, lambda block, first: (
+        np.arange(first, first + block.size, dtype=np.float64),))
+    return mean
 
 
 def classical_sampling_expected(dist: AdviceDistribution) -> float:
@@ -212,19 +220,18 @@ class GeometricBlocks:
 
 def geometric_blocks(n: int, k: float = DEFAULT_GEOMETRIC_RATIO) -> GeometricBlocks:
     """Partition {1..n} into blocks sized floor(k^0), floor(k^1), ..."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ParameterError(f"n must be a positive integer, got {n!r}")
+    _check_int(n, "n", 1)
     k = _check_geometric_ratio(k)
     blocks: list[tuple[int, int]] = []
     nominal: list[int] = []
-    start, end = 1, 1
-    power = 1.0
-    while start <= n:
-        blocks.append((start, min(end, n)))
-        nominal.append(_floored_power(power))
-        power *= k
-        start = end + 1
-        end = min(start + _floored_power(power) - 1, n)
+    start = 1
+    for power in _powers(k):
+        if start > n:
+            break
+        size = _floored_power(power)
+        blocks.append((start, min(start + size - 1, n)))
+        nominal.append(size)
+        start += size
     return GeometricBlocks(ratio=k, blocks=blocks, nominal_sizes=nominal)
 
 
@@ -262,25 +269,15 @@ def geometric_expected(dist: AdviceDistribution,
 
 def unknown_rounds(n: int, k: float = DEFAULT_AMPLIFY_RATIO) -> int:
     """Largest j with k^j <= sqrt(n); computed by iterated multiplication."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ParameterError(f"n must be a positive integer, got {n!r}")
-    k = _check_amplify_ratio(k)
-    limit = math.sqrt(n) * (1.0 + _FLOOR_EPS)
-    j, power = 0, 1.0
-    while power * k <= limit:
-        power *= k
-        j += 1
-    return j
+    _check_int(n, "n", 1)
+    return len(_round_sizes(n, _check_amplify_ratio(k))) - 1
 
 
 def _round_sizes(n: int, k: float) -> list[int]:
     """Iteration budgets floor(k^j) for rounds j = 0..unknown_rounds(n, k)."""
-    sizes = []
-    power = 1.0
-    for _ in range(unknown_rounds(n, k) + 1):
-        sizes.append(_floored_power(power))
-        power *= k
-    return sizes
+    limit = math.sqrt(n) * (1.0 + _FLOOR_EPS)
+    return [_floored_power(power)
+            for power in itertools.takewhile(lambda power: power <= limit, _powers(k))]
 
 
 def unknown_search(dist: AdviceDistribution, marked_rank: int,
@@ -316,27 +313,6 @@ def unknown_search(dist: AdviceDistribution, marked_rank: int,
     return RunResult(found=found, ledger=ledger, rounds=len(sizes))
 
 
-def _avg_success_fast(p: np.ndarray, theta: np.ndarray,
-                      c: np.ndarray, tiny: np.ndarray, top: np.ndarray,
-                      m: int) -> np.ndarray:
-    """Uniform-budget average success probability, vectorized per round.
-
-    Closed form 1/2 - sin(4m theta)/(8m c) for interior p; the quadratic
-    leading term p (4m^2-1)/3 below the degenerate-angle cutoff and exactly
-    1 at p = 1 (both limits of the explicit average; absolute error of the
-    leading term is ~(m theta)^2 * P, far below every tolerance used here).
-    """
-    if m == 1:
-        return p.copy()
-    out = 0.5 - np.sin((4.0 * m) * theta) / ((8.0 * m) * c)
-    np.clip(out, 0.0, 1.0, out=out)
-    if np.any(tiny):
-        out[tiny] = p[tiny] * ((4.0 * m * m - 1.0) / 3.0)
-    if np.any(top):
-        out[top] = 1.0
-    return out
-
-
 def _amplify_expected(p: np.ndarray, n: int, k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact per-oracle expected costs of unknown_search for each p.
 
@@ -347,16 +323,12 @@ def _amplify_expected(p: np.ndarray, n: int, k: float) -> tuple[np.ndarray, np.n
     """
     p = np.asarray(p, dtype=np.float64)
     q = 1.0 - p
-    c2 = p * q
-    tiny = p < DEGENERATE_TOL
-    top = (c2 < DEGENERATE_TOL) & ~tiny
-    theta = np.arcsin(np.sqrt(p))
-    c = np.sqrt(np.where(c2 < DEGENERATE_TOL, 1.0, c2))
+    terms = _angle_terms(p)
     reach = np.ones_like(p)
     shared = np.zeros_like(p)   # f and preparation counters agree per round
     inv = np.zeros_like(p)
     for m in _round_sizes(n, k):
-        avg = _avg_success_fast(p, theta, c, tiny, top, m)
+        avg = _iter_average(p, *terms, m)
         miss_weight = reach * q
         shared += reach + miss_weight * ((m + 1) * 0.5)
         inv += miss_weight * ((m - 1) * 0.5)
@@ -379,15 +351,9 @@ def unknown_expected_mu(dist: AdviceDistribution,
                         k: float = DEFAULT_AMPLIFY_RATIO) -> ExpectationReport:
     """Advice-averaged exact expected costs: sum_x p_x E[cost | marked=x]."""
     k = _check_amplify_ratio(k)
-    f_parts, o_parts, i_parts = [], [], []
-    for lo in range(0, dist.n, _CHUNK):
-        block = dist.probs[lo : lo + _CHUNK]
-        f, o_mu, inv = _amplify_expected(block, dist.n, k)
-        f_parts.append(float(np.dot(block, f)))
-        o_parts.append(float(np.dot(block, o_mu)))
-        i_parts.append(float(np.dot(block, inv)))
-    return _exact_report(f=math.fsum(f_parts), o_mu=math.fsum(o_parts),
-                         o_mu_inv=math.fsum(i_parts))
+    f, o_mu, inv = _rank_weighted_sums(
+        dist.probs, lambda block, first: _amplify_expected(block, dist.n, k))
+    return _exact_report(f=f, o_mu=o_mu, o_mu_inv=inv)
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +381,7 @@ def monte_carlo(algorithm: str, dist: AdviceDistribution, trials: int, seed: int
     stream and each trial's simulation randomness from its own derived
     stream, so results do not depend on execution order.
     """
-    if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool) or trials < 1:
-        raise ParameterError(f"trials must be a positive integer, got {trials!r}")
+    _check_int(trials, "trials", 1)
     ranks = dist.sample(_trial_seed(seed, 0), size=trials)
     if algorithm == "classical":
         f = ranks.astype(np.float64)

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algorithms import classical_expected
-from .distributions import AdviceDistribution, ParameterError
+from .distributions import AdviceDistribution, ParameterError, _rank_weighted_sums
+from .rotation import _snapped_ceil
 
 __all__ = [
     "LAS_VEGAS_COEFF",
@@ -49,7 +50,6 @@ HIGH_PRIOR_COEFF = 83.0
 FALLBACK_COEFF = 53.0
 UNKNOWN_OFFSET = 4.0 / 3.0
 
-_CEIL_SNAP = 1e-9
 _GRID_STEP = 1e-4
 
 
@@ -65,10 +65,7 @@ def zalka_bound(n: int, p: float) -> int:
     if not 0.0 < p <= 1.0:
         raise ParameterError(f"success probability must be in (0, 1], got {p}")
     value = math.asin(math.sqrt(p)) / (2.0 * math.asin(1.0 / math.sqrt(n))) - 0.5
-    nearest = round(value)
-    if abs(value - nearest) < _CEIL_SNAP:
-        return int(nearest)
-    return int(math.ceil(value))
+    return _snapped_ceil(value)
 
 
 @dataclass(frozen=True)
@@ -109,12 +106,9 @@ def las_vegas_lower(n: int) -> float:
 
 
 def _sqrt_rank_mean(dist: AdviceDistribution) -> float:
-    parts = []
-    for lo in range(0, dist.n, 1 << 22):
-        hi = min(lo + (1 << 22), dist.n)
-        xs = np.sqrt(np.arange(lo + 1, hi + 1, dtype=np.float64))
-        parts.append(float(np.dot(dist.probs[lo:hi], xs)))
-    return math.fsum(parts)
+    (mean,) = _rank_weighted_sums(dist.probs, lambda block, first: (
+        np.sqrt(np.arange(first, first + block.size, dtype=np.float64)),))
+    return mean
 
 
 def q_mu_lower(dist: AdviceDistribution) -> float:

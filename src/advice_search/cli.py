@@ -19,7 +19,6 @@ import sys
 from . import statevector, validation
 from .distributions import ConfigError, ParameterError
 from .sweep import (
-    DEFAULT_TRIALS,
     SweepSpec,
     fit_scaling,
     read_rows,
@@ -52,8 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output file path")
         p.add_argument("--mode", choices=("exact", "monte_carlo"), default=None,
                        help="expectation method (default from config, else exact)")
-        p.add_argument("--cap", type=int, default=statevector.DEFAULT_DIM_CAP,
-                       help="statevector dimension cap (default %(default)s)")
         p.add_argument("--timing", action="store_true",
                        help="record wall time in the seconds column and log "
                             "per-point timings to stderr")
@@ -102,35 +99,19 @@ def _write_text(path: str | None, text: str) -> None:
         fh.write(text)
 
 
-def _check_cap(cap: int) -> None:
-    if cap < 1:
-        raise ParameterError(f"--cap must be at least 1, got {cap}")
-
-
-def _overrides(args: argparse.Namespace) -> dict:
-    return {"mode": args.mode, "trials": args.trials, "seed": args.seed}
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    _check_cap(args.cap)
+def _cmd_evaluate(args: argparse.Namespace) -> int:
     if args.timing:
         logging.getLogger("advice_search").setLevel(logging.INFO)
     cfg = _load_config(args.config)
     out = args.out if args.out is not None else cfg.get("out")
-    spec = SweepSpec.from_config(cfg, need_grid=False, overrides=_overrides(args))
-    row = run_point(spec, timing=args.timing)
-    _write_text(out, rows_to_csv([row]))
-    return EXIT_OK
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    _check_cap(args.cap)
-    if args.timing:
-        logging.getLogger("advice_search").setLevel(logging.INFO)
-    cfg = _load_config(args.config)
-    out = args.out if args.out is not None else cfg.get("out")
-    spec = SweepSpec.from_config(cfg, need_grid=True, overrides=_overrides(args))
-    rows = run_sweep(spec, timing=args.timing, workers=worker_count())
+    sweep = args.command == "sweep"
+    spec = SweepSpec.from_config(
+        cfg, need_grid=sweep,
+        overrides={"mode": args.mode, "trials": args.trials, "seed": args.seed})
+    if sweep:
+        rows = run_sweep(spec, timing=args.timing, workers=worker_count())
+    else:
+        rows = [run_point(spec, timing=args.timing)]
     _write_text(out, rows_to_csv(rows))
     return EXIT_OK
 
@@ -153,7 +134,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ParameterError("--trials must be at least 1")
-    _check_cap(args.cap)
+    if args.seed < 0:
+        raise ParameterError(f"--seed must be non-negative, got {args.seed}")
+    if args.cap < 1:
+        raise ParameterError(f"--cap must be at least 1, got {args.cap}")
     results = validation.run_validation(seed=args.seed, trials=args.trials,
                                         cap=args.cap)
     lines = []
@@ -176,8 +160,8 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; surface as-is
         return int(exc.code or 0)
     handlers = {
-        "run": _cmd_run,
-        "sweep": _cmd_sweep,
+        "run": _cmd_evaluate,
+        "sweep": _cmd_evaluate,
         "fit": _cmd_fit,
         "validate": _cmd_validate,
     }

@@ -29,6 +29,8 @@ __all__ = [
 # the probabilities are a distribution up to this tolerance.
 PROB_SUM_TOL = 1e-12
 
+# Block length of every chunked reduction; block partials are combined
+# exactly with math.fsum.
 _CHUNK = 1 << 22
 
 
@@ -38,6 +40,34 @@ class ConfigError(ValueError):
 
 class ParameterError(ValueError):
     """Well-formed configuration with an out-of-range parameter value."""
+
+
+def _check_int(value, what: str, minimum: int):
+    """Return value if it is an integer (not a bool) >= minimum, else raise."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < minimum):
+        raise ParameterError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _blocks(size: int):
+    """Bounds [lo, hi) of consecutive index blocks of at most _CHUNK."""
+    for lo in range(0, size, _CHUNK):
+        yield lo, min(lo + _CHUNK, size)
+
+
+def _rank_weighted_sums(probs: np.ndarray, fn) -> list[float]:
+    """sum_x p_x v_x for each per-rank vector v that fn yields.
+
+    fn(block, first) receives one block of probs and the 1-based rank of its
+    first element and returns a sequence of arrays over that block; the
+    per-block dot products are combined exactly with math.fsum.
+    """
+    partials = []
+    for lo, hi in _blocks(probs.size):
+        block = probs[lo:hi]
+        partials.append([float(np.dot(block, v)) for v in fn(block, lo + 1)])
+    return [math.fsum(column) for column in zip(*partials)]
 
 
 def compensated_sum(values) -> float:
@@ -52,16 +82,14 @@ def compensated_sum(values) -> float:
     partials = []
     for block in values:
         flat = np.asarray(block, dtype=np.float64).ravel()
-        for i in range(0, flat.size, _CHUNK):
-            partials.append(float(np.sum(flat[i : i + _CHUNK])))
+        partials.extend(float(np.sum(flat[lo:hi])) for lo, hi in _blocks(flat.size))
     return math.fsum(partials)
 
 
 def _power_chunks(n: int, k: float):
     """Yield x^k for x = 1..n in bounded-size float64 blocks."""
-    for lo in range(1, n + 1, _CHUNK):
-        hi = min(lo + _CHUNK - 1, n)
-        yield np.arange(lo, hi + 1, dtype=np.float64) ** k
+    for lo, hi in _blocks(n):
+        yield np.arange(lo + 1, hi + 1, dtype=np.float64) ** k
 
 
 def power_law_alpha(n: int, k: float) -> float:
@@ -186,6 +214,8 @@ def make_explicit(weights) -> AdviceDistribution:
         raise ConfigError("weights must be a non-empty 1-D sequence")
     if np.any(~np.isfinite(w)) or np.any(w < 0.0):
         raise ParameterError("weights must be finite and non-negative")
+    # scaling by a power of two is exact and keeps the total finite
+    w = np.ldexp(w, -np.frexp(np.max(w))[1])
     total = compensated_sum(w)
     if total <= 0.0:
         raise ParameterError("weights must have positive total mass")

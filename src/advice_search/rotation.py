@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import _check_int
+
 __all__ = [
     "rotation_angle",
     "success_prob",
@@ -21,7 +23,7 @@ __all__ = [
 ]
 
 # p*(1-p) below this is treated as a degenerate angle (p at 0 or 1 up to
-# float noise) and the closed-form average falls back to the explicit mean.
+# float noise) and the closed-form average falls back to its series.
 DEGENERATE_TOL = 1e-12
 
 # Integer ceilings of transcendental expressions snap to a nearby integer
@@ -54,8 +56,7 @@ def rotation_angle(p):
 
 def success_prob(p, j: int):
     """Success probability sin^2((2j+1) * arcsin(sqrt(p))) after j steps."""
-    if not isinstance(j, (int, np.integer)) or isinstance(j, bool) or j < 0:
-        raise ValueError(f"iteration count must be a non-negative integer, got {j!r}")
+    _check_int(j, "iteration count", 0)
     theta = rotation_angle(p)
     out = np.clip(np.sin((2 * j + 1) * np.asarray(theta)) ** 2, 0.0, 1.0)
     return float(out) if np.ndim(p) == 0 else out
@@ -67,16 +68,40 @@ def exact_grover_queries(m: int, zero_or_one: bool = False) -> int:
     zero_or_one adds the one verification query needed when the subset may
     contain no marked element (the measured outcome is checked classically).
     """
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 1:
-        raise ValueError(f"subset size must be a positive integer, got {m!r}")
+    _check_int(m, "subset size", 1)
     return _snapped_ceil(0.25 * math.pi * math.sqrt(m)) + (1 if zero_or_one else 0)
 
 
-def _explicit_iter_average(p: np.ndarray, m: int) -> np.ndarray:
-    """Mean of success_prob(p, r) for r = 0..m-1, computed term by term."""
+def _angle_terms(p: np.ndarray):
+    """theta, c = sqrt(p(1-p)) (1 where degenerate) and the masks of degenerate
+    angles near p = 0 (tiny) and near p = 1 (top)."""
+    c2 = p * (1.0 - p)
+    tiny = p < DEGENERATE_TOL
+    top = (c2 < DEGENERATE_TOL) & ~tiny
     theta = np.arcsin(np.sqrt(p))
-    counts = 2.0 * np.arange(m, dtype=np.float64) + 1.0
-    return np.mean(np.sin(np.outer(counts, theta)) ** 2, axis=0)
+    c = np.sqrt(np.where(c2 < DEGENERATE_TOL, 1.0, c2))
+    return theta, c, tiny, top
+
+
+def _iter_average(p: np.ndarray, theta: np.ndarray, c: np.ndarray,
+                  tiny: np.ndarray, top: np.ndarray, m: int) -> np.ndarray:
+    """(1/m) sum_{r<m} sin^2((2r+1) theta) for terms from _angle_terms.
+
+    Closed form 1/2 - sin(4m theta)/(8m c) (BBHT, Lemma 2), which is 0/0 at
+    degenerate angles.  There the leading series term stands in:
+    p (4m^2-1)/3 on tiny and 1 - (1-p)(4m^2-1)/3 on top, with relative
+    error of order m^2 p (or m^2 (1-p)).
+    """
+    if m == 1:
+        return p.copy()
+    out = 0.5 - np.sin((4.0 * m) * theta) / ((8.0 * m) * c)
+    series = (4.0 * m * m - 1.0) / 3.0
+    if np.any(tiny):
+        out[tiny] = p[tiny] * series
+    if np.any(top):
+        out[top] = 1.0 - (1.0 - p[top]) * series
+    np.clip(out, 0.0, 1.0, out=out)
+    return out
 
 
 def uniform_iter_success(p, m: int):
@@ -84,21 +109,13 @@ def uniform_iter_success(p, m: int):
 
     Closed form (1/m) sum_r sin^2((2r+1)theta)
         = 1/2 - sin(4m theta) / (8m sqrt(p(1-p))),
-    with an explicit r-average fallback when p(1-p) < 1e-12 (degenerate
-    angle, where the closed form is 0/0).
+    with the series fallback of _iter_average when p(1-p) < 1e-12
+    (degenerate angle, where the closed form is 0/0).
     """
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 1:
-        raise ValueError(f"iteration budget must be a positive integer, got {m!r}")
+    _check_int(m, "iteration budget", 1)
     _check_probability(p)
     arr = np.atleast_1d(np.asarray(p, dtype=np.float64))
-    c2 = arr * (1.0 - arr)
-    degenerate = c2 < DEGENERATE_TOL
-    theta = np.arcsin(np.sqrt(arr))
-    denom = 8.0 * m * np.sqrt(np.where(degenerate, 1.0, c2))
-    out = 0.5 - np.sin(4.0 * m * theta) / denom
-    if np.any(degenerate):
-        out[degenerate] = _explicit_iter_average(arr[degenerate], m)
-    out = np.clip(out, 0.0, 1.0)
+    out = _iter_average(arr, *_angle_terms(arr), m)
     return float(out[0]) if np.ndim(p) == 0 else out
 
 
@@ -118,6 +135,5 @@ def round_cost(i: int) -> RoundCost:
     one classical check of each intermediate and final outcome: i+1 queries
     to f and to the preparation oracle, i to its inverse.
     """
-    if not isinstance(i, (int, np.integer)) or isinstance(i, bool) or i < 0:
-        raise ValueError(f"iteration count must be a non-negative integer, got {i!r}")
+    _check_int(i, "iteration count", 0)
     return RoundCost(f=i + 1, o_mu=i + 1, o_mu_inv=i)

@@ -175,6 +175,8 @@ class SweepSpec:
         seed = merged.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ConfigError(f"seed must be an integer, got {seed!r}")
+        if seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {seed}")
         k_alg = merged.get("k_algorithm")
         if k_alg is not None and (isinstance(k_alg, bool) or not isinstance(k_alg, (int, float))):
             raise ConfigError(f"k_algorithm must be a number, got {k_alg!r}")
@@ -212,10 +214,7 @@ def _expectation(spec: SweepSpec, dist: AdviceDistribution,
     if spec.mode == "monte_carlo":
         return algorithms.monte_carlo(model, dist, spec.trials, seed, k=k_alg)
     if model == "classical":
-        return algorithms.ExpectationReport(
-            f_mean=algorithms.classical_expected(dist), f_stderr=0.0,
-            o_mu_mean=0.0, o_mu_stderr=0.0, o_mu_inv_mean=0.0,
-            o_mu_inv_stderr=0.0, method="exact", trials=0)
+        return algorithms._exact_report(algorithms.classical_expected(dist), 0.0, 0.0)
     if model == "geometric":
         k = algorithms.DEFAULT_GEOMETRIC_RATIO if k_alg is None else k_alg
         return algorithms.geometric_expected(dist, k)

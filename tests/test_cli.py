@@ -143,6 +143,16 @@ def test_exit_code_parameter_range(tmp_path):
                                  "model": "unknown", "n_grid": [4, 8]})
     assert main(["sweep", explicit_sweep]) == 3
 
+    # a negative seed is a range problem, never numpy's traceback or a
+    # failed validation
+    mc = {"dist": {"kind": "powerlaw", "n": 16, "k": -1.0}, "model": "unknown",
+          "mode": "monte_carlo", "trials": 10}
+    assert main(["run", _write_cfg(tmp_path / "s.json", {**mc, "seed": -1})]) == 3
+    assert main(["run", _write_cfg(tmp_path / "s0.json", mc), "--seed", "-1"]) == 3
+    sweep = {**mc, "dist": {"kind": "powerlaw", "k": -1.0}, "n_grid": [4, 8]}
+    assert main(["sweep", _write_cfg(tmp_path / "sw.json", sweep), "--seed", "-1"]) == 3
+    assert main(["validate", "--seed", "-1"]) == 3
+
 
 def test_exit_code_unwritable_output(run_cfg):
     assert main(["run", run_cfg, "--out", "/nonexistent-dir/x.csv"]) == 4
@@ -163,6 +173,29 @@ def test_exit_code_usage_error(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "run" in capsys.readouterr().out
+
+
+def test_cap_only_on_validate(run_cfg, capsys):
+    # the statevector cap bounds validate's checks; run and sweep never
+    # build a statevector, so they take no --cap
+    for command in ("run", "sweep"):
+        assert main([command, "--help"]) == 0
+        assert "--cap" not in capsys.readouterr().out
+    assert main(["validate", "--help"]) == 0
+    assert "--cap" in capsys.readouterr().out
+    assert main(["run", run_cfg, "--cap", "8"]) == 2
+    capsys.readouterr()
+
+
+def test_huge_explicit_weights_match_unit_weights(tmp_path, capsys):
+    rows = []
+    for weights in ([1e308, 1e308], [1, 1]):
+        cfg = _write_cfg(tmp_path / "w.json",
+                         {"dist": {"kind": "explicit", "weights": weights},
+                          "model": "unknown"})
+        assert main(["run", cfg]) == 0
+        rows.append(capsys.readouterr().out)
+    assert rows[0] == rows[1]
 
 
 def test_validate_passes(capsys):
@@ -199,6 +232,17 @@ def test_console_script_entry_point(run_cfg):
     proc = subprocess.run(["advice-search", "run", run_cfg],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
+    assert proc.stdout.startswith(",".join(HEADER))
+
+
+def test_python_dash_m_entry_point(run_cfg):
+    package_root = os.path.dirname(os.path.dirname(advice_search.bounds.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "advice_search", "run", run_cfg],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(",".join(HEADER))
 
 

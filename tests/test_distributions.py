@@ -173,6 +173,24 @@ def test_parameter_errors():
         d.prob(5)
 
 
+def test_explicit_huge_weights_do_not_overflow():
+    # the total of two 1e308 weights overflows a double; the probabilities
+    # must still come out exact, not as 0/inf
+    d = make_explicit([1e308, 1e308])
+    np.testing.assert_array_equal(d.probs, [0.5, 0.5])
+    d.validate()
+    d = make_explicit([1e-310, 3e-310])
+    np.testing.assert_array_equal(d.probs, [0.75, 0.25])
+
+
+def test_explicit_scaling_keeps_probabilities_bit_identical():
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        w = rng.uniform(0.0, 1.0, 20) * 10.0 ** rng.integers(-200, 200)
+        np.testing.assert_array_equal(make_explicit(w).probs,
+                                      np.sort(w)[::-1] / compensated_sum(w))
+
+
 def test_validate_normalization():
     d = make_power_law(1000, -2.0)
     d.validate()

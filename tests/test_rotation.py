@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from advice_search import (
+    ParameterError,
     exact_grover_queries,
     rotation_angle,
     round_cost,
@@ -123,6 +124,22 @@ def test_uniform_iter_success_vectorized():
     np.testing.assert_allclose(vals, brute, atol=1e-12)
 
 
+def test_uniform_iter_success_degenerate_series_high_precision():
+    # the degenerate-angle series against a 50-digit mean of the same
+    # (float) p, near both ends and up to large budgets
+    mpmath = pytest.importorskip("mpmath")
+    for p in (1e-13, 1.0 - 1e-13, 1.0 - 1e-14):
+        for m in (9, 37, 4096):
+            with mpmath.workdps(50):
+                theta = mpmath.asin(mpmath.sqrt(mpmath.mpf(p)))
+                exact = mpmath.fsum(mpmath.sin((2 * r + 1) * theta) ** 2
+                                    for r in range(m)) / m
+            value = uniform_iter_success(p, m)
+            assert abs(value - float(exact)) <= 1e-11, (p, m)
+            if p < 0.5:  # a value near 0 must also be right to relative accuracy
+                assert abs(value / float(exact) - 1.0) <= 1e-5, (p, m)
+
+
 def test_round_cost_accounting():
     c = round_cost(0)
     assert (c.f, c.o_mu, c.o_mu_inv) == (1, 1, 0)
@@ -145,3 +162,8 @@ def test_argument_validation():
         uniform_iter_success(0.5, 0)
     with pytest.raises(ValueError):
         round_cost(-1)
+    # integer arguments share one check, which raises the CLI's range error
+    for call in (lambda: success_prob(0.5, True), lambda: round_cost(1.0),
+                 lambda: exact_grover_queries(np.int64(0))):
+        with pytest.raises(ParameterError):
+            call()
