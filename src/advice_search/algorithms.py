@@ -69,6 +69,16 @@ AMPLIFY_RATIO_BOUNDS = (1.0, 4.0 / 3.0)
 # multiply in float, never take floating logs.
 _FLOOR_EPS = 1e-12
 
+# Longest block or round schedule built.  Default ratios need under 200
+# entries even at n = 2^64, while a ratio of 1 + 1e-9 would need billions of
+# Python-loop steps (and, for the oracle-only model, as many kernel rounds);
+# a longer schedule is rejected up front from a log estimate of its length.
+_MAX_SCHEDULE = 100_000
+
+# Sub-block length of the oracle-only exact kernel: the ~10 float64 vectors
+# of this length that one round touches (1.3 MB) stay in a 2 MB L2 cache.
+_SUB_BLOCK = 1 << 14
+
 
 @dataclass
 class QueryLedger:
@@ -156,6 +166,18 @@ def _floored_power(power: float) -> int:
     return int(math.floor(power * (1.0 + _FLOOR_EPS)))
 
 
+def _check_schedule_length(estimate: float, what: str, k: float) -> None:
+    """Reject a schedule whose estimated length exceeds _MAX_SCHEDULE.
+
+    The estimate comes from logs; the schedule itself is still built by
+    iterated multiplication.
+    """
+    if estimate > _MAX_SCHEDULE:
+        raise ParameterError(
+            f"{what} ratio {k!r} needs about {estimate:.3g} schedule entries, "
+            f"more than {_MAX_SCHEDULE}; use a ratio further from 1")
+
+
 # ---------------------------------------------------------------------------
 # classical baseline
 
@@ -222,6 +244,10 @@ def geometric_blocks(n: int, k: float = DEFAULT_GEOMETRIC_RATIO) -> GeometricBlo
     """Partition {1..n} into blocks sized floor(k^0), floor(k^1), ..."""
     _check_int(n, "n", 1)
     k = _check_geometric_ratio(k)
+    # blocks of size k^j (before the floor) cover n after log_k(1 + n(k-1)),
+    # a lower bound on the block count
+    _check_schedule_length(math.log1p(min(n * (k - 1.0), 1e300)) / math.log1p(k - 1.0),
+                           "block growth", k)
     blocks: list[tuple[int, int]] = []
     nominal: list[int] = []
     start = 1
@@ -275,6 +301,8 @@ def unknown_rounds(n: int, k: float = DEFAULT_AMPLIFY_RATIO) -> int:
 
 def _round_sizes(n: int, k: float) -> list[int]:
     """Iteration budgets floor(k^j) for rounds j = 0..unknown_rounds(n, k)."""
+    _check_schedule_length(1.0 + 0.5 * math.log(n) / math.log1p(k - 1.0),
+                           "iteration-budget", k)
     limit = math.sqrt(n) * (1.0 + _FLOOR_EPS)
     return [_floored_power(power)
             for power in itertools.takewhile(lambda power: power <= limit, _powers(k))]
@@ -320,21 +348,46 @@ def _amplify_expected(p: np.ndarray, n: int, k: float) -> tuple[np.ndarray, np.n
     prod_{i<j} (1 - s_i) where s_i = p + (1-p) P_{m_i}; a reached round
     always pays the sampling step and pays the amplification step exactly
     when the sample misses.
+
+    Runs all rounds on one _SUB_BLOCK of p at a time in preallocated
+    scratch, so the working set stays in cache; every element goes through
+    the same floating-point operations as a whole-array evaluation.
     """
     p = np.asarray(p, dtype=np.float64)
-    q = 1.0 - p
-    terms = _angle_terms(p)
-    reach = np.ones_like(p)
-    shared = np.zeros_like(p)   # f and preparation counters agree per round
-    inv = np.zeros_like(p)
-    for m in _round_sizes(n, k):
-        avg = _iter_average(p, *terms, m)
-        miss_weight = reach * q
-        shared += reach + miss_weight * ((m + 1) * 0.5)
-        inv += miss_weight * ((m - 1) * 0.5)
-        round_success = np.minimum(p + q * avg, 1.0)
-        reach = reach * (1.0 - round_success)
-    f = shared + reach * float(exact_grover_queries(n, zero_or_one=False))
+    sizes = _round_sizes(n, k)
+    fallback = float(exact_grover_queries(n, zero_or_one=False))
+    f = np.empty_like(p)
+    shared = np.empty_like(p)   # f and preparation counters agree per round
+    inv = np.empty_like(p)
+    scratch = np.empty((7, min(p.size, _SUB_BLOCK)))
+    for lo in range(0, p.size, _SUB_BLOCK):
+        hi = min(lo + _SUB_BLOCK, p.size)
+        sub = p[lo:hi]
+        q, theta, c, miss_round, reach, miss_weight, tmp = scratch[:, :hi - lo]
+        np.subtract(1.0, sub, out=q)
+        terms = _angle_terms(sub, theta, c)
+        reach.fill(1.0)
+        sub_shared = shared[lo:hi]
+        sub_inv = inv[lo:hi]
+        sub_shared.fill(0.0)
+        sub_inv.fill(0.0)
+        last_m = 0
+        for m in sizes:
+            # the round's miss probability 1 - s depends on m alone, and
+            # budgets repeat only in consecutive rounds
+            if m != last_m:
+                _iter_average(sub, *terms, m, out=miss_round)   # P_m
+                miss_round *= q
+                miss_round += sub
+                np.minimum(miss_round, 1.0, out=miss_round)     # s
+                np.subtract(1.0, miss_round, out=miss_round)
+                last_m = m
+            np.multiply(reach, q, out=miss_weight)
+            np.multiply(miss_weight, (m + 1) * 0.5, out=tmp)
+            sub_shared += np.add(reach, tmp, out=tmp)
+            sub_inv += np.multiply(miss_weight, (m - 1) * 0.5, out=tmp)
+            reach *= miss_round
+        np.add(sub_shared, np.multiply(reach, fallback, out=tmp), out=f[lo:hi])
     return f, shared, inv
 
 

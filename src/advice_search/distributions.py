@@ -209,7 +209,10 @@ def make_explicit(weights) -> AdviceDistribution:
     Sorting is stable and descending, so equal weights keep their original
     relative order in perm (perm[i] = original 1-based position of rank i+1).
     """
-    w = np.asarray(weights, dtype=np.float64)
+    try:
+        w = np.asarray(weights, dtype=np.float64)
+    except (TypeError, ValueError) as exc:   # non-numeric or ragged
+        raise ConfigError(f"weights must be a flat list of numbers: {exc}") from exc
     if w.ndim != 1 or w.size == 0:
         raise ConfigError("weights must be a non-empty 1-D sequence")
     if np.any(~np.isfinite(w)) or np.any(w < 0.0):

@@ -72,34 +72,55 @@ def exact_grover_queries(m: int, zero_or_one: bool = False) -> int:
     return _snapped_ceil(0.25 * math.pi * math.sqrt(m)) + (1 if zero_or_one else 0)
 
 
-def _angle_terms(p: np.ndarray):
+def _angle_terms(p: np.ndarray, theta: np.ndarray | None = None,
+                 c: np.ndarray | None = None):
     """theta, c = sqrt(p(1-p)) (1 where degenerate) and the masks of degenerate
-    angles near p = 0 (tiny) and near p = 1 (top)."""
-    c2 = p * (1.0 - p)
+    angles near p = 0 (tiny) and near p = 1 (top).
+
+    A mask is None when no element is on its branch.  When every element is
+    tiny, theta and c are None too: the series needs neither, so arcsin is
+    skipped.  theta and c may be given as buffers the size of p.
+    """
     tiny = p < DEGENERATE_TOL
-    top = (c2 < DEGENERATE_TOL) & ~tiny
-    theta = np.arcsin(np.sqrt(p))
-    c = np.sqrt(np.where(c2 < DEGENERATE_TOL, 1.0, c2))
-    return theta, c, tiny, top
+    if tiny.all():
+        return None, None, tiny, None
+    c = np.multiply(p, np.subtract(1.0, p, out=c), out=c)
+    degenerate = c < DEGENERATE_TOL
+    top = degenerate & ~tiny
+    theta = np.arcsin(np.sqrt(p, out=theta), out=theta)
+    np.copyto(c, 1.0, where=degenerate)
+    np.sqrt(c, out=c)
+    return theta, c, tiny if tiny.any() else None, top if top.any() else None
 
 
-def _iter_average(p: np.ndarray, theta: np.ndarray, c: np.ndarray,
-                  tiny: np.ndarray, top: np.ndarray, m: int) -> np.ndarray:
+def _iter_average(p: np.ndarray, theta: np.ndarray | None, c: np.ndarray | None,
+                  tiny: np.ndarray | None, top: np.ndarray | None, m: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """(1/m) sum_{r<m} sin^2((2r+1) theta) for terms from _angle_terms.
 
     Closed form 1/2 - sin(4m theta)/(8m c) (BBHT, Lemma 2), which is 0/0 at
     degenerate angles.  There the leading series term stands in:
     p (4m^2-1)/3 on tiny and 1 - (1-p)(4m^2-1)/3 on top, with relative
-    error of order m^2 p (or m^2 (1-p)).
+    error of order m^2 p (or m^2 (1-p)).  out, if given, is a buffer the
+    size of p that aliases no input; the result is written there.
     """
+    if out is None:
+        out = np.empty_like(p)
     if m == 1:
-        return p.copy()
-    out = 0.5 - np.sin((4.0 * m) * theta) / ((8.0 * m) * c)
+        np.copyto(out, p)
+        return out
     series = (4.0 * m * m - 1.0) / 3.0
-    if np.any(tiny):
-        out[tiny] = p[tiny] * series
-    if np.any(top):
-        out[top] = 1.0 - (1.0 - p[top]) * series
+    if theta is None:
+        np.multiply(p, series, out=out)
+    else:
+        np.multiply(theta, 4.0 * m, out=out)
+        np.sin(out, out=out)
+        out /= (8.0 * m) * c
+        np.subtract(0.5, out, out=out)
+        if tiny is not None:
+            out[tiny] = p[tiny] * series
+        if top is not None:
+            out[top] = 1.0 - (1.0 - p[top]) * series
     np.clip(out, 0.0, 1.0, out=out)
     return out
 

@@ -312,6 +312,8 @@ def fit_slope(ns, means) -> tuple[float, float]:
         raise ParameterError(f"need at least 3 points to fit, got {ns.size}")
     if np.any(ns <= 0.0) or np.any(ys <= 0.0):
         raise ParameterError("fit needs positive n and positive means")
+    if not (np.all(np.isfinite(ns)) and np.all(np.isfinite(ys))):
+        raise ParameterError("fit needs finite n and finite means")
     lx, ly = np.log(ns), np.log(ys)
     slope, intercept = np.polyfit(lx, ly, 1)
     residual = ly - (slope * lx + intercept)

@@ -184,3 +184,37 @@ def ref_oracle_matrix(n: int, marked_rank: int) -> np.ndarray:
 
 def ref_alpha(n: int, k: float) -> float:
     return 1.0 / math.fsum(float(x) ** k for x in range(1, n + 1))
+
+
+def ref_amplify_expected_whole(p, n: int, k: float):
+    """Whole-array oracle-only kernel: (f, preparation, inversion) expected
+    counts for every p, each operation one numpy expression over the whole
+    vector.  The exact floating-point operations, in the same order, that
+    the package's sub-blocked kernel must reproduce bit for bit."""
+    tol = 1e-12
+    p = np.asarray(p, dtype=np.float64)
+    q = 1.0 - p
+    c2 = p * (1.0 - p)
+    tiny = p < tol
+    top = (c2 < tol) & ~tiny
+    theta = np.arcsin(np.sqrt(p))
+    c = np.sqrt(np.where(c2 < tol, 1.0, c2))
+    reach = np.ones_like(p)
+    shared = np.zeros_like(p)
+    inv = np.zeros_like(p)
+    for m in ref_round_budgets(n, k):
+        if m == 1:
+            avg = p.copy()
+        else:
+            avg = 0.5 - np.sin((4.0 * m) * theta) / ((8.0 * m) * c)
+            series = (4.0 * m * m - 1.0) / 3.0
+            avg[tiny] = p[tiny] * series
+            avg[top] = 1.0 - (1.0 - p[top]) * series
+            np.clip(avg, 0.0, 1.0, out=avg)
+        miss_weight = reach * q
+        shared += reach + miss_weight * ((m + 1) * 0.5)
+        inv += miss_weight * ((m - 1) * 0.5)
+        round_success = np.minimum(p + q * avg, 1.0)
+        reach = reach * (1.0 - round_success)
+    f = shared + reach * float(ref_grover_queries(n))
+    return f, shared, inv

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from advice_search import (
     AMPLIFY_RATIO_BOUNDS,
@@ -24,8 +28,10 @@ from advice_search import (
     unknown_rounds,
     unknown_search,
 )
+from advice_search.algorithms import _SUB_BLOCK, _amplify_expected
 
 from reference import (
+    ref_amplify_expected_whole,
     ref_blocks,
     ref_geometric_cost,
     ref_geometric_expected,
@@ -232,6 +238,17 @@ def test_unknown_expected_mu_matches_reference():
         np.testing.assert_allclose(got.means(), want, rtol=1e-9)
 
 
+def test_unknown_expected_mu_matches_reference_across_sub_blocks():
+    # one element past a sub-block: the kernel's second sub-block holds a
+    # single rank, and the brute-force sum still covers every rank.  Ratio
+    # 1.3 has 19 rounds here against 1.162's 33, which keeps the scalar
+    # reference to a few seconds.
+    d = make_power_law(_SUB_BLOCK + 1, -1.0)
+    got = unknown_expected_mu(d, 1.3)
+    want = ref_unknown_expected_mu(list(d.probs), 1.3)
+    np.testing.assert_allclose(got.means(), want, rtol=1e-9)
+
+
 def test_unknown_expected_mu_explicit_with_zeros():
     d = make_explicit([0.5, 0.25, 0.0, 0.25])
     got = unknown_expected_mu(d)
@@ -266,6 +283,88 @@ def test_amplify_ratio_validation():
             unknown_expected_mu(d, bad)
     with pytest.raises(ParameterError):
         unknown_search(d, 3, np.random.default_rng(0))
+
+
+def test_schedule_ratio_near_one_exits_quickly():
+    # a log estimate rejects the schedule before any loop step is taken
+    started = time.perf_counter()
+    with pytest.raises(ParameterError, match="schedule entries"):
+        unknown_rounds(16, 1.000000001)
+    with pytest.raises(ParameterError, match="schedule entries"):
+        unknown_expected_mu(make_explicit([1.0] * 16), 1.000000001)
+    with pytest.raises(ParameterError, match="schedule entries"):
+        geometric_blocks(10**6, 1.0 + 1e-6)
+    with pytest.raises(ParameterError, match="schedule entries"):
+        geometric_blocks(2**40, 1.0 + 1e-9)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_schedule_cap_leaves_usable_ratios_alone():
+    # default and golden ratios stay far below the cap even at n = 2^62
+    for k in (DEFAULT_AMPLIFY_RATIO, 1.3):
+        assert unknown_rounds(2**62, k) == len(ref_round_budgets(2**62, k)) - 1 < 200
+    for k in (math.e, 2.0):
+        assert len(geometric_blocks(2**62, k).blocks) < 100
+    # a ratio close to 1 whose schedule fits under the cap is still built
+    assert unknown_rounds(16, 1.0001) == len(ref_round_budgets(16, 1.0001)) - 1
+    assert len(geometric_blocks(10**4, 1.001).blocks) == len(ref_blocks(10**4, 1.001))
+
+
+# ---------------------------------------------------------------------------
+# sub-blocked oracle-only kernel: bit for bit the whole-array evaluation
+
+_TOP_P = 1.0 - 1e-13   # on the near-1 series branch
+_KERNEL_SIZES = (1, _SUB_BLOCK - 1, _SUB_BLOCK, _SUB_BLOCK + 1, 3 * _SUB_BLOCK + 7)
+
+
+def _assert_kernel_matches_whole_array(p, n, k):
+    got = _amplify_expected(p, n, k)
+    want = ref_amplify_expected_whole(p, n, k)
+    for name, a, b in zip(("f", "o_mu", "o_mu_inv"), got, want):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b), f"{name} differs at {np.flatnonzero(a != b)[:5]}"
+
+
+def _kernel_inputs(size):
+    rng = np.random.default_rng(size)
+    normal = rng.random(size) ** 4
+    mixed = rng.choice([1.0, _TOP_P, 0.7, 0.02, 3e-9, 5e-13, 0.0], size=size)
+    mixed[:3] = (_TOP_P, 0.25, 1e-13)[:size]   # top, normal and tiny all present
+    rng.shuffle(mixed)
+    all_tiny = rng.random(size) * 1e-12
+    return [-np.sort(-normal), normal, -np.sort(-mixed), mixed,
+            -np.sort(-all_tiny), np.zeros(size)]
+
+
+@pytest.mark.parametrize("k", (DEFAULT_AMPLIFY_RATIO, 1.3))
+@pytest.mark.parametrize("size", _KERNEL_SIZES)
+def test_amplify_expected_bit_identical_to_whole_array(size, k):
+    for p in _kernel_inputs(size):
+        _assert_kernel_matches_whole_array(p, 1 << 16, k)
+
+
+def test_amplify_expected_sorted_tiny_suffix_spans_sub_blocks():
+    # sorted input whose tiny suffix starts mid sub-block and then fills
+    # whole sub-blocks, the shape of a steep power law at large n
+    p = make_power_law(3 * _SUB_BLOCK + 7, -3.0).probs
+    first_tiny = np.count_nonzero(p >= 1e-12)
+    assert first_tiny % _SUB_BLOCK and p.size - first_tiny > 2 * _SUB_BLOCK
+    _assert_kernel_matches_whole_array(p, p.size, DEFAULT_AMPLIFY_RATIO)
+
+
+_SPECIAL_P = st.sampled_from([0.0, 1.0, _TOP_P, 1e-13, 1e-12, 1.0 - 1e-12, 0.5])
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=arrays(np.float64, st.integers(1, 2 * _SUB_BLOCK + 3),
+                elements=st.floats(0.0, 1.0) | _SPECIAL_P,
+                fill=st.floats(0.0, 1.0) | _SPECIAL_P),
+       sort=st.booleans(), n=st.integers(1, 1 << 16),
+       k=st.sampled_from([DEFAULT_AMPLIFY_RATIO, 1.3]))
+def test_amplify_expected_bit_identical_property(p, sort, n, k):
+    if sort:
+        p = -np.sort(-p)
+    _assert_kernel_matches_whole_array(p, n, k)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -121,6 +122,14 @@ def test_exit_code_malformed_config(tmp_path, capsys):
 
     assert main(["run", str(tmp_path / "does-not-exist.json")]) == 2
 
+    # non-numeric or ragged weights are malformed, not a numpy traceback
+    for weights in (["a", 1], [[1, 2], [3]], [{"w": 1}, 1]):
+        cfg = _write_cfg(tmp_path / "w.json",
+                         {"dist": {"kind": "explicit", "weights": weights},
+                          "model": "classical"})
+        assert main(["run", cfg]) == 2
+    assert "error:" in capsys.readouterr().err
+
 
 def test_exit_code_parameter_range(tmp_path):
     bad_k = _write_cfg(tmp_path / "k.json",
@@ -152,6 +161,31 @@ def test_exit_code_parameter_range(tmp_path):
     sweep = {**mc, "dist": {"kind": "powerlaw", "k": -1.0}, "n_grid": [4, 8]}
     assert main(["sweep", _write_cfg(tmp_path / "sw.json", sweep), "--seed", "-1"]) == 3
     assert main(["validate", "--seed", "-1"]) == 3
+
+
+def test_exit_code_schedule_ratio_near_one(tmp_path, capsys):
+    # ~1e9-step schedules are refused up front instead of looping
+    started = time.perf_counter()
+    for model, n, k in (("unknown", 16, 1.000000001), ("geometric", 10**6, 1.0 + 1e-9)):
+        cfg = _write_cfg(tmp_path / f"{model}.json",
+                         {"dist": {"kind": "powerlaw", "n": n, "k": -1.0},
+                          "model": model, "k_algorithm": k})
+        assert main(["run", cfg]) == 3
+        assert "schedule entries" in capsys.readouterr().err
+    assert time.perf_counter() - started < 5.0
+
+
+def test_fit_rejects_non_finite_means(tmp_path, capsys):
+    for bad in ("nan", "inf"):
+        rows = [",".join(HEADER)]
+        for j, mean in enumerate(("2", "4", bad, "16")):
+            rows.append(f"{2**(j + 4)},-1,unknown,exact,{mean},0,1,0,0,0,,,0")
+        csv = tmp_path / "bad.csv"
+        csv.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert main(["fit", str(csv), "--drop", "0"]) == 3
+        captured = capsys.readouterr()
+        assert "finite" in captured.err
+        assert "alpha=" not in captured.out
 
 
 def test_exit_code_unwritable_output(run_cfg):

@@ -232,6 +232,11 @@ def test_fit_slope_validation():
         fit_slope([10, 20], [1.0, 2.0])
     with pytest.raises(ParameterError):
         fit_slope([10, 20, 30], [1.0, -2.0, 3.0])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="finite"):
+            fit_slope([10, 20, 30], [1.0, bad, 3.0])
+        with pytest.raises(ParameterError, match="finite"):
+            fit_slope([10, 20, bad], [1.0, 2.0, 3.0])
 
 
 def test_fit_scaling_drops_smallest_and_groups():
