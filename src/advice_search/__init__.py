@@ -21,10 +21,8 @@ from .algorithms import (
     RunResult,
     classical_expected,
     classical_sampling_expected,
-    classical_sequential,
     geometric_blocks,
     geometric_expected,
-    geometric_search,
     monte_carlo,
     unknown_expected_exact,
     unknown_expected_mu,
@@ -32,18 +30,14 @@ from .algorithms import (
     unknown_search,
 )
 from .bounds import (
-    BoundReport,
     LasVegasBound,
     ScalingClass,
-    compute_bounds,
     geometric_upper,
-    las_vegas_lower,
     las_vegas_report,
     powerlaw_exponents,
     q_mu_lower,
     unknown_upper_mu,
     unknown_upper_per_rank,
-    zalka_bound,
 )
 from .distributions import (
     AdviceDistribution,
@@ -84,7 +78,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AMPLIFY_RATIO_BOUNDS",
     "AdviceDistribution",
-    "BoundReport",
     "CheckResult",
     "ConfigError",
     "DEFAULT_AMPLIFY_RATIO",
@@ -104,18 +97,14 @@ __all__ = [
     "SweepSpec",
     "classical_expected",
     "classical_sampling_expected",
-    "classical_sequential",
     "compensated_sum",
-    "compute_bounds",
     "dist_from_config",
     "exact_grover_queries",
     "fit_scaling",
     "fit_slope",
     "geometric_blocks",
     "geometric_expected",
-    "geometric_search",
     "geometric_upper",
-    "las_vegas_lower",
     "las_vegas_report",
     "make_explicit",
     "make_power_law",
@@ -141,5 +130,4 @@ __all__ = [
     "unknown_upper_per_rank",
     "uniform_iter_success",
     "worker_count",
-    "zalka_bound",
 ]

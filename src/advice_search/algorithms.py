@@ -1,24 +1,23 @@
-"""Search procedures over an advice distribution, with query accounting.
+"""Search models over an advice distribution, with query accounting.
 
-Three strategies are implemented:
+* classical: evaluate f on elements in advice order; rank x costs x.
+* geometric (known advice): certainty searches, each with a zero-or-one
+  verification query, over geometrically growing blocks of ranks in turn;
+  a rank costs the nominal cost of every block up to its own.  f only.
+* unknown (oracle-only advice), one trial per unknown_search call: each
+  round checks one sample, then amplifies with an iteration count drawn
+  uniformly from a geometrically growing budget; after all rounds fail, a
+  certainty search over the whole domain ends the run with zero error.
 
-* classical_sequential: evaluate f on elements in advice order.
-* geometric_search: partition ranks into geometrically growing blocks and
-  run a certainty search (with a zero-or-one-marked verification query) on
-  each block in turn.  Needs the advice at design time; queries f only.
-* unknown_search: the advice is available only as a preparation oracle.
-  Each round draws one sample (check it), then runs an amplification
-  attempt with an iteration count drawn uniformly from a geometrically
-  growing budget; after all rounds fail, a plain certainty search over the
-  whole domain guarantees zero-error termination.
-
-Quantum steps are simulated at the probability level: every branch uses the
-closed-form success probability and a Bernoulli draw, so runs scale to huge
-n while statevector.py independently certifies the same closed forms at
-small n.  Expected-cost calculators mirror the simulated processes exactly.
+classical_expected, geometric_expected and unknown_expected_mu give the
+exact advice-averaged costs and monte_carlo estimates them.  Quantum steps
+are simulated at the probability level (closed-form success probability,
+Bernoulli draw), so runs scale to huge n while statevector.py certifies
+the same closed forms at small n.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -42,11 +41,9 @@ __all__ = [
     "RunResult",
     "ExpectationReport",
     "GeometricBlocks",
-    "classical_sequential",
     "classical_expected",
     "classical_sampling_expected",
     "geometric_blocks",
-    "geometric_search",
     "geometric_expected",
     "unknown_rounds",
     "unknown_search",
@@ -182,14 +179,6 @@ def _check_schedule_length(estimate: float, what: str, k: float) -> None:
 # classical baseline
 
 
-def classical_sequential(dist: AdviceDistribution, marked_rank: int) -> RunResult:
-    """Probe elements in advice order; stops at the marked one."""
-    _check_rank(dist, marked_rank)
-    return RunResult(found=int(dist.perm[marked_rank - 1]),
-                     ledger=QueryLedger(f_queries=int(marked_rank)),
-                     rounds=int(marked_rank))
-
-
 def classical_expected(dist: AdviceDistribution) -> float:
     """Expected probes of the sequential scan: sum_x p_x * x."""
     (mean,) = _rank_weighted_sums(dist.probs, lambda block, first: (
@@ -226,13 +215,6 @@ class GeometricBlocks:
     blocks: list[tuple[int, int]]
     nominal_sizes: list[int]
 
-    def block_of(self, rank: int) -> int:
-        """0-based index of the block containing a 1-based rank."""
-        for idx, (start, end) in enumerate(self.blocks):
-            if start <= rank <= end:
-                return idx
-        raise ParameterError(f"rank {rank} outside the partition")
-
     def cumulative_costs(self) -> np.ndarray:
         """Total f queries after searching blocks 0..m, for each m."""
         costs = [exact_grover_queries(size, zero_or_one=True)
@@ -261,23 +243,6 @@ def geometric_blocks(n: int, k: float = DEFAULT_GEOMETRIC_RATIO) -> GeometricBlo
     return GeometricBlocks(ratio=k, blocks=blocks, nominal_sizes=nominal)
 
 
-def geometric_search(dist: AdviceDistribution, marked_rank: int,
-                     k: float = DEFAULT_GEOMETRIC_RATIO) -> RunResult:
-    """Search blocks in order with a certainty sweep per block.
-
-    Deterministic: each block search finds the marked element exactly when
-    the block contains it, at the nominal zero-or-one cost, so the ledger
-    is a function of the containing block alone.  Queries f only.
-    """
-    _check_rank(dist, marked_rank)
-    parts = geometric_blocks(dist.n, k)
-    idx = parts.block_of(marked_rank)
-    f_total = int(parts.cumulative_costs()[idx])
-    return RunResult(found=int(dist.perm[marked_rank - 1]),
-                     ledger=QueryLedger(f_queries=f_total),
-                     rounds=idx + 1)
-
-
 def geometric_expected(dist: AdviceDistribution,
                        k: float = DEFAULT_GEOMETRIC_RATIO) -> ExpectationReport:
     """Exact expected f queries of the block search under the advice."""
@@ -299,13 +264,14 @@ def unknown_rounds(n: int, k: float = DEFAULT_AMPLIFY_RATIO) -> int:
     return len(_round_sizes(n, _check_amplify_ratio(k))) - 1
 
 
-def _round_sizes(n: int, k: float) -> list[int]:
+@functools.lru_cache(maxsize=16)   # every Monte Carlo trial reuses one schedule
+def _round_sizes(n: int, k: float) -> tuple[int, ...]:
     """Iteration budgets floor(k^j) for rounds j = 0..unknown_rounds(n, k)."""
     _check_schedule_length(1.0 + 0.5 * math.log(n) / math.log1p(k - 1.0),
                            "iteration-budget", k)
     limit = math.sqrt(n) * (1.0 + _FLOOR_EPS)
-    return [_floored_power(power)
-            for power in itertools.takewhile(lambda power: power <= limit, _powers(k))]
+    return tuple(_floored_power(power)
+                 for power in itertools.takewhile(lambda power: power <= limit, _powers(k)))
 
 
 def unknown_search(dist: AdviceDistribution, marked_rank: int,

@@ -8,13 +8,11 @@ scaling tables collect the resulting growth exponents for p_x ~ x^k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import classical_expected
 from .distributions import AdviceDistribution, ParameterError, _rank_weighted_sums
-from .rotation import _snapped_ceil
 
 __all__ = [
     "LAS_VEGAS_COEFF",
@@ -22,8 +20,6 @@ __all__ = [
     "HIGH_PRIOR_COEFF",
     "FALLBACK_COEFF",
     "UNKNOWN_OFFSET",
-    "zalka_bound",
-    "las_vegas_lower",
     "LasVegasBound",
     "las_vegas_report",
     "q_mu_lower",
@@ -32,12 +28,10 @@ __all__ = [
     "unknown_upper_mu",
     "ScalingClass",
     "powerlaw_exponents",
-    "BoundReport",
-    "compute_bounds",
 ]
 
 # (1-p) arcsin(sqrt p)/2 at its maximizer p ~ 0.369, and (1-p)/2 there.
-# Used verbatim in the closed-form lower bounds; las_vegas_lower re-derives
+# Used verbatim in the closed-form lower bounds; las_vegas_report re-derives
 # the maximization numerically instead of trusting these two decimals.
 LAS_VEGAS_COEFF = 0.206
 LAS_VEGAS_OFFSET = 0.316
@@ -51,21 +45,6 @@ FALLBACK_COEFF = 53.0
 UNKNOWN_OFFSET = 4.0 / 3.0
 
 _GRID_STEP = 1e-4
-
-
-def zalka_bound(n: int, p: float) -> int:
-    """Minimum queries for success probability p on n elements.
-
-    ceil(arcsin(sqrt p) / (2 arcsin(1/sqrt n)) - 1/2), with values within
-    1e-9 of an integer snapped before the ceiling (the expression is exact
-    trigonometry and lands on integers for aligned inputs).
-    """
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    if not 0.0 < p <= 1.0:
-        raise ParameterError(f"success probability must be in (0, 1], got {p}")
-    value = math.asin(math.sqrt(p)) / (2.0 * math.asin(1.0 / math.sqrt(n))) - 0.5
-    return _snapped_ceil(value)
 
 
 @dataclass(frozen=True)
@@ -98,11 +77,6 @@ def las_vegas_report(n: int) -> LasVegasBound:
         asin_form=LAS_VEGAS_COEFF / theta_n - LAS_VEGAS_OFFSET,
         sqrt_form=LAS_VEGAS_COEFF * math.sqrt(n) - 1.0,
     )
-
-
-def las_vegas_lower(n: int) -> float:
-    """Expected-query lower bound for zero-error search on n elements."""
-    return las_vegas_report(n).grid_max
 
 
 def _sqrt_rank_mean(dist: AdviceDistribution) -> float:
@@ -191,38 +165,3 @@ def powerlaw_exponents(model: str, k: float) -> ScalingClass:
             return ScalingClass(0.0, 1)
         return ScalingClass(0.0)
     raise ParameterError(f"unknown model {model!r}")
-
-
-@dataclass
-class BoundReport:
-    """Bounds relevant to one advice distribution."""
-
-    n: int
-    d_mu: float
-    q_lower: float
-    geometric_upper: float
-    las_vegas: LasVegasBound
-    unknown_mu: float
-    _dist: AdviceDistribution = field(repr=False)
-    _zalka_cache: dict = field(default_factory=dict, repr=False)
-
-    def zalka(self, p: float) -> int:
-        if p not in self._zalka_cache:
-            self._zalka_cache[p] = zalka_bound(self.n, p)
-        return self._zalka_cache[p]
-
-    def unknown_per_rank(self) -> np.ndarray:
-        return unknown_upper_per_rank(self._dist)
-
-
-def compute_bounds(dist: AdviceDistribution) -> BoundReport:
-    """Collect all distribution-level bounds in one report."""
-    return BoundReport(
-        n=dist.n,
-        d_mu=classical_expected(dist),
-        q_lower=q_mu_lower(dist),
-        geometric_upper=geometric_upper(dist),
-        las_vegas=las_vegas_report(dist.n),
-        unknown_mu=unknown_upper_mu(dist),
-        _dist=dist,
-    )

@@ -213,6 +213,8 @@ def make_explicit(weights) -> AdviceDistribution:
         w = np.asarray(weights, dtype=np.float64)
     except (TypeError, ValueError) as exc:   # non-numeric or ragged
         raise ConfigError(f"weights must be a flat list of numbers: {exc}") from exc
+    except OverflowError as exc:   # an integer beyond the float range
+        raise ParameterError(f"weights must be finite: {exc}") from exc
     if w.ndim != 1 or w.size == 0:
         raise ConfigError("weights must be a non-empty 1-D sequence")
     if np.any(~np.isfinite(w)) or np.any(w < 0.0):
@@ -250,5 +252,8 @@ def dist_from_config(cfg: dict) -> AdviceDistribution:
             raise ConfigError(f"unknown explicit keys: {sorted(extra)}")
         if "weights" not in cfg or not isinstance(cfg["weights"], (list, tuple)):
             raise ConfigError("explicit dist needs a 'weights' list")
+        for w in cfg["weights"]:
+            if isinstance(w, bool) or not isinstance(w, (int, float)):
+                raise ConfigError(f"weights must be numbers, got {w!r}")
         return make_explicit(cfg["weights"])
     raise ConfigError(f"unknown dist kind {kind!r}")

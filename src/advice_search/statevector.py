@@ -1,10 +1,10 @@
 """Dense statevector reference for the amplification primitives.
 
 Small-dimension simulator used to certify the closed forms in rotation.py
-and the query accounting in algorithms.py.  Every operator applied here is
-a reflection (sign flip on an oracle-selected component, or reflection
-about a fixed preparation state), so norms are preserved exactly up to
-float roundoff.
+and the reflection count of the certainty search.  Every operator applied
+here is a reflection (sign flip on an oracle-selected component, or
+reflection about a fixed preparation state), so norms are preserved
+exactly up to float roundoff.
 
 The amplification step implements -P R0 P^-1 Rx where P maps |0> to the
 advice state |mu>, R0/Rx flip the sign of |0> / the marked component: the
@@ -14,22 +14,15 @@ is how it is applied to the amplitude vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import QueryLedger, RunResult
 from .distributions import AdviceDistribution
 
 __all__ = [
     "DEFAULT_DIM_CAP",
     "CapExceeded",
-    "StateVector",
-    "prepare_mu",
-    "aa_iteration",
     "aa_success_curve",
-    "grover_success",
-    "exact_search",
     "exact_search_profile",
 ]
 
@@ -47,50 +40,10 @@ def _check_cap(dim: int, cap: int) -> None:
         raise CapExceeded(f"statevector dimension {dim} exceeds cap {cap}")
 
 
-@dataclass
-class StateVector:
-    """Amplitude vector over {1..n} (sorted-rank basis); unit norm."""
-
-    amps: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.amps = np.asarray(self.amps)
-        norm = float(np.linalg.norm(self.amps))
-        if not math.isclose(norm, 1.0, abs_tol=1e-9):
-            raise ValueError(f"statevector norm {norm!r} is not 1")
-
-    @property
-    def dim(self) -> int:
-        return int(self.amps.size)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def probability(self, rank: int) -> float:
-        """Measurement probability of the element at 1-based sorted rank."""
-        return float(np.abs(self.amps[rank - 1]) ** 2)
-
-
-def prepare_mu(dist: AdviceDistribution, cap: int = DEFAULT_DIM_CAP) -> StateVector:
-    """Advice state |mu> = sum_x sqrt(p_x) |x>."""
-    _check_cap(dist.n, cap)
-    return StateVector(np.sqrt(dist.probs).astype(np.complex128))
-
-
 def _reflect_about(reference: np.ndarray, amps: np.ndarray) -> np.ndarray:
     """(2|ref><ref| - I) amps, for a unit-norm reference."""
     inner = np.vdot(reference, amps)
     return 2.0 * inner * reference - amps
-
-
-def aa_iteration(state: StateVector, dist: AdviceDistribution, marked_rank: int,
-                 cap: int = DEFAULT_DIM_CAP) -> StateVector:
-    """One amplification step about |mu> with the marked-component oracle."""
-    _check_cap(dist.n, cap)
-    mu = np.sqrt(dist.probs).astype(np.complex128)
-    amps = state.amps.copy()
-    amps[marked_rank - 1] *= -1.0
-    return StateVector(_reflect_about(mu, amps))
 
 
 def aa_success_curve(dist: AdviceDistribution, marked_rank: int, max_iters: int,
@@ -106,17 +59,6 @@ def aa_success_curve(dist: AdviceDistribution, marked_rank: int, max_iters: int,
         amps = _reflect_about(mu, amps)
         out[j] = float(np.abs(amps[marked_rank - 1]) ** 2)
     return out
-
-
-def grover_success(n: int, j: int, cap: int = DEFAULT_DIM_CAP) -> float:
-    """Marked-component probability after j plain search iterations on {1..n}."""
-    _check_cap(n, cap)
-    uniform = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
-    amps = uniform.copy()
-    for _ in range(j):
-        amps[0] *= -1.0
-        amps = _reflect_about(uniform, amps)
-    return float(np.abs(amps[0]) ** 2)
 
 
 def _certainty_reflections(n: int) -> int:
@@ -161,23 +103,3 @@ def exact_search_profile(n: int, marked_rank: int = 1,
     _check_cap(2 * n, cap)
     amps, m = _exact_amplified_state(n, marked_rank)
     return float(np.abs(amps[marked_rank - 1, 1]) ** 2), m
-
-
-def exact_search(n: int, marked_rank: int, rng: np.random.Generator | None = None,
-                 cap: int = DEFAULT_DIM_CAP) -> RunResult:
-    """Certainty search over {1..n}: simulate, measure, return the outcome.
-
-    The ledger charges one f query per reflection.  Success probability is
-    1 up to float roundoff, so the measured element is the marked one.
-    """
-    if not 1 <= marked_rank <= n:
-        raise ValueError(f"marked rank {marked_rank} outside 1..{n}")
-    _check_cap(2 * n, cap)
-    amps, m = _exact_amplified_state(n, marked_rank)
-    weights = np.abs(amps.ravel()) ** 2
-    if rng is None:
-        idx = int(np.argmax(weights))
-    else:
-        idx = int(rng.choice(weights.size, p=weights / weights.sum()))
-    found = idx // 2 + 1
-    return RunResult(found=found, ledger=QueryLedger(f_queries=m), rounds=m)

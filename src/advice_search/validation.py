@@ -56,10 +56,9 @@ def _check_statevector_grover(seed: int, trials: int, cap: int) -> CheckResult:
                            f"cap {cap} below smallest statevector")
     worst = 0.0
     for n in ns:
-        p = 1.0 / n
-        for j in range(26):
-            worst = max(worst, abs(statevector.grover_success(n, j, cap=cap)
-                                   - rotation.success_prob(p, j)))
+        curve = statevector.aa_success_curve(make_explicit(np.ones(n)), 1, 25, cap=cap)
+        for j, measured in enumerate(curve):
+            worst = max(worst, abs(measured - rotation.success_prob(1.0 / n, j)))
     return _result("statevector-grover-closed-form", worst, 1e-9,
                    f"{len(ns)} sizes x 26 iteration counts")
 

@@ -16,10 +16,8 @@ from advice_search import (
     ParameterError,
     classical_expected,
     classical_sampling_expected,
-    classical_sequential,
     geometric_blocks,
     geometric_expected,
-    geometric_search,
     make_explicit,
     make_power_law,
     monte_carlo,
@@ -28,7 +26,12 @@ from advice_search import (
     unknown_rounds,
     unknown_search,
 )
-from advice_search.algorithms import _SUB_BLOCK, _amplify_expected
+from advice_search.algorithms import (
+    _SUB_BLOCK,
+    _amplify_expected,
+    _geometric_cost_by_rank,
+    _trial_seed,
+)
 
 from reference import (
     ref_amplify_expected_whole,
@@ -46,14 +49,13 @@ from reference import (
 
 
 def test_classical_sequential_cost_is_rank():
+    # each Monte Carlo trial of the scan pays its sampled rank in f queries
     d = make_explicit([5.0, 1.0, 3.0, 1.0])
-    for rank in range(1, 5):
-        run = classical_sequential(d, rank)
-        assert run.ledger.f_queries == rank
-        assert run.ledger.o_mu_queries == 0
-    # rank 1 is the heaviest original element, index 1
-    assert classical_sequential(d, 1).found == 1
-    assert classical_sequential(d, 2).found == 3
+    ranks = d.sample(_trial_seed(7, 0), size=50).astype(np.float64)
+    mc = monte_carlo("classical", d, 50, seed=7)
+    assert mc.f_mean == float(np.mean(ranks))
+    assert mc.f_stderr == float(np.std(ranks, ddof=1) / math.sqrt(50))
+    assert (mc.o_mu_mean, mc.o_mu_inv_mean) == (0.0, 0.0)
 
 
 def test_classical_expected_uniform():
@@ -113,18 +115,8 @@ def test_blocks_match_reference_loop():
 
 
 def test_geometric_search_frozen_costs():
-    d = make_explicit([1.0] * 30)
-    assert geometric_search(d, 1).ledger.f_queries == 2
-    assert geometric_search(d, 5).ledger.f_queries == 9
-    assert geometric_search(d, 30).ledger.f_queries == 14
-    assert geometric_search(d, 1).ledger.o_mu_queries == 0
-
-
-def test_geometric_search_found_uses_original_index():
-    d = make_explicit([1.0, 5.0, 3.0])
-    assert geometric_search(d, 1).found == 2
-    assert geometric_search(d, 2).found == 3
-    assert geometric_search(d, 3).found == 1
+    costs = _geometric_cost_by_rank(30, math.e)
+    assert costs[[0, 4, 29]].tolist() == [2.0, 9.0, 14.0]
 
 
 def test_geometric_expected_frozen():
@@ -144,25 +136,20 @@ def test_geometric_expected_matches_reference():
 
 
 def test_geometric_cost_agrees_with_reference_per_rank():
-    for rank in (1, 2, 3, 10, 64, 100):
-        d = make_explicit([1.0] * 100)
-        if rank <= 100:
-            got = geometric_search(d, rank).ledger.f_queries
-            assert got == ref_geometric_cost(100, math.e, rank)
+    for n, k in ((100, math.e), (1000, 1.4), (7, 3.0)):
+        costs = _geometric_cost_by_rank(n, k)
+        assert costs.tolist() == [ref_geometric_cost(n, k, rank) for rank in range(1, n + 1)]
 
 
 def test_geometric_ratio_validation():
-    d = make_explicit([1.0] * 4)
     with pytest.raises(ParameterError):
         geometric_blocks(10, k=1.0)
     with pytest.raises(ParameterError):
         geometric_blocks(10, k=0.5)
     with pytest.raises(ParameterError):
-        geometric_search(d, 1, k=float("inf"))
+        geometric_blocks(10, k=float("inf"))
     with pytest.raises(ParameterError):
-        geometric_search(d, 0)
-    with pytest.raises(ParameterError):
-        geometric_search(d, 5)
+        geometric_expected(make_explicit([1.0] * 4), k=float("inf"))
 
 
 # ---------------------------------------------------------------------------

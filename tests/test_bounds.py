@@ -7,11 +7,8 @@ import pytest
 
 from advice_search import (
     ParameterError,
-    classical_expected,
-    compute_bounds,
     geometric_expected,
     geometric_upper,
-    las_vegas_lower,
     las_vegas_report,
     make_explicit,
     make_power_law,
@@ -20,45 +17,13 @@ from advice_search import (
     unknown_expected_mu,
     unknown_upper_mu,
     unknown_upper_per_rank,
-    zalka_bound,
 )
+from advice_search.sweep import _bound_columns
 
 from reference import (
     ref_las_vegas_max,
-    ref_min_queries_for_prob,
     ref_sqrt_rank_mean,
 )
-
-
-def test_zalka_frozen_values():
-    assert zalka_bound(4, 1.0) == 1
-    assert zalka_bound(4, 1e-9) == 0
-    assert zalka_bound(10**6, 1.0) == 785
-    assert zalka_bound(2, 1.0) == 1
-    assert zalka_bound(100, 1.0) == 8
-
-
-def test_zalka_matches_scan_oracle():
-    rng = np.random.default_rng(13)
-    for _ in range(200):
-        n = int(rng.integers(2, 10**5))
-        p = float(rng.uniform(1e-6, 1.0))
-        assert zalka_bound(n, p) == ref_min_queries_for_prob(n, p)
-
-
-def test_zalka_certainty_equals_grover_count():
-    # at p = 1 the bound is the certainty iteration count
-    for n in (2, 4, 64, 1024, 10**6):
-        assert zalka_bound(n, 1.0) == ref_min_queries_for_prob(n, 1.0)
-
-
-def test_zalka_validation():
-    with pytest.raises(ParameterError):
-        zalka_bound(0, 0.5)
-    with pytest.raises(ParameterError):
-        zalka_bound(4, 0.0)
-    with pytest.raises(ParameterError):
-        zalka_bound(4, 1.5)
 
 
 def test_las_vegas_grid_matches_fine_reference():
@@ -82,8 +47,8 @@ def test_las_vegas_maximizer_settles():
 
 
 def test_las_vegas_lower_scales_like_sqrt():
-    assert las_vegas_lower(4 * 10**6) / las_vegas_lower(10**6) == pytest.approx(
-        2.0, rel=5e-3)
+    ratio = las_vegas_report(4 * 10**6).grid_max / las_vegas_report(10**6).grid_max
+    assert ratio == pytest.approx(2.0, rel=5e-3)
 
 
 def test_q_mu_lower_formula():
@@ -215,13 +180,9 @@ def test_powerlaw_exponents_validation():
 
 
 def test_compute_bounds_report():
+    # the bound columns of a sweep row are the bound functions themselves
     d = make_power_law(256, -1.0)
-    report = compute_bounds(d)
-    assert report.n == 256
-    assert report.d_mu == pytest.approx(classical_expected(d))
-    assert report.q_lower == pytest.approx(q_mu_lower(d))
-    assert report.geometric_upper == pytest.approx(geometric_upper(d))
-    assert report.unknown_mu == pytest.approx(unknown_upper_mu(d))
-    assert report.zalka(1.0) == zalka_bound(256, 1.0)
-    assert report.zalka(1.0) == report.zalka(1.0)  # cached path
-    assert report.unknown_per_rank().shape == (256,)
+    assert _bound_columns("classical", None, d) == (None, None)
+    assert _bound_columns("geometric", None, d) == (q_mu_lower(d), geometric_upper(d))
+    assert _bound_columns("unknown", None, d) == (q_mu_lower(d), unknown_upper_mu(d))
+    assert unknown_upper_per_rank(d).shape == (256,)

@@ -7,6 +7,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import advice_search.bounds
 from advice_search import HEADER
@@ -122,13 +124,36 @@ def test_exit_code_malformed_config(tmp_path, capsys):
 
     assert main(["run", str(tmp_path / "does-not-exist.json")]) == 2
 
-    # non-numeric or ragged weights are malformed, not a numpy traceback
-    for weights in (["a", 1], [[1, 2], [3]], [{"w": 1}, 1]):
+    # a weight that is not a JSON number is malformed, not a numpy traceback
+    # and not parsed: "1" is not 1, true is not 1, null is not NaN
+    for weights in (["a", 1], [[1, 2], [3]], [{"w": 1}, 1], ["1", 2], [True, 1],
+                    [None, 1]):
         cfg = _write_cfg(tmp_path / "w.json",
                          {"dist": {"kind": "explicit", "weights": weights},
                           "model": "classical"})
         assert main(["run", cfg]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+_JSON_WEIGHT = st.one_of(
+    st.integers(),
+    st.sampled_from([0, 10**400, -(10**400), 1e308, 5e-324, -1.0]),
+    st.floats(),
+    st.text(max_size=3),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+
+
+@given(weights=st.lists(_JSON_WEIGHT, max_size=8),
+       model=st.sampled_from(["classical", "geometric", "unknown"]))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_explicit_weights_end_in_row_or_clean_exit(tmp_path, weights, model):
+    cfg = _write_cfg(tmp_path / "p.json",
+                     {"dist": {"kind": "explicit", "weights": weights}, "model": model})
+    assert main(["run", cfg]) in (0, 2, 3)
 
 
 def test_exit_code_parameter_range(tmp_path):
@@ -146,6 +171,12 @@ def test_exit_code_parameter_range(tmp_path):
                            {"dist": {"kind": "powerlaw", "n": 16, "k": -1.0},
                             "model": "unknown", "k_algorithm": 2.0})
     assert main(["run", bad_ratio]) == 3
+
+    # an integer weight beyond the float range is out of range, not a traceback
+    huge = _write_cfg(tmp_path / "h.json",
+                      {"dist": {"kind": "explicit", "weights": [10**400, 1]},
+                       "model": "classical"})
+    assert main(["run", huge]) == 3
 
     explicit_sweep = _write_cfg(tmp_path / "e.json",
                                 {"dist": {"kind": "explicit", "weights": [1, 2]},

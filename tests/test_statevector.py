@@ -9,13 +9,8 @@ from advice_search import make_explicit, make_power_law, success_prob
 from advice_search.statevector import (
     CapExceeded,
     DEFAULT_DIM_CAP,
-    StateVector,
-    aa_iteration,
     aa_success_curve,
-    exact_search,
     exact_search_profile,
-    grover_success,
-    prepare_mu,
 )
 
 from reference import (
@@ -26,17 +21,17 @@ from reference import (
 
 
 def test_prepare_mu_amplitudes():
+    # before any step the curve measures the advice state |mu> itself
     d = make_explicit([1.0, 3.0])
-    state = prepare_mu(d)
-    np.testing.assert_allclose(state.amps, [math.sqrt(0.75), math.sqrt(0.25)])
-    assert math.isclose(state.norm(), 1.0, abs_tol=1e-15)
+    start = [aa_success_curve(d, rank, 0)[0] for rank in (1, 2)]
+    assert start == pytest.approx([0.75, 0.25], abs=1e-15)
+    assert math.isclose(sum(start), 1.0, abs_tol=1e-15)
 
 
 def test_prepare_mu_probabilities_round_trip():
     d = make_power_law(50, -1.3)
-    state = prepare_mu(d)
     for rank in (1, 7, 50):
-        assert math.isclose(state.probability(rank), d.prob(rank), abs_tol=1e-15)
+        assert math.isclose(aa_success_curve(d, rank, 0)[0], d.prob(rank), abs_tol=1e-15)
 
 
 def test_aa_iteration_matches_dense_matrices():
@@ -46,15 +41,13 @@ def test_aa_iteration_matches_dense_matrices():
         weights = rng.exponential(size=n) + 1e-3
         d = make_explicit(weights)
         marked = int(rng.integers(1, n + 1))
-        mu = prepare_mu(d).amps
+        mu = np.sqrt(d.probs).astype(np.complex128)
         op = ref_reflection_matrix(mu) @ ref_oracle_matrix(n, marked)
-        state = StateVector(mu.copy())
+        curve = aa_success_curve(d, marked, 6)
         expected = mu.copy()
-        for _ in range(6):
-            state = aa_iteration(state, d, marked)
+        for j in range(7):
+            assert math.isclose(curve[j], abs(expected[marked - 1]) ** 2, abs_tol=1e-12)
             expected = op @ expected
-            np.testing.assert_allclose(state.amps, expected, atol=1e-12)
-            assert math.isclose(state.norm(), 1.0, abs_tol=1e-12)
 
 
 def test_aa_success_curve_matches_closed_form():
@@ -71,9 +64,9 @@ def test_aa_success_curve_matches_closed_form():
 
 def test_grover_success_uniform():
     for n in (2, 4, 10, 100):
+        curve = aa_success_curve(make_explicit(np.ones(n)), 1, 3)
         for j in (0, 1, 3):
-            assert math.isclose(grover_success(n, j),
-                                success_prob(1.0 / n, j), abs_tol=1e-12)
+            assert math.isclose(curve[j], success_prob(1.0 / n, j), abs_tol=1e-12)
 
 
 def test_exact_search_reaches_certainty():
@@ -99,28 +92,23 @@ def test_exact_search_small_cases():
 
 
 def test_exact_search_run_result():
-    rng = np.random.default_rng(5)
+    # measuring finds the marked element, wherever it is, for the same
+    # reflection count
     for n in (1, 2, 7, 30):
+        _, reflections = exact_search_profile(n)
         for marked in (1, n):
-            run = exact_search(n, marked_rank=marked, rng=rng)
-            assert run.found == marked
-            _, reflections = exact_search_profile(n)
-            assert run.ledger.f_queries == reflections
-            assert run.ledger.o_mu_queries == 0
+            prob, used = exact_search_profile(n, marked_rank=marked)
+            assert prob == pytest.approx(1.0, abs=1e-9)
+            assert used == reflections
 
 
 def test_dimension_cap_enforced():
     with pytest.raises(CapExceeded):
-        prepare_mu(make_power_law(DEFAULT_DIM_CAP + 1, -1.0))
+        aa_success_curve(make_power_law(DEFAULT_DIM_CAP + 1, -1.0), 1, 0)
     with pytest.raises(CapExceeded):
-        grover_success(8, 1, cap=4)
+        aa_success_curve(make_explicit(np.ones(8)), 1, 1, cap=4)
     with pytest.raises(CapExceeded):
         # ancilla doubles the dimension, so the cap binds at n > cap/2
         exact_search_profile(3000, cap=4096)
     # at the boundary everything still runs
-    assert grover_success(4, 1, cap=4) == pytest.approx(1.0)
-
-
-def test_statevector_norm_validation():
-    with pytest.raises(ValueError):
-        StateVector(np.array([0.5, 0.5]))  # unnormalized
+    assert aa_success_curve(make_explicit(np.ones(4)), 1, 1, cap=4)[1] == pytest.approx(1.0)
