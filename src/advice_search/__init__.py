@@ -69,7 +69,6 @@ from .sweep import (
     rows_to_csv,
     run_point,
     run_sweep,
-    worker_count,
 )
 from .validation import CheckResult, run_validation
 
@@ -129,5 +128,4 @@ __all__ = [
     "unknown_upper_mu",
     "unknown_upper_per_rank",
     "uniform_iter_success",
-    "worker_count",
 ]

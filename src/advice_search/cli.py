@@ -25,7 +25,6 @@ from .sweep import (
     rows_to_csv,
     run_point,
     run_sweep,
-    worker_count,
 )
 
 __all__ = ["main"]
@@ -86,6 +85,8 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path!r} is not UTF-8 text: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     return cfg
@@ -109,7 +110,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         cfg, need_grid=sweep,
         overrides={"mode": args.mode, "trials": args.trials, "seed": args.seed})
     if sweep:
-        rows = run_sweep(spec, timing=args.timing, workers=worker_count())
+        rows = run_sweep(spec, timing=args.timing)
     else:
         rows = [run_point(spec, timing=args.timing)]
     _write_text(out, rows_to_csv(rows))

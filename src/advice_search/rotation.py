@@ -31,13 +31,6 @@ DEGENERATE_TOL = 1e-12
 _CEIL_SNAP = 1e-9
 
 
-def _snapped_ceil(value: float) -> int:
-    nearest = round(value)
-    if abs(value - nearest) < _CEIL_SNAP:
-        return int(nearest)
-    return int(math.ceil(value))
-
-
 def _check_probability(p) -> None:
     arr = np.asarray(p, dtype=np.float64)
     if np.any(~np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
@@ -69,7 +62,12 @@ def exact_grover_queries(m: int, zero_or_one: bool = False) -> int:
     contain no marked element (the measured outcome is checked classically).
     """
     _check_int(m, "subset size", 1)
-    return _snapped_ceil(0.25 * math.pi * math.sqrt(m)) + (1 if zero_or_one else 0)
+    extra = 1 if zero_or_one else 0
+    value = 0.25 * math.pi * math.sqrt(m)
+    nearest = round(value)
+    if abs(value - nearest) < _CEIL_SNAP:
+        return int(nearest) + extra
+    return int(math.ceil(value)) + extra
 
 
 def _angle_terms(p: np.ndarray, theta: np.ndarray | None = None,

@@ -73,13 +73,17 @@ def _certainty_reflections(n: int) -> int:
     return m
 
 
-def _exact_amplified_state(n: int, marked_rank: int) -> tuple[np.ndarray, int]:
-    """Run the certainty construction; returns ((n,2) amplitudes, reflections).
+def exact_search_profile(n: int, marked_rank: int = 1,
+                         cap: int = DEFAULT_DIM_CAP) -> tuple[float, int]:
+    """(success probability, oracle reflections used) of the certainty search.
 
     An ancilla rotation damps the marked amplitude from 1/sqrt(n) to
     a = sin(pi/(2(2m+1))) so that m amplification steps land the good
     component (marked element, ancilla on) at angle exactly pi/2.
     """
+    if not 1 <= marked_rank <= n:
+        raise ValueError(f"marked rank {marked_rank} outside 1..{n}")
+    _check_cap(2 * n, cap)
     m = _certainty_reflections(n)
     a = math.sin(math.pi / (2.0 * (2.0 * m + 1.0)))
     sin_beta = min(1.0, a * math.sqrt(n))
@@ -92,14 +96,4 @@ def _exact_amplified_state(n: int, marked_rank: int) -> tuple[np.ndarray, int]:
     for _ in range(m):
         amps[marked_rank - 1, 1] *= -1.0
         amps = _reflect_about(flat0, amps.ravel()).reshape(n, 2)
-    return amps, m
-
-
-def exact_search_profile(n: int, marked_rank: int = 1,
-                         cap: int = DEFAULT_DIM_CAP) -> tuple[float, int]:
-    """(success probability, oracle reflections used) of the certainty search."""
-    if not 1 <= marked_rank <= n:
-        raise ValueError(f"marked rank {marked_rank} outside 1..{n}")
-    _check_cap(2 * n, cap)
-    amps, m = _exact_amplified_state(n, marked_rank)
     return float(np.abs(amps[marked_rank - 1, 1]) ** 2), m

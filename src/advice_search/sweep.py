@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +28,6 @@ __all__ = [
     "FitResult",
     "fit_slope",
     "fit_scaling",
-    "worker_count",
 ]
 
 log = logging.getLogger("advice_search")
@@ -92,6 +89,8 @@ def read_rows(path: str) -> list[SweepRow]:
             lines = [line.rstrip("\n") for line in fh if line.strip()]
     except OSError as exc:
         raise ConfigError(f"cannot read {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path!r} is not UTF-8 text: {exc}") from exc
     if not lines or tuple(lines[0].split(",")) != HEADER:
         raise ConfigError(f"{path}: missing or wrong header")
     rows = []
@@ -141,6 +140,8 @@ class SweepSpec:
             if value is not None:
                 merged[key] = value
 
+        if "out" in merged and not isinstance(merged["out"], str):
+            raise ConfigError(f"out must be a string, got {merged['out']!r}")
         if "dist" not in merged:
             raise ConfigError("config needs a 'dist' section")
         if not isinstance(merged["dist"], dict):
@@ -247,50 +248,18 @@ def run_point(spec: SweepSpec, *, n: int | None = None, seed: int | None = None,
     )
 
 
-def worker_count() -> int:
-    """Worker pool size from ADVICE_SEARCH_THREADS (default 1)."""
-    raw = os.environ.get("ADVICE_SEARCH_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ParameterError(f"ADVICE_SEARCH_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise ParameterError(f"ADVICE_SEARCH_THREADS must be >= 1, got {value}")
-    return value
-
-
-def _point_task(args) -> tuple[int, SweepRow]:
-    spec, index, n, seed, timing = args
-    return index, run_point(spec, n=n, seed=seed, timing=timing)
-
-
 def _row_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence(entropy=base_seed,
                                       spawn_key=(index,)).generate_state(1)[0])
 
 
-def run_sweep(spec: SweepSpec, *, timing: bool = False,
-              workers: int | None = None) -> list[SweepRow]:
-    """Run every grid point; rows come back in grid (n) order regardless of
-    worker completion order, with per-point seeds derived from the spec seed."""
+def run_sweep(spec: SweepSpec, *, timing: bool = False) -> list[SweepRow]:
+    """Run every grid point in grid (n) order, with per-point seeds derived
+    from the spec seed."""
     if spec.n_grid is None:
         raise ConfigError("sweep needs an n_grid")
-    if workers is None:
-        workers = worker_count()
-    tasks = [(spec, i, n, _row_seed(spec.seed, i), timing)
-             for i, n in enumerate(spec.n_grid)]
-    rows: list[SweepRow | None] = [None] * len(tasks)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for index, row in pool.map(_point_task, tasks):
-                rows[index] = row
-    else:
-        for task in tasks:
-            index, row = _point_task(task)
-            rows[index] = row
-    return rows  # type: ignore[return-value]
+    return [run_point(spec, n=n, seed=_row_seed(spec.seed, i), timing=timing)
+            for i, n in enumerate(spec.n_grid)]
 
 
 @dataclass(frozen=True)

@@ -49,30 +49,20 @@ def _random_dists(rng: np.random.Generator, count: int, max_n: int):
         yield make_explicit(weights)
 
 
-def _check_statevector_grover(seed: int, trials: int, cap: int) -> CheckResult:
-    ns = [n for n in (2, 3, 4, 5, 8, 13, 16, 32, 64, 101, 128, 256) if n <= cap]
-    if not ns:
-        return CheckResult("statevector-grover-closed-form", SKIP,
-                           f"cap {cap} below smallest statevector")
-    worst = 0.0
-    for n in ns:
-        curve = statevector.aa_success_curve(make_explicit(np.ones(n)), 1, 25, cap=cap)
-        for j, measured in enumerate(curve):
-            worst = max(worst, abs(measured - rotation.success_prob(1.0 / n, j)))
-    return _result("statevector-grover-closed-form", worst, 1e-9,
-                   f"{len(ns)} sizes x 26 iteration counts")
-
-
 def _check_statevector_amplification(seed: int, trials: int, cap: int) -> CheckResult:
     if cap < 2:
         return CheckResult("statevector-amplification-closed-form", SKIP,
                            f"cap {cap} below smallest statevector")
     rng = np.random.default_rng(seed)
+    cases = [(dist, int(rng.integers(1, dist.n + 1)), 20)
+             for dist in _random_dists(rng, 12, min(cap, 512))]
+    # uniform advice is Grover search over n elements
+    cases += [(make_explicit(np.ones(n)), 1, 25)
+              for n in (2, 3, 4, 5, 8, 13, 16, 32, 64, 101, 128, 256) if n <= cap]
     worst = 0.0
     pairs = 0
-    for dist in _random_dists(rng, 12, min(cap, 512)):
-        marked = int(rng.integers(1, dist.n + 1))
-        curve = statevector.aa_success_curve(dist, marked, 20, cap=cap)
+    for dist, marked, max_iters in cases:
+        curve = statevector.aa_success_curve(dist, marked, max_iters, cap=cap)
         p = dist.prob(marked)
         for j, measured in enumerate(curve):
             worst = max(worst, abs(measured - rotation.success_prob(p, j)))
@@ -248,7 +238,6 @@ def _check_classical_identities(seed: int, trials: int, cap: int) -> CheckResult
 
 
 _CHECKS = (
-    _check_statevector_grover,
     _check_statevector_amplification,
     _check_exact_search,
     _check_iteration_average,

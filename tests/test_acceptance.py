@@ -175,7 +175,7 @@ def test_criterion_8_powerlaw_scaling_exponents():
                 spec = SweepSpec.from_config(
                     {"dist": {"kind": "powerlaw", "k": k}, "model": model,
                      "n_grid": n_grid}, need_grid=True)
-                rows.extend(run_sweep(spec, workers=1))
+                rows.extend(run_sweep(spec))
         fits = {(fit.model, fit.k_dist): fit for fit in fit_scaling(rows)}
         for model in ("classical", "geometric", "unknown"):
             for k in k_grid:

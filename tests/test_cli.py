@@ -74,15 +74,6 @@ def test_sweep_rerun_is_byte_identical(sweep_cfg, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_sweep_worker_pool_matches_serial(sweep_cfg, tmp_path, monkeypatch):
-    a, b = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    monkeypatch.delenv("ADVICE_SEARCH_THREADS", raising=False)
-    assert main(["sweep", sweep_cfg, "--out", str(a)]) == 0
-    monkeypatch.setenv("ADVICE_SEARCH_THREADS", "2")
-    assert main(["sweep", sweep_cfg, "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_fit_reports_slope(sweep_cfg, tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     main(["sweep", sweep_cfg, "--out", str(out_path)])
@@ -133,6 +124,22 @@ def test_exit_code_malformed_config(tmp_path, capsys):
                           "model": "classical"})
         assert main(["run", cfg]) == 2
     assert "error:" in capsys.readouterr().err
+
+    # bytes that are not UTF-8 are a malformed input, not a decode traceback
+    binary = tmp_path / "bad.bin"
+    binary.write_bytes(b"\xff\xfe")
+    assert main(["run", str(binary)]) == 2
+    assert main(["fit", str(binary)]) == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+    # "out" names a file: true, 5 or null would reach open() as a file
+    # descriptor or as stdout, a list or mapping would raise TypeError
+    for out in (["a"], {}, True, 5, None):
+        cfg = _write_cfg(tmp_path / "o.json",
+                         {"dist": {"kind": "powerlaw", "n": 4, "k": -1.0},
+                          "model": "classical", "out": out})
+        assert main(["run", cfg]) == 2
+        assert "out must be a string" in capsys.readouterr().err
 
 
 _JSON_WEIGHT = st.one_of(
@@ -221,11 +228,6 @@ def test_fit_rejects_non_finite_means(tmp_path, capsys):
 
 def test_exit_code_unwritable_output(run_cfg):
     assert main(["run", run_cfg, "--out", "/nonexistent-dir/x.csv"]) == 4
-
-
-def test_exit_code_env_var(sweep_cfg, monkeypatch):
-    monkeypatch.setenv("ADVICE_SEARCH_THREADS", "banana")
-    assert main(["sweep", sweep_cfg]) == 3
 
 
 def test_exit_code_usage_error(capsys):

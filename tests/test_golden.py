@@ -74,11 +74,6 @@ def _sweep_cases():
 CASES = [*_run_cases(), *_sweep_cases()]
 
 
-@pytest.fixture(autouse=True)
-def _one_worker(monkeypatch):
-    monkeypatch.delenv("ADVICE_SEARCH_THREADS", raising=False)
-
-
 def _validate_lines(text: str) -> str:
     return "".join(line.split(" - ", 1)[0] + "\n" for line in text.splitlines())
 

@@ -9,11 +9,12 @@ MODULES = ["advice_search"] + [f"advice_search.{name}" for name in (
     "sweep", "validation")]
 
 # Second copies of jobs that the CLI, validate and the benchmark do through
-# other names; keeping one implementation per job means they stay gone.
+# other names, and the worker count of the removed sweep process pool;
+# keeping one implementation per job means they stay gone.
 REMOVED = (
     "classical_sequential", "geometric_search", "compute_bounds", "BoundReport",
     "zalka_bound", "las_vegas_lower", "StateVector", "prepare_mu", "aa_iteration",
-    "grover_success", "exact_search",
+    "grover_success", "exact_search", "worker_count",
 )
 
 

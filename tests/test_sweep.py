@@ -22,7 +22,6 @@ from advice_search import (
     run_point,
     run_sweep,
     unknown_expected_mu,
-    worker_count,
 )
 
 
@@ -75,7 +74,7 @@ def test_emitted_rows_respect_bounds():
             spec = SweepSpec.from_config(
                 {"dist": {"kind": "powerlaw", "k": k}, "model": model,
                  "n_grid": [16, 64, 256, 1024]}, need_grid=True)
-            for row in run_sweep(spec, workers=1):
+            for row in run_sweep(spec):
                 assert row.lower_bound <= row.f_mean <= row.upper_bound
 
 
@@ -136,16 +135,6 @@ def test_sweep_rows_follow_grid_order():
     assert [row.n for row in rows] == [8, 32, 128]
 
 
-def test_sweep_deterministic_across_workers():
-    spec = SweepSpec.from_config(
-        {"dist": {"kind": "powerlaw", "k": -1.5}, "model": "unknown",
-         "mode": "monte_carlo", "trials": 400, "seed": 21,
-         "n_grid": [16, 64]}, need_grid=True)
-    serial = rows_to_csv(run_sweep(spec, workers=1))
-    parallel = rows_to_csv(run_sweep(spec, workers=2))
-    assert serial == parallel
-
-
 def test_sweep_per_point_seeds_differ():
     row_a = run_point(SweepSpec.from_config(
         {"dist": {"kind": "powerlaw", "n": 64, "k": -1.0}, "model": "unknown",
@@ -193,19 +182,6 @@ def test_spec_overrides_replace_config_values():
     assert spec.mode == "monte_carlo"
     assert spec.trials == 99
     assert spec.seed == 1  # None override leaves the config value
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("ADVICE_SEARCH_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("ADVICE_SEARCH_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("ADVICE_SEARCH_THREADS", "0")
-    with pytest.raises(ParameterError):
-        worker_count()
-    monkeypatch.setenv("ADVICE_SEARCH_THREADS", "soon")
-    with pytest.raises(ParameterError):
-        worker_count()
 
 
 def test_fmt_precision_round_trips():

@@ -24,7 +24,7 @@ def test_result_fields():
 def test_small_cap_skips_statevector_checks():
     results = validation.run_validation(trials=500, cap=1)
     by_name = {r.name: r for r in results}
-    assert by_name["statevector-grover-closed-form"].status == "SKIP"
+    assert by_name["statevector-amplification-closed-form"].status == "SKIP"
     assert by_name["exact-search-certainty"].status == "SKIP"
     # probability-level checks are unaffected by the cap
     assert by_name["classical-identities"].status == "PASS"
