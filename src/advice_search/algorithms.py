@@ -376,7 +376,29 @@ def unknown_expected_mu(dist: AdviceDistribution,
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo driver
+# one entry point per method: exact expectation and Monte Carlo estimate
+
+
+def _model_ratio(model: str, k: float | None) -> float | None:
+    """A model's growth ratio: its default when k is None, else k checked."""
+    if model == "classical":
+        return None
+    if model == "geometric":
+        return DEFAULT_GEOMETRIC_RATIO if k is None else _check_geometric_ratio(k)
+    if model == "unknown":
+        return DEFAULT_AMPLIFY_RATIO if k is None else _check_amplify_ratio(k)
+    raise ConfigError(f"unknown algorithm id {model!r}")
+
+
+def exact_expected(model: str, dist: AdviceDistribution,
+                   k: float | None = None) -> ExpectationReport:
+    """Exact per-oracle expected costs of a model with the marked element ~ advice."""
+    ratio = _model_ratio(model, k)
+    if model == "classical":
+        return _exact_report(f=classical_expected(dist), o_mu=0.0, o_mu_inv=0.0)
+    if model == "geometric":
+        return geometric_expected(dist, ratio)
+    return unknown_expected_mu(dist, ratio)
 
 
 def _trial_seed(seed: int, stream: int, index: int = 0) -> np.random.Generator:
@@ -401,26 +423,17 @@ def monte_carlo(algorithm: str, dist: AdviceDistribution, trials: int, seed: int
     stream, so results do not depend on execution order.
     """
     _check_int(trials, "trials", 1)
+    ratio = _model_ratio(algorithm, k)
     ranks = dist.sample(_trial_seed(seed, 0), size=trials)
+    f, o_mu, inv = np.zeros((3, trials))
     if algorithm == "classical":
-        f = ranks.astype(np.float64)
-        o_mu = np.zeros(trials)
-        inv = np.zeros(trials)
+        f[:] = ranks
     elif algorithm == "geometric":
-        ratio = DEFAULT_GEOMETRIC_RATIO if k is None else _check_geometric_ratio(k)
-        f = _geometric_cost_by_rank(dist.n, ratio)[ranks - 1]
-        o_mu = np.zeros(trials)
-        inv = np.zeros(trials)
-    elif algorithm == "unknown":
-        ratio = DEFAULT_AMPLIFY_RATIO if k is None else _check_amplify_ratio(k)
-        f = np.empty(trials)
-        o_mu = np.empty(trials)
-        inv = np.empty(trials)
+        f[:] = _geometric_cost_by_rank(dist.n, ratio)[ranks - 1]
+    else:
         for t in range(trials):
             run = unknown_search(dist, int(ranks[t]), _trial_seed(seed, 1, t), ratio)
             f[t], o_mu[t], inv[t] = run.ledger.totals()
-    else:
-        raise ConfigError(f"unknown algorithm id {algorithm!r}")
 
     def _stats(values: np.ndarray) -> tuple[float, float]:
         mean = float(np.mean(values))

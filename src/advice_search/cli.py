@@ -7,7 +7,7 @@ Subcommands:
   validate  run the cross-module consistency checks
 
 Exit codes: 0 success, 1 validation failure, 2 malformed config,
-3 parameter out of range, 4 unwritable output.
+3 parameter out of range or too large to allocate, 4 unwritable output.
 """
 from __future__ import annotations
 
@@ -69,8 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("--out", default=None)
 
     val_p = sub.add_parser("validate", help="run cross-module consistency checks")
-    val_p.add_argument("--seed", type=int, default=20250816)
-    val_p.add_argument("--trials", type=int, default=20000)
+    val_p.add_argument("--seed", type=int, default=validation.DEFAULT_SEED)
+    val_p.add_argument("--trials", type=int, default=validation.DEFAULT_TRIALS)
     val_p.add_argument("--out", default=None)
     val_p.add_argument("--cap", type=int, default=statevector.DEFAULT_DIM_CAP,
                        help="statevector dimension cap (default %(default)s)")
@@ -171,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ParameterError as exc:
+    except (ParameterError, MemoryError) as exc:   # e.g. n too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
     except OSError as exc:

@@ -86,20 +86,15 @@ def compensated_sum(values) -> float:
     return math.fsum(partials)
 
 
-def _power_chunks(n: int, k: float):
-    """Yield x^k for x = 1..n in bounded-size float64 blocks."""
-    for lo, hi in _blocks(n):
-        yield np.arange(lo + 1, hi + 1, dtype=np.float64) ** k
-
-
 def power_law_alpha(n: int, k: float) -> float:
     """Normalizing constant alpha with sum_{x=1..n} alpha*x^k = 1.
 
-    Direct summation; no closed-form/integral shortcut so the value is the
-    one the materialized probabilities actually use.
+    Direct summation of x^k streamed in blocks; no closed-form/integral
+    shortcut, so the value is the one make_power_law's probabilities use.
     """
     _check_power_law_params(n, k)
-    return 1.0 / compensated_sum(_power_chunks(n, k))
+    return 1.0 / compensated_sum(np.arange(lo + 1, hi + 1, dtype=np.float64) ** k
+                                 for lo, hi in _blocks(n))
 
 
 @dataclass(frozen=True)
@@ -195,8 +190,9 @@ def make_power_law(n: int, k: float) -> AdviceDistribution:
     """Power-law advice p_x = alpha * x^k on {1..n}, k < 0 (already sorted)."""
     _check_power_law_params(n, k)
     k = float(k)
-    alpha = power_law_alpha(n, k)
     probs = np.arange(1, n + 1, dtype=np.float64) ** k
+    # the blocks and sums of power_law_alpha, on the array already built
+    alpha = 1.0 / compensated_sum(probs)
     probs *= alpha
     perm = np.arange(1, n + 1, dtype=np.int32 if n < 2**31 else np.int64)
     return AdviceDistribution(n=n, probs=probs, perm=perm,

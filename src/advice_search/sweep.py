@@ -209,20 +209,6 @@ def _bound_columns(model: str, k_alg: float | None,
     return lower, bounds.unknown_upper_mu(dist)
 
 
-def _expectation(spec: SweepSpec, dist: AdviceDistribution,
-                 seed: int) -> algorithms.ExpectationReport:
-    model, k_alg = spec.model, spec.k_algorithm
-    if spec.mode == "monte_carlo":
-        return algorithms.monte_carlo(model, dist, spec.trials, seed, k=k_alg)
-    if model == "classical":
-        return algorithms._exact_report(algorithms.classical_expected(dist), 0.0, 0.0)
-    if model == "geometric":
-        k = algorithms.DEFAULT_GEOMETRIC_RATIO if k_alg is None else k_alg
-        return algorithms.geometric_expected(dist, k)
-    k = algorithms.DEFAULT_AMPLIFY_RATIO if k_alg is None else k_alg
-    return algorithms.unknown_expected_mu(dist, k)
-
-
 def run_point(spec: SweepSpec, *, n: int | None = None, seed: int | None = None,
               timing: bool = False) -> SweepRow:
     """Measure one row.  n overrides the dist config (sweep grid points)."""
@@ -231,7 +217,12 @@ def run_point(spec: SweepSpec, *, n: int | None = None, seed: int | None = None,
         cfg["n"] = n
     dist = dist_from_config(cfg)
     started = time.perf_counter()
-    report = _expectation(spec, dist, spec.seed if seed is None else seed)
+    if spec.mode == "monte_carlo":
+        report = algorithms.monte_carlo(spec.model, dist, spec.trials,
+                                        spec.seed if seed is None else seed,
+                                        k=spec.k_algorithm)
+    else:
+        report = algorithms.exact_expected(spec.model, dist, spec.k_algorithm)
     lower, upper = _bound_columns(spec.model, spec.k_algorithm, dist)
     elapsed = time.perf_counter() - started
     log.info("point n=%d model=%s mode=%s took %.3fs", dist.n, spec.model,

@@ -200,6 +200,14 @@ def test_exit_code_parameter_range(tmp_path):
     assert main(["sweep", _write_cfg(tmp_path / "sw.json", sweep), "--seed", "-1"]) == 3
     assert main(["validate", "--seed", "-1"]) == 3
 
+    # a power-law n too large to allocate fails in malloc at once
+    started = time.perf_counter()
+    huge_n = _write_cfg(tmp_path / "n.json",
+                        {"dist": {"kind": "powerlaw", "n": 2**50, "k": -1.0},
+                         "model": "classical"})
+    assert main(["run", huge_n]) == 3
+    assert time.perf_counter() - started < 5.0
+
 
 def test_exit_code_schedule_ratio_near_one(tmp_path, capsys):
     # ~1e9-step schedules are refused up front instead of looping

@@ -38,6 +38,17 @@ def test_power_law_alpha_matches_reference():
         assert math.isclose(power_law_alpha(n, k), ref_alpha(n, k), rel_tol=1e-12)
 
 
+def test_built_alpha_is_power_law_alpha():
+    # every golden and benchmark grid point, n = 1, and sizes that end
+    # inside a 2^22-element summation block
+    points = {(2**e, k) for e in range(10, 25, 2) for k in (-0.75, -1.75, -2.5)}
+    points |= {(n, k) for n in (16, 64, 256) for k in (-0.75, -2.5)}
+    points |= {(200, -1.25), (5_000_001, -2.5), (2**23 + 3, -1.25),
+               (1, -0.75), (1, -2.5)}
+    for n, k in sorted(points):
+        assert make_power_law(n, k).power_law.alpha == power_law_alpha(n, k), (n, k)
+
+
 def test_alpha_integral_bracket():
     for n in (2, 10, 1000, 10**6):
         for k in (-0.5, -1.0, -1.5, -2.0, -3.0):

@@ -32,14 +32,17 @@ def test_small_cap_skips_statevector_checks():
 
 
 def test_crashed_check_counts_as_failure(monkeypatch):
-    def _check_boom(seed, trials, cap):
+    def boom(n):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(validation, "_CHECKS", (_check_boom,))
-    results = validation.run_validation(trials=10)
-    assert len(results) == 1
-    assert results[0].failed
-    assert "boom" in results[0].detail
+    monkeypatch.setattr(bounds, "las_vegas_report", boom)
+    results = validation.run_validation(trials=200)
+    by_name = {r.name: r for r in results}
+    assert len(results) == 10
+    assert by_name["las-vegas-chain"].failed
+    assert "boom" in by_name["las-vegas-chain"].detail
+    # the crash stays inside its own check
+    assert sum(r.failed for r in results) == 1
 
 
 def test_overstated_lower_bound_is_caught(monkeypatch):
@@ -54,3 +57,15 @@ def test_understated_fallback_ceiling_is_caught(monkeypatch):
     results = validation.run_validation(trials=200)
     by_name = {r.name: r for r in results}
     assert by_name["fallback-bound-ceiling"].failed
+
+
+def test_failed_build_fails_only_its_checks(monkeypatch):
+    def boom(n, k):
+        raise MemoryError("no room")
+
+    monkeypatch.setattr(validation, "make_power_law", boom)
+    by_name = {r.name: r for r in validation.run_validation(trials=200)}
+    assert len(by_name) == 10
+    assert by_name["geometric-bound-sandwich"].failed
+    assert "no room" in by_name["geometric-bound-sandwich"].detail
+    assert by_name["classical-identities"].status == "PASS"
