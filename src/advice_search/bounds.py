@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import AdviceDistribution, ParameterError, _rank_weighted_sums
+from .distributions import AdviceDistribution, ParameterError
 
 __all__ = [
     "LAS_VEGAS_COEFF",
@@ -79,23 +79,17 @@ def las_vegas_report(n: int) -> LasVegasBound:
     )
 
 
-def _sqrt_rank_mean(dist: AdviceDistribution) -> float:
-    (mean,) = _rank_weighted_sums(dist.probs, lambda block, first: (
-        np.sqrt(np.arange(first, first + block.size, dtype=np.float64)),))
-    return mean
-
-
 def q_mu_lower(dist: AdviceDistribution) -> float:
     """Lower bound on expected f queries of any zero-error search: the
     advice-weighted per-element bound, rearrangement-tight for sorted
     advice: LAS_VEGAS_COEFF * sum_x p_x sqrt(x) - 1."""
-    return LAS_VEGAS_COEFF * _sqrt_rank_mean(dist) - 1.0
+    return LAS_VEGAS_COEFF * dist.sqrt_rank_mean - 1.0
 
 
 def geometric_upper(dist: AdviceDistribution) -> float:
     """Upper bound pi*e*sum_x p_x sqrt(x) on the block search's expected f
     queries at the default growth ratio e."""
-    return math.pi * math.e * _sqrt_rank_mean(dist)
+    return math.pi * math.e * dist.sqrt_rank_mean
 
 
 def unknown_upper_per_rank(dist: AdviceDistribution) -> np.ndarray:

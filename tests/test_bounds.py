@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from advice_search import (
     unknown_upper_mu,
     unknown_upper_per_rank,
 )
+from advice_search.distributions import _CHUNK
 from advice_search.sweep import _bound_columns
 
 from reference import (
@@ -70,6 +72,27 @@ def test_geometric_upper_formula():
     d = make_power_law(512, -1.5)
     expected = math.pi * math.e * ref_sqrt_rank_mean(list(d.probs))
     assert math.isclose(geometric_upper(d), expected, rel_tol=1e-12)
+
+
+def test_geometric_row_holds_one_n_vector():
+    # build plus the exact geometric row: probs and one summation block's
+    # rank temporary, nothing else of size n; the second bound reuses the
+    # cached sum_x p_x sqrt(x)
+    n = 2**22 + 3
+    tracemalloc.start()
+    try:
+        dist = make_power_law(n, -0.75)
+        geometric_expected(dist)
+        q_mu_lower(dist)
+        _, row_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        live, _ = tracemalloc.get_traced_memory()
+        geometric_upper(dist)
+        _, second_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert row_peak < 8 * n + 8 * _CHUNK + 2**20, row_peak
+    assert second_peak - live < 2**20, second_peak - live
 
 
 def test_geometric_sandwich():

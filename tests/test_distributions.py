@@ -49,6 +49,16 @@ def test_built_alpha_is_power_law_alpha():
         assert make_power_law(n, k).power_law.alpha == power_law_alpha(n, k), (n, k)
 
 
+def test_power_law_build_is_whole_array_power():
+    # sizes that end inside both a 2^16-element build block and a 2^22-element
+    # summation block
+    for n, k in ((2**22 + 3, -1.25), (5_000_001, -2.5)):
+        d = make_power_law(n, k)
+        assert np.array_equal(d.probs, np.arange(1, n + 1) ** k * d.power_law.alpha)
+        assert np.array_equal(d.perm, np.arange(1, n + 1))
+        d.validate()
+
+
 def test_alpha_integral_bracket():
     for n in (2, 10, 1000, 10**6):
         for k in (-0.5, -1.0, -1.5, -2.0, -3.0):
@@ -101,6 +111,29 @@ def test_support_size():
     assert make_explicit([1.0, 2.0, 0.0]).support_size() == 2
     assert make_explicit([5.0]).support_size() == 1
     assert make_power_law(64, -1.0).support_size() == 64
+
+
+def test_threshold_searches_match_negated_search():
+    def check(d):   # against the searches over -probs that the reversed view replaced
+        negated = (int(np.searchsorted(-d.probs, -1.0 / d.n, side="right")),
+                   int(np.searchsorted(-d.probs, 0.0, side="left")))
+        assert (d.x0_threshold(), d.support_size()) == negated, d.n
+
+    # every golden and benchmark grid point, and n = 1
+    points = {(2**e, k) for e in range(10, 25, 2) for k in (-0.75, -1.75, -2.5)}
+    points |= {(n, k) for n in (16, 64, 256) for k in (-0.75, -2.5)}
+    points |= {(200, -1.25), (1, -0.75)}
+    for n, k in sorted(points):
+        check(make_power_law(n, k))
+    for weights in ([1.0, 1e-13, 3e-14, 1e-15] + [1e-13] * 60,
+                    [1.0] * 50 + [0.0] * 3,
+                    [1.0] + [1e-15] * 100,
+                    [0.0, 0.0, 5.0],
+                    [5.0]):
+        check(make_explicit(weights))
+    tie = make_explicit([2.0, 1.0, 0.0, 1.0])   # a tie exactly at 1/n = 1/4
+    check(tie)
+    assert (tie.x0_threshold(), tie.support_size()) == (3, 3)
 
 
 def test_sampling_never_returns_zero_prob_rank():
