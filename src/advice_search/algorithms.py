@@ -29,15 +29,15 @@ from .distributions import (
     ConfigError,
     ParameterError,
     _check_int,
+    _check_length,
     _rank_weighted_sums,
 )
-from .rotation import _angle_terms, _iter_average, exact_grover_queries, round_cost
+from .rotation import _angle_terms, _iter_average, exact_grover_queries
 
 __all__ = [
     "DEFAULT_GEOMETRIC_RATIO",
     "DEFAULT_AMPLIFY_RATIO",
     "AMPLIFY_RATIO_BOUNDS",
-    "QueryLedger",
     "RunResult",
     "ExpectationReport",
     "GeometricBlocks",
@@ -62,6 +62,9 @@ DEFAULT_GEOMETRIC_RATIO = math.e
 DEFAULT_AMPLIFY_RATIO = 1.162
 AMPLIFY_RATIO_BOUNDS = (1.0, 4.0 / 3.0)
 
+# Model ids, in the order `run`/`sweep` configs list them.
+MODELS = ("classical", "geometric", "unknown")
+
 # Relative nudge before floor() on iterated powers, per the schedule rule:
 # multiply in float, never take floating logs.
 _FLOOR_EPS = 1e-12
@@ -77,29 +80,13 @@ _MAX_SCHEDULE = 100_000
 _SUB_BLOCK = 1 << 14
 
 
-@dataclass
-class QueryLedger:
-    """Monotone per-oracle query counters for one run."""
-
-    f_queries: int = 0
-    o_mu_queries: int = 0
-    o_mu_inv_queries: int = 0
-
-    def add(self, f: int = 0, o_mu: int = 0, o_mu_inv: int = 0) -> None:
-        self.f_queries += f
-        self.o_mu_queries += o_mu
-        self.o_mu_inv_queries += o_mu_inv
-
-    def totals(self) -> tuple[int, int, int]:
-        return (self.f_queries, self.o_mu_queries, self.o_mu_inv_queries)
-
-
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of one zero-error run: found element, cost, rounds used."""
+    """Outcome of one zero-error run: found element, the queries it made to
+    f, O_mu and O_mu^-1, and the rounds it used."""
 
     found: int
-    ledger: QueryLedger
+    queries: tuple[int, int, int]
     rounds: int
 
 
@@ -124,9 +111,7 @@ class ExpectationReport:
 
 
 def _exact_report(f: float, o_mu: float, o_mu_inv: float) -> ExpectationReport:
-    return ExpectationReport(f_mean=f, f_stderr=0.0, o_mu_mean=o_mu, o_mu_stderr=0.0,
-                             o_mu_inv_mean=o_mu_inv, o_mu_inv_stderr=0.0,
-                             method="exact", trials=0)
+    return ExpectationReport(f, 0.0, o_mu, 0.0, o_mu_inv, 0.0, method="exact")
 
 
 def _check_rank(dist: AdviceDistribution, marked_rank: int) -> None:
@@ -292,19 +277,23 @@ def unknown_search(dist: AdviceDistribution, marked_rank: int,
     p = dist.prob(marked_rank)
     theta = math.asin(math.sqrt(p))
     found = int(dist.perm[marked_rank - 1])
-    ledger = QueryLedger()
+    f = o_mu = inv = 0
     sizes = _round_sizes(dist.n, k)
     for j, m in enumerate(sizes):
-        ledger.add(f=1, o_mu=1)
+        f += 1
+        o_mu += 1
         if rng.random() < p:
-            return RunResult(found=found, ledger=ledger, rounds=j + 1)
+            return RunResult(found, (f, o_mu, inv), j + 1)
         i = int(rng.integers(m))
-        cost = round_cost(i)
-        ledger.add(f=cost.f, o_mu=cost.o_mu, o_mu_inv=cost.o_mu_inv)
+        # one preparation, then an inverse/re-preparation pair per iteration,
+        # with a classical check of every outcome
+        f += i + 1
+        o_mu += i + 1
+        inv += i
         if rng.random() < math.sin((2 * i + 1) * theta) ** 2:
-            return RunResult(found=found, ledger=ledger, rounds=j + 1)
-    ledger.add(f=exact_grover_queries(dist.n, zero_or_one=False))
-    return RunResult(found=found, ledger=ledger, rounds=len(sizes))
+            return RunResult(found, (f, o_mu, inv), j + 1)
+    f += exact_grover_queries(dist.n, zero_or_one=False)
+    return RunResult(found, (f, o_mu, inv), len(sizes))
 
 
 def _amplify_expected(p: np.ndarray, n: int, k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -422,7 +411,7 @@ def monte_carlo(algorithm: str, dist: AdviceDistribution, trials: int, seed: int
     stream and each trial's simulation randomness from its own derived
     stream, so results do not depend on execution order.
     """
-    _check_int(trials, "trials", 1)
+    _check_length(trials, "trials")
     ratio = _model_ratio(algorithm, k)
     ranks = dist.sample(_trial_seed(seed, 0), size=trials)
     f, o_mu, inv = np.zeros((3, trials))
@@ -432,19 +421,10 @@ def monte_carlo(algorithm: str, dist: AdviceDistribution, trials: int, seed: int
         f[:] = _geometric_cost_by_rank(dist.n, ratio)[ranks - 1]
     else:
         for t in range(trials):
-            run = unknown_search(dist, int(ranks[t]), _trial_seed(seed, 1, t), ratio)
-            f[t], o_mu[t], inv[t] = run.ledger.totals()
-
-    def _stats(values: np.ndarray) -> tuple[float, float]:
-        mean = float(np.mean(values))
-        if trials < 2:
-            return mean, 0.0
-        return mean, float(np.std(values, ddof=1) / math.sqrt(trials))
-
-    f_mean, f_err = _stats(f)
-    o_mean, o_err = _stats(o_mu)
-    i_mean, i_err = _stats(inv)
-    return ExpectationReport(f_mean=f_mean, f_stderr=f_err, o_mu_mean=o_mean,
-                             o_mu_stderr=o_err, o_mu_inv_mean=i_mean,
-                             o_mu_inv_stderr=i_err, method="monte_carlo",
-                             trials=int(trials))
+            f[t], o_mu[t], inv[t] = unknown_search(
+                dist, int(ranks[t]), _trial_seed(seed, 1, t), ratio).queries
+    stats = []   # mean and standard error of each oracle's count, in field order
+    for values in (f, o_mu, inv):
+        err = float(np.std(values, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+        stats += [float(np.mean(values)), err]
+    return ExpectationReport(*stats, method="monte_carlo", trials=int(trials))

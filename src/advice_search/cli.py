@@ -16,9 +16,10 @@ import json
 import logging
 import sys
 
-from . import statevector, validation
-from .distributions import ConfigError, ParameterError
+from . import validation
+from .distributions import ConfigError, ParameterError, _check_length
 from .sweep import (
+    MODES,
     SweepSpec,
     fit_scaling,
     read_rows,
@@ -48,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, default=None,
                        help="Monte Carlo trial count")
         p.add_argument("--out", default=None, help="output file path")
-        p.add_argument("--mode", choices=("exact", "monte_carlo"), default=None,
+        p.add_argument("--mode", choices=MODES, default=None,
                        help="expectation method (default from config, else exact)")
         p.add_argument("--timing", action="store_true",
                        help="record wall time in the seconds column and log "
@@ -72,8 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     val_p.add_argument("--seed", type=int, default=validation.DEFAULT_SEED)
     val_p.add_argument("--trials", type=int, default=validation.DEFAULT_TRIALS)
     val_p.add_argument("--out", default=None)
-    val_p.add_argument("--cap", type=int, default=statevector.DEFAULT_DIM_CAP,
-                       help="statevector dimension cap (default %(default)s)")
     return parser
 
 
@@ -133,14 +132,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise ParameterError("--trials must be at least 1")
+    _check_length(args.trials, "--trials")
     if args.seed < 0:
         raise ParameterError(f"--seed must be non-negative, got {args.seed}")
-    if args.cap < 1:
-        raise ParameterError(f"--cap must be at least 1, got {args.cap}")
-    results = validation.run_validation(seed=args.seed, trials=args.trials,
-                                        cap=args.cap)
+    results = validation.run_validation(seed=args.seed, trials=args.trials)
     lines = []
     for result in results:
         detail = f" - {result.detail}" if result.detail else ""

@@ -38,6 +38,9 @@ _CHUNK = 1 << 22
 # (512 KB) stays in cache, which builds 2^24 ranks ~25% faster than _CHUNK.
 _BUILD_STEP = 1 << 16
 
+# Longest float64 array numpy can address: its byte size must fit in intp.
+_MAX_LEN = np.iinfo(np.intp).max // 8
+
 
 class ConfigError(ValueError):
     """Structurally malformed configuration (missing key, wrong type)."""
@@ -52,6 +55,14 @@ def _check_int(value, what: str, minimum: int):
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
             or value < minimum):
         raise ParameterError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _check_length(value, what: str):
+    """Return value if it is an integer from 1 to _MAX_LEN, else raise."""
+    if _check_int(value, what, 1) > _MAX_LEN:
+        raise ParameterError(f"{what} = {value} is beyond the address space "
+                             f"(at most {_MAX_LEN} float64 elements)")
     return value
 
 
@@ -208,8 +219,7 @@ class AdviceDistribution:
 def _check_power_law_params(n, k) -> None:
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ConfigError(f"n must be an integer, got {n!r}")
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    _check_length(n, "n")
     if not isinstance(k, (int, float, np.floating)) or isinstance(k, bool):
         raise ConfigError(f"k must be a number, got {k!r}")
     k = float(k)

@@ -7,7 +7,6 @@ sqrt(p) advances by 2*arcsin(sqrt(p)) per amplification step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,8 +17,6 @@ __all__ = [
     "success_prob",
     "exact_grover_queries",
     "uniform_iter_success",
-    "RoundCost",
-    "round_cost",
 ]
 
 # p*(1-p) below this is treated as a degenerate angle (p at 0 or 1 up to
@@ -137,22 +134,3 @@ def uniform_iter_success(p, m: int):
     out = _iter_average(arr, *_angle_terms(arr), m)
     return float(out[0]) if np.ndim(p) == 0 else out
 
-
-@dataclass(frozen=True)
-class RoundCost:
-    """Per-oracle cost of one amplification attempt with i iterations."""
-
-    f: int
-    o_mu: int
-    o_mu_inv: int
-
-
-def round_cost(i: int) -> RoundCost:
-    """Cost of preparing, amplifying i times, measuring and checking.
-
-    One preparation plus one inverse/re-preparation pair per iteration and
-    one classical check of each intermediate and final outcome: i+1 queries
-    to f and to the preparation oracle, i to its inverse.
-    """
-    _check_int(i, "iteration count", 0)
-    return RoundCost(f=i + 1, o_mu=i + 1, o_mu_inv=i)

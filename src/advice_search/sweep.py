@@ -10,12 +10,18 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import algorithms, bounds
-from .distributions import AdviceDistribution, ConfigError, ParameterError, dist_from_config
+from .distributions import (
+    AdviceDistribution,
+    ConfigError,
+    ParameterError,
+    _check_length,
+    dist_from_config,
+)
 
 __all__ = [
     "HEADER",
@@ -32,20 +38,13 @@ __all__ = [
 
 log = logging.getLogger("advice_search")
 
-HEADER = ("n", "k_dist", "model", "mode", "f_mean", "f_stderr", "omu_mean",
-          "omu_stderr", "omuinv_mean", "omuinv_stderr", "lower_bound",
-          "upper_bound", "seconds")
-
-MODELS = ("classical", "geometric", "unknown")
 MODES = ("exact", "monte_carlo")
 
 DEFAULT_TRIALS = 10000
 
 
 def _fmt(value: float | None) -> str:
-    if value is None:
-        return ""
-    return format(float(value), ".10g")
+    return "" if value is None else format(float(value), ".10g")
 
 
 @dataclass(frozen=True)
@@ -67,13 +66,17 @@ class SweepRow:
     seconds: float
 
     def to_csv(self) -> str:
-        return ",".join([
-            str(self.n), _fmt(self.k_dist), self.model, self.mode,
-            _fmt(self.f_mean), _fmt(self.f_stderr), _fmt(self.omu_mean),
-            _fmt(self.omu_stderr), _fmt(self.omuinv_mean),
-            _fmt(self.omuinv_stderr), _fmt(self.lower_bound),
-            _fmt(self.upper_bound), _fmt(self.seconds),
-        ])
+        return ",".join(_FORMAT[name](getattr(self, name)) for name in HEADER)
+
+
+HEADER = tuple(field.name for field in fields(SweepRow))
+
+# n stays an exact integer and the ids are text; every other column is a
+# float, and the three optional ones are empty when None
+_OPTIONAL = ("k_dist", "lower_bound", "upper_bound")
+_FORMAT = {name: _fmt for name in HEADER} | {"n": str, "model": str, "mode": str}
+_PARSE = ({name: float for name in HEADER} | {"n": int, "model": str, "mode": str}
+          | {name: lambda s: None if s == "" else float(s) for name in _OPTIONAL})
 
 
 def rows_to_csv(rows) -> str:
@@ -98,16 +101,9 @@ def read_rows(path: str) -> list[SweepRow]:
         parts = line.split(",")
         if len(parts) != len(HEADER):
             raise ConfigError(f"{path}: bad row {line!r}")
-        opt = lambda s: None if s == "" else float(s)
         try:
-            rows.append(SweepRow(
-                n=int(parts[0]), k_dist=opt(parts[1]), model=parts[2], mode=parts[3],
-                f_mean=float(parts[4]), f_stderr=float(parts[5]),
-                omu_mean=float(parts[6]), omu_stderr=float(parts[7]),
-                omuinv_mean=float(parts[8]), omuinv_stderr=float(parts[9]),
-                lower_bound=opt(parts[10]), upper_bound=opt(parts[11]),
-                seconds=float(parts[12]),
-            ))
+            rows.append(SweepRow(**{name: _PARSE[name](text)
+                                    for name, text in zip(HEADER, parts)}))
         except ValueError as exc:
             raise ConfigError(f"{path}: bad row {line!r}: {exc}") from exc
     return rows
@@ -147,8 +143,8 @@ class SweepSpec:
         if not isinstance(merged["dist"], dict):
             raise ConfigError("'dist' must be a mapping")
         model = merged.get("model")
-        if model not in MODELS:
-            raise ConfigError(f"model must be one of {MODELS}, got {model!r}")
+        if model not in algorithms.MODELS:
+            raise ConfigError(f"model must be one of {algorithms.MODELS}, got {model!r}")
         mode = merged.get("mode", "exact")
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
@@ -160,8 +156,8 @@ class SweepSpec:
                 raise ConfigError("sweep config needs a non-empty 'n_grid' list")
             if not all(isinstance(v, int) and not isinstance(v, bool) for v in raw):
                 raise ConfigError("n_grid entries must be integers")
-            if any(v < 1 for v in raw):
-                raise ParameterError(f"n_grid entries must be >= 1: {raw}")
+            for v in raw:
+                _check_length(v, "n_grid entry")
             if any(b <= a for a, b in zip(raw, raw[1:])):
                 raise ParameterError(f"n_grid must be strictly increasing: {raw}")
             if merged["dist"].get("kind") != "powerlaw":
@@ -171,8 +167,7 @@ class SweepSpec:
         trials = merged.get("trials", DEFAULT_TRIALS)
         if not isinstance(trials, int) or isinstance(trials, bool):
             raise ConfigError(f"trials must be an integer, got {trials!r}")
-        if trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {trials}")
+        _check_length(trials, "trials")
         seed = merged.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ConfigError(f"seed must be an integer, got {seed!r}")
@@ -187,11 +182,8 @@ class SweepSpec:
 
 
 def _uses_default_ratio(model: str, k_alg: float | None) -> bool:
-    if k_alg is None:
-        return True
-    default = (algorithms.DEFAULT_GEOMETRIC_RATIO if model == "geometric"
-               else algorithms.DEFAULT_AMPLIFY_RATIO)
-    return math.isclose(k_alg, default, rel_tol=1e-12, abs_tol=0.0)
+    return k_alg is None or math.isclose(k_alg, algorithms._model_ratio(model, None),
+                                         rel_tol=1e-12, abs_tol=0.0)
 
 
 def _bound_columns(model: str, k_alg: float | None,

@@ -20,7 +20,7 @@ from .distributions import make_explicit, make_power_law
 
 __all__ = ["CheckResult", "run_validation"]
 
-PASS, FAIL, SKIP = "PASS", "FAIL", "SKIP"
+PASS, FAIL = "PASS", "FAIL"
 
 DEFAULT_SEED = 20250816
 DEFAULT_TRIALS = 20000
@@ -38,12 +38,12 @@ class CheckResult:
 
 
 class _Stop(Exception):
-    """Ends a check early; args are its (status, detail)."""
+    """Fails a check; its one arg is the detail."""
 
 
 def _require(ok: bool, detail: str) -> None:
     if not ok:
-        raise _Stop(FAIL, detail)
+        raise _Stop(detail)
 
 
 def _within(worst: float, tol: float, detail: str) -> str:
@@ -61,7 +61,7 @@ def _check(fn):
         try:
             return CheckResult(name, PASS, fn(*args, **kwargs))
         except _Stop as stop:
-            return CheckResult(name, *stop.args)
+            return CheckResult(name, FAIL, *stop.args)
         except Exception as exc:  # noqa: BLE001 - a crashed check is a failed check
             logging.getLogger("advice_search").warning("%s raised", name, exc_info=True)
             return CheckResult(name, FAIL, f"raised {exc!r}")
@@ -79,8 +79,7 @@ def statevector_amplification_closed_form(cases):
         for j, measured in enumerate(curve):
             worst = max(worst, abs(measured - rotation.success_prob(p, j)))
             pairs += 1
-    if not pairs:
-        raise _Stop(SKIP, "no case within the statevector cap")
+    _require(pairs > 0, "no cases")
     return _within(worst, 1e-9, f"{pairs} (dist, j) pairs")
 
 
@@ -94,8 +93,7 @@ def exact_search_certainty(cases):
         budget = math.ceil(math.pi / 4.0 * math.sqrt(n)) + 1
         _require(reflections <= budget,
                  f"n={n}: {reflections} reflections > budget {budget}")
-    if not count:
-        raise _Stop(SKIP, "no case within the statevector cap")
+    _require(count > 0, "no cases")
     return _within(worst, 1e-9, f"{count} (n, rank) cases")
 
 
@@ -233,16 +231,13 @@ def _random_dists(rng: np.random.Generator, count: int, max_n: int):
         yield make_explicit(weights)
 
 
-def _amplification_cases(seed: int, cap: int):
-    if cap < 2:
-        return
+def _amplification_cases(seed: int):
     rng = np.random.default_rng(seed)
-    for dist in _random_dists(rng, 12, min(cap, 512)):
+    for dist in _random_dists(rng, 12, 512):
         yield dist, int(rng.integers(1, dist.n + 1)), 20
     # uniform advice is Grover search over n elements
     for n in (2, 3, 4, 5, 8, 13, 16, 32, 64, 101, 128, 256):
-        if n <= cap:
-            yield make_explicit(np.ones(n)), 1, 25
+        yield make_explicit(np.ones(n)), 1, 25
 
 
 def _monte_carlo_cases(seed: int):
@@ -252,13 +247,12 @@ def _monte_carlo_cases(seed: int):
     yield "unknown", make_explicit([0.7, 0.2, 0.05, 0.05]), seed
 
 
-def run_validation(seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS,
-                   cap: int = statevector.DEFAULT_DIM_CAP) -> list[CheckResult]:
+def run_validation(seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS) -> list[CheckResult]:
     """Run every check on its quick inputs."""
     ps = np.concatenate([np.linspace(0.005, 0.995, 60), [0.0, 1.0, 1e-13, 1 - 1e-13]])
     return [
-        statevector_amplification_closed_form(_amplification_cases(seed, cap)),
-        exact_search_certainty((n, 1 + n // 3) for n in range(1, min(64, cap // 2) + 1)),
+        statevector_amplification_closed_form(_amplification_cases(seed)),
+        exact_search_certainty((n, 1 + n // 3) for n in range(1, 65)),
         iteration_average_identity(ps, (1, 2, 3, 5, 8, 16, 37)),
         geometric_bound_sandwich(itertools.chain(
             (make_explicit(w) for w in (np.ones(64), [1.0] + [0.0] * 127)),

@@ -167,7 +167,7 @@ def test_unknown_search_point_mass():
     d = make_explicit([1.0])
     rng = np.random.default_rng(0)
     run = unknown_search(d, 1, rng)
-    assert run.ledger.totals() == (1, 1, 0)
+    assert run.queries == (1, 1, 0)
     assert run.found == 1
     assert run.rounds == 1
 
@@ -178,7 +178,58 @@ def test_unknown_search_certain_first_sample():
     rng = np.random.default_rng(1)
     for _ in range(5):
         run = unknown_search(d, 1, rng)
-        assert run.ledger.totals() == (1, 1, 0)
+        assert run.queries == (1, 1, 0)
+
+
+class _Scripted:
+    """Generator stand-in whose random() and integers() replay fixed draws."""
+
+    def __init__(self, uniforms, iterations):
+        self.uniforms, self.iterations = list(uniforms), list(iterations)
+
+    def random(self):
+        return self.uniforms.pop(0)
+
+    def integers(self, high):
+        assert 0 <= self.iterations[0] < high
+        return self.iterations.pop(0)
+
+
+def _expected_totals(iterations, fallback_f=0):
+    """Each round's sample (1, 1, 0) plus each attempt's (i+1, i+1, i)."""
+    rounds, calls = len(iterations), sum(i + 1 for i in iterations)
+    return (rounds + calls + fallback_f, rounds + calls, sum(iterations))
+
+
+def test_unknown_search_scripted_totals():
+    d = make_power_law(256, -1.0)
+    budgets = ref_round_budgets(256, DEFAULT_AMPLIFY_RATIO)
+    rank = 100
+    assert 0.0 < d.prob(rank) < 0.01
+
+    # the first sample hits
+    rng = _Scripted([0.0], [])
+    run = unknown_search(d, rank, rng)
+    assert (run.queries, run.rounds) == ((1, 1, 0), 1)
+    assert rng.uniforms == rng.iterations == []
+
+    # rounds before `last` miss twice; round `last` misses its sample and its
+    # attempt, at the budget's largest count m - 1, hits
+    for last in (0, 3, len(budgets) - 1):
+        iterations = [m - 1 for m in budgets[:last + 1]]
+        rng = _Scripted([1.0, 1.0] * last + [1.0, 0.0], iterations)
+        run = unknown_search(d, rank, rng)
+        assert (run.queries, run.rounds) == (_expected_totals(iterations), last + 1)
+        assert rng.uniforms == rng.iterations == []
+
+    # every draw misses, so the certainty search over all n ends the run
+    iterations = [j % m for j, m in enumerate(budgets)]
+    rng = _Scripted([1.0, 1.0] * len(budgets), iterations)
+    run = unknown_search(d, rank, rng)
+    fallback_f = 13  # ceil(pi/4 * sqrt(256)), f queries only
+    assert (run.queries, run.rounds) == (_expected_totals(iterations, fallback_f),
+                                         len(budgets))
+    assert rng.uniforms == rng.iterations == []
 
 
 def test_unknown_search_ledger_consistency():
@@ -190,7 +241,7 @@ def test_unknown_search_ledger_consistency():
     for _ in range(200):
         rank = int(d.sample(rng))
         run = unknown_search(d, rank, rng)
-        f, o_mu, inv = run.ledger.totals()
+        f, o_mu, inv = run.queries
         assert run.rounds <= rounds_max
         # sample step adds 1 to o_mu-inv, an amplification attempt adds 1
         # more; only a sample-success final round skips its attempt
@@ -254,7 +305,7 @@ def test_unknown_search_round_success_frequency():
     hits = 0
     for _ in range(trials):
         run = unknown_search(d, 2, rng)
-        hits += run.rounds == 1 and run.ledger.f_queries <= 2
+        hits += run.rounds == 1 and run.queries[0] <= 2
     target = p + (1 - p) * p
     sigma = math.sqrt(trials * target * (1 - target))
     assert abs(hits - trials * target) < 4 * sigma

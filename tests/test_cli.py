@@ -208,6 +208,15 @@ def test_exit_code_parameter_range(tmp_path):
     assert main(["run", huge_n]) == 3
     assert time.perf_counter() - started < 5.0
 
+    # sizes beyond the address space are refused before numpy sees them
+    for name, n in (("n62", 2**62), ("n30", 10**30)):
+        cfg = _write_cfg(tmp_path / f"{name}.json",
+                         {"dist": {"kind": "powerlaw", "n": n, "k": -1.0},
+                          "model": "classical"})
+        assert main(["run", cfg]) == 3
+    huge_trials = _write_cfg(tmp_path / "t.json", {**mc, "trials": 2**62})
+    assert main(["run", huge_trials]) == 3
+
 
 def test_exit_code_schedule_ratio_near_one(tmp_path, capsys):
     # ~1e9-step schedules are refused up front instead of looping
@@ -250,15 +259,14 @@ def test_help_exits_zero(capsys):
     assert "run" in capsys.readouterr().out
 
 
-def test_cap_only_on_validate(run_cfg, capsys):
-    # the statevector cap bounds validate's checks; run and sweep never
-    # build a statevector, so they take no --cap
-    for command in ("run", "sweep"):
+def test_no_subcommand_takes_cap(run_cfg, capsys):
+    # run and sweep build no statevector, and validate's statevector inputs
+    # stay far below the library cap, so no subcommand takes --cap
+    for command in ("run", "sweep", "validate"):
         assert main([command, "--help"]) == 0
         assert "--cap" not in capsys.readouterr().out
-    assert main(["validate", "--help"]) == 0
-    assert "--cap" in capsys.readouterr().out
     assert main(["run", run_cfg, "--cap", "8"]) == 2
+    assert main(["validate", "--cap", "8"]) == 2
     capsys.readouterr()
 
 
@@ -294,12 +302,6 @@ def test_validate_catches_corrupted_constant(monkeypatch, capsys):
     assert main(["validate", "--trials", "200"]) == 1
     out = capsys.readouterr().out
     assert "FAIL las-vegas-chain" in out
-
-
-def test_validate_cap_skips_statevector_checks(capsys):
-    assert main(["validate", "--trials", "200", "--cap", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "SKIP" in out
 
 
 @pytest.mark.usefixtures("advice_search_launcher")

@@ -9,7 +9,6 @@ from advice_search import (
     ParameterError,
     exact_grover_queries,
     rotation_angle,
-    round_cost,
     success_prob,
     uniform_iter_success,
 )
@@ -140,13 +139,6 @@ def test_uniform_iter_success_degenerate_series_high_precision():
                 assert abs(value / float(exact) - 1.0) <= 1e-5, (p, m)
 
 
-def test_round_cost_accounting():
-    c = round_cost(0)
-    assert (c.f, c.o_mu, c.o_mu_inv) == (1, 1, 0)
-    c = round_cost(5)
-    assert (c.f, c.o_mu, c.o_mu_inv) == (6, 6, 5)
-
-
 def test_argument_validation():
     with pytest.raises(ValueError):
         success_prob(-0.1, 1)
@@ -160,10 +152,8 @@ def test_argument_validation():
         exact_grover_queries(0)
     with pytest.raises(ValueError):
         uniform_iter_success(0.5, 0)
-    with pytest.raises(ValueError):
-        round_cost(-1)
     # integer arguments share one check, which raises the CLI's range error
-    for call in (lambda: success_prob(0.5, True), lambda: round_cost(1.0),
+    for call in (lambda: success_prob(0.5, True), lambda: uniform_iter_success(0.5, 2.0),
                  lambda: exact_grover_queries(np.int64(0))):
         with pytest.raises(ParameterError):
             call()

@@ -117,6 +117,22 @@ def test_csv_round_trip(tmp_path):
         assert parsed.f_mean == pytest.approx(original.f_mean, rel=1e-9)
 
 
+def test_csv_writes_n_as_exact_integer(tmp_path):
+    # n is an integer column, never %.10g text; the optional columns are
+    # empty when None and read back as None
+    row = SweepRow(n=2**40, k_dist=None, model="unknown", mode="exact",
+                   f_mean=1.5, f_stderr=0.0, omu_mean=2.5, omu_stderr=0.0,
+                   omuinv_mean=0.5, omuinv_stderr=0.0, lower_bound=None,
+                   upper_bound=None, seconds=0.0)
+    text = rows_to_csv([row])
+    assert text.splitlines()[1] == "1099511627776,,unknown,exact,1.5,0,2.5,0,0.5,0,,,0"
+    path = tmp_path / "wide.csv"
+    path.write_text(text, encoding="utf-8")
+    (back,) = read_rows(str(path))
+    assert back.n == 2**40 and type(back.n) is int
+    assert back == row
+
+
 def test_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")

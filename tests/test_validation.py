@@ -9,7 +9,7 @@ import advice_search.validation as validation
 def test_all_checks_pass_at_defaults():
     results = validation.run_validation(trials=2000)
     assert results, "no checks ran"
-    assert all(r.status in ("PASS", "SKIP") for r in results)
+    assert all(r.status == "PASS" for r in results)
     names = [r.name for r in results]
     assert len(names) == len(set(names))
 
@@ -17,18 +17,16 @@ def test_all_checks_pass_at_defaults():
 def test_result_fields():
     results = validation.run_validation(trials=500)
     for r in results:
-        assert r.name and r.status in ("PASS", "FAIL", "SKIP")
+        assert r.name and r.status in ("PASS", "FAIL")
         assert r.failed == (r.status == "FAIL")
 
 
-def test_small_cap_skips_statevector_checks():
-    results = validation.run_validation(trials=500, cap=1)
-    by_name = {r.name: r for r in results}
-    assert by_name["statevector-amplification-closed-form"].status == "SKIP"
-    assert by_name["exact-search-certainty"].status == "SKIP"
-    # probability-level checks are unaffected by the cap
-    assert by_name["classical-identities"].status == "PASS"
-    assert not any(r.failed for r in results)
+def test_statevector_checks_fail_without_cases():
+    # there is no SKIP: a statevector check handed no cases fails
+    for check in (validation.statevector_amplification_closed_form,
+                  validation.exact_search_certainty):
+        result = check(iter(()))
+        assert result.failed and result.detail == "no cases"
 
 
 def test_crashed_check_counts_as_failure(monkeypatch):
