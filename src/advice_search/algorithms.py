@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ from .distributions import (
     AdviceDistribution,
     ConfigError,
     ParameterError,
+    _blocks,
     _check_int,
     _check_length,
     _rank_weighted_sums,
@@ -78,6 +80,9 @@ _MAX_SCHEDULE = 100_000
 # Sub-block length of the oracle-only exact kernel: the ~10 float64 vectors
 # of this length that one round touches (1.3 MB) stay in a 2 MB L2 cache.
 _SUB_BLOCK = 1 << 14
+
+# Rows of one thread's kernel scratch, each _SUB_BLOCK long.
+_SCRATCH_ROWS = 9
 
 
 @dataclass(frozen=True)
@@ -166,7 +171,7 @@ def _check_schedule_length(estimate: float, what: str, k: float) -> None:
 
 def classical_expected(dist: AdviceDistribution) -> float:
     """Expected probes of the sequential scan: sum_x p_x * x."""
-    (mean,) = _rank_weighted_sums(dist.probs, lambda block, first: (
+    (mean,) = _rank_weighted_sums(dist.probs, lambda block, first, _: (
         np.arange(first, first + block.size, dtype=np.float64),))
     return mean
 
@@ -296,53 +301,69 @@ def unknown_search(dist: AdviceDistribution, marked_rank: int,
     return RunResult(found, (f, o_mu, inv), len(sizes))
 
 
-def _amplify_expected(p: np.ndarray, n: int, k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact per-oracle expected costs of unknown_search for each p.
+def _kernel_workers() -> int:
+    """Threads of the oracle-only exact kernel: the CPUs this process may use."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _amplify_sub_block(sub: np.ndarray, sizes: tuple[int, ...], fallback: float,
+                       scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact per-oracle expected costs (f, shared, inv) of unknown_search for
+    each p in sub, under round budgets sizes and a fallback search of
+    fallback f queries.
 
     Mirrors the simulated process: reach round j with probability
     prod_{i<j} (1 - s_i) where s_i = p + (1-p) P_{m_i}; a reached round
     always pays the sampling step and pays the amplification step exactly
-    when the sample misses.
+    when the sample misses.  All rounds run in scratch, a
+    (_SCRATCH_ROWS, >= sub.size) buffer, so the working set stays in cache;
+    the three results are views of its rows, valid until its next use.
+    """
+    q, theta, c, miss_round, reach, miss_weight, tmp, shared, inv = scratch[:, :sub.size]
+    np.subtract(1.0, sub, out=q)
+    terms = _angle_terms(sub, theta, c)
+    reach.fill(1.0)
+    shared.fill(0.0)   # f and preparation counters agree per round
+    inv.fill(0.0)
+    last_m = 0
+    for m in sizes:
+        # the round's miss probability 1 - s depends on m alone, and
+        # budgets repeat only in consecutive rounds
+        if m != last_m:
+            _iter_average(sub, *terms, m, out=miss_round)   # P_m
+            miss_round *= q
+            miss_round += sub
+            np.minimum(miss_round, 1.0, out=miss_round)     # s
+            np.subtract(1.0, miss_round, out=miss_round)
+            last_m = m
+        np.multiply(reach, q, out=miss_weight)
+        np.multiply(miss_weight, (m + 1) * 0.5, out=tmp)
+        shared += np.add(reach, tmp, out=tmp)
+        inv += np.multiply(miss_weight, (m - 1) * 0.5, out=tmp)
+        reach *= miss_round
+    f = np.add(shared, np.multiply(reach, fallback, out=tmp), out=miss_weight)
+    return f, shared, inv
 
-    Runs all rounds on one _SUB_BLOCK of p at a time in preallocated
-    scratch, so the working set stays in cache; every element goes through
-    the same floating-point operations as a whole-array evaluation.
+
+def _amplify_expected(p: np.ndarray, n: int, k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact per-oracle expected costs of unknown_search for each p.
+
+    Runs _amplify_sub_block on one _SUB_BLOCK of p at a time; every element
+    goes through the same floating-point operations as a whole-array
+    evaluation.
     """
     p = np.asarray(p, dtype=np.float64)
     sizes = _round_sizes(n, k)
     fallback = float(exact_grover_queries(n, zero_or_one=False))
-    f = np.empty_like(p)
-    shared = np.empty_like(p)   # f and preparation counters agree per round
-    inv = np.empty_like(p)
-    scratch = np.empty((7, min(p.size, _SUB_BLOCK)))
-    for lo in range(0, p.size, _SUB_BLOCK):
-        hi = min(lo + _SUB_BLOCK, p.size)
-        sub = p[lo:hi]
-        q, theta, c, miss_round, reach, miss_weight, tmp = scratch[:, :hi - lo]
-        np.subtract(1.0, sub, out=q)
-        terms = _angle_terms(sub, theta, c)
-        reach.fill(1.0)
-        sub_shared = shared[lo:hi]
-        sub_inv = inv[lo:hi]
-        sub_shared.fill(0.0)
-        sub_inv.fill(0.0)
-        last_m = 0
-        for m in sizes:
-            # the round's miss probability 1 - s depends on m alone, and
-            # budgets repeat only in consecutive rounds
-            if m != last_m:
-                _iter_average(sub, *terms, m, out=miss_round)   # P_m
-                miss_round *= q
-                miss_round += sub
-                np.minimum(miss_round, 1.0, out=miss_round)     # s
-                np.subtract(1.0, miss_round, out=miss_round)
-                last_m = m
-            np.multiply(reach, q, out=miss_weight)
-            np.multiply(miss_weight, (m + 1) * 0.5, out=tmp)
-            sub_shared += np.add(reach, tmp, out=tmp)
-            sub_inv += np.multiply(miss_weight, (m - 1) * 0.5, out=tmp)
-            reach *= miss_round
-        np.add(sub_shared, np.multiply(reach, fallback, out=tmp), out=f[lo:hi])
+    out = np.empty((3, p.size))
+    scratch = np.empty((_SCRATCH_ROWS, min(p.size, _SUB_BLOCK)))
+    for lo, hi in _blocks(p.size, _SUB_BLOCK):
+        for row, costs in zip(out, _amplify_sub_block(p[lo:hi], sizes, fallback, scratch)):
+            row[lo:hi] = costs
+    f, shared, inv = out
     return f, shared, inv
 
 
@@ -357,10 +378,23 @@ def unknown_expected_exact(dist: AdviceDistribution, marked_rank: int,
 
 def unknown_expected_mu(dist: AdviceDistribution,
                         k: float = DEFAULT_AMPLIFY_RATIO) -> ExpectationReport:
-    """Advice-averaged exact expected costs: sum_x p_x E[cost | marked=x]."""
+    """Advice-averaged exact expected costs: sum_x p_x E[cost | marked=x].
+
+    Each _SUB_BLOCK of ranks is reduced to its three dot products as soon
+    as its costs are computed, so no n-sized output exists.  The sub-blocks
+    are spread over one thread per available CPU, each with its own
+    scratch (numpy's float ufuncs release the GIL); the means are the same
+    bit for bit for any thread count.
+    """
     k = _check_amplify_ratio(k)
+    sizes = _round_sizes(dist.n, k)
+    fallback = float(exact_grover_queries(dist.n, zero_or_one=False))
+    workers = min(_kernel_workers(), -(-dist.n // _SUB_BLOCK))
+    scratch = np.empty((workers, _SCRATCH_ROWS, min(dist.n, _SUB_BLOCK)))
     f, o_mu, inv = _rank_weighted_sums(
-        dist.probs, lambda block, first: _amplify_expected(block, dist.n, k))
+        dist.probs,
+        lambda block, first, worker: _amplify_sub_block(block, sizes, fallback, scratch[worker]),
+        _SUB_BLOCK, workers)
     return _exact_report(f=f, o_mu=o_mu, o_mu_inv=inv)
 
 

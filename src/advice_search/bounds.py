@@ -12,7 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import AdviceDistribution, ParameterError
+from .distributions import (
+    _BUILD_STEP,
+    AdviceDistribution,
+    ParameterError,
+    _blocks,
+    compensated_sum,
+)
 
 __all__ = [
     "LAS_VEGAS_COEFF",
@@ -106,8 +112,9 @@ def unknown_upper_mu(dist: AdviceDistribution) -> float:
     high-prior branch 83 sqrt(p_x) of mass and the rest 53 sqrt(n) p_x,
     plus the 4/3 offset."""
     x0 = dist.x0_threshold()
-    head = float(np.sum(np.sqrt(dist.probs[:x0]))) if x0 else 0.0
-    tail = float(np.sum(dist.probs[x0:]))
+    # block by block, so the square roots take no head-sized temporary
+    head = compensated_sum(np.sqrt(dist.probs[lo:hi]) for lo, hi in _blocks(x0, _BUILD_STEP))
+    tail = compensated_sum(dist.probs[x0:])
     return (HIGH_PRIOR_COEFF * head
             + FALLBACK_COEFF * math.sqrt(dist.n) * tail
             + UNKNOWN_OFFSET)

@@ -10,6 +10,7 @@ order).  Ranks and original positions are 1-based throughout, matching the
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +31,13 @@ __all__ = [
 # the probabilities are a distribution up to this tolerance.
 PROB_SUM_TOL = 1e-12
 
-# Block length of every chunked reduction; block partials are combined
-# exactly with math.fsum.
+# Block length of compensated_sum; block partials are combined exactly with
+# math.fsum.  Power-law alpha is such a sum, so its bits depend on this length.
 _CHUNK = 1 << 22
 
-# Block length of make_power_law's x^k pass: the per-block rank temporary
-# (512 KB) stays in cache, which builds 2^24 ranks ~25% faster than _CHUNK.
+# Block length of make_power_law's x^k pass and of the rank-weighted sums:
+# the per-block rank temporary (512 KB) stays in cache, which builds 2^24
+# ranks ~25% faster than _CHUNK and holds no n-sized rank vector.
 _BUILD_STEP = 1 << 16
 
 # Longest float64 array numpy can address: its byte size must fit in intp.
@@ -72,17 +74,43 @@ def _blocks(size: int, step: int = _CHUNK):
         yield lo, min(lo + step, size)
 
 
-def _rank_weighted_sums(probs: np.ndarray, fn) -> list[float]:
+def _rank_weighted_sums(probs: np.ndarray, fn, step: int = _BUILD_STEP,
+                        workers: int = 1) -> list[float]:
     """sum_x p_x v_x for each per-rank vector v that fn yields.
 
-    fn(block, first) receives one block of probs and the 1-based rank of its
-    first element and returns a sequence of arrays over that block; the
-    per-block dot products are combined exactly with math.fsum.
+    fn(block, first, worker) receives one block of at most step probs, the
+    1-based rank of its first element and the index of the thread running
+    it, and returns a sequence of arrays over that block.  Worker w takes
+    every workers-th block from block w.  The per-block dot products are
+    combined with math.fsum, which is correctly rounded in any order, so
+    the sums do not depend on workers.
     """
-    partials = []
-    for lo, hi in _blocks(probs.size):
-        block = probs[lo:hi]
-        partials.append([float(np.dot(block, v)) for v in fn(block, lo + 1)])
+    starts = range(0, probs.size, step)
+    stop = threading.Event()
+
+    def reduce(worker: int) -> list[list[float]]:
+        rows = []
+        for lo in starts[worker::workers]:
+            if stop.is_set():
+                break
+            block = probs[lo:lo + step]
+            # einsum, not BLAS: OpenBLAS threads a dot this long, and its
+            # idle threads then spin on the CPUs that the workers need
+            rows.append([float(np.einsum("i,i->", block, v)) for v in fn(block, lo + 1, worker)])
+        return rows
+
+    if workers == 1:
+        partials = reduce(0)
+    else:
+        # imported here, so that importing the package does not pay for it
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers) as pool:
+            try:
+                partials = [row for rows in pool.map(reduce, range(workers)) for row in rows]
+            finally:
+                # after an interrupt or a failed worker, the others quit at
+                # their next block instead of finishing the whole reduction
+                stop.set()
     return [math.fsum(column) for column in zip(*partials)]
 
 
@@ -169,7 +197,7 @@ class AdviceDistribution:
     def sqrt_rank_mean(self) -> float:
         """sum_x p_x sqrt(x), computed once: both known-advice bounds scale it."""
         if self._sqrt_rank_mean is None:
-            def sqrt_ranks(block, first):
+            def sqrt_ranks(block, first, worker):
                 ranks = np.arange(first, first + block.size, dtype=np.float64)
                 return (np.sqrt(ranks, out=ranks),)
             (self._sqrt_rank_mean,) = _rank_weighted_sums(self.probs, sqrt_ranks)

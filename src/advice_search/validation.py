@@ -113,6 +113,7 @@ def iteration_average_identity(ps, budgets):
             c2 = p * (1.0 - p)
             if c2 > 0 and m >= 1.0 / (2.0 * math.sqrt(c2)):
                 _require(closed >= 0.25, f"P_m={closed:.4f} < 1/4 at p={p}, m={m}")
+    _require(len(ps) * len(budgets) > 0, "no cases")
     return _within(worst, 1e-12, f"{len(ps)} probabilities x {len(budgets)} budgets")
 
 
@@ -125,6 +126,7 @@ def geometric_bound_sandwich(dists):
         lower, upper = bounds.q_mu_lower(dist), bounds.geometric_upper(dist)
         _require(lower <= measured <= upper,
                  f"n={dist.n}: {lower:.4g} <= {measured:.4g} <= {upper:.4g} is false")
+    _require(count > 0, "no cases")
     return f"{count} distributions"
 
 
@@ -146,6 +148,7 @@ def las_vegas_chain(ns):
                      f"n={n}: grid max and arcsin form differ by {gap:.4g}")
             _require(abs(report.argmax_p - 0.369) <= 0.01,
                      f"n={n}: maximizer {report.argmax_p} far from 0.369")
+    _require(len(ns) > 0, "no cases")
     return f"{len(ns)} domain sizes"
 
 
@@ -153,16 +156,20 @@ def las_vegas_chain(ns):
 def fallback_bound_ceiling(ns, ks, rank_points: int, high_prior):
     """Oracle-only costs at rank_points log-spaced ranks of each (n, k) power
     law stay under the per-rank ceiling, and under 17 at a prior >= 3/4."""
+    count = 0
     for dist in (make_power_law(n, k) for n in ns for k in ks):
         ceiling = bounds.unknown_upper_per_rank(dist)
         for rank in np.unique(np.geomspace(1, dist.n, rank_points).astype(int)):
+            count += 1
             cost = max(algorithms.unknown_expected_exact(dist, int(rank)).means())
             _require(cost <= ceiling[rank - 1] + 1e-9,
                      f"n={dist.n} rank={rank}: {cost:.2f} > {ceiling[rank - 1]:.2f}")
     for dist in high_prior:
+        count += 1
         _require(dist.prob(1) >= 0.75, f"n={dist.n}: prior {dist.prob(1):.4g} < 3/4")
         cost = max(algorithms.unknown_expected_exact(dist, 1).means())
         _require(cost <= 17.0, f"high-prior case used {cost:.2f} > 17")
+    _require(count > 0, "no cases")
     return f"{len(ns) * len(ks)} power laws x {rank_points} ranks + high-prior cases"
 
 
@@ -177,6 +184,7 @@ def exact_vs_monte_carlo(cases, trials: int):
             _require(abs(estimate - target) <= 4.0 * err + 1e-9,
                      f"{model} n={dist.n}: |{estimate:.4g} - {target:.4g}| "
                      f"> 4 stderr ({err:.3g})")
+    _require(count > 0, "no cases")
     return f"{count} configs x {trials} trials"
 
 
@@ -191,6 +199,7 @@ def threshold_rank_closed_form(points):
         if n <= 4096:
             brute = int(np.sum(dist.probs >= 1.0 / n))
             _require(measured == brute, f"n={n} k={k}: {measured} != brute scan {brute}")
+    _require(len(points) > 0, "no cases")
     return f"{len(points)} power laws"
 
 
@@ -203,6 +212,7 @@ def alpha_integral_bracket(ns, ks):
             lo, hi = spec.integral_bracket()
             _require(lo <= 1.0 / spec.alpha <= hi,
                      f"n={n} k={k}: 1/alpha outside [{lo:.4g}, {hi:.4g}]")
+    _require(len(ns) * len(ks) > 0, "no cases")
     return f"{len(ns) * len(ks)} (n, k) pairs"
 
 
@@ -219,6 +229,7 @@ def classical_identities(dists):
         expected = float(dist.n) if np.all(dist.probs > 0.0) else math.inf
         _require(sampling == expected,
                  f"n={dist.n}: sampling expectation {sampling!r} != {expected!r}")
+    _require(count > 0, "no cases")
     return f"{count} distributions"
 
 

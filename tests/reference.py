@@ -218,3 +218,13 @@ def ref_amplify_expected_whole(p, n: int, k: float):
         reach = reach * (1.0 - round_success)
     f = shared + reach * float(ref_grover_queries(n))
     return f, shared, inv
+
+
+def ref_chunked_dot_sums(probs, vectors, chunk: int = 1 << 22) -> list[float]:
+    """sum_x p_x v_x for each vector v: np.dot over consecutive chunks of
+    2^22 ranks, chunk partials combined with math.fsum.  The advice-weighted
+    reduction the oracle-only kernel used while it returned n-sized outputs."""
+    probs = np.asarray(probs, dtype=np.float64)
+    return [math.fsum(float(np.dot(probs[lo:lo + chunk], v[lo:lo + chunk]))
+                      for lo in range(0, probs.size, chunk))
+            for v in vectors]

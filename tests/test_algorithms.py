@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import math
+import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,11 +23,14 @@ from advice_search import (
     make_explicit,
     make_power_law,
     monte_carlo,
+    q_mu_lower,
     unknown_expected_exact,
     unknown_expected_mu,
     unknown_rounds,
     unknown_search,
+    unknown_upper_mu,
 )
+from advice_search import algorithms
 from advice_search.algorithms import (
     _SUB_BLOCK,
     _amplify_expected,
@@ -36,6 +41,7 @@ from advice_search.algorithms import (
 from reference import (
     ref_amplify_expected_whole,
     ref_blocks,
+    ref_chunked_dot_sums,
     ref_geometric_cost,
     ref_geometric_expected,
     ref_round_budgets,
@@ -403,6 +409,72 @@ def test_amplify_expected_bit_identical_property(p, sort, n, k):
     if sort:
         p = -np.sort(-p)
     _assert_kernel_matches_whole_array(p, n, k)
+
+
+# ---------------------------------------------------------------------------
+# advice-averaged kernel: sub-blocks reduced in place, spread over threads
+
+# four sub-blocks, the last one short; at k = -3 the last ~40k ranks are on
+# the tiny branch, while k = -2.5 and -0.75 keep every rank off it
+_MU_N = 3 * _SUB_BLOCK + 7
+_MU_KS = (-0.75, -2.5, -3.0)
+
+
+def _mu_with_workers(monkeypatch, dist, workers):
+    monkeypatch.setattr(algorithms, "_kernel_workers", lambda: workers)
+    return unknown_expected_mu(dist).means()
+
+
+@pytest.mark.parametrize("k", _MU_KS)
+def test_unknown_expected_mu_same_for_any_worker_count(monkeypatch, k):
+    d = make_power_law(_MU_N, k)
+    serial = _mu_with_workers(monkeypatch, d, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # switch threads as often as possible
+    try:
+        # more workers than CPUs, and than sub-blocks
+        for workers in (2, 3, 8):
+            assert _mu_with_workers(monkeypatch, d, workers) == serial, workers
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("k", _MU_KS)
+def test_unknown_expected_mu_is_fsum_of_sub_block_dots(k):
+    d = make_power_law(_MU_N, k)
+    costs = _amplify_expected(d.probs, d.n, DEFAULT_AMPLIFY_RATIO)
+    want = tuple(math.fsum(float(np.einsum("i,i->", d.probs[lo:lo + _SUB_BLOCK],
+                                           v[lo:lo + _SUB_BLOCK]))
+                           for lo in range(0, d.n, _SUB_BLOCK))
+                 for v in costs)
+    assert unknown_expected_mu(d).means() == want
+
+
+@pytest.mark.parametrize("k", _MU_KS)
+def test_unknown_expected_mu_near_whole_block_dots(k):
+    # the fused reduction sums in another order than np.dot over 2^22-rank
+    # chunks of n-sized outputs; both sit within a few ulps of the exact sum
+    d = make_power_law(_MU_N, k)
+    want = ref_chunked_dot_sums(d.probs, _amplify_expected(d.probs, d.n, DEFAULT_AMPLIFY_RATIO))
+    np.testing.assert_allclose(unknown_expected_mu(d).means(), want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_oracle_only_row_holds_one_n_vector(monkeypatch, workers):
+    # build, kernel and both bounds of an oracle-only row: probs plus about
+    # 1.2 MB of scratch per worker, nothing else of size n
+    monkeypatch.setattr(algorithms, "_kernel_workers", lambda: workers)
+    n = 2**20 + 3
+    tracemalloc.start()
+    try:
+        dist = make_power_law(n, -0.75)
+        unknown_expected_mu(dist)
+        q_mu_lower(dist)
+        unknown_upper_mu(dist)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n + (workers + 1) * 2**20, peak
 
 
 # ---------------------------------------------------------------------------

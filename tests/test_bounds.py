@@ -19,7 +19,7 @@ from advice_search import (
     unknown_upper_mu,
     unknown_upper_per_rank,
 )
-from advice_search.distributions import _CHUNK
+from advice_search.distributions import _BUILD_STEP
 from advice_search.sweep import _bound_columns
 
 from reference import (
@@ -91,7 +91,7 @@ def test_geometric_row_holds_one_n_vector():
         _, second_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert row_peak < 8 * n + 8 * _CHUNK + 2**20, row_peak
+    assert row_peak < 8 * n + 8 * _BUILD_STEP + 2**20, row_peak
     assert second_peak - live < 2**20, second_peak - live
 
 

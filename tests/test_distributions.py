@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from advice_search import (
     make_power_law,
     power_law_alpha,
 )
+from advice_search.distributions import _rank_weighted_sums
 
 from reference import ref_alpha, ref_power_probs, ref_sorted_probs, ref_x0
 
@@ -252,6 +255,26 @@ def test_compensated_sum_accuracy():
     # streamed (iterable-of-arrays) path agrees with the one-shot path
     parts = [values[:777], values[777:50000], values[50000:]]
     assert math.isclose(compensated_sum(parts), exact, rel_tol=1e-13)
+
+
+def test_rank_weighted_sums_stops_workers_after_a_failure():
+    # the failure reaches the caller, and the other worker quits at its next
+    # block instead of running its remaining 100 (~0.5 s)
+    calls = []
+    started = threading.Event()
+
+    def fn(block, first, worker):
+        if worker == 0:
+            started.wait(5.0)   # fail only once the other worker is running
+            raise RuntimeError("boom")
+        calls.append(first)
+        started.set()
+        time.sleep(0.005)
+        return (block,)
+
+    with pytest.raises(RuntimeError, match="boom"):
+        _rank_weighted_sums(np.ones(200 * 16), fn, step=16, workers=2)
+    assert len(calls) < 50, len(calls)
 
 
 def test_large_n_normalization():

@@ -29,6 +29,26 @@ def test_statevector_checks_fail_without_cases():
         assert result.failed and result.detail == "no cases"
 
 
+# the arguments of each check that can be given an input with no cases
+_EMPTY_INPUTS = {
+    "geometric_bound_sandwich": ([],),
+    "classical_identities": ([],),
+    "las_vegas_chain": ([],),
+    "exact_vs_monte_carlo": ([], 10),
+    "threshold_rank_closed_form": ([],),
+    "alpha_integral_bracket": ([], []),
+    "fallback_bound_ceiling": ([], [], 5, []),
+    "iteration_average_identity": ([], []),
+}
+
+
+@pytest.mark.parametrize("name", _EMPTY_INPUTS)
+def test_checks_fail_on_empty_inputs(name):
+    # an input that yields no case certifies nothing, so it must not PASS
+    result = getattr(validation, name)(*_EMPTY_INPUTS[name])
+    assert result.failed and result.detail == "no cases"
+
+
 def test_crashed_check_counts_as_failure(monkeypatch):
     def boom(n):
         raise RuntimeError("boom")
