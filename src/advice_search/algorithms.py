@@ -4,10 +4,11 @@
 * geometric (known advice): certainty searches, each with a zero-or-one
   verification query, over geometrically growing blocks of ranks in turn;
   a rank costs the nominal cost of every block up to its own.  f only.
-* unknown (oracle-only advice), one trial per unknown_search call: each
-  round checks one sample, then amplifies with an iteration count drawn
-  uniformly from a geometrically growing budget; after all rounds fail, a
-  certainty search over the whole domain ends the run with zero error.
+* unknown (oracle-only advice): each round checks one sample, then
+  amplifies with an iteration count drawn uniformly from a geometrically
+  growing budget; after all rounds fail, a certainty search over the whole
+  domain ends the run with zero error.  unknown_search runs one trial;
+  monte_carlo runs the same rounds over the array of trials still active.
 
 classical_expected, geometric_expected and unknown_expected_mu give the
 exact advice-averaged costs and monte_carlo estimates them.  Quantum steps
@@ -21,6 +22,7 @@ import functools
 import itertools
 import math
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,7 +282,7 @@ def unknown_search(dist: AdviceDistribution, marked_rank: int,
     _check_rank(dist, marked_rank)
     k = _check_amplify_ratio(k)
     p = dist.prob(marked_rank)
-    theta = math.asin(math.sqrt(p))
+    theta = np.arcsin(np.sqrt(p))
     found = int(dist.perm[marked_rank - 1])
     f = o_mu = inv = 0
     sizes = _round_sizes(dist.n, k)
@@ -295,10 +297,51 @@ def unknown_search(dist: AdviceDistribution, marked_rank: int,
         f += i + 1
         o_mu += i + 1
         inv += i
-        if rng.random() < math.sin((2 * i + 1) * theta) ** 2:
+        if rng.random() < _attempt_success(theta, i):
             return RunResult(found, (f, o_mu, inv), j + 1)
     f += exact_grover_queries(dist.n, zero_or_one=False)
     return RunResult(found, (f, o_mu, inv), len(sizes))
+
+
+def _attempt_success(theta, i):
+    """sin^2((2i+1) theta), the success probability of an amplification
+    attempt with i iterations at angle theta = arcsin(sqrt(p)).
+
+    unknown_search (scalars) and _unknown_rounds (arrays) both draw against
+    this numpy expression, so the two paths compare a uniform with the same
+    float: math.asin and np.arcsin can differ in the last bit.
+    """
+    s = np.sin((2 * i + 1) * theta)
+    return s * s
+
+
+def _unknown_rounds(p: np.ndarray, sizes: tuple[int, ...], fallback: int,
+                    round_rngs: Iterable[np.random.Generator],
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Query triples (f, O_mu, O_mu^-1) of unknown_search for trials whose
+    marked elements have probabilities p, simulated one round at a time.
+
+    Round j takes the next generator of round_rngs and, over the trials
+    still active in index order, draws the sample-hit uniforms, then the
+    iteration counts of the trials whose sample missed, then their
+    amplification uniforms; trials that succeed are retired.  Trials still
+    active after the last round pay the fallback search in f queries.
+    """
+    theta = np.arcsin(np.sqrt(p))
+    o_mu, inv = np.zeros((2, p.size))
+    active = np.arange(p.size)
+    for m, rng in zip(sizes, round_rngs):
+        o_mu[active] += 1.0
+        active = active[rng.random(active.size) >= p[active]]
+        i = rng.integers(m, size=active.size)
+        o_mu[active] += i + 1
+        inv[active] += i
+        active = active[rng.random(active.size) >= _attempt_success(theta[active], i)]
+        if not active.size:
+            break
+    f = o_mu.copy()   # f and preparation counters agree but for the fallback
+    f[active] += fallback
+    return f, o_mu, inv
 
 
 def _kernel_workers() -> int:
@@ -430,11 +473,11 @@ def _trial_seed(seed: int, stream: int, index: int = 0) -> np.random.Generator:
                                                         spawn_key=(stream, index)))
 
 
-def _geometric_cost_by_rank(n: int, k: float) -> np.ndarray:
+def _geometric_cost_by_rank(n: int, k: float, ranks: np.ndarray) -> np.ndarray:
+    """f queries of the block search for each 1-based rank in ranks."""
     parts = geometric_blocks(n, k)
-    cum = parts.cumulative_costs()
-    lengths = [end - start + 1 for start, end in parts.blocks]
-    return np.repeat(cum, lengths)
+    ends = np.array([end for _, end in parts.blocks], dtype=np.int64)
+    return parts.cumulative_costs()[np.searchsorted(ends, ranks)]
 
 
 def monte_carlo(algorithm: str, dist: AdviceDistribution, trials: int, seed: int,
@@ -442,8 +485,9 @@ def monte_carlo(algorithm: str, dist: AdviceDistribution, trials: int, seed: int
     """Estimate per-oracle expected costs with the marked element ~ advice.
 
     Deterministic for a given seed: the marked ranks come from one derived
-    stream and each trial's simulation randomness from its own derived
-    stream, so results do not depend on execution order.
+    stream, and the oracle-only model draws round j of every trial from
+    one stream derived from (seed, j), so a result depends only on the
+    seed, the trial count, the advice and the ratio.
     """
     _check_length(trials, "trials")
     ratio = _model_ratio(algorithm, k)
@@ -452,11 +496,12 @@ def monte_carlo(algorithm: str, dist: AdviceDistribution, trials: int, seed: int
     if algorithm == "classical":
         f[:] = ranks
     elif algorithm == "geometric":
-        f[:] = _geometric_cost_by_rank(dist.n, ratio)[ranks - 1]
+        f[:] = _geometric_cost_by_rank(dist.n, ratio, ranks)
     else:
-        for t in range(trials):
-            f[t], o_mu[t], inv[t] = unknown_search(
-                dist, int(ranks[t]), _trial_seed(seed, 1, t), ratio).queries
+        f, o_mu, inv = _unknown_rounds(
+            dist.probs[ranks - 1], _round_sizes(dist.n, ratio),
+            exact_grover_queries(dist.n, zero_or_one=False),
+            (_trial_seed(seed, 1, j) for j in itertools.count()))
     stats = []   # mean and standard error of each oracle's count, in field order
     for values in (f, o_mu, inv):
         err = float(np.std(values, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0

@@ -166,7 +166,8 @@ class AdviceDistribution:
     """A prior over {1..n}, sorted non-increasing, with sampling support.
 
     perm=None means the advice is already in rank order: the identity
-    permutation is then built only when read (exact rows never read it).
+    permutation is then built only when read (exact rows and Monte Carlo
+    never read it).
     """
 
     def __init__(self, n: int, probs: np.ndarray, perm: np.ndarray | None = None,

@@ -94,7 +94,7 @@ def test_criterion_6_exact_vs_monte_carlo():
                  for model in ("classical", "geometric", "unknown")
                  for seed, (n, k) in enumerate(points)]
         _passes(validation.exact_vs_monte_carlo(cases, 10**5))
-        assert time.perf_counter() - started < 300.0
+        assert time.perf_counter() - started < 30.0
 
 
 def test_criterion_7_classical_facts():

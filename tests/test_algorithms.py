@@ -18,6 +18,7 @@ from advice_search import (
     ParameterError,
     classical_expected,
     classical_sampling_expected,
+    exact_grover_queries,
     geometric_blocks,
     geometric_expected,
     make_explicit,
@@ -37,6 +38,7 @@ from advice_search.algorithms import (
     _geometric_cost_by_rank,
     _trial_seed,
 )
+from advice_search.rotation import DEGENERATE_TOL
 
 from reference import (
     ref_amplify_expected_whole,
@@ -121,8 +123,8 @@ def test_blocks_match_reference_loop():
 
 
 def test_geometric_search_frozen_costs():
-    costs = _geometric_cost_by_rank(30, math.e)
-    assert costs[[0, 4, 29]].tolist() == [2.0, 9.0, 14.0]
+    costs = _geometric_cost_by_rank(30, math.e, np.array([1, 5, 30]))
+    assert costs.tolist() == [2.0, 9.0, 14.0]
 
 
 def test_geometric_expected_frozen():
@@ -143,8 +145,22 @@ def test_geometric_expected_matches_reference():
 
 def test_geometric_cost_agrees_with_reference_per_rank():
     for n, k in ((100, math.e), (1000, 1.4), (7, 3.0)):
-        costs = _geometric_cost_by_rank(n, k)
+        costs = _geometric_cost_by_rank(n, k, np.arange(1, n + 1))
         assert costs.tolist() == [ref_geometric_cost(n, k, rank) for rank in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("n,k", [(1, math.e), (2, math.e), (30, math.e), (1000, 1.4),
+                                 (4097, 2.0), (65537, 1.05), (10**5, 3.0)])
+def test_geometric_cost_lookup_equals_repeated_table(n, k):
+    # the block-end lookup gives, rank by rank, the n-length table of each
+    # block's cumulative cost repeated over the block
+    parts = geometric_blocks(n, k)
+    table = np.repeat(parts.cumulative_costs(),
+                      [end - start + 1 for start, end in parts.blocks])
+    ranks = np.arange(1, n + 1)
+    assert np.array_equal(_geometric_cost_by_rank(n, k, ranks), table)
+    shuffled = np.random.default_rng(n).permutation(ranks)
+    assert np.array_equal(_geometric_cost_by_rank(n, k, shuffled), table[shuffled - 1])
 
 
 def test_geometric_ratio_validation():
@@ -255,6 +271,84 @@ def test_unknown_search_ledger_consistency():
         # f mirrors o_mu except for the f-only certainty fallback
         assert f == o_mu or (f == o_mu + fallback_f and run.rounds == rounds_max)
         assert inv <= budget_total
+
+
+class _ScriptedRound:
+    """Round generator stand-in for _unknown_rounds: replays the round's
+    sample-hit uniforms, iteration counts and amplification uniforms, and
+    checks that each call asks for exactly as many draws as were scripted."""
+
+    def __init__(self, m, hits, iterations, attempts):
+        self.m = m
+        self.calls = [("random", hits), ("integers", iterations), ("random", attempts)]
+
+    def _next(self, kind, size):
+        name, draws = self.calls.pop(0)
+        assert (name, len(draws)) == (kind, size)
+        return draws
+
+    def random(self, size):
+        return self._next("random", size)
+
+    def integers(self, high, size):
+        assert high == self.m
+        return self._next("integers", size)
+
+
+def _unknown_rounds_against_search(d, ranks, k, rng):
+    """Draw every trial's per-round uniforms and iteration counts up front,
+    replay them through unknown_search one trial at a time and through
+    _unknown_rounds one round at a time, and assert equal query triples.
+    Returns the marked probabilities and unknown_search's runs."""
+    sizes = algorithms._round_sizes(d.n, k)
+    hit_u, attempt_u = rng.random((2, ranks.size, len(sizes)))
+    iterations = np.stack([rng.integers(m, size=ranks.size) for m in sizes], axis=1)
+    runs = [unknown_search(d, int(rank),
+                           _Scripted(np.column_stack([hit_u[t], attempt_u[t]]).ravel(),
+                                     iterations[t]), k)
+            for t, rank in enumerate(ranks)]
+    # the trials that reach round j, in index order, and those among them
+    # whose sample misses, as unknown_search consumed them
+    p = d.probs[ranks - 1]
+    reached = np.array([run.rounds for run in runs])
+    script = []
+    for j, m in enumerate(sizes):
+        live = reached > j
+        missed = live & (hit_u[:, j] >= p)
+        script.append(_ScriptedRound(m, hit_u[live, j], iterations[missed, j],
+                                     attempt_u[missed, j]))
+    f, o_mu, inv = algorithms._unknown_rounds(
+        p, sizes, exact_grover_queries(d.n, zero_or_one=False), iter(script))
+    assert list(zip(f, o_mu, inv)) == [run.queries for run in runs]
+    assert all(not rnd.calls for j, rnd in enumerate(script) if (reached > j).any())
+    return p, runs
+
+
+def test_unknown_rounds_replay_unknown_search():
+    rng = np.random.default_rng(2024)
+    cases = [   # advice, ratio and trial count; ranks 1 and n, the rest uniform
+        (make_explicit([1.0] + [0.0] * 63), DEFAULT_AMPLIFY_RATIO, 300),   # p = 1 and p = 0
+        (make_explicit([1.0, 1e-13, 3e-14, 1e-15] + [1e-13] * 60), DEFAULT_AMPLIFY_RATIO, 300),
+        (make_power_law(256, -1.0), DEFAULT_AMPLIFY_RATIO, 300),
+        (make_power_law(256, -1.0), 1.3, 300),
+        (make_power_law(4096, -0.5), 1.3, 300),
+        (make_explicit(np.ones(16)), DEFAULT_AMPLIFY_RATIO, 10),
+    ]
+    seen = set()
+    for d, k, trials in cases:
+        ranks = np.concatenate([[1, d.n], rng.integers(1, d.n + 1, size=trials - 2)])
+        p, runs = _unknown_rounds_against_search(d, ranks, k, rng)
+        f, o_mu, inv = np.array([run.queries for run in runs]).T
+        reached = np.array([run.rounds for run in runs])
+        seen.update(name for name, covered in (
+            ("p = 1", (p == 1.0).any()),
+            ("degenerate", ((0.0 < p) & (p < DEGENERATE_TOL)).any()),
+            ("fallback", (f > o_mu).any()),
+            ("found after amplifying", ((inv > 0) & (f == o_mu)).any()),
+            ("a round for one trial", any((reached > j).sum() == 1 for j in range(1, reached.max()))),
+            ("ratio 1.3", k == 1.3)) if covered)
+    assert seen == {"p = 1", "degenerate", "fallback", "found after amplifying",
+                    "a round for one trial", "ratio 1.3"}
 
 
 def test_unknown_expected_exact_matches_reference():
@@ -503,6 +597,13 @@ def test_monte_carlo_matches_exact_unknown():
     assert abs(mc.f_mean - exact.f_mean) < 4 * mc.f_stderr + 1e-9
     assert abs(mc.o_mu_mean - exact.o_mu_mean) < 4 * mc.o_mu_stderr + 1e-9
     assert abs(mc.o_mu_inv_mean - exact.o_mu_inv_mean) < 4 * mc.o_mu_inv_stderr + 1e-9
+
+
+def test_monte_carlo_unknown_is_fast():
+    d = make_power_law(1024, -0.25)
+    started = time.perf_counter()
+    monte_carlo("unknown", d, 10**5, seed=1)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_monte_carlo_deterministic_per_seed():

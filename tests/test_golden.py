@@ -27,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+from advice_search import algorithms, dist_from_config, read_rows
 from advice_search.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -72,6 +73,21 @@ def _sweep_cases():
 
 
 CASES = [*_run_cases(), *_sweep_cases()]
+
+
+@pytest.mark.parametrize("command,cfg,name", [
+    case for case in CASES if "unknown_monte_carlo" in case.id])
+def test_golden_unknown_monte_carlo_near_exact(command, cfg, name):
+    # each pinned oracle-only estimate is within 4 stderr of the exact mean
+    for row in read_rows(str(GOLDEN / name)):
+        dist = dist_from_config({**cfg["dist"], "n": row.n} if command == "sweep"
+                                else cfg["dist"])
+        exact = algorithms.unknown_expected_mu(
+            dist, cfg.get("k_algorithm", algorithms.DEFAULT_AMPLIFY_RATIO))
+        estimates = ((row.f_mean, row.f_stderr), (row.omu_mean, row.omu_stderr),
+                     (row.omuinv_mean, row.omuinv_stderr))
+        for target, (estimate, err) in zip(exact.means(), estimates):
+            assert abs(estimate - target) <= 4.0 * err + 1e-9, (row.n, target, estimate)
 
 
 def _validate_lines(text: str) -> str:
