@@ -31,9 +31,9 @@ from .distributions import (
     AdviceDistribution,
     ConfigError,
     ParameterError,
-    _blocks,
     _check_int,
     _check_length,
+    _dot,
     _rank_weighted_sums,
 )
 from .rotation import _angle_terms, _iter_average, exact_grover_queries
@@ -44,10 +44,8 @@ __all__ = [
     "AMPLIFY_RATIO_BOUNDS",
     "RunResult",
     "ExpectationReport",
-    "GeometricBlocks",
     "classical_expected",
     "classical_sampling_expected",
-    "geometric_blocks",
     "geometric_expected",
     "unknown_rounds",
     "unknown_search",
@@ -174,7 +172,7 @@ def _check_schedule_length(estimate: float, what: str, k: float) -> None:
 def classical_expected(dist: AdviceDistribution) -> float:
     """Expected probes of the sequential scan: sum_x p_x * x."""
     (mean,) = _rank_weighted_sums(dist.probs, lambda block, first, _: (
-        np.arange(first, first + block.size, dtype=np.float64),))
+        _dot(block, np.arange(first, first + block.size, dtype=np.float64)),))
     return mean
 
 
@@ -194,55 +192,45 @@ def classical_sampling_expected(dist: AdviceDistribution) -> float:
 # known advice: geometric block search
 
 
-@dataclass(frozen=True)
-class GeometricBlocks:
-    """Rank partition into blocks of nominal size floor(ratio^m).
-
-    blocks are 1-based inclusive (start, end) ranges covering {1..n};
-    the final block may be truncated by n, but search cost accounting
-    always charges the nominal size.
-    """
-
-    ratio: float
-    blocks: list[tuple[int, int]]
-    nominal_sizes: list[int]
-
-    def cumulative_costs(self) -> np.ndarray:
-        """Total f queries after searching blocks 0..m, for each m."""
-        costs = [exact_grover_queries(size, zero_or_one=True)
-                 for size in self.nominal_sizes]
-        return np.cumsum(costs, dtype=np.float64)
-
-
-def geometric_blocks(n: int, k: float = DEFAULT_GEOMETRIC_RATIO) -> GeometricBlocks:
-    """Partition {1..n} into blocks sized floor(k^0), floor(k^1), ..."""
-    _check_int(n, "n", 1)
+def _geometric_schedule(n: int, k: float) -> tuple[np.ndarray, np.ndarray]:
+    """The block search's schedule over {1..n}, block m of nominal size
+    floor(k^m) and the last one truncated by n: each block's 1-based
+    inclusive end, and the f queries spent once blocks 0..m are searched,
+    each charged at its nominal size."""
     k = _check_geometric_ratio(k)
     # blocks of size k^j (before the floor) cover n after log_k(1 + n(k-1)),
     # a lower bound on the block count
     _check_schedule_length(math.log1p(min(n * (k - 1.0), 1e300)) / math.log1p(k - 1.0),
                            "block growth", k)
-    blocks: list[tuple[int, int]] = []
-    nominal: list[int] = []
-    start = 1
+    ends, costs, end = [], [], 0
     for power in _powers(k):
-        if start > n:
+        if end >= n:
             break
         size = _floored_power(power)
-        blocks.append((start, min(start + size - 1, n)))
-        nominal.append(size)
-        start += size
-    return GeometricBlocks(ratio=k, blocks=blocks, nominal_sizes=nominal)
+        end = min(end + size, n)
+        ends.append(end)
+        costs.append(exact_grover_queries(size, zero_or_one=True))
+    return np.array(ends, dtype=np.int64), np.cumsum(costs, dtype=np.float64)
 
 
-def geometric_expected(dist: AdviceDistribution,
-                       k: float = DEFAULT_GEOMETRIC_RATIO) -> ExpectationReport:
-    """Exact expected f queries of the block search under the advice."""
-    parts = geometric_blocks(dist.n, k)
-    cum = parts.cumulative_costs()
-    starts = np.array([start - 1 for start, _ in parts.blocks], dtype=np.intp)
-    masses = np.add.reduceat(dist.probs, starts)
-    f_mean = math.fsum(cum * masses)
+def geometric_expected(dist: AdviceDistribution, k: float = DEFAULT_GEOMETRIC_RATIO,
+                       *, columns=None) -> ExpectationReport:
+    """Exact expected f queries of the block search under the advice: each
+    walk block sums the part of each schedule block inside it with np.sum,
+    weighted by that schedule block's cumulative cost.  columns, if given,
+    are a row's bound columns, summed in the same walk."""
+    ends, cum = _geometric_schedule(dist.n, k)
+
+    def partial(block: np.ndarray, first: int, worker: int) -> tuple[float]:
+        m = int(np.searchsorted(ends, first))   # the schedule block of rank first
+        lo, parts = 0, []
+        while lo < block.size:
+            hi = min(int(ends[m]) - first + 1, block.size)
+            parts.append(cum[m] * float(np.sum(block[lo:hi])))
+            lo, m = hi, m + 1
+        return (math.fsum(parts),)
+
+    (f_mean,) = _rank_weighted_sums(dist.probs, partial, extra=columns)
     return _exact_report(f=f_mean, o_mu=0.0, o_mu_inv=0.0)
 
 
@@ -391,43 +379,27 @@ def _amplify_sub_block(sub: np.ndarray, sizes: tuple[int, ...], fallback: float,
     return f, shared, inv
 
 
-def _amplify_expected(p: np.ndarray, n: int, k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact per-oracle expected costs of unknown_search for each p.
-
-    Runs _amplify_sub_block on one _SUB_BLOCK of p at a time; every element
-    goes through the same floating-point operations as a whole-array
-    evaluation.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    sizes = _round_sizes(n, k)
-    fallback = float(exact_grover_queries(n, zero_or_one=False))
-    out = np.empty((3, p.size))
-    scratch = np.empty((_SCRATCH_ROWS, min(p.size, _SUB_BLOCK)))
-    for lo, hi in _blocks(p.size, _SUB_BLOCK):
-        for row, costs in zip(out, _amplify_sub_block(p[lo:hi], sizes, fallback, scratch)):
-            row[lo:hi] = costs
-    f, shared, inv = out
-    return f, shared, inv
-
-
 def unknown_expected_exact(dist: AdviceDistribution, marked_rank: int,
                            k: float = DEFAULT_AMPLIFY_RATIO) -> ExpectationReport:
     """Exact per-oracle expected costs for one fixed marked rank."""
     _check_rank(dist, marked_rank)
     k = _check_amplify_ratio(k)
-    f, o_mu, inv = _amplify_expected(np.array([dist.prob(marked_rank)]), dist.n, k)
+    f, o_mu, inv = _amplify_sub_block(np.array([dist.prob(marked_rank)]), _round_sizes(dist.n, k),
+                                      float(exact_grover_queries(dist.n)),
+                                      np.empty((_SCRATCH_ROWS, 1)))
     return _exact_report(f=float(f[0]), o_mu=float(o_mu[0]), o_mu_inv=float(inv[0]))
 
 
-def unknown_expected_mu(dist: AdviceDistribution,
-                        k: float = DEFAULT_AMPLIFY_RATIO) -> ExpectationReport:
+def unknown_expected_mu(dist: AdviceDistribution, k: float = DEFAULT_AMPLIFY_RATIO,
+                        *, columns=None) -> ExpectationReport:
     """Advice-averaged exact expected costs: sum_x p_x E[cost | marked=x].
 
     Each _SUB_BLOCK of ranks is reduced to its three dot products as soon
     as its costs are computed, so no n-sized output exists.  The sub-blocks
     are spread over one thread per available CPU, each with its own
     scratch (numpy's float ufuncs release the GIL); the means are the same
-    bit for bit for any thread count.
+    bit for bit for any thread count.  columns, if given, are a row's bound
+    columns, summed in the same walk.
     """
     k = _check_amplify_ratio(k)
     sizes = _round_sizes(dist.n, k)
@@ -436,8 +408,9 @@ def unknown_expected_mu(dist: AdviceDistribution,
     scratch = np.empty((workers, _SCRATCH_ROWS, min(dist.n, _SUB_BLOCK)))
     f, o_mu, inv = _rank_weighted_sums(
         dist.probs,
-        lambda block, first, worker: _amplify_sub_block(block, sizes, fallback, scratch[worker]),
-        _SUB_BLOCK, workers)
+        lambda block, first, worker: [
+            _dot(block, v) for v in _amplify_sub_block(block, sizes, fallback, scratch[worker])],
+        _SUB_BLOCK, workers, extra=columns)
     return _exact_report(f=f, o_mu=o_mu, o_mu_inv=inv)
 
 
@@ -456,15 +429,16 @@ def _model_ratio(model: str, k: float | None) -> float | None:
     raise ConfigError(f"unknown algorithm id {model!r}")
 
 
-def exact_expected(model: str, dist: AdviceDistribution,
-                   k: float | None = None) -> ExpectationReport:
-    """Exact per-oracle expected costs of a model with the marked element ~ advice."""
+def exact_expected(model: str, dist: AdviceDistribution, k: float | None = None,
+                   columns=None) -> ExpectationReport:
+    """Exact per-oracle expected costs of a model with the marked element ~ advice,
+    summing the row's bound columns, if given, in the quantum models' walk."""
     ratio = _model_ratio(model, k)
     if model == "classical":
         return _exact_report(f=classical_expected(dist), o_mu=0.0, o_mu_inv=0.0)
     if model == "geometric":
-        return geometric_expected(dist, ratio)
-    return unknown_expected_mu(dist, ratio)
+        return geometric_expected(dist, ratio, columns=columns)
+    return unknown_expected_mu(dist, ratio, columns=columns)
 
 
 def _trial_seed(seed: int, stream: int, index: int = 0) -> np.random.Generator:
@@ -475,9 +449,8 @@ def _trial_seed(seed: int, stream: int, index: int = 0) -> np.random.Generator:
 
 def _geometric_cost_by_rank(n: int, k: float, ranks: np.ndarray) -> np.ndarray:
     """f queries of the block search for each 1-based rank in ranks."""
-    parts = geometric_blocks(n, k)
-    ends = np.array([end for _, end in parts.blocks], dtype=np.int64)
-    return parts.cumulative_costs()[np.searchsorted(ends, ranks)]
+    ends, cum = _geometric_schedule(n, k)
+    return cum[np.searchsorted(ends, ranks)]
 
 
 def monte_carlo(algorithm: str, dist: AdviceDistribution, trials: int, seed: int,

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
-    _BUILD_STEP,
     AdviceDistribution,
     ParameterError,
-    _blocks,
-    compensated_sum,
+    _dot,
+    _rank_weighted_sums,
 )
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "las_vegas_report",
     "q_mu_lower",
     "geometric_upper",
-    "unknown_upper_per_rank",
     "unknown_upper_mu",
     "ScalingClass",
     "powerlaw_exponents",
@@ -85,39 +83,62 @@ def las_vegas_report(n: int) -> LasVegasBound:
     )
 
 
+class _BoundColumns:
+    """A row's bound columns, summed by the walk that carries them: per
+    block, sum p_x sqrt(x), which scales the lower and the known-advice
+    upper bound, and with upper="unknown" the two parts of the oracle-only
+    ceiling, sum sqrt(p_x) over the ranks with p_x >= 1/n (a prefix) and
+    sum p_x over the rest."""
+
+    def __init__(self, dist: AdviceDistribution, upper: str | None = None):
+        self.dist, self.upper = dist, upper
+        self.width = 3 if upper == "unknown" else 1
+        self.sums: list[float] = []
+
+    def partials(self, block: np.ndarray, first: int) -> tuple[float, ...]:
+        # one block-sized temporary: the ranks, rooted in place, then the
+        # roots of the high-prior probabilities
+        roots = np.arange(first, first + block.size, dtype=np.float64)
+        out = (_dot(block, np.sqrt(roots, out=roots)),)
+        if self.upper == "unknown":
+            head = block.size - int(np.searchsorted(block[::-1], 1.0 / self.dist.n))
+            out += (float(np.sum(np.sqrt(block[:head], out=roots[:head]))),
+                    float(np.sum(block[head:])))
+        return out
+
+    def values(self) -> tuple[float, float | None]:
+        """The lower bound, and the upper bound of the model named by upper;
+        the columns get a walk of their own if no model's walk carried them."""
+        if not self.sums:
+            _rank_weighted_sums(self.dist.probs, lambda block, first, worker: (), extra=self)
+        sqrt_ranks, upper = self.sums[0], None
+        if self.upper == "geometric":
+            upper = math.pi * math.e * sqrt_ranks
+        elif self.upper == "unknown":
+            head, tail = self.sums[1:]
+            upper = (HIGH_PRIOR_COEFF * head + FALLBACK_COEFF * math.sqrt(self.dist.n) * tail
+                     + UNKNOWN_OFFSET)
+        return LAS_VEGAS_COEFF * sqrt_ranks - 1.0, upper
+
+
 def q_mu_lower(dist: AdviceDistribution) -> float:
     """Lower bound on expected f queries of any zero-error search: the
     advice-weighted per-element bound, rearrangement-tight for sorted
     advice: LAS_VEGAS_COEFF * sum_x p_x sqrt(x) - 1."""
-    return LAS_VEGAS_COEFF * dist.sqrt_rank_mean - 1.0
+    return _BoundColumns(dist).values()[0]
 
 
 def geometric_upper(dist: AdviceDistribution) -> float:
     """Upper bound pi*e*sum_x p_x sqrt(x) on the block search's expected f
     queries at the default growth ratio e."""
-    return math.pi * math.e * dist.sqrt_rank_mean
-
-
-def unknown_upper_per_rank(dist: AdviceDistribution) -> np.ndarray:
-    """Per-rank ceiling min(83/sqrt(p_x) + 4/3, 53 sqrt(n)) on each oracle's
-    expected count in the sample-and-amplify search (default ratio)."""
-    fallback = FALLBACK_COEFF * math.sqrt(dist.n)
-    with np.errstate(divide="ignore"):
-        high = HIGH_PRIOR_COEFF / np.sqrt(dist.probs) + UNKNOWN_OFFSET
-    return np.minimum(high, fallback)
+    return _BoundColumns(dist, "geometric").values()[1]
 
 
 def unknown_upper_mu(dist: AdviceDistribution) -> float:
     """Advice-averaged ceiling: split ranks at prior 1/n, charge the
     high-prior branch 83 sqrt(p_x) of mass and the rest 53 sqrt(n) p_x,
     plus the 4/3 offset."""
-    x0 = dist.x0_threshold()
-    # block by block, so the square roots take no head-sized temporary
-    head = compensated_sum(np.sqrt(dist.probs[lo:hi]) for lo, hi in _blocks(x0, _BUILD_STEP))
-    tail = compensated_sum(dist.probs[x0:])
-    return (HIGH_PRIOR_COEFF * head
-            + FALLBACK_COEFF * math.sqrt(dist.n) * tail
-            + UNKNOWN_OFFSET)
+    return _BoundColumns(dist, "unknown").values()[1]
 
 
 @dataclass(frozen=True)

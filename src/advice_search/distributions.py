@@ -74,29 +74,34 @@ def _blocks(size: int, step: int = _CHUNK):
         yield lo, min(lo + step, size)
 
 
-def _rank_weighted_sums(probs: np.ndarray, fn, step: int = _BUILD_STEP,
-                        workers: int = 1) -> list[float]:
-    """sum_x p_x v_x for each per-rank vector v that fn yields.
+def _dot(block: np.ndarray, v: np.ndarray) -> float:
+    """sum_i block_i v_i by einsum: a BLAS dot this long starts threads that spin."""
+    return float(np.einsum("i,i->", block, v))
 
-    fn(block, first, worker) receives one block of at most step probs, the
-    1-based rank of its first element and the index of the thread running
-    it, and returns a sequence of arrays over that block.  Worker w takes
-    every workers-th block from block w.  The per-block dot products are
-    combined with math.fsum, which is correctly rounded in any order, so
-    the sums do not depend on workers.
+
+def _rank_weighted_sums(probs: np.ndarray, fn, step: int = _BUILD_STEP,
+                        workers: int = 1, extra=None) -> list[float]:
+    """Column sums of the per-block partial sums that fn returns.
+
+    fn(block, first, worker) gets one block of at most step probs, the
+    1-based rank of its first element and the index of its thread, and
+    returns one partial sum per column.  If extra is given,
+    extra.partials(block, first) appends more columns, whose sums go to
+    extra.sums.  Worker w takes every workers-th block from block w.  Each
+    column is combined with math.fsum, which is correctly rounded in any
+    order, so the sums do not depend on workers.
     """
     starts = range(0, probs.size, step)
     stop = threading.Event()
 
-    def reduce(worker: int) -> list[list[float]]:
+    def reduce(worker: int) -> list[tuple[float, ...]]:
         rows = []
         for lo in starts[worker::workers]:
             if stop.is_set():
                 break
             block = probs[lo:lo + step]
-            # einsum, not BLAS: OpenBLAS threads a dot this long, and its
-            # idle threads then spin on the CPUs that the workers need
-            rows.append([float(np.einsum("i,i->", block, v)) for v in fn(block, lo + 1, worker)])
+            row = tuple(fn(block, lo + 1, worker))
+            rows.append(row if extra is None else row + extra.partials(block, lo + 1))
         return rows
 
     if workers == 1:
@@ -111,7 +116,10 @@ def _rank_weighted_sums(probs: np.ndarray, fn, step: int = _BUILD_STEP,
                 # after an interrupt or a failed worker, the others quit at
                 # their next block instead of finishing the whole reduction
                 stop.set()
-    return [math.fsum(column) for column in zip(*partials)]
+    sums = [math.fsum(column) for column in zip(*partials)]
+    if extra is not None:
+        sums, extra.sums = sums[:-extra.width], sums[-extra.width:]
+    return sums
 
 
 def compensated_sum(values) -> float:
@@ -177,7 +185,6 @@ class AdviceDistribution:
         self.power_law = power_law
         self._perm = perm
         self._cdf: np.ndarray | None = None
-        self._sqrt_rank_mean: float | None = None
 
     @property
     def perm(self) -> np.ndarray:
@@ -193,16 +200,6 @@ class AdviceDistribution:
         if self._cdf is None:
             self._cdf = np.cumsum(self.probs)
         return self._cdf
-
-    @property
-    def sqrt_rank_mean(self) -> float:
-        """sum_x p_x sqrt(x), computed once: both known-advice bounds scale it."""
-        if self._sqrt_rank_mean is None:
-            def sqrt_ranks(block, first, worker):
-                ranks = np.arange(first, first + block.size, dtype=np.float64)
-                return (np.sqrt(ranks, out=ranks),)
-            (self._sqrt_rank_mean,) = _rank_weighted_sums(self.probs, sqrt_ranks)
-        return self._sqrt_rank_mean
 
     def prob(self, rank: int) -> float:
         """Probability of the element at sorted rank (1-based)."""

@@ -13,7 +13,6 @@ import numpy as np
 from .distributions import _check_int
 
 __all__ = [
-    "rotation_angle",
     "success_prob",
     "exact_grover_queries",
     "uniform_iter_success",
@@ -34,21 +33,11 @@ def _check_probability(p) -> None:
         raise ValueError(f"probability outside [0, 1]: {p!r}")
 
 
-def rotation_angle(p):
-    """arcsin(sqrt(p)): the half-angle of one amplification step.
-
-    Scalar in, float out; array in, array out.
-    """
-    _check_probability(p)
-    out = np.arcsin(np.sqrt(p))
-    return float(out) if np.ndim(p) == 0 else out
-
-
 def success_prob(p, j: int):
     """Success probability sin^2((2j+1) * arcsin(sqrt(p))) after j steps."""
     _check_int(j, "iteration count", 0)
-    theta = rotation_angle(p)
-    out = np.clip(np.sin((2 * j + 1) * np.asarray(theta)) ** 2, 0.0, 1.0)
+    _check_probability(p)
+    out = np.clip(np.sin((2 * j + 1) * np.arcsin(np.sqrt(p))) ** 2, 0.0, 1.0)
     return float(out) if np.ndim(p) == 0 else out
 
 

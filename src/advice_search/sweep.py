@@ -16,7 +16,6 @@ import numpy as np
 
 from . import algorithms, bounds
 from .distributions import (
-    AdviceDistribution,
     ConfigError,
     ParameterError,
     _check_length,
@@ -181,26 +180,6 @@ class SweepSpec:
                    trials=trials, seed=seed)
 
 
-def _uses_default_ratio(model: str, k_alg: float | None) -> bool:
-    return k_alg is None or math.isclose(k_alg, algorithms._model_ratio(model, None),
-                                         rel_tol=1e-12, abs_tol=0.0)
-
-
-def _bound_columns(model: str, k_alg: float | None,
-                   dist: AdviceDistribution) -> tuple[float | None, float | None]:
-    """Bound columns where defined: the 0.206-based lower bound holds for any
-    zero-error quantum search; upper bounds are ratio-specific constants, so
-    they are emitted only for the model's default ratio."""
-    if model == "classical":
-        return None, None
-    lower = bounds.q_mu_lower(dist)
-    if not _uses_default_ratio(model, k_alg):
-        return lower, None
-    if model == "geometric":
-        return lower, bounds.geometric_upper(dist)
-    return lower, bounds.unknown_upper_mu(dist)
-
-
 def run_point(spec: SweepSpec, *, n: int | None = None, seed: int | None = None,
               timing: bool = False) -> SweepRow:
     """Measure one row.  n overrides the dist config (sweep grid points)."""
@@ -208,14 +187,22 @@ def run_point(spec: SweepSpec, *, n: int | None = None, seed: int | None = None,
     if n is not None:
         cfg["n"] = n
     dist = dist_from_config(cfg)
+    # the 0.206 lower bound holds for any zero-error quantum search; upper
+    # bounds are ratio-specific constants, emitted at the default ratio only
+    columns = None
+    if spec.model != "classical":
+        default = spec.k_algorithm is None or math.isclose(
+            spec.k_algorithm, algorithms._model_ratio(spec.model, None),
+            rel_tol=1e-12, abs_tol=0.0)
+        columns = bounds._BoundColumns(dist, spec.model if default else None)
     started = time.perf_counter()
     if spec.mode == "monte_carlo":
         report = algorithms.monte_carlo(spec.model, dist, spec.trials,
                                         spec.seed if seed is None else seed,
                                         k=spec.k_algorithm)
     else:
-        report = algorithms.exact_expected(spec.model, dist, spec.k_algorithm)
-    lower, upper = _bound_columns(spec.model, spec.k_algorithm, dist)
+        report = algorithms.exact_expected(spec.model, dist, spec.k_algorithm, columns)
+    lower, upper = columns.values() if columns is not None else (None, None)
     elapsed = time.perf_counter() - started
     log.info("point n=%d model=%s mode=%s took %.3fs", dist.n, spec.model,
              spec.mode, elapsed)

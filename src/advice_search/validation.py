@@ -152,18 +152,26 @@ def las_vegas_chain(ns):
     return f"{len(ns)} domain sizes"
 
 
+def _rank_ceilings(dist, ranks) -> np.ndarray:
+    """Ceiling min(83/sqrt(p_x) + 4/3, 53 sqrt(n)) on each oracle's expected
+    count in the sample-and-amplify search (default ratio) at each rank x."""
+    with np.errstate(divide="ignore"):
+        high = bounds.HIGH_PRIOR_COEFF / np.sqrt(dist.probs[np.asarray(ranks) - 1])
+    return np.minimum(high + bounds.UNKNOWN_OFFSET, bounds.FALLBACK_COEFF * math.sqrt(dist.n))
+
+
 @_check
 def fallback_bound_ceiling(ns, ks, rank_points: int, high_prior):
     """Oracle-only costs at rank_points log-spaced ranks of each (n, k) power
     law stay under the per-rank ceiling, and under 17 at a prior >= 3/4."""
     count = 0
     for dist in (make_power_law(n, k) for n in ns for k in ks):
-        ceiling = bounds.unknown_upper_per_rank(dist)
-        for rank in np.unique(np.geomspace(1, dist.n, rank_points).astype(int)):
+        ranks = np.unique(np.geomspace(1, dist.n, rank_points).astype(int))
+        for rank, ceiling in zip(ranks, _rank_ceilings(dist, ranks)):
             count += 1
             cost = max(algorithms.unknown_expected_exact(dist, int(rank)).means())
-            _require(cost <= ceiling[rank - 1] + 1e-9,
-                     f"n={dist.n} rank={rank}: {cost:.2f} > {ceiling[rank - 1]:.2f}")
+            _require(cost <= ceiling + 1e-9,
+                     f"n={dist.n} rank={rank}: {cost:.2f} > {ceiling:.2f}")
     for dist in high_prior:
         count += 1
         _require(dist.prob(1) >= 0.75, f"n={dist.n}: prior {dist.prob(1):.4g} < 3/4")

@@ -19,7 +19,6 @@ from advice_search import (
     classical_expected,
     classical_sampling_expected,
     exact_grover_queries,
-    geometric_blocks,
     geometric_expected,
     make_explicit,
     make_power_law,
@@ -33,9 +32,12 @@ from advice_search import (
 )
 from advice_search import algorithms
 from advice_search.algorithms import (
+    _SCRATCH_ROWS,
     _SUB_BLOCK,
-    _amplify_expected,
+    _amplify_sub_block,
     _geometric_cost_by_rank,
+    _geometric_schedule,
+    _round_sizes,
     _trial_seed,
 )
 from advice_search.rotation import DEGENERATE_TOL
@@ -86,40 +88,52 @@ def test_classical_sampling_expected():
 # known advice: geometric block schedule
 
 
+def _schedule(n, k=math.e):
+    """The block search's schedule as 1-based inclusive (start, end) blocks
+    and the f queries each block costs."""
+    ends, cum = _geometric_schedule(n, k)
+    starts = [1] + [end + 1 for end in ends[:-1].tolist()]
+    return list(zip(starts, ends.tolist())), np.diff(cum, prepend=0.0).tolist()
+
+
+def _nominal_costs(sizes):
+    return [exact_grover_queries(size, zero_or_one=True) for size in sizes]
+
+
 def test_blocks_frozen_30():
-    parts = geometric_blocks(30)
-    assert parts.blocks == [(1, 1), (2, 3), (4, 10), (11, 30)]
-    assert parts.nominal_sizes == [1, 2, 7, 20]
+    blocks, costs = _schedule(30)
+    assert blocks == [(1, 1), (2, 3), (4, 10), (11, 30)]
+    assert costs == _nominal_costs([1, 2, 7, 20])
 
 
 def test_blocks_frozen_4():
-    parts = geometric_blocks(4)
-    assert parts.blocks == [(1, 1), (2, 3), (4, 4)]
-    # the last block is truncated by the domain but keeps its nominal size
-    assert parts.nominal_sizes == [1, 2, 7]
+    blocks, costs = _schedule(4)
+    assert blocks == [(1, 1), (2, 3), (4, 4)]
+    # the last block is truncated by the domain but costs its nominal size
+    assert costs == _nominal_costs([1, 2, 7])
 
 
 def test_blocks_frozen_ratio_2():
-    parts = geometric_blocks(5, k=2.0)
-    assert parts.blocks == [(1, 1), (2, 3), (4, 5)]
-    assert parts.nominal_sizes == [1, 2, 4]
+    blocks, costs = _schedule(5, 2.0)
+    assert blocks == [(1, 1), (2, 3), (4, 5)]
+    assert costs == _nominal_costs([1, 2, 4])
 
 
 def test_blocks_cover_domain_without_overlap():
     for n in (1, 2, 17, 100, 12345):
         for k in (1.5, math.e, 4.0):
-            parts = geometric_blocks(n, k)
-            flat = [x for start, end in parts.blocks for x in range(start, end + 1)]
+            blocks, _ = _schedule(n, k)
+            flat = [x for start, end in blocks for x in range(start, end + 1)]
             assert flat == list(range(1, n + 1))
 
 
 def test_blocks_match_reference_loop():
     for n in (1, 7, 64, 1000):
         for k in (1.3, math.e, 3.0):
-            got = geometric_blocks(n, k)
+            blocks, costs = _schedule(n, k)
             expected = ref_blocks(n, k)
-            assert [(s, e) for s, e in got.blocks] == [(s, e) for s, e, _ in expected]
-            assert got.nominal_sizes == [size for _, _, size in expected]
+            assert blocks == [(s, e) for s, e, _ in expected]
+            assert costs == _nominal_costs([size for _, _, size in expected])
 
 
 def test_geometric_search_frozen_costs():
@@ -143,6 +157,16 @@ def test_geometric_expected_matches_reference():
                                 rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("k", (math.e, 1.05))
+def test_geometric_expected_spans_walk_blocks(k):
+    # schedule blocks that straddle the 2^16-rank blocks of the walk are
+    # summed in parts, and the mean is the rank-by-rank sum to a few ulps
+    d = make_power_law(3 * 2**16 + 5, -0.75)
+    costs = _geometric_cost_by_rank(d.n, k, np.arange(1, d.n + 1))
+    want = math.fsum((d.probs * costs).tolist())
+    assert geometric_expected(d, k).f_mean == pytest.approx(want, rel=1e-14, abs=0)
+
+
 def test_geometric_cost_agrees_with_reference_per_rank():
     for n, k in ((100, math.e), (1000, 1.4), (7, 3.0)):
         costs = _geometric_cost_by_rank(n, k, np.arange(1, n + 1))
@@ -154,9 +178,8 @@ def test_geometric_cost_agrees_with_reference_per_rank():
 def test_geometric_cost_lookup_equals_repeated_table(n, k):
     # the block-end lookup gives, rank by rank, the n-length table of each
     # block's cumulative cost repeated over the block
-    parts = geometric_blocks(n, k)
-    table = np.repeat(parts.cumulative_costs(),
-                      [end - start + 1 for start, end in parts.blocks])
+    ends, cum = _geometric_schedule(n, k)
+    table = np.repeat(cum, np.diff(ends, prepend=0))
     ranks = np.arange(1, n + 1)
     assert np.array_equal(_geometric_cost_by_rank(n, k, ranks), table)
     shuffled = np.random.default_rng(n).permutation(ranks)
@@ -165,11 +188,11 @@ def test_geometric_cost_lookup_equals_repeated_table(n, k):
 
 def test_geometric_ratio_validation():
     with pytest.raises(ParameterError):
-        geometric_blocks(10, k=1.0)
+        _geometric_schedule(10, 1.0)
     with pytest.raises(ParameterError):
-        geometric_blocks(10, k=0.5)
+        _geometric_schedule(10, 0.5)
     with pytest.raises(ParameterError):
-        geometric_blocks(10, k=float("inf"))
+        _geometric_schedule(10, float("inf"))
     with pytest.raises(ParameterError):
         geometric_expected(make_explicit([1.0] * 4), k=float("inf"))
 
@@ -431,9 +454,9 @@ def test_schedule_ratio_near_one_exits_quickly():
     with pytest.raises(ParameterError, match="schedule entries"):
         unknown_expected_mu(make_explicit([1.0] * 16), 1.000000001)
     with pytest.raises(ParameterError, match="schedule entries"):
-        geometric_blocks(10**6, 1.0 + 1e-6)
+        _geometric_schedule(10**6, 1.0 + 1e-6)
     with pytest.raises(ParameterError, match="schedule entries"):
-        geometric_blocks(2**40, 1.0 + 1e-9)
+        _geometric_schedule(2**40, 1.0 + 1e-9)
     assert time.perf_counter() - started < 1.0
 
 
@@ -442,10 +465,10 @@ def test_schedule_cap_leaves_usable_ratios_alone():
     for k in (DEFAULT_AMPLIFY_RATIO, 1.3):
         assert unknown_rounds(2**62, k) == len(ref_round_budgets(2**62, k)) - 1 < 200
     for k in (math.e, 2.0):
-        assert len(geometric_blocks(2**62, k).blocks) < 100
+        assert len(_geometric_schedule(2**62, k)[0]) < 100
     # a ratio close to 1 whose schedule fits under the cap is still built
     assert unknown_rounds(16, 1.0001) == len(ref_round_budgets(16, 1.0001)) - 1
-    assert len(geometric_blocks(10**4, 1.001).blocks) == len(ref_blocks(10**4, 1.001))
+    assert len(_geometric_schedule(10**4, 1.001)[0]) == len(ref_blocks(10**4, 1.001))
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +478,22 @@ _TOP_P = 1.0 - 1e-13   # on the near-1 series branch
 _KERNEL_SIZES = (1, _SUB_BLOCK - 1, _SUB_BLOCK, _SUB_BLOCK + 1, 3 * _SUB_BLOCK + 7)
 
 
+def _sub_blocked_costs(p, n, k):
+    """Per-rank (f, O_mu, O_mu^-1) costs from _amplify_sub_block run on each
+    _SUB_BLOCK of p in turn, as unknown_expected_mu runs it."""
+    p = np.asarray(p, dtype=np.float64)
+    sizes, fallback = _round_sizes(n, k), float(exact_grover_queries(n))
+    scratch = np.empty((_SCRATCH_ROWS, min(p.size, _SUB_BLOCK)))
+    out = np.empty((3, p.size))
+    for lo in range(0, p.size, _SUB_BLOCK):
+        for row, costs in zip(out, _amplify_sub_block(p[lo:lo + _SUB_BLOCK], sizes, fallback,
+                                                      scratch)):
+            row[lo:lo + costs.size] = costs
+    return tuple(out)
+
+
 def _assert_kernel_matches_whole_array(p, n, k):
-    got = _amplify_expected(p, n, k)
+    got = _sub_blocked_costs(p, n, k)
     want = ref_amplify_expected_whole(p, n, k)
     for name, a, b in zip(("f", "o_mu", "o_mu_inv"), got, want):
         assert a.shape == b.shape
@@ -536,7 +573,7 @@ def test_unknown_expected_mu_same_for_any_worker_count(monkeypatch, k):
 @pytest.mark.parametrize("k", _MU_KS)
 def test_unknown_expected_mu_is_fsum_of_sub_block_dots(k):
     d = make_power_law(_MU_N, k)
-    costs = _amplify_expected(d.probs, d.n, DEFAULT_AMPLIFY_RATIO)
+    costs = _sub_blocked_costs(d.probs, d.n, DEFAULT_AMPLIFY_RATIO)
     want = tuple(math.fsum(float(np.einsum("i,i->", d.probs[lo:lo + _SUB_BLOCK],
                                            v[lo:lo + _SUB_BLOCK]))
                            for lo in range(0, d.n, _SUB_BLOCK))
@@ -549,7 +586,7 @@ def test_unknown_expected_mu_near_whole_block_dots(k):
     # the fused reduction sums in another order than np.dot over 2^22-rank
     # chunks of n-sized outputs; both sit within a few ulps of the exact sum
     d = make_power_law(_MU_N, k)
-    want = ref_chunked_dot_sums(d.probs, _amplify_expected(d.probs, d.n, DEFAULT_AMPLIFY_RATIO))
+    want = ref_chunked_dot_sums(d.probs, _sub_blocked_costs(d.probs, d.n, DEFAULT_AMPLIFY_RATIO))
     np.testing.assert_allclose(unknown_expected_mu(d).means(), want, rtol=1e-13, atol=0)
 
 

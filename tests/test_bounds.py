@@ -17,10 +17,12 @@ from advice_search import (
     q_mu_lower,
     unknown_expected_mu,
     unknown_upper_mu,
-    unknown_upper_per_rank,
 )
-from advice_search.distributions import _BUILD_STEP
-from advice_search.sweep import _bound_columns
+from advice_search.algorithms import _SUB_BLOCK
+from advice_search.bounds import _BoundColumns
+from advice_search.distributions import _BUILD_STEP, _rank_weighted_sums
+from advice_search.sweep import SweepSpec, run_point
+from advice_search.validation import _rank_ceilings, fallback_bound_ceiling
 
 from reference import (
     ref_las_vegas_max,
@@ -76,8 +78,8 @@ def test_geometric_upper_formula():
 
 def test_geometric_row_holds_one_n_vector():
     # build plus the exact geometric row: probs and one summation block's
-    # rank temporary, nothing else of size n; the second bound reuses the
-    # cached sum_x p_x sqrt(x)
+    # rank temporary, nothing else of size n; a second bound walks again
+    # with the same temporary
     n = 2**22 + 3
     tracemalloc.start()
     try:
@@ -104,17 +106,16 @@ def test_geometric_sandwich():
 
 def test_unknown_upper_per_rank_branches():
     d = make_explicit([0.9, 0.1] + [0.0] * 9998)
-    per = unknown_upper_per_rank(d)
-    n = d.n
-    assert per[0] == pytest.approx(83.0 / math.sqrt(0.9) + 4.0 / 3.0)
+    first, last = _rank_ceilings(d, [1, d.n])
+    assert first == pytest.approx(83.0 / math.sqrt(0.9) + 4.0 / 3.0)
     # zero-probability ranks fall back to the sqrt(n) branch
-    assert per[-1] == pytest.approx(53.0 * math.sqrt(n))
+    assert last == pytest.approx(53.0 * math.sqrt(d.n))
 
 
 def test_unknown_upper_mu_dominates_weighted_per_rank():
     for n, k in ((100, -1.0), (1000, -2.0), (4096, -0.5)):
         d = make_power_law(n, k)
-        weighted = float(np.dot(d.probs, unknown_upper_per_rank(d)))
+        weighted = float(np.dot(d.probs, _rank_ceilings(d, np.arange(1, n + 1))))
         assert unknown_upper_mu(d) >= weighted - 1e-9
 
 
@@ -129,10 +130,12 @@ def test_unknown_measured_cost_below_per_rank_ceiling():
     from advice_search import unknown_expected_exact
 
     d = make_power_law(256, -2.0)
-    per = unknown_upper_per_rank(d)
-    for rank in (1, 2, 16, 128, 256):
+    ranks = (1, 2, 16, 128, 256)
+    for rank, ceiling in zip(ranks, _rank_ceilings(d, ranks)):
         report = unknown_expected_exact(d, rank)
-        assert max(report.means()) <= per[rank - 1] + 1e-9
+        assert max(report.means()) <= ceiling + 1e-9
+    # the check that reads these ceilings passes on the same power law
+    assert not fallback_bound_ceiling((256,), (-2.0,), 5, []).failed
 
 
 def test_high_prior_short_circuit():
@@ -203,9 +206,20 @@ def test_powerlaw_exponents_validation():
 
 
 def test_compute_bounds_report():
-    # the bound columns of a sweep row are the bound functions themselves
-    d = make_power_law(256, -1.0)
-    assert _bound_columns("classical", None, d) == (None, None)
-    assert _bound_columns("geometric", None, d) == (q_mu_lower(d), geometric_upper(d))
-    assert _bound_columns("unknown", None, d) == (q_mu_lower(d), unknown_upper_mu(d))
-    assert unknown_upper_per_rank(d).shape == (256,)
+    # a sweep row's bound columns are summed in the model's walk: 2^16-rank
+    # blocks for the scans, as the standalone bound functions use, and the
+    # oracle-only kernel's 2^14-rank blocks, whose sums may differ in the
+    # last bits from the standalone ones
+    def row(model):
+        dist = {"kind": "powerlaw", "n": 3 * _SUB_BLOCK + 5, "k": -1.0}
+        point = run_point(SweepSpec(dist_cfg=dist, model=model))
+        return point.lower_bound, point.upper_bound
+
+    d = make_power_law(3 * _SUB_BLOCK + 5, -1.0)
+    assert row("classical") == (None, None)
+    assert row("geometric") == (q_mu_lower(d), geometric_upper(d))
+    columns = _BoundColumns(d, "unknown")
+    _rank_weighted_sums(d.probs, lambda block, first, worker: (), _SUB_BLOCK, extra=columns)
+    assert row("unknown") == columns.values()
+    assert columns.values() == pytest.approx((q_mu_lower(d), unknown_upper_mu(d)),
+                                              rel=1e-14, abs=0)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import importlib
+import pathlib
 
 import pytest
 
@@ -12,14 +14,16 @@ MODULES = ["advice_search"] + [f"advice_search.{name}" for name in (
     "sweep", "validation")]
 
 # Second copies of jobs that the CLI, validate and the benchmark do through
-# other names, the worker count of the removed sweep process pool, and the
-# per-oracle counters that RunResult.queries replaced; keeping one
-# implementation per job means they stay gone.
+# other names, the worker count of the removed sweep process pool, the
+# per-oracle counters that RunResult.queries replaced, and helpers that only
+# one caller or tests used; keeping one implementation per job means they
+# stay gone.
 REMOVED = (
     "classical_sequential", "geometric_search", "compute_bounds", "BoundReport",
     "zalka_bound", "las_vegas_lower", "StateVector", "prepare_mu", "aa_iteration",
     "grover_success", "exact_search", "worker_count", "QueryLedger", "RoundCost",
-    "round_cost",
+    "round_cost", "GeometricBlocks", "geometric_blocks", "unknown_upper_per_rank",
+    "rotation_angle",
 )
 
 
@@ -44,4 +48,25 @@ def test_removed_names_are_gone(module):
     mod = importlib.import_module(module)
     for name in REMOVED:
         assert not hasattr(mod, name), f"{module}.{name}"
-    assert not hasattr(getattr(mod, "GeometricBlocks", None), "block_of")
+
+
+def _imported_names(tree: ast.Module):
+    """Names that the import statements of a module bind, anywhere in it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names if alias.name != "*")
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(advice_search.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_import_is_used(path):
+    # no linter runs on the package, so an import left behind by a refactor
+    # is caught here: each imported name is read in its module or exported
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    module = "advice_search" if path.stem == "__init__" else f"advice_search.{path.stem}"
+    exported = set(getattr(importlib.import_module(module), "__all__", ()))
+    unused = sorted(set(_imported_names(tree)) - used - exported)
+    assert not unused, f"{path.name} imports {unused} without using them"

@@ -8,7 +8,6 @@ import pytest
 from advice_search import (
     ParameterError,
     exact_grover_queries,
-    rotation_angle,
     success_prob,
     uniform_iter_success,
 )
@@ -19,17 +18,6 @@ from reference import (
     ref_min_queries_for_prob,
     ref_success_prob,
 )
-
-
-def test_rotation_angle_endpoints():
-    assert rotation_angle(0.0) == 0.0
-    assert math.isclose(rotation_angle(1.0), math.pi / 2, rel_tol=1e-15)
-    assert math.isclose(rotation_angle(0.5), math.pi / 4, rel_tol=1e-15)
-
-
-def test_rotation_angle_vectorized():
-    ps = np.linspace(0.0, 1.0, 11)
-    np.testing.assert_allclose(rotation_angle(ps), np.arcsin(np.sqrt(ps)))
 
 
 def test_success_prob_frozen_values():

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from advice_search import algorithms, bounds, distributions
 from advice_search import (
     ConfigError,
     HEADER,
@@ -84,6 +85,61 @@ def test_run_point_nondefault_ratio_drops_upper_bound():
     assert row.upper_bound is None
     row = run_point(_spec(model="unknown", k_algorithm=1.2))
     assert row.upper_bound is None
+
+
+# ---------------------------------------------------------------------------
+# one walk over the advice per row
+
+_WALK_N = 3 * 2**16 + 5
+
+
+def _record_walks(monkeypatch):
+    """Make every _rank_weighted_sums call record its block length and the
+    first rank of each block it visits."""
+    walks = []
+    walk = distributions._rank_weighted_sums
+
+    def recording(probs, fn, step=distributions._BUILD_STEP, workers=1, extra=None):
+        firsts = []
+
+        def visit(block, first, worker):
+            firsts.append(first)
+            return fn(block, first, worker)
+
+        walks.append((step, firsts))
+        return walk(probs, visit, step, workers, extra)
+
+    for module in (distributions, algorithms, bounds):
+        monkeypatch.setattr(module, "_rank_weighted_sums", recording)
+    return walks
+
+
+@pytest.mark.parametrize("model,ratio,step", [
+    ("classical", None, 2**16), ("classical", 1.5, 2**16),
+    ("geometric", None, 2**16), ("geometric", 2.0, 2**16),
+    ("unknown", None, algorithms._SUB_BLOCK), ("unknown", 1.3, algorithms._SUB_BLOCK)])
+def test_exact_row_is_one_walk(monkeypatch, model, ratio, step):
+    # the model's means and the row's bound columns come from one pass over
+    # the advice that visits each of its ceil(n / step) blocks once
+    walks = _record_walks(monkeypatch)
+    spec = SweepSpec(dist_cfg={"kind": "powerlaw", "n": _WALK_N, "k": -0.75},
+                     model=model, k_algorithm=ratio)
+    row = run_point(spec)
+    assert [(size, sorted(firsts)) for size, firsts in walks] == [
+        (step, list(range(1, _WALK_N + 1, step)))]
+    assert len(walks[0][1]) == -(-_WALK_N // step)
+    assert (row.lower_bound is None) == (model == "classical")
+    assert (row.upper_bound is None) == (model == "classical" or ratio is not None)
+
+
+@pytest.mark.parametrize("model,count", [("classical", 0), ("geometric", 1), ("unknown", 1)])
+def test_monte_carlo_row_walks_only_its_bounds(monkeypatch, model, count):
+    walks = _record_walks(monkeypatch)
+    spec = SweepSpec(dist_cfg={"kind": "powerlaw", "n": _WALK_N, "k": -0.75},
+                     model=model, mode="monte_carlo", trials=200)
+    run_point(spec)
+    assert [(size, sorted(firsts)) for size, firsts in walks] == [
+        (2**16, list(range(1, _WALK_N + 1, 2**16)))] * count
 
 
 def test_run_point_monte_carlo_has_stderr():
