@@ -171,8 +171,7 @@ def _check_schedule_length(estimate: float, what: str, k: float) -> None:
 
 def classical_expected(dist: AdviceDistribution) -> float:
     """Expected probes of the sequential scan: sum_x p_x * x."""
-    (mean,) = _rank_weighted_sums(dist.probs, lambda block, first, _: (
-        _dot(block, np.arange(first, first + block.size, dtype=np.float64)),))
+    (mean,) = _rank_weighted_sums(dist, lambda block, ranks, _: (_dot(block, ranks),))
     return mean
 
 
@@ -221,7 +220,8 @@ def geometric_expected(dist: AdviceDistribution, k: float = DEFAULT_GEOMETRIC_RA
     are a row's bound columns, summed in the same walk."""
     ends, cum = _geometric_schedule(dist.n, k)
 
-    def partial(block: np.ndarray, first: int, worker: int) -> tuple[float]:
+    def partial(block: np.ndarray, ranks: np.ndarray, worker: int) -> tuple[float]:
+        first = int(ranks[0])
         m = int(np.searchsorted(ends, first))   # the schedule block of rank first
         lo, parts = 0, []
         while lo < block.size:
@@ -230,7 +230,7 @@ def geometric_expected(dist: AdviceDistribution, k: float = DEFAULT_GEOMETRIC_RA
             lo, m = hi, m + 1
         return (math.fsum(parts),)
 
-    (f_mean,) = _rank_weighted_sums(dist.probs, partial, extra=columns)
+    (f_mean,) = _rank_weighted_sums(dist, partial, extra=columns)
     return _exact_report(f=f_mean, o_mu=0.0, o_mu_inv=0.0)
 
 
@@ -407,8 +407,8 @@ def unknown_expected_mu(dist: AdviceDistribution, k: float = DEFAULT_AMPLIFY_RAT
     workers = min(_kernel_workers(), -(-dist.n // _SUB_BLOCK))
     scratch = np.empty((workers, _SCRATCH_ROWS, min(dist.n, _SUB_BLOCK)))
     f, o_mu, inv = _rank_weighted_sums(
-        dist.probs,
-        lambda block, first, worker: [
+        dist,
+        lambda block, ranks, worker: [
             _dot(block, v) for v in _amplify_sub_block(block, sizes, fallback, scratch[worker])],
         _SUB_BLOCK, workers, extra=columns)
     return _exact_report(f=f, o_mu=o_mu, o_mu_inv=inv)
@@ -472,7 +472,7 @@ def monte_carlo(algorithm: str, dist: AdviceDistribution, trials: int, seed: int
         f[:] = _geometric_cost_by_rank(dist.n, ratio, ranks)
     else:
         f, o_mu, inv = _unknown_rounds(
-            dist.probs[ranks - 1], _round_sizes(dist.n, ratio),
+            dist._probs_at(ranks), _round_sizes(dist.n, ratio),
             exact_grover_queries(dist.n, zero_or_one=False),
             (_trial_seed(seed, 1, j) for j in itertools.count()))
     stats = []   # mean and standard error of each oracle's count, in field order

@@ -16,6 +16,7 @@ from .distributions import (
     AdviceDistribution,
     ParameterError,
     _dot,
+    _prefix_length,
     _rank_weighted_sums,
 )
 
@@ -95,14 +96,14 @@ class _BoundColumns:
         self.width = 3 if upper == "unknown" else 1
         self.sums: list[float] = []
 
-    def partials(self, block: np.ndarray, first: int) -> tuple[float, ...]:
-        # one block-sized temporary: the ranks, rooted in place, then the
-        # roots of the high-prior probabilities
-        roots = np.arange(first, first + block.size, dtype=np.float64)
-        out = (_dot(block, np.sqrt(roots, out=roots)),)
+    def partials(self, block: np.ndarray, ranks: np.ndarray) -> tuple[float, ...]:
+        # the walk's ranks are the worker's scratch, which the columns may
+        # overwrite: rooted in place, then the roots of the high-prior
+        # probabilities
+        out = (_dot(block, np.sqrt(ranks, out=ranks)),)
         if self.upper == "unknown":
-            head = block.size - int(np.searchsorted(block[::-1], 1.0 / self.dist.n))
-            out += (float(np.sum(np.sqrt(block[:head], out=roots[:head]))),
+            head = _prefix_length(block, 1.0 / self.dist.n)
+            out += (float(np.sum(np.sqrt(block[:head], out=ranks[:head]))),
                     float(np.sum(block[head:])))
         return out
 
@@ -110,7 +111,7 @@ class _BoundColumns:
         """The lower bound, and the upper bound of the model named by upper;
         the columns get a walk of their own if no model's walk carried them."""
         if not self.sums:
-            _rank_weighted_sums(self.dist.probs, lambda block, first, worker: (), extra=self)
+            _rank_weighted_sums(self.dist, lambda block, ranks, worker: (), extra=self)
         sqrt_ranks, upper = self.sums[0], None
         if self.upper == "geometric":
             upper = math.pi * math.e * sqrt_ranks

@@ -5,11 +5,14 @@ being the marked one.  Probabilities are stored sorted in non-increasing
 order; ``perm`` remembers where each sorted rank lived in the caller's
 original ordering (the identity for power laws, which are built in rank
 order).  Ranks and original positions are 1-based throughout, matching the
-{1, ..., n} domain convention.
+{1, ..., n} domain convention.  A power law is streamed: walks make its
+probabilities block by block, and the n-sized ``probs`` exists only once
+something reads it.
 """
 from __future__ import annotations
 
 import math
+import os
 import threading
 from dataclasses import dataclass
 
@@ -35,13 +38,22 @@ PROB_SUM_TOL = 1e-12
 # math.fsum.  Power-law alpha is such a sum, so its bits depend on this length.
 _CHUNK = 1 << 22
 
-# Block length of make_power_law's x^k pass and of the rank-weighted sums:
-# the per-block rank temporary (512 KB) stays in cache, which builds 2^24
-# ranks ~25% faster than _CHUNK and holds no n-sized rank vector.
+# Block length of the power-law passes and of the rank-weighted sums: a
+# walk's reused ranks and block (512 KB each) stay in cache, so making x^k
+# twice, once for alpha and once per walk, costs less than one pass over an
+# n-sized array.
 _BUILD_STEP = 1 << 16
 
 # Longest float64 array numpy can address: its byte size must fit in intp.
 _MAX_LEN = np.iinfo(np.intp).max // 8
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory, or the address space where that is unknown."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):   # no sysconf on this platform
+        return 8 * _MAX_LEN
 
 
 class ConfigError(ValueError):
@@ -68,10 +80,17 @@ def _check_length(value, what: str):
     return value
 
 
-def _blocks(size: int, step: int = _CHUNK):
-    """Bounds [lo, hi) of consecutive index blocks of at most step."""
-    for lo in range(0, size, step):
-        yield lo, min(lo + step, size)
+def _blocks(size: int):
+    """Bounds [lo, hi) of consecutive index blocks of at most _CHUNK."""
+    for lo in range(0, size, _CHUNK):
+        yield lo, min(lo + _CHUNK, size)
+
+
+def _prefix_length(block: np.ndarray, threshold: float, side: str = "left") -> int:
+    """Length of the prefix of a non-increasing block whose values are at
+    least threshold (side "left") or above it (side "right"); it searches
+    the ascending reversed view, which copies nothing."""
+    return block.size - int(np.searchsorted(block[::-1], threshold, side=side))
 
 
 def _dot(block: np.ndarray, v: np.ndarray) -> float:
@@ -79,29 +98,29 @@ def _dot(block: np.ndarray, v: np.ndarray) -> float:
     return float(np.einsum("i,i->", block, v))
 
 
-def _rank_weighted_sums(probs: np.ndarray, fn, step: int = _BUILD_STEP,
+def _rank_weighted_sums(dist: AdviceDistribution, fn, step: int = _BUILD_STEP,
                         workers: int = 1, extra=None) -> list[float]:
     """Column sums of the per-block partial sums that fn returns.
 
-    fn(block, first, worker) gets one block of at most step probs, the
-    1-based rank of its first element and the index of its thread, and
-    returns one partial sum per column.  If extra is given,
-    extra.partials(block, first) appends more columns, whose sums go to
-    extra.sums.  Worker w takes every workers-th block from block w.  Each
-    column is combined with math.fsum, which is correctly rounded in any
-    order, so the sums do not depend on workers.
+    fn(block, ranks, worker) gets the probabilities of one block of at most
+    step ranks, those 1-based ranks as floats and the index of its thread,
+    and returns one partial sum per column.  If extra is given,
+    extra.partials(block, ranks) appends more columns, whose sums go to
+    extra.sums.  Worker w takes every workers-th block from block w, made
+    by dist._stream in scratch of its own: fn and then extra.partials may
+    overwrite ranks, and nothing of size n is allocated.  Each column is
+    combined with math.fsum, which is correctly rounded in any order, so
+    the sums do not depend on workers.
     """
-    starts = range(0, probs.size, step)
     stop = threading.Event()
 
     def reduce(worker: int) -> list[tuple[float, ...]]:
         rows = []
-        for lo in starts[worker::workers]:
+        for _, ranks, block in dist._stream(step, worker, workers):
             if stop.is_set():
                 break
-            block = probs[lo:lo + step]
-            row = tuple(fn(block, lo + 1, worker))
-            rows.append(row if extra is None else row + extra.partials(block, lo + 1))
+            row = tuple(fn(block, ranks, worker))
+            rows.append(row if extra is None else row + extra.partials(block, ranks))
         return rows
 
     if workers == 1:
@@ -138,15 +157,38 @@ def compensated_sum(values) -> float:
     return math.fsum(partials)
 
 
+def _pairwise_sum(leaf, lo: int, size: int) -> float:
+    """np.sum of the size values from index lo on, added as numpy adds them;
+    leaf(lo, size) returns np.sum of at most _BUILD_STEP of them.
+
+    numpy sums a contiguous float64 array pairwise: above 128 values it
+    splits them at half their count rounded down to a multiple of 8 and adds
+    the two halves' sums.  Replaying that split above _BUILD_STEP values
+    gives the same bits without the values ever existing at once.
+    """
+    if size <= _BUILD_STEP:
+        return leaf(lo, size)
+    half = size // 2 - size // 2 % 8
+    return _pairwise_sum(leaf, lo, half) + _pairwise_sum(leaf, lo + half, size - half)
+
+
 def power_law_alpha(n: int, k: float) -> float:
     """Normalizing constant alpha with sum_{x=1..n} alpha*x^k = 1.
 
-    Direct summation of x^k streamed in blocks; no closed-form/integral
-    shortcut, so the value is the one make_power_law's probabilities use.
+    Direct summation of x^k, no closed-form/integral shortcut: bit for bit
+    1 / compensated_sum(x^k for x = 1..n), with x^k made _BUILD_STEP ranks
+    at a time into one reused buffer.
     """
     _check_power_law_params(n, k)
-    return 1.0 / compensated_sum(np.arange(lo + 1, hi + 1, dtype=np.float64) ** k
-                                 for lo, hi in _blocks(n))
+    k = float(k)
+    base = np.arange(min(n, _BUILD_STEP), dtype=np.float64)
+    ranks, values = np.empty((2, base.size))
+
+    def leaf(lo: int, size: int) -> float:
+        np.power(np.add(base[:size], lo + 1, out=ranks[:size]), k, out=values[:size])
+        return float(np.sum(values[:size]))
+
+    return 1.0 / math.fsum(_pairwise_sum(leaf, lo, hi - lo) for lo, hi in _blocks(n))
 
 
 @dataclass(frozen=True)
@@ -173,18 +215,33 @@ class PowerLawSpec:
 class AdviceDistribution:
     """A prior over {1..n}, sorted non-increasing, with sampling support.
 
-    perm=None means the advice is already in rank order: the identity
-    permutation is then built only when read (exact rows and Monte Carlo
-    never read it).
+    A power law (power_law given, probs None) is streamed: each walk makes
+    its blocks alpha * x^k from their ranks, the elementwise operations
+    that would build probs, so exact rows allocate nothing of size n.  probs
+    is built, with the same bits, only when read (statevector checks,
+    validate() and tests); Monte Carlo builds only the cdf.  perm=None means
+    the advice is already in rank order: the identity permutation is then
+    built only when read (exact rows and Monte Carlo never read it).
     """
 
-    def __init__(self, n: int, probs: np.ndarray, perm: np.ndarray | None = None,
-                 power_law: PowerLawSpec | None = None):
+    def __init__(self, n: int, probs: np.ndarray | None = None,
+                 perm: np.ndarray | None = None, power_law: PowerLawSpec | None = None):
         self.n = n
-        self.probs = probs
         self.power_law = power_law
+        self._probs = probs
         self._perm = perm
         self._cdf: np.ndarray | None = None
+        self._support: int | None = None
+
+    @property
+    def probs(self) -> np.ndarray:
+        """Probability of each sorted rank."""
+        if self._probs is None:
+            probs = np.empty(self.n)
+            for lo, _, block in self._stream():
+                probs[lo:lo + block.size] = block
+            self._probs = probs
+        return self._probs
 
     @property
     def perm(self) -> np.ndarray:
@@ -194,29 +251,63 @@ class AdviceDistribution:
                                    dtype=np.int32 if self.n < 2**31 else np.int64)
         return self._perm
 
+    def _stream(self, step: int = _BUILD_STEP, offset: int = 0, stride: int = 1):
+        """Yield (lo, ranks, block) for blocks offset, offset + stride, ... of
+        step ranks (the last may be shorter): the 1-based ranks lo + 1, ...
+        as floats, and their probabilities, for a power law made in scratch
+        as np.power(ranks, k) * alpha, otherwise a slice of probs.  Scratch
+        is allocated once per call; each yield rewrites it."""
+        base = np.arange(min(step, self.n), dtype=np.float64)
+        scratch = np.empty((1 if self.power_law is None else 2, base.size))
+        for lo in range(offset * step, self.n, stride * step):
+            size = min(step, self.n - lo)
+            ranks = np.add(base[:size], lo + 1, out=scratch[0, :size])
+            if self.power_law is None:
+                block = self._probs[lo:lo + size]
+            else:
+                block = np.power(ranks, self.power_law.k, out=scratch[1, :size])
+                block *= self.power_law.alpha
+            yield lo, ranks, block
+
+    def _probs_at(self, ranks: np.ndarray) -> np.ndarray:
+        """Probabilities of the 1-based integer ranks, the same bits as
+        probs[ranks - 1], without building a power law's probs."""
+        if self.power_law is None:
+            return self._probs[ranks - 1]
+        return np.power(ranks.astype(np.float64), self.power_law.k) * self.power_law.alpha
+
     @property
     def cdf(self) -> np.ndarray:
-        """Prefix sums of probs, built lazily (exact-mode runs never need it)."""
+        """Prefix sums of probs, the bits of np.cumsum(probs), built lazily
+        block by block (exact-mode runs never need it); the same pass
+        counts the support."""
         if self._cdf is None:
-            self._cdf = np.cumsum(self.probs)
+            cdf, carry, support = np.empty(self.n), 0.0, 0
+            for lo, _, block in self._stream():
+                support += _prefix_length(block, 0.0, "right")
+                out = cdf[lo:lo + block.size]
+                out[...] = block
+                out[0] += carry   # the running sum enters each block's first term
+                carry = np.cumsum(out, out=out)[-1]
+            self._cdf, self._support = cdf, support
         return self._cdf
 
     def prob(self, rank: int) -> float:
         """Probability of the element at sorted rank (1-based)."""
         if not 1 <= rank <= self.n:
             raise ParameterError(f"rank {rank} outside 1..{self.n}")
-        return float(self.probs[rank - 1])
-
-    # probs is sorted non-increasing, so both counts below are prefixes; they
-    # search the ascending reversed view, which copies nothing.
+        return float(self._probs_at(np.array([rank]))[0])
 
     def support_size(self) -> int:
         """Number of ranks with positive probability."""
-        return self.n - int(np.searchsorted(self.probs[::-1], 0.0, side="right"))
+        if self._support is None:
+            self._support = sum(_prefix_length(block, 0.0, "right")
+                                for _, _, block in self._stream())
+        return self._support
 
     def x0_threshold(self) -> int:
         """Largest sorted rank with p_x >= 1/n, or 0 if none."""
-        return self.n - int(np.searchsorted(self.probs[::-1], 1.0 / self.n, side="left"))
+        return sum(_prefix_length(block, 1.0 / self.n) for _, _, block in self._stream())
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Draw sorted-rank indices ~ probs (never a zero-probability rank)."""
@@ -251,22 +342,20 @@ def _check_power_law_params(n, k) -> None:
     k = float(k)
     if math.isnan(k) or math.isinf(k) or k >= 0.0:
         raise ParameterError(f"power-law exponent must be finite and < 0, got {k}")
+    # exact rows stream the probabilities, but Monte Carlo's cdf and
+    # validate() hold n of them, and a walk over more ranks than memory
+    # holds would run for days: such an n is refused at once
+    if 8 * n > _physical_memory():
+        raise ParameterError(f"n = {n} needs {8 * n} bytes for its probabilities, "
+                             f"more than this machine's {_physical_memory()}")
 
 
 def make_power_law(n: int, k: float) -> AdviceDistribution:
-    """Power-law advice p_x = alpha * x^k on {1..n}, k < 0 (already sorted)."""
+    """Power-law advice p_x = alpha * x^k on {1..n}, k < 0 (already sorted),
+    streamed: it holds alpha, not probs."""
     _check_power_law_params(n, k)
     k = float(k)
-    # x^k written in place block by block: bit-identical to the whole-array
-    # power, with no n-sized rank temporary
-    probs = np.empty(n, dtype=np.float64)
-    for lo, hi in _blocks(n, _BUILD_STEP):
-        np.power(np.arange(lo + 1, hi + 1, dtype=np.float64), k, out=probs[lo:hi])
-    # the blocks and sums of power_law_alpha, on the array already built
-    alpha = 1.0 / compensated_sum(probs)
-    probs *= alpha
-    return AdviceDistribution(n=n, probs=probs,
-                              power_law=PowerLawSpec(n=n, k=k, alpha=alpha))
+    return AdviceDistribution(n=n, power_law=PowerLawSpec(n=n, k=k, alpha=power_law_alpha(n, k)))
 
 
 def make_explicit(weights) -> AdviceDistribution:

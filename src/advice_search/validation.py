@@ -156,7 +156,7 @@ def _rank_ceilings(dist, ranks) -> np.ndarray:
     """Ceiling min(83/sqrt(p_x) + 4/3, 53 sqrt(n)) on each oracle's expected
     count in the sample-and-amplify search (default ratio) at each rank x."""
     with np.errstate(divide="ignore"):
-        high = bounds.HIGH_PRIOR_COEFF / np.sqrt(dist.probs[np.asarray(ranks) - 1])
+        high = bounds.HIGH_PRIOR_COEFF / np.sqrt(dist._probs_at(np.asarray(ranks)))
     return np.minimum(high + bounds.UNKNOWN_OFFSET, bounds.FALLBACK_COEFF * math.sqrt(dist.n))
 
 

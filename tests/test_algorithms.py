@@ -40,7 +40,9 @@ from advice_search.algorithms import (
     _round_sizes,
     _trial_seed,
 )
+from advice_search.distributions import _BUILD_STEP
 from advice_search.rotation import DEGENERATE_TOL
+from advice_search.sweep import SweepSpec, run_point
 
 from reference import (
     ref_amplify_expected_whole,
@@ -82,6 +84,25 @@ def test_classical_expected_weighted():
 def test_classical_sampling_expected():
     assert classical_sampling_expected(make_explicit([2.0, 1.0, 1.0])) == 3.0
     assert math.isinf(classical_sampling_expected(make_explicit([1.0, 0.0])))
+
+
+def test_classical_row_holds_no_n_vector():
+    # build plus the exact classical row: alpha's pass and the walk each
+    # hold a base range, ranks and one block of 2^16 ranks, whatever n is
+    n = 2**22 + 3
+    tracemalloc.start()
+    try:
+        dist = make_power_law(n, -0.75)
+        live, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        classical_expected(dist)
+        _, walk_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(peak, walk_peak) < 3 * 8 * _BUILD_STEP + 2**20, (peak, walk_peak)
+    # the walk allocates its scratch and no per-block temporaries
+    assert walk_peak - live < 3 * 8 * _BUILD_STEP + 2**16, walk_peak - live
+    assert dist._probs is None
 
 
 # ---------------------------------------------------------------------------
@@ -556,16 +577,26 @@ def _mu_with_workers(monkeypatch, dist, workers):
     return unknown_expected_mu(dist).means()
 
 
+def _row_with_workers(monkeypatch, k, workers):
+    monkeypatch.setattr(algorithms, "_kernel_workers", lambda: workers)
+    return run_point(SweepSpec(dist_cfg={"kind": "powerlaw", "n": _MU_N, "k": k},
+                               model="unknown"))
+
+
 @pytest.mark.parametrize("k", _MU_KS)
 def test_unknown_expected_mu_same_for_any_worker_count(monkeypatch, k):
     d = make_power_law(_MU_N, k)
     serial = _mu_with_workers(monkeypatch, d, 1)
+    serial_row = _row_with_workers(monkeypatch, k, 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)   # switch threads as often as possible
     try:
         # more workers than CPUs, and than sub-blocks
         for workers in (2, 3, 8):
             assert _mu_with_workers(monkeypatch, d, workers) == serial, workers
+        # a whole row, whose bound columns ride on the kernel's threads with
+        # per-worker scratch
+        assert _row_with_workers(monkeypatch, k, 2) == serial_row
     finally:
         sys.setswitchinterval(interval)
 
@@ -591,9 +622,10 @@ def test_unknown_expected_mu_near_whole_block_dots(k):
 
 
 @pytest.mark.parametrize("workers", (1, 2))
-def test_oracle_only_row_holds_one_n_vector(monkeypatch, workers):
-    # build, kernel and both bounds of an oracle-only row: probs plus about
-    # 1.2 MB of scratch per worker, nothing else of size n
+def test_oracle_only_row_holds_no_n_vector(monkeypatch, workers):
+    # build, kernel and both bounds of an oracle-only row: per worker, the
+    # kernel's scratch and the walk's base range, ranks and block of one
+    # sub-block (1.5 MB), and nothing of size n
     monkeypatch.setattr(algorithms, "_kernel_workers", lambda: workers)
     n = 2**20 + 3
     tracemalloc.start()
@@ -605,7 +637,22 @@ def test_oracle_only_row_holds_one_n_vector(monkeypatch, workers):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * n + (workers + 1) * 2**20, peak
+    assert peak < workers * 8 * (_SCRATCH_ROWS + 3) * _SUB_BLOCK + 2**20, peak
+    assert dist._probs is None
+
+
+def test_monte_carlo_row_holds_one_n_vector():
+    # a geometric Monte Carlo row of a power law builds its cdf block by
+    # block: the cdf is its only array of size n
+    n = 2**22 + 3
+    tracemalloc.start()
+    try:
+        run_point(SweepSpec(dist_cfg={"kind": "powerlaw", "n": n, "k": -0.75},
+                            model="geometric", mode="monte_carlo", trials=2000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n + 2 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------

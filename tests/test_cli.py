@@ -323,6 +323,38 @@ def test_python_dash_m_entry_point(run_cfg):
     assert proc.stdout.startswith(",".join(HEADER))
 
 
+_RSS_SCRIPT = """
+import resource, sys
+from advice_search.cli import main
+for cfg in sys.argv[1:]:
+    if main(["run", cfg]) != 0:
+        raise SystemExit(1)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_exact_scan_runs_at_2_26_fit_in_200_mb(tmp_path):
+    # a fresh process runs an exact classical and geometric row at n = 2^26:
+    # a streamed power law holds no array of size n (probs alone would be
+    # 512 MB), so the process peak stays near the interpreter's own
+    configs = [_write_cfg(tmp_path / f"{model}.json",
+                          {"dist": {"kind": "powerlaw", "n": 2**26, "k": -0.75},
+                           "model": model})
+               for model in ("classical", "geometric")]
+    package_root = os.path.dirname(os.path.dirname(advice_search.bounds.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _RSS_SCRIPT, *configs],
+                          capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert sum(line.startswith("67108864,") for line in lines) == 2, lines
+    peak_mb = int(lines[-1]) / 1024
+    assert peak_mb < 200, peak_mb
+
+
 def test_invalid_param_exit_code_matches_cli_contract(tmp_path):
     # trials of zero is a range problem, not a structural one
     cfg = _write_cfg(tmp_path / "t.json",

@@ -18,7 +18,7 @@ from advice_search import (
     make_power_law,
     power_law_alpha,
 )
-from advice_search.distributions import _rank_weighted_sums
+from advice_search.distributions import _BUILD_STEP, _pairwise_sum, _rank_weighted_sums
 
 from reference import ref_alpha, ref_power_probs, ref_sorted_probs, ref_x0
 
@@ -42,14 +42,37 @@ def test_power_law_alpha_matches_reference():
 
 
 def test_built_alpha_is_power_law_alpha():
-    # every golden and benchmark grid point, n = 1, and sizes that end
-    # inside a 2^22-element summation block
+    # the streamed alpha has the bits of one over the compensated sum of the
+    # whole x^k array, at every golden and benchmark grid point, n = 1, and
+    # sizes that end inside a 2^22-element summation block
     points = {(2**e, k) for e in range(10, 25, 2) for k in (-0.75, -1.75, -2.5)}
     points |= {(n, k) for n in (16, 64, 256) for k in (-0.75, -2.5)}
     points |= {(200, -1.25), (5_000_001, -2.5), (2**23 + 3, -1.25),
-               (1, -0.75), (1, -2.5)}
+               (3 * 2**22 + 12_345, -1.75), (65_537, -1.0), (1, -0.75), (1, -2.5)}
     for n, k in sorted(points):
-        assert make_power_law(n, k).power_law.alpha == power_law_alpha(n, k), (n, k)
+        powers = np.arange(1, n + 1, dtype=np.float64)
+        alpha = 1.0 / compensated_sum(np.power(powers, k, out=powers))
+        assert power_law_alpha(n, k) == alpha, (n, k)
+        assert make_power_law(n, k).power_law.alpha == alpha, (n, k)
+
+
+@pytest.mark.parametrize("size", (2**16, 2**16 + 1, 2**17 + 12_345, 3 * 2**20 + 7, 2**22))
+def test_pairwise_sum_replays_numpy_sum(size):
+    # power_law_alpha relies on numpy's pairwise split: a numpy release that
+    # sums in another order must fail here rather than move alpha silently.
+    # The sizes straddle the leaf and split at counts that are not
+    # multiples of 8.
+    values = np.random.default_rng(size).standard_normal(size)
+    values *= 10.0 ** np.random.default_rng(size + 1).uniform(-3, 3, size)
+    leaves = []
+
+    def leaf(lo, count):
+        assert count <= _BUILD_STEP
+        leaves.append(count)
+        return float(np.sum(values[lo:lo + count]))
+
+    assert _pairwise_sum(leaf, 0, size) == float(np.sum(values))
+    assert sum(leaves) == size
 
 
 def test_power_law_build_is_whole_array_power():
@@ -60,6 +83,38 @@ def test_power_law_build_is_whole_array_power():
         assert np.array_equal(d.probs, np.arange(1, n + 1) ** k * d.power_law.alpha)
         assert np.array_equal(d.perm, np.arange(1, n + 1))
         d.validate()
+
+
+@pytest.mark.parametrize("step", (2**14, 2**16))
+def test_streamed_blocks_are_probs_slices(step):
+    # each walk block of a power law, made from its ranks, has the bits of
+    # the same slice of probs, for either worker of a two-worker walk
+    n = 3 * step + 12_345
+    streamed, whole = make_power_law(n, -1.75), make_power_law(n, -1.75)
+    seen = []
+    for worker in (0, 1):
+        for lo, ranks, block in streamed._stream(step, worker, 2):
+            assert np.array_equal(ranks, np.arange(lo + 1, lo + block.size + 1))
+            assert np.array_equal(block, whole.probs[lo:lo + step]), lo
+            seen.append(lo)
+    assert sorted(seen) == list(range(0, n, step))
+    assert streamed._probs is None
+
+
+def test_power_law_lookups_match_probs():
+    # probabilities of gathered ranks, prob, the support count and the
+    # blockwise cdf have the bits that the built probs would give
+    n = 2**17 + 7
+    for k in (-0.75, -2.5, -80.0):   # at -80 ranks above ~11,000 underflow to 0
+        d, ref = make_power_law(n, k), make_power_law(n, k).probs
+        assert (np.count_nonzero(ref) < n) == (k == -80.0)
+        ranks = np.random.default_rng(1).integers(1, n + 1, size=5000)
+        assert np.array_equal(d._probs_at(ranks), ref[ranks - 1])
+        assert all(d.prob(int(r)) == ref[r - 1] for r in ranks[:50])
+        assert np.array_equal(d.cdf, np.cumsum(ref))
+        assert d.support_size() == np.count_nonzero(ref) == make_power_law(n, k).support_size()
+        assert d.x0_threshold() == np.count_nonzero(ref >= 1.0 / n)
+        assert d._probs is None
 
 
 def test_alpha_integral_bracket():
@@ -273,7 +328,7 @@ def test_rank_weighted_sums_stops_workers_after_a_failure():
         return (block,)
 
     with pytest.raises(RuntimeError, match="boom"):
-        _rank_weighted_sums(np.ones(200 * 16), fn, step=16, workers=2)
+        _rank_weighted_sums(make_explicit(np.ones(200 * 16)), fn, step=16, workers=2)
     assert len(calls) < 50, len(calls)
 
 

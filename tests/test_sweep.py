@@ -99,15 +99,15 @@ def _record_walks(monkeypatch):
     walks = []
     walk = distributions._rank_weighted_sums
 
-    def recording(probs, fn, step=distributions._BUILD_STEP, workers=1, extra=None):
+    def recording(dist, fn, step=distributions._BUILD_STEP, workers=1, extra=None):
         firsts = []
 
-        def visit(block, first, worker):
-            firsts.append(first)
-            return fn(block, first, worker)
+        def visit(block, ranks, worker):
+            firsts.append(int(ranks[0]))
+            return fn(block, ranks, worker)
 
         walks.append((step, firsts))
-        return walk(probs, visit, step, workers, extra)
+        return walk(dist, visit, step, workers, extra)
 
     for module in (distributions, algorithms, bounds):
         monkeypatch.setattr(module, "_rank_weighted_sums", recording)
