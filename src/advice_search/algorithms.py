@@ -105,8 +105,6 @@ class ExpectationReport:
     o_mu_stderr: float
     o_mu_inv_mean: float
     o_mu_inv_stderr: float
-    method: str
-    trials: int = 0
 
     def means(self) -> tuple[float, float, float]:
         return (self.f_mean, self.o_mu_mean, self.o_mu_inv_mean)
@@ -116,7 +114,7 @@ class ExpectationReport:
 
 
 def _exact_report(f: float, o_mu: float, o_mu_inv: float) -> ExpectationReport:
-    return ExpectationReport(f, 0.0, o_mu, 0.0, o_mu_inv, 0.0, method="exact")
+    return ExpectationReport(f, 0.0, o_mu, 0.0, o_mu_inv, 0.0)
 
 
 def _check_rank(dist: AdviceDistribution, marked_rank: int) -> None:
@@ -479,4 +477,4 @@ def monte_carlo(algorithm: str, dist: AdviceDistribution, trials: int, seed: int
     for values in (f, o_mu, inv):
         err = float(np.std(values, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
         stats += [float(np.mean(values)), err]
-    return ExpectationReport(*stats, method="monte_carlo", trials=int(trials))
+    return ExpectationReport(*stats)

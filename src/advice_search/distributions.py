@@ -34,14 +34,11 @@ __all__ = [
 # the probabilities are a distribution up to this tolerance.
 PROB_SUM_TOL = 1e-12
 
-# Block length of compensated_sum; block partials are combined exactly with
-# math.fsum.  Power-law alpha is such a sum, so its bits depend on this length.
-_CHUNK = 1 << 22
-
-# Block length of the power-law passes and of the rank-weighted sums: a
-# walk's reused ranks and block (512 KB each) stay in cache, so making x^k
-# twice, once for alpha and once per walk, costs less than one pass over an
-# n-sized array.
+# The one block length of every sum (np.sum of each block, the block sums
+# combined exactly with math.fsum, so alpha's bits depend on it) and of
+# every walk.  A walk's reused ranks and block (512 KB each) stay in cache,
+# so making x^k twice, for alpha and per walk, costs less than one pass
+# over an n-sized array.
 _BUILD_STEP = 1 << 16
 
 # Longest float64 array numpy can address: its byte size must fit in intp.
@@ -78,12 +75,6 @@ def _check_length(value, what: str):
         raise ParameterError(f"{what} = {value} is beyond the address space "
                              f"(at most {_MAX_LEN} float64 elements)")
     return value
-
-
-def _blocks(size: int):
-    """Bounds [lo, hi) of consecutive index blocks of at most _CHUNK."""
-    for lo in range(0, size, _CHUNK):
-        yield lo, min(lo + _CHUNK, size)
 
 
 def _prefix_length(block: np.ndarray, threshold: float, side: str = "left") -> int:
@@ -142,53 +133,28 @@ def _rank_weighted_sums(dist: AdviceDistribution, fn, step: int = _BUILD_STEP,
 
 
 def compensated_sum(values) -> float:
-    """Sum floats with an error-free top-level accumulation.
-
-    Chunks are reduced pairwise by numpy; chunk partials are then combined
-    exactly with math.fsum, so long inputs (n up to 2**30) do not drift.
-    Accepts an array or an iterable of arrays (streamed, constant memory).
-    """
-    if isinstance(values, np.ndarray):
-        values = (values,)
-    partials = []
-    for block in values:
-        flat = np.asarray(block, dtype=np.float64).ravel()
-        partials.extend(float(np.sum(flat[lo:hi])) for lo, hi in _blocks(flat.size))
-    return math.fsum(partials)
-
-
-def _pairwise_sum(leaf, lo: int, size: int) -> float:
-    """np.sum of the size values from index lo on, added as numpy adds them;
-    leaf(lo, size) returns np.sum of at most _BUILD_STEP of them.
-
-    numpy sums a contiguous float64 array pairwise: above 128 values it
-    splits them at half their count rounded down to a multiple of 8 and adds
-    the two halves' sums.  Replaying that split above _BUILD_STEP values
-    gives the same bits without the values ever existing at once.
-    """
-    if size <= _BUILD_STEP:
-        return leaf(lo, size)
-    half = size // 2 - size // 2 % 8
-    return _pairwise_sum(leaf, lo, half) + _pairwise_sum(leaf, lo + half, size - half)
+    """Sum an array: np.sum of each _BUILD_STEP block, the block sums combined
+    exactly with math.fsum, so long inputs (n up to 2**30) do not drift."""
+    flat = np.asarray(values, dtype=np.float64).ravel()
+    return math.fsum(float(np.sum(flat[lo:lo + _BUILD_STEP]))
+                     for lo in range(0, flat.size, _BUILD_STEP))
 
 
 def power_law_alpha(n: int, k: float) -> float:
     """Normalizing constant alpha with sum_{x=1..n} alpha*x^k = 1.
 
     Direct summation of x^k, no closed-form/integral shortcut: bit for bit
-    1 / compensated_sum(x^k for x = 1..n), with x^k made _BUILD_STEP ranks
-    at a time into one reused buffer.
+    1 / compensated_sum(x^k for x = 1..n), with x^k made one _BUILD_STEP
+    block at a time into one reused buffer.
     """
     _check_power_law_params(n, k)
-    k = float(k)
     base = np.arange(min(n, _BUILD_STEP), dtype=np.float64)
-    ranks, values = np.empty((2, base.size))
-
-    def leaf(lo: int, size: int) -> float:
-        np.power(np.add(base[:size], lo + 1, out=ranks[:size]), k, out=values[:size])
-        return float(np.sum(values[:size]))
-
-    return 1.0 / math.fsum(_pairwise_sum(leaf, lo, hi - lo) for lo, hi in _blocks(n))
+    values, sums = np.empty(base.size), []
+    for lo in range(0, n, _BUILD_STEP):
+        block = values[:min(_BUILD_STEP, n - lo)]
+        np.power(np.add(base[:block.size], lo + 1, out=block), float(k), out=block)
+        sums.append(float(np.sum(block)))
+    return 1.0 / math.fsum(sums)
 
 
 @dataclass(frozen=True)
@@ -353,9 +319,8 @@ def _check_power_law_params(n, k) -> None:
 def make_power_law(n: int, k: float) -> AdviceDistribution:
     """Power-law advice p_x = alpha * x^k on {1..n}, k < 0 (already sorted),
     streamed: it holds alpha, not probs."""
-    _check_power_law_params(n, k)
-    k = float(k)
-    return AdviceDistribution(n=n, power_law=PowerLawSpec(n=n, k=k, alpha=power_law_alpha(n, k)))
+    alpha = power_law_alpha(n, k)   # which checks n and k
+    return AdviceDistribution(n=n, power_law=PowerLawSpec(n=n, k=float(k), alpha=alpha))
 
 
 def make_explicit(weights) -> AdviceDistribution:
@@ -385,6 +350,13 @@ def make_explicit(weights) -> AdviceDistribution:
     return AdviceDistribution(n=int(w.size), probs=probs, perm=perm)
 
 
+def _dist_kind(cfg: dict) -> str:
+    """cfg["kind"] if dist_from_config builds that kind, else ConfigError."""
+    if cfg.get("kind") not in ("powerlaw", "explicit"):
+        raise ConfigError(f"unknown dist kind {cfg.get('kind')!r}")
+    return cfg["kind"]
+
+
 def dist_from_config(cfg: dict) -> AdviceDistribution:
     """Build a distribution from the config mapping.
 
@@ -393,22 +365,19 @@ def dist_from_config(cfg: dict) -> AdviceDistribution:
     """
     if not isinstance(cfg, dict):
         raise ConfigError(f"dist config must be a mapping, got {type(cfg).__name__}")
-    kind = cfg.get("kind")
-    if kind == "powerlaw":
+    if _dist_kind(cfg) == "powerlaw":
         extra = set(cfg) - {"kind", "n", "k"}
         if extra:
             raise ConfigError(f"unknown powerlaw keys: {sorted(extra)}")
         if "n" not in cfg or "k" not in cfg:
             raise ConfigError("powerlaw dist needs 'n' and 'k'")
         return make_power_law(cfg["n"], cfg["k"])
-    if kind == "explicit":
-        extra = set(cfg) - {"kind", "weights"}
-        if extra:
-            raise ConfigError(f"unknown explicit keys: {sorted(extra)}")
-        if "weights" not in cfg or not isinstance(cfg["weights"], (list, tuple)):
-            raise ConfigError("explicit dist needs a 'weights' list")
-        for w in cfg["weights"]:
-            if isinstance(w, bool) or not isinstance(w, (int, float)):
-                raise ConfigError(f"weights must be numbers, got {w!r}")
-        return make_explicit(cfg["weights"])
-    raise ConfigError(f"unknown dist kind {kind!r}")
+    extra = set(cfg) - {"kind", "weights"}
+    if extra:
+        raise ConfigError(f"unknown explicit keys: {sorted(extra)}")
+    if "weights" not in cfg or not isinstance(cfg["weights"], (list, tuple)):
+        raise ConfigError("explicit dist needs a 'weights' list")
+    for w in cfg["weights"]:
+        if isinstance(w, bool) or not isinstance(w, (int, float)):
+            raise ConfigError(f"weights must be numbers, got {w!r}")
+    return make_explicit(cfg["weights"])

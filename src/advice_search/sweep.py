@@ -19,6 +19,7 @@ from .distributions import (
     ConfigError,
     ParameterError,
     _check_length,
+    _dist_kind,
     dist_from_config,
 )
 
@@ -159,7 +160,7 @@ class SweepSpec:
                 _check_length(v, "n_grid entry")
             if any(b <= a for a, b in zip(raw, raw[1:])):
                 raise ParameterError(f"n_grid must be strictly increasing: {raw}")
-            if merged["dist"].get("kind") != "powerlaw":
+            if _dist_kind(merged["dist"]) != "powerlaw":
                 raise ParameterError("sweeps need a powerlaw dist (explicit weights fix n)")
             grid = tuple(raw)
 

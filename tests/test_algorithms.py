@@ -87,8 +87,8 @@ def test_classical_sampling_expected():
 
 
 def test_classical_row_holds_no_n_vector():
-    # build plus the exact classical row: alpha's pass and the walk each
-    # hold a base range, ranks and one block of 2^16 ranks, whatever n is
+    # build plus the exact classical row: alpha's pass holds a base range
+    # and one block of 2^16 ranks, the walk those and the ranks, whatever n is
     n = 2**22 + 3
     tracemalloc.start()
     try:
@@ -711,4 +711,3 @@ def test_monte_carlo_single_trial_has_zero_stderr():
     d = make_explicit([1.0, 1.0])
     mc = monte_carlo("classical", d, 1, seed=0)
     assert mc.f_stderr == 0.0
-    assert mc.trials == 1

@@ -77,9 +77,9 @@ def test_geometric_upper_formula():
 
 
 def test_geometric_row_holds_no_n_vector():
-    # build plus the exact geometric row and its bounds: alpha's pass and
-    # each walk hold a base range, ranks and one block of 2^16 ranks, whatever
-    # n is, and the bound columns root the walk's ranks in place
+    # build plus the exact geometric row and its bounds: alpha's pass holds
+    # a base range and one block of 2^16 ranks, each walk those and the
+    # ranks, whatever n is, and the bound columns root the walk's ranks in place
     n = 2**22 + 3
     tracemalloc.start()
     try:

@@ -115,6 +115,14 @@ def test_exit_code_malformed_config(tmp_path, capsys):
 
     assert main(["run", str(tmp_path / "does-not-exist.json")]) == 2
 
+    # a dist with an unknown or missing kind is malformed in a sweep as in a
+    # run (an explicit dist in a sweep is a parameter error, exit 3)
+    for dist in ({"kind": "gaussian", "k": -1.0}, {"k": -1.0}):
+        cfg = {"dist": dist, "model": "unknown"}
+        assert main(["run", _write_cfg(tmp_path / "r.json", cfg)]) == 2
+        cfg["n_grid"] = [4, 8, 16]
+        assert main(["sweep", _write_cfg(tmp_path / "s.json", cfg)]) == 2
+
     # a weight that is not a JSON number is malformed, not a numpy traceback
     # and not parsed: "1" is not 1, true is not 1, null is not NaN
     for weights in (["a", 1], [[1, 2], [3]], [{"w": 1}, 1], ["1", 2], [True, 1],

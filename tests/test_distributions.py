@@ -18,7 +18,7 @@ from advice_search import (
     make_power_law,
     power_law_alpha,
 )
-from advice_search.distributions import _BUILD_STEP, _pairwise_sum, _rank_weighted_sums
+from advice_search.distributions import _BUILD_STEP, _rank_weighted_sums
 
 from reference import ref_alpha, ref_power_probs, ref_sorted_probs, ref_x0
 
@@ -44,11 +44,12 @@ def test_power_law_alpha_matches_reference():
 def test_built_alpha_is_power_law_alpha():
     # the streamed alpha has the bits of one over the compensated sum of the
     # whole x^k array, at every golden and benchmark grid point, n = 1, and
-    # sizes that end inside a 2^22-element summation block
+    # sizes that end one short of, one past or inside a 2^16-element block
     points = {(2**e, k) for e in range(10, 25, 2) for k in (-0.75, -1.75, -2.5)}
     points |= {(n, k) for n in (16, 64, 256) for k in (-0.75, -2.5)}
     points |= {(200, -1.25), (5_000_001, -2.5), (2**23 + 3, -1.25),
-               (3 * 2**22 + 12_345, -1.75), (65_537, -1.0), (1, -0.75), (1, -2.5)}
+               (3 * 2**22 + 12_345, -1.75), (65_535, -0.75), (65_537, -1.0),
+               (131_073, -1.75), (1, -0.75), (1, -2.5)}
     for n, k in sorted(points):
         powers = np.arange(1, n + 1, dtype=np.float64)
         alpha = 1.0 / compensated_sum(np.power(powers, k, out=powers))
@@ -56,28 +57,8 @@ def test_built_alpha_is_power_law_alpha():
         assert make_power_law(n, k).power_law.alpha == alpha, (n, k)
 
 
-@pytest.mark.parametrize("size", (2**16, 2**16 + 1, 2**17 + 12_345, 3 * 2**20 + 7, 2**22))
-def test_pairwise_sum_replays_numpy_sum(size):
-    # power_law_alpha relies on numpy's pairwise split: a numpy release that
-    # sums in another order must fail here rather than move alpha silently.
-    # The sizes straddle the leaf and split at counts that are not
-    # multiples of 8.
-    values = np.random.default_rng(size).standard_normal(size)
-    values *= 10.0 ** np.random.default_rng(size + 1).uniform(-3, 3, size)
-    leaves = []
-
-    def leaf(lo, count):
-        assert count <= _BUILD_STEP
-        leaves.append(count)
-        return float(np.sum(values[lo:lo + count]))
-
-    assert _pairwise_sum(leaf, 0, size) == float(np.sum(values))
-    assert sum(leaves) == size
-
-
 def test_power_law_build_is_whole_array_power():
-    # sizes that end inside both a 2^16-element build block and a 2^22-element
-    # summation block
+    # sizes that end inside a 2^16-element block
     for n, k in ((2**22 + 3, -1.25), (5_000_001, -2.5)):
         d = make_power_law(n, k)
         assert np.array_equal(d.probs, np.arange(1, n + 1) ** k * d.power_law.alpha)
@@ -307,9 +288,6 @@ def test_compensated_sum_accuracy():
     values = rng.uniform(0.0, 1.0, 200000) * 10.0 ** rng.integers(-8, 8, 200000)
     exact = math.fsum(values.tolist())
     assert math.isclose(compensated_sum(values), exact, rel_tol=1e-13)
-    # streamed (iterable-of-arrays) path agrees with the one-shot path
-    parts = [values[:777], values[777:50000], values[50000:]]
-    assert math.isclose(compensated_sum(parts), exact, rel_tol=1e-13)
 
 
 def test_rank_weighted_sums_stops_workers_after_a_failure():
