@@ -31,8 +31,9 @@ from .distributions import (
     AdviceDistribution,
     ConfigError,
     ParameterError,
+    _MAX_LEN,
     _check_int,
-    _check_length,
+    _check_real,
     _dot,
     _rank_weighted_sums,
 )
@@ -117,25 +118,12 @@ def _exact_report(f: float, o_mu: float, o_mu_inv: float) -> ExpectationReport:
     return ExpectationReport(f, 0.0, o_mu, 0.0, o_mu_inv, 0.0)
 
 
-def _check_rank(dist: AdviceDistribution, marked_rank: int) -> None:
-    if _check_int(marked_rank, "marked rank", 1) > dist.n:
-        raise ParameterError(f"marked rank {marked_rank} outside 1..{dist.n}")
-
-
 def _check_geometric_ratio(k: float) -> float:
-    k = float(k)
-    if not math.isfinite(k) or k <= 1.0:
-        raise ParameterError(f"block growth ratio must be finite and > 1, got {k}")
-    return k
+    return _check_real(k, "block growth ratio", 1.0)
 
 
 def _check_amplify_ratio(k: float) -> float:
-    k = float(k)
-    lo, hi = AMPLIFY_RATIO_BOUNDS
-    if not (lo < k < hi):
-        raise ParameterError(
-            f"iteration-budget ratio must lie in ({lo}, {hi:.4g}), got {k}")
-    return k
+    return _check_real(k, "iteration-budget ratio", *AMPLIFY_RATIO_BOUNDS)
 
 
 def _powers(k: float):
@@ -265,7 +253,7 @@ def unknown_search(dist: AdviceDistribution, marked_rank: int,
     Rounds restart fresh.  If every round fails, a certainty search over
     the whole domain (f queries only) ends the run.
     """
-    _check_rank(dist, marked_rank)
+    _check_int(marked_rank, "marked rank", 1, dist.n)
     k = _check_amplify_ratio(k)
     p = dist.prob(marked_rank)
     theta = np.arcsin(np.sqrt(p))
@@ -380,7 +368,7 @@ def _amplify_sub_block(sub: np.ndarray, sizes: tuple[int, ...], fallback: float,
 def unknown_expected_exact(dist: AdviceDistribution, marked_rank: int,
                            k: float = DEFAULT_AMPLIFY_RATIO) -> ExpectationReport:
     """Exact per-oracle expected costs for one fixed marked rank."""
-    _check_rank(dist, marked_rank)
+    _check_int(marked_rank, "marked rank", 1, dist.n)
     k = _check_amplify_ratio(k)
     f, o_mu, inv = _amplify_sub_block(np.array([dist.prob(marked_rank)]), _round_sizes(dist.n, k),
                                       float(exact_grover_queries(dist.n)),
@@ -460,7 +448,7 @@ def monte_carlo(algorithm: str, dist: AdviceDistribution, trials: int, seed: int
     one stream derived from (seed, j), so a result depends only on the
     seed, the trial count, the advice and the ratio.
     """
-    _check_length(trials, "trials")
+    _check_int(trials, "trials", 1, _MAX_LEN)
     ratio = _model_ratio(algorithm, k)
     ranks = dist.sample(_trial_seed(seed, 0), size=trials)
     f, o_mu, inv = np.zeros((3, trials))

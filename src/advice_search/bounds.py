@@ -15,6 +15,8 @@ import numpy as np
 from .distributions import (
     AdviceDistribution,
     ParameterError,
+    _check_int,
+    _check_real,
     _dot,
     _prefix_length,
     _rank_weighted_sums,
@@ -70,8 +72,7 @@ def las_vegas_report(n: int) -> LasVegasBound:
     success level p; the maximization is re-done numerically on a 1e-4
     grid rather than trusting the rounded closed-form constants.
     """
-    if n < 2:
-        raise ParameterError(f"n must be >= 2, got {n}")
+    _check_int(n, "n", 2)
     theta_n = math.asin(1.0 / math.sqrt(n))
     grid = np.arange(_GRID_STEP, 1.0, _GRID_STEP)
     values = (1.0 - grid) * (np.arcsin(np.sqrt(grid)) / (2.0 * theta_n) - 0.5)
@@ -150,41 +151,26 @@ class ScalingClass:
     log_exponent: int = 0
 
 
+# Per model: the exponent g(k) before clipping to [0, top], the cap top, and
+# the k where g meets the cap (a 1/log n factor there) and where g reaches
+# 0 (a log n factor there).
+_POWERLAW_GROWTH = {
+    "classical": (lambda k: k + 2.0, 1.0, -1.0, -2.0),
+    "geometric": (lambda k: k + 1.5, 0.5, -1.0, -1.5),
+    "unknown": (lambda k: -(0.5 + 1.0 / k), 0.5, None, -2.0),
+}
+
+
 def powerlaw_exponents(model: str, k: float) -> ScalingClass:
     """Expected-cost growth class for advice p_x ~ x^k (k < 0).
 
     model is one of 'classical' (sequential scan), 'geometric' (known-advice
-    block search), 'unknown' (oracle-only sample-and-amplify).
+    block search), 'unknown' (oracle-only sample-and-amplify).  The
+    exponent is min(top, max(0, g(k))) from the model's _POWERLAW_GROWTH row.
     """
-    k = float(k)
-    if not math.isfinite(k) or k >= 0.0:
-        raise ParameterError(f"power-law exponent must be finite and < 0, got {k}")
-    if model == "classical":
-        if k > -1.0:
-            return ScalingClass(1.0)
-        if k == -1.0:
-            return ScalingClass(1.0, -1)
-        if k > -2.0:
-            return ScalingClass(k + 2.0)
-        if k == -2.0:
-            return ScalingClass(0.0, 1)
-        return ScalingClass(0.0)
-    if model == "geometric":
-        if k > -1.0:
-            return ScalingClass(0.5)
-        if k == -1.0:
-            return ScalingClass(0.5, -1)
-        if k > -1.5:
-            return ScalingClass(k + 1.5)
-        if k == -1.5:
-            return ScalingClass(0.0, 1)
-        return ScalingClass(0.0)
-    if model == "unknown":
-        if k >= -1.0:
-            return ScalingClass(0.5)
-        if k > -2.0:
-            return ScalingClass(-(0.5 + 1.0 / k))
-        if k == -2.0:
-            return ScalingClass(0.0, 1)
-        return ScalingClass(0.0)
-    raise ParameterError(f"unknown model {model!r}")
+    k = _check_real(k, "power-law exponent k", hi=0.0)
+    if model not in _POWERLAW_GROWTH:
+        raise ParameterError(f"unknown model {model!r}")
+    growth, top, at_top, at_zero = _POWERLAW_GROWTH[model]
+    log_exponent = -1 if k == at_top else 1 if k == at_zero else 0
+    return ScalingClass(min(top, max(0.0, growth(k))), log_exponent)

@@ -17,7 +17,7 @@ import logging
 import sys
 
 from . import validation
-from .distributions import ConfigError, ParameterError, _check_length
+from .distributions import _MAX_LEN, ConfigError, ParameterError, _check_int
 from .sweep import (
     MODES,
     SweepSpec,
@@ -82,10 +82,10 @@ def _load_config(path: str) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path!r} is not UTF-8 text: {exc}") from exc
+    except ValueError as exc:   # bad JSON, or an integer literal too long for int()
+        raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     return cfg
@@ -117,8 +117,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    if args.drop < 0:
-        raise ParameterError("--drop must be non-negative")
+    _check_int(args.drop, "--drop", 0)
     rows = read_rows(args.csv)
     fits = fit_scaling(rows, drop_smallest=args.drop)
     lines = []
@@ -132,9 +131,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    _check_length(args.trials, "--trials")
-    if args.seed < 0:
-        raise ParameterError(f"--seed must be non-negative, got {args.seed}")
+    _check_int(args.trials, "--trials", 1, _MAX_LEN)
+    _check_int(args.seed, "--seed", 0)
     results = validation.run_validation(seed=args.seed, trials=args.trials)
     lines = []
     for result in results:

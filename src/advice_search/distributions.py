@@ -61,20 +61,31 @@ class ParameterError(ValueError):
     """Well-formed configuration with an out-of-range parameter value."""
 
 
-def _check_int(value, what: str, minimum: int):
-    """Return value if it is an integer (not a bool) >= minimum, else raise."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < minimum):
-        raise ParameterError(f"{what} must be an integer >= {minimum}, got {value!r}")
+def _check_int(value, what: str, minimum: int, maximum: int | None = None):
+    """Return value if it is an integer (not a bool) from minimum to maximum:
+    ConfigError for another type, ParameterError for a value out of range."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if value < minimum or (maximum is not None and value > maximum):
+        span = f">= {minimum}" if maximum is None else f"in {minimum}..{maximum}"
+        raise ParameterError(f"{what} must be {span}, got {value}")
     return value
 
 
-def _check_length(value, what: str):
-    """Return value if it is an integer from 1 to _MAX_LEN, else raise."""
-    if _check_int(value, what, 1) > _MAX_LEN:
-        raise ParameterError(f"{what} = {value} is beyond the address space "
-                             f"(at most {_MAX_LEN} float64 elements)")
-    return value
+def _check_real(value, what: str, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """Return value as a float if it is a number (not a bool) that is finite
+    and inside the open interval (lo, hi): ConfigError for another type,
+    ParameterError for a value out of range or beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:
+        raise ParameterError(f"{what} is an integer beyond the float range") from None
+    if not (math.isfinite(real) and lo < real < hi):
+        raise ParameterError(f"{what} must be finite and inside ({lo:.4g}, {hi:.4g}), "
+                             f"got {value}")
+    return real
 
 
 def _prefix_length(block: np.ndarray, threshold: float, side: str = "left") -> int:
@@ -147,12 +158,12 @@ def power_law_alpha(n: int, k: float) -> float:
     1 / compensated_sum(x^k for x = 1..n), with x^k made one _BUILD_STEP
     block at a time into one reused buffer.
     """
-    _check_power_law_params(n, k)
+    k = _check_power_law_params(n, k)
     base = np.arange(min(n, _BUILD_STEP), dtype=np.float64)
     values, sums = np.empty(base.size), []
     for lo in range(0, n, _BUILD_STEP):
         block = values[:min(_BUILD_STEP, n - lo)]
-        np.power(np.add(base[:block.size], lo + 1, out=block), float(k), out=block)
+        np.power(np.add(base[:block.size], lo + 1, out=block), k, out=block)
         sums.append(float(np.sum(block)))
     return 1.0 / math.fsum(sums)
 
@@ -260,8 +271,7 @@ class AdviceDistribution:
 
     def prob(self, rank: int) -> float:
         """Probability of the element at sorted rank (1-based)."""
-        if not 1 <= rank <= self.n:
-            raise ParameterError(f"rank {rank} outside 1..{self.n}")
+        _check_int(rank, "rank", 1, self.n)
         return float(self._probs_at(np.array([rank]))[0])
 
     def support_size(self) -> int:
@@ -275,14 +285,10 @@ class AdviceDistribution:
         """Largest sorted rank with p_x >= 1/n, or 0 if none."""
         return sum(_prefix_length(block, 1.0 / self.n) for _, _, block in self._stream())
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Draw sorted-rank indices ~ probs (never a zero-probability rank)."""
-        u = rng.random(size)
-        idx = np.searchsorted(self.cdf, u, side="right")
-        idx = np.minimum(idx, self.support_size() - 1)
-        if size is None:
-            return int(idx) + 1
-        return idx.astype(np.int64) + 1
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Draw size sorted ranks ~ probs (never a zero-probability rank)."""
+        idx = np.searchsorted(self.cdf, rng.random(size), side="right")
+        return np.minimum(idx, self.support_size() - 1).astype(np.int64) + 1
 
     def validate(self) -> None:
         """Raise if the structural invariants are violated."""
@@ -299,21 +305,17 @@ class AdviceDistribution:
             raise ParameterError("perm is not a permutation of 1..n")
 
 
-def _check_power_law_params(n, k) -> None:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ConfigError(f"n must be an integer, got {n!r}")
-    _check_length(n, "n")
-    if not isinstance(k, (int, float, np.floating)) or isinstance(k, bool):
-        raise ConfigError(f"k must be a number, got {k!r}")
-    k = float(k)
-    if math.isnan(k) or math.isinf(k) or k >= 0.0:
-        raise ParameterError(f"power-law exponent must be finite and < 0, got {k}")
+def _check_power_law_params(n, k) -> float:
+    """Check a power law's n and k; return k as a float."""
+    _check_int(n, "n", 1, _MAX_LEN)
+    k = _check_real(k, "power-law exponent k", hi=0.0)
     # exact rows stream the probabilities, but Monte Carlo's cdf and
     # validate() hold n of them, and a walk over more ranks than memory
     # holds would run for days: such an n is refused at once
     if 8 * n > _physical_memory():
         raise ParameterError(f"n = {n} needs {8 * n} bytes for its probabilities, "
                              f"more than this machine's {_physical_memory()}")
+    return k
 
 
 def make_power_law(n: int, k: float) -> AdviceDistribution:
@@ -378,6 +380,5 @@ def dist_from_config(cfg: dict) -> AdviceDistribution:
     if "weights" not in cfg or not isinstance(cfg["weights"], (list, tuple)):
         raise ConfigError("explicit dist needs a 'weights' list")
     for w in cfg["weights"]:
-        if isinstance(w, bool) or not isinstance(w, (int, float)):
-            raise ConfigError(f"weights must be numbers, got {w!r}")
+        _check_real(w, "weight")
     return make_explicit(cfg["weights"])

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .distributions import _check_int
+from .distributions import ParameterError, _check_int
 
 __all__ = [
     "success_prob",
@@ -30,7 +30,7 @@ _CEIL_SNAP = 1e-9
 def _check_probability(p) -> None:
     arr = np.asarray(p, dtype=np.float64)
     if np.any(~np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError(f"probability outside [0, 1]: {p!r}")
+        raise ParameterError(f"probability outside [0, 1]: {p!r}")
 
 
 def success_prob(p, j: int):

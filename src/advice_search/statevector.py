@@ -17,27 +17,27 @@ import math
 
 import numpy as np
 
-from .distributions import AdviceDistribution
+from .distributions import AdviceDistribution, _check_int
 
 __all__ = [
-    "DEFAULT_DIM_CAP",
+    "DIM_CAP",
     "CapExceeded",
     "aa_success_curve",
     "exact_search_profile",
 ]
 
 # Largest simulated dimension; statevectors are a certification tool, not
-# the scaling path, so keep memory/time firmly bounded by default.
-DEFAULT_DIM_CAP = 4096
+# the scaling path, so keep memory/time firmly bounded.
+DIM_CAP = 4096
 
 
 class CapExceeded(ValueError):
     """Requested simulation exceeds the statevector dimension cap."""
 
 
-def _check_cap(dim: int, cap: int) -> None:
-    if dim > cap:
-        raise CapExceeded(f"statevector dimension {dim} exceeds cap {cap}")
+def _check_cap(dim: int) -> None:
+    if dim > DIM_CAP:
+        raise CapExceeded(f"statevector dimension {dim} exceeds cap {DIM_CAP}")
 
 
 def _reflect_about(reference: np.ndarray, amps: np.ndarray) -> np.ndarray:
@@ -46,10 +46,11 @@ def _reflect_about(reference: np.ndarray, amps: np.ndarray) -> np.ndarray:
     return 2.0 * inner * reference - amps
 
 
-def aa_success_curve(dist: AdviceDistribution, marked_rank: int, max_iters: int,
-                     cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
+def aa_success_curve(dist: AdviceDistribution, marked_rank: int,
+                     max_iters: int) -> np.ndarray:
     """Success probabilities after j = 0..max_iters amplification steps."""
-    _check_cap(dist.n, cap)
+    _check_int(marked_rank, "marked rank", 1, dist.n)
+    _check_cap(dist.n)
     mu = np.sqrt(dist.probs).astype(np.complex128)
     amps = mu.copy()
     out = np.empty(max_iters + 1, dtype=np.float64)
@@ -73,17 +74,15 @@ def _certainty_reflections(n: int) -> int:
     return m
 
 
-def exact_search_profile(n: int, marked_rank: int = 1,
-                         cap: int = DEFAULT_DIM_CAP) -> tuple[float, int]:
+def exact_search_profile(n: int, marked_rank: int = 1) -> tuple[float, int]:
     """(success probability, oracle reflections used) of the certainty search.
 
     An ancilla rotation damps the marked amplitude from 1/sqrt(n) to
     a = sin(pi/(2(2m+1))) so that m amplification steps land the good
     component (marked element, ancilla on) at angle exactly pi/2.
     """
-    if not 1 <= marked_rank <= n:
-        raise ValueError(f"marked rank {marked_rank} outside 1..{n}")
-    _check_cap(2 * n, cap)
+    _check_int(marked_rank, "marked rank", 1, n)
+    _check_cap(2 * n)
     m = _certainty_reflections(n)
     a = math.sin(math.pi / (2.0 * (2.0 * m + 1.0)))
     sin_beta = min(1.0, a * math.sqrt(n))

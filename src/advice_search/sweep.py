@@ -18,7 +18,9 @@ from . import algorithms, bounds
 from .distributions import (
     ConfigError,
     ParameterError,
-    _check_length,
+    _MAX_LEN,
+    _check_int,
+    _check_real,
     _dist_kind,
     dist_from_config,
 )
@@ -154,31 +156,17 @@ class SweepSpec:
             raw = merged.get("n_grid")
             if not isinstance(raw, (list, tuple)) or not raw:
                 raise ConfigError("sweep config needs a non-empty 'n_grid' list")
-            if not all(isinstance(v, int) and not isinstance(v, bool) for v in raw):
-                raise ConfigError("n_grid entries must be integers")
-            for v in raw:
-                _check_length(v, "n_grid entry")
-            if any(b <= a for a, b in zip(raw, raw[1:])):
+            grid = tuple(_check_int(v, "n_grid entry", 1, _MAX_LEN) for v in raw)
+            if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ParameterError(f"n_grid must be strictly increasing: {raw}")
             if _dist_kind(merged["dist"]) != "powerlaw":
                 raise ParameterError("sweeps need a powerlaw dist (explicit weights fix n)")
-            grid = tuple(raw)
 
-        trials = merged.get("trials", DEFAULT_TRIALS)
-        if not isinstance(trials, int) or isinstance(trials, bool):
-            raise ConfigError(f"trials must be an integer, got {trials!r}")
-        _check_length(trials, "trials")
-        seed = merged.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigError(f"seed must be an integer, got {seed!r}")
-        if seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {seed}")
         k_alg = merged.get("k_algorithm")
-        if k_alg is not None and (isinstance(k_alg, bool) or not isinstance(k_alg, (int, float))):
-            raise ConfigError(f"k_algorithm must be a number, got {k_alg!r}")
-        return cls(dist_cfg=dict(merged["dist"]), model=model, mode=mode,
-                   n_grid=grid, k_algorithm=None if k_alg is None else float(k_alg),
-                   trials=trials, seed=seed)
+        return cls(dist_cfg=dict(merged["dist"]), model=model, mode=mode, n_grid=grid,
+                   k_algorithm=None if k_alg is None else _check_real(k_alg, "k_algorithm"),
+                   trials=_check_int(merged.get("trials", DEFAULT_TRIALS), "trials", 1, _MAX_LEN),
+                   seed=_check_int(merged.get("seed", 0), "seed", 0))
 
 
 def run_point(spec: SweepSpec, *, n: int | None = None, seed: int | None = None,

@@ -228,3 +228,29 @@ def ref_chunked_dot_sums(probs, vectors, chunk: int = 1 << 22) -> list[float]:
     return [math.fsum(float(np.dot(probs[lo:lo + chunk], v[lo:lo + chunk]))
                       for lo in range(0, probs.size, chunk))
             for v in vectors]
+
+
+def ref_powerlaw_exponents(model: str, k: float) -> tuple[float, int]:
+    """(exponent, log exponent) of the expected cost under p_x ~ x^k, one
+    regime at a time."""
+    if model == "classical":
+        if k > -1.0:
+            return 1.0, 0
+        if k == -1.0:
+            return 1.0, -1
+        if k > -2.0:
+            return k + 2.0, 0
+        return 0.0, 1 if k == -2.0 else 0
+    if model == "geometric":
+        if k > -1.0:
+            return 0.5, 0
+        if k == -1.0:
+            return 0.5, -1
+        if k > -1.5:
+            return k + 1.5, 0
+        return 0.0, 1 if k == -1.5 else 0
+    if k >= -1.0:
+        return 0.5, 0
+    if k > -2.0:
+        return -(0.5 + 1.0 / k), 0
+    return 0.0, 1 if k == -2.0 else 0

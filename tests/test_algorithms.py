@@ -305,7 +305,7 @@ def test_unknown_search_ledger_consistency():
     rounds_max = len(ref_round_budgets(256, DEFAULT_AMPLIFY_RATIO))
     fallback_f = 13  # ceil(pi/4 * sqrt(256))
     for _ in range(200):
-        rank = int(d.sample(rng))
+        rank = int(d.sample(rng, 1)[0])
         run = unknown_search(d, rank, rng)
         f, o_mu, inv = run.queries
         assert run.rounds <= rounds_max
@@ -453,6 +453,20 @@ def test_unknown_search_round_success_frequency():
     target = p + (1 - p) * p
     sigma = math.sqrt(trials * target * (1 - target))
     assert abs(hits - trials * target) < 4 * sigma
+
+
+def test_marked_rank_is_checked():
+    d = make_explicit([1.0, 1.0, 2.0])
+    rng = np.random.default_rng(0)
+    for rank in (2.5, 1.0, True):
+        with pytest.raises(ConfigError):
+            unknown_expected_exact(d, rank)
+        with pytest.raises(ConfigError):
+            unknown_search(d, rank, rng)
+    for rank in (0, 4):
+        with pytest.raises(ParameterError):
+            unknown_expected_exact(d, rank)
+    assert unknown_expected_exact(d, np.int64(3)) == unknown_expected_exact(d, 3)
 
 
 def test_amplify_ratio_validation():

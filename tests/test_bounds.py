@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from advice_search import (
+    ConfigError,
     ParameterError,
     geometric_expected,
     geometric_upper,
@@ -26,6 +27,7 @@ from advice_search.validation import _rank_ceilings, fallback_bound_ceiling
 
 from reference import (
     ref_las_vegas_max,
+    ref_powerlaw_exponents,
     ref_sqrt_rank_mean,
 )
 
@@ -199,11 +201,32 @@ def test_powerlaw_exponents_continuity():
             assert abs(above - below) < 1e-6
 
 
+def test_powerlaw_exponents_match_regime_ladder():
+    # the one clipped rule gives the regime-by-regime table bit for bit, at
+    # the regime edges, the floats next to them and in between
+    ks = [-5e-324, -1e-300, -0.25, -3.0, -1e300]
+    for edge in (-1.0, -1.5, -2.0):
+        ks += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, -math.inf)]
+    ks += list(np.linspace(-2.5, -0.05, 491))
+    for model in ("classical", "geometric", "unknown"):
+        for k in ks:
+            cls = powerlaw_exponents(model, k)
+            exponent, log_exponent = ref_powerlaw_exponents(model, float(k))
+            assert (cls.exponent.hex(), cls.log_exponent) == (exponent.hex(), log_exponent), (model, k)
+
+
 def test_powerlaw_exponents_validation():
     with pytest.raises(ParameterError):
         powerlaw_exponents("classical", 0.5)
     with pytest.raises(ParameterError):
         powerlaw_exponents("telepathic", -1.0)
+
+
+def test_las_vegas_report_takes_integer_n():
+    with pytest.raises(ConfigError):
+        las_vegas_report(2.5)
+    with pytest.raises(ParameterError):
+        las_vegas_report(1)
 
 
 def test_compute_bounds_report():

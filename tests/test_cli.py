@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -133,6 +134,12 @@ def test_exit_code_malformed_config(tmp_path, capsys):
         assert main(["run", cfg]) == 2
     assert "error:" in capsys.readouterr().err
 
+    # an integer literal longer than int() parses is malformed, not a traceback
+    long_int = tmp_path / "long.json"
+    long_int.write_text('{"dist": {"kind": "powerlaw", "n": ' + "1" * 5000 + ', "k": -1.0}, '
+                        '"model": "classical"}', encoding="utf-8")
+    assert main(["run", str(long_int)]) == 2
+
     # bytes that are not UTF-8 are a malformed input, not a decode traceback
     binary = tmp_path / "bad.bin"
     binary.write_bytes(b"\xff\xfe")
@@ -186,6 +193,17 @@ def test_exit_code_parameter_range(tmp_path):
                            {"dist": {"kind": "powerlaw", "n": 16, "k": -1.0},
                             "model": "unknown", "k_algorithm": 2.0})
     assert main(["run", bad_ratio]) == 3
+
+    # an integer k or k_algorithm beyond the float range, and a NaN ratio
+    # even where the model takes none, are out of range, not a traceback
+    # or a row
+    for name, dist_k, model, ratio in (("k400", -(10**400), "classical", None),
+                                       ("r400", -1.0, "geometric", 10**400),
+                                       ("nan", -1.0, "classical", math.nan)):
+        cfg = {"dist": {"kind": "powerlaw", "n": 16, "k": dist_k}, "model": model}
+        if ratio is not None:
+            cfg["k_algorithm"] = ratio
+        assert main(["run", _write_cfg(tmp_path / f"{name}.json", cfg)]) == 3
 
     # an integer weight beyond the float range is out of range, not a traceback
     huge = _write_cfg(tmp_path / "h.json",
@@ -331,17 +349,20 @@ def test_python_dash_m_entry_point(run_cfg):
     assert proc.stdout.startswith(",".join(HEADER))
 
 
+# VmHWM is the peak of this process alone; ru_maxrss would not do, since a
+# child started by vfork carries its parent's peak across exec
 _RSS_SCRIPT = """
-import resource, sys
+import sys
 from advice_search.cli import main
 for cfg in sys.argv[1:]:
     if main(["run", cfg]) != 0:
         raise SystemExit(1)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+with open("/proc/self/status", encoding="ascii") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM is in Linux's /proc")
 def test_exact_scan_runs_at_2_26_fit_in_200_mb(tmp_path):
     # a fresh process runs an exact classical and geometric row at n = 2^26:
     # a streamed power law holds no array of size n (probs alone would be
@@ -359,7 +380,7 @@ def test_exact_scan_runs_at_2_26_fit_in_200_mb(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert sum(line.startswith("67108864,") for line in lines) == 2, lines
-    peak_mb = int(lines[-1]) / 1024
+    peak_mb = int(lines[-1]) / 1024   # VmHWM is in kB
     assert peak_mb < 200, peak_mb
 
 

@@ -18,7 +18,12 @@ from advice_search import (
     make_power_law,
     power_law_alpha,
 )
-from advice_search.distributions import _BUILD_STEP, _rank_weighted_sums
+from advice_search.distributions import (
+    _BUILD_STEP,
+    _check_int,
+    _check_real,
+    _rank_weighted_sums,
+)
 
 from reference import ref_alpha, ref_power_probs, ref_sorted_probs, ref_x0
 
@@ -202,14 +207,13 @@ def test_sampling_top_rank_frequency():
     assert abs(hits - trials * p) < 5 * sigma
 
 
-def test_sample_scalar_and_dtype():
+def test_sample_shape_and_dtype():
     d = make_power_law(10, -1.0)
     rng = np.random.default_rng(3)
-    one = d.sample(rng)
-    assert 1 <= int(one) <= 10
-    many = d.sample(rng, size=17)
-    assert many.shape == (17,)
-    assert many.min() >= 1 and many.max() <= 10
+    for size in (1, 17):
+        ranks = d.sample(rng, size)
+        assert ranks.shape == (size,) and ranks.dtype == np.int64
+        assert ranks.min() >= 1 and ranks.max() <= 10
 
 
 def test_config_round_trip():
@@ -254,6 +258,32 @@ def test_parameter_errors():
         d.prob(0)
     with pytest.raises(ParameterError):
         d.prob(5)
+    # a float or a bool is no rank, for an explicit and a power-law advice
+    for d in (make_explicit([3, 2, 1]), make_power_law(4, -1.0)):
+        for rank in (1.0, True, 2.5):
+            with pytest.raises(ConfigError):
+                d.prob(rank)
+        assert d.prob(np.int64(2)) == d.probs[1]
+
+
+def test_check_int_and_check_real():
+    assert _check_int(3, "x", 1, 3) == 3
+    assert _check_int(np.int64(0), "x", 0) == 0
+    for bad in (True, 1.0, "1", None, np.float64(2.0)):
+        with pytest.raises(ConfigError):
+            _check_int(bad, "x", 0)
+    for bad in (0, 4, -(10**400), 10**400):
+        with pytest.raises(ParameterError):
+            _check_int(bad, "x", 1, 3)
+    assert _check_real(2, "y", 1.0) == 2.0 and type(_check_real(2, "y")) is float
+    assert _check_real(np.float32(-0.5), "y", hi=0.0) == -0.5
+    for bad in (False, "1.5", None, [1.0]):
+        with pytest.raises(ConfigError):
+            _check_real(bad, "y")
+    # the interval is open, and nothing non-finite or beyond the float range passes
+    for bad in (1.0, 2.0, math.nan, math.inf, -math.inf, 10**400, -(10**400)):
+        with pytest.raises(ParameterError):
+            _check_real(bad, "y", 1.0, 2.0)
 
 
 def test_explicit_huge_weights_do_not_overflow():

@@ -23,7 +23,7 @@ REMOVED = (
     "zalka_bound", "las_vegas_lower", "StateVector", "prepare_mu", "aa_iteration",
     "grover_success", "exact_search", "worker_count", "QueryLedger", "RoundCost",
     "round_cost", "GeometricBlocks", "geometric_blocks", "unknown_upper_per_rank",
-    "rotation_angle",
+    "rotation_angle", "DEFAULT_DIM_CAP", "_check_length", "_check_rank",
 )
 
 

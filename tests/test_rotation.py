@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from advice_search import (
+    ConfigError,
     ParameterError,
     exact_grover_queries,
     success_prob,
@@ -140,8 +141,10 @@ def test_argument_validation():
         exact_grover_queries(0)
     with pytest.raises(ValueError):
         uniform_iter_success(0.5, 0)
-    # integer arguments share one check, which raises the CLI's range error
-    for call in (lambda: success_prob(0.5, True), lambda: uniform_iter_success(0.5, 2.0),
-                 lambda: exact_grover_queries(np.int64(0))):
-        with pytest.raises(ParameterError):
+    # integer arguments share one check: a wrong type is the CLI's config
+    # error, a value out of range its range error
+    for call in (lambda: success_prob(0.5, True), lambda: uniform_iter_success(0.5, 2.0)):
+        with pytest.raises(ConfigError):
             call()
+    with pytest.raises(ParameterError):
+        exact_grover_queries(np.int64(0))

@@ -5,10 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from advice_search import make_explicit, make_power_law, success_prob
+from advice_search import (
+    ConfigError,
+    ParameterError,
+    make_explicit,
+    make_power_law,
+    success_prob,
+)
 from advice_search.statevector import (
     CapExceeded,
-    DEFAULT_DIM_CAP,
+    DIM_CAP,
     aa_success_curve,
     exact_search_profile,
 )
@@ -104,11 +110,22 @@ def test_exact_search_run_result():
 
 def test_dimension_cap_enforced():
     with pytest.raises(CapExceeded):
-        aa_success_curve(make_power_law(DEFAULT_DIM_CAP + 1, -1.0), 1, 0)
-    with pytest.raises(CapExceeded):
-        aa_success_curve(make_explicit(np.ones(8)), 1, 1, cap=4)
+        aa_success_curve(make_power_law(DIM_CAP + 1, -1.0), 1, 0)
     with pytest.raises(CapExceeded):
         # ancilla doubles the dimension, so the cap binds at n > cap/2
-        exact_search_profile(3000, cap=4096)
+        exact_search_profile(DIM_CAP // 2 + 1)
     # at the boundary everything still runs
-    assert aa_success_curve(make_explicit(np.ones(4)), 1, 1, cap=4)[1] == pytest.approx(1.0)
+    assert aa_success_curve(make_explicit(np.ones(DIM_CAP)), 1, 1)[1] == pytest.approx(
+        success_prob(1.0 / DIM_CAP, 1))
+    assert exact_search_profile(DIM_CAP // 2, DIM_CAP // 2)[0] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_marked_rank_is_checked():
+    # rank 0 would index the last amplitude and report its curve
+    for rank in (0, 5):
+        with pytest.raises(ParameterError):
+            aa_success_curve(make_explicit(np.ones(4)), rank, 1)
+        with pytest.raises(ParameterError):
+            exact_search_profile(4, rank)
+    with pytest.raises(ConfigError):
+        aa_success_curve(make_explicit(np.ones(4)), 1.0, 1)
