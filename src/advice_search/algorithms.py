@@ -37,7 +37,7 @@ from .distributions import (
     _dot,
     _rank_weighted_sums,
 )
-from .rotation import _angle_terms, _iter_average, exact_grover_queries
+from .rotation import _angle_terms, _iter_average, _success_at, exact_grover_queries
 
 __all__ = [
     "DEFAULT_GEOMETRIC_RATIO",
@@ -126,29 +126,18 @@ def _check_amplify_ratio(k: float) -> float:
     return _check_real(k, "iteration-budget ratio", *AMPLIFY_RATIO_BOUNDS)
 
 
-def _powers(k: float):
-    """1, k, k^2, ... by iterated multiplication (never floating logs)."""
-    power = 1.0
-    while True:
-        yield power
-        power *= k
-
-
-def _floored_power(power: float) -> int:
-    """floor of an iterated power with a relative epsilon nudge."""
-    return int(math.floor(power * (1.0 + _FLOOR_EPS)))
-
-
-def _check_schedule_length(estimate: float, what: str, k: float) -> None:
-    """Reject a schedule whose estimated length exceeds _MAX_SCHEDULE.
-
-    The estimate comes from logs; the schedule itself is still built by
-    iterated multiplication.
-    """
+def _floored_powers(k: float, what: str, estimate: float):
+    """(k^j, floor(k^j) nudged up by _FLOOR_EPS) for j = 0, 1, ..., by iterated
+    multiplication, never floating logs; first it refuses a schedule whose
+    length estimate, which does come from logs, exceeds _MAX_SCHEDULE."""
     if estimate > _MAX_SCHEDULE:
         raise ParameterError(
             f"{what} ratio {k!r} needs about {estimate:.3g} schedule entries, "
             f"more than {_MAX_SCHEDULE}; use a ratio further from 1")
+    power = 1.0
+    while True:
+        yield power, int(math.floor(power * (1.0 + _FLOOR_EPS)))
+        power *= k
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +174,11 @@ def _geometric_schedule(n: int, k: float) -> tuple[np.ndarray, np.ndarray]:
     k = _check_geometric_ratio(k)
     # blocks of size k^j (before the floor) cover n after log_k(1 + n(k-1)),
     # a lower bound on the block count
-    _check_schedule_length(math.log1p(min(n * (k - 1.0), 1e300)) / math.log1p(k - 1.0),
-                           "block growth", k)
+    count = math.log1p(min(n * (k - 1.0), 1e300)) / math.log1p(k - 1.0)
     ends, costs, end = [], [], 0
-    for power in _powers(k):
+    for _, size in _floored_powers(k, "block growth", count):
         if end >= n:
             break
-        size = _floored_power(power)
         end = min(end + size, n)
         ends.append(end)
         costs.append(exact_grover_queries(size, zero_or_one=True))
@@ -233,11 +220,9 @@ def unknown_rounds(n: int, k: float = DEFAULT_AMPLIFY_RATIO) -> int:
 @functools.lru_cache(maxsize=16)   # every Monte Carlo trial reuses one schedule
 def _round_sizes(n: int, k: float) -> tuple[int, ...]:
     """Iteration budgets floor(k^j) for rounds j = 0..unknown_rounds(n, k)."""
-    _check_schedule_length(1.0 + 0.5 * math.log(n) / math.log1p(k - 1.0),
-                           "iteration-budget", k)
+    budgets = _floored_powers(k, "iteration-budget", 1.0 + 0.5 * math.log(n) / math.log1p(k - 1.0))
     limit = math.sqrt(n) * (1.0 + _FLOOR_EPS)
-    return tuple(_floored_power(power)
-                 for power in itertools.takewhile(lambda power: power <= limit, _powers(k)))
+    return tuple(size for _, size in itertools.takewhile(lambda step: step[0] <= limit, budgets))
 
 
 def unknown_search(dist: AdviceDistribution, marked_rank: int,
@@ -271,22 +256,10 @@ def unknown_search(dist: AdviceDistribution, marked_rank: int,
         f += i + 1
         o_mu += i + 1
         inv += i
-        if rng.random() < _attempt_success(theta, i):
+        if rng.random() < _success_at(theta, i):
             return RunResult(found, (f, o_mu, inv), j + 1)
     f += exact_grover_queries(dist.n, zero_or_one=False)
     return RunResult(found, (f, o_mu, inv), len(sizes))
-
-
-def _attempt_success(theta, i):
-    """sin^2((2i+1) theta), the success probability of an amplification
-    attempt with i iterations at angle theta = arcsin(sqrt(p)).
-
-    unknown_search (scalars) and _unknown_rounds (arrays) both draw against
-    this numpy expression, so the two paths compare a uniform with the same
-    float: math.asin and np.arcsin can differ in the last bit.
-    """
-    s = np.sin((2 * i + 1) * theta)
-    return s * s
 
 
 def _unknown_rounds(p: np.ndarray, sizes: tuple[int, ...], fallback: int,
@@ -310,7 +283,7 @@ def _unknown_rounds(p: np.ndarray, sizes: tuple[int, ...], fallback: int,
         i = rng.integers(m, size=active.size)
         o_mu[active] += i + 1
         inv[active] += i
-        active = active[rng.random(active.size) >= _attempt_success(theta[active], i)]
+        active = active[rng.random(active.size) >= _success_at(theta[active], i)]
         if not active.size:
             break
     f = o_mu.copy()   # f and preparation counters agree but for the fallback

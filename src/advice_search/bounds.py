@@ -30,9 +30,7 @@ __all__ = [
     "UNKNOWN_OFFSET",
     "LasVegasBound",
     "las_vegas_report",
-    "q_mu_lower",
-    "geometric_upper",
-    "unknown_upper_mu",
+    "row_bounds",
     "ScalingClass",
     "powerlaw_exponents",
 ]
@@ -123,24 +121,12 @@ class _BoundColumns:
         return LAS_VEGAS_COEFF * sqrt_ranks - 1.0, upper
 
 
-def q_mu_lower(dist: AdviceDistribution) -> float:
-    """Lower bound on expected f queries of any zero-error search: the
-    advice-weighted per-element bound, rearrangement-tight for sorted
-    advice: LAS_VEGAS_COEFF * sum_x p_x sqrt(x) - 1."""
-    return _BoundColumns(dist).values()[0]
-
-
-def geometric_upper(dist: AdviceDistribution) -> float:
-    """Upper bound pi*e*sum_x p_x sqrt(x) on the block search's expected f
-    queries at the default growth ratio e."""
-    return _BoundColumns(dist, "geometric").values()[1]
-
-
-def unknown_upper_mu(dist: AdviceDistribution) -> float:
-    """Advice-averaged ceiling: split ranks at prior 1/n, charge the
-    high-prior branch 83 sqrt(p_x) of mass and the rest 53 sqrt(n) p_x,
-    plus the 4/3 offset."""
-    return _BoundColumns(dist, "unknown").values()[1]
+def row_bounds(dist: AdviceDistribution, model: str | None = None) -> tuple[float, float | None]:
+    """(lower, upper) bounds on a row's expected f queries, from one walk: 0.206
+    sum_x p_x sqrt(x) - 1 for any zero-error search, and the model's bound at
+    its default ratio, pi e sum_x p_x sqrt(x) ("geometric"), 83 sum sqrt(p_x)
+    over p_x >= 1/n + 53 sqrt(n) sum p_x over the rest + 4/3 ("unknown") or None."""
+    return _BoundColumns(dist, model).values()
 
 
 @dataclass(frozen=True)

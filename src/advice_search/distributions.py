@@ -61,6 +61,14 @@ class ParameterError(ValueError):
     """Well-formed configuration with an out-of-range parameter value."""
 
 
+def _shown(value) -> str:
+    """value as an error message prints it: an integer past 100 digits by its
+    size, as str() refuses integers past 4,300 digits."""
+    if isinstance(value, int) and value.bit_length() > 332:
+        return f"an integer of about {int(value.bit_length() * math.log10(2)) + 1} digits"
+    return str(value)
+
+
 def _check_int(value, what: str, minimum: int, maximum: int | None = None):
     """Return value if it is an integer (not a bool) from minimum to maximum:
     ConfigError for another type, ParameterError for a value out of range."""
@@ -68,7 +76,7 @@ def _check_int(value, what: str, minimum: int, maximum: int | None = None):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     if value < minimum or (maximum is not None and value > maximum):
         span = f">= {minimum}" if maximum is None else f"in {minimum}..{maximum}"
-        raise ParameterError(f"{what} must be {span}, got {value}")
+        raise ParameterError(f"{what} must be {span}, got {_shown(value)}")
     return value
 
 
@@ -84,7 +92,7 @@ def _check_real(value, what: str, lo: float = -math.inf, hi: float = math.inf) -
         raise ParameterError(f"{what} is an integer beyond the float range") from None
     if not (math.isfinite(real) and lo < real < hi):
         raise ParameterError(f"{what} must be finite and inside ({lo:.4g}, {hi:.4g}), "
-                             f"got {value}")
+                             f"got {_shown(value)}")
     return real
 
 

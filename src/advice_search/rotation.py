@@ -22,10 +22,6 @@ __all__ = [
 # float noise) and the closed-form average falls back to its series.
 DEGENERATE_TOL = 1e-12
 
-# Integer ceilings of transcendental expressions snap to a nearby integer
-# first, so mathematically-integer values do not ceil up from float noise.
-_CEIL_SNAP = 1e-9
-
 
 def _check_probability(p) -> None:
     arr = np.asarray(p, dtype=np.float64)
@@ -33,27 +29,28 @@ def _check_probability(p) -> None:
         raise ParameterError(f"probability outside [0, 1]: {p!r}")
 
 
+def _success_at(theta, j):
+    """sin^2((2j+1) theta), unchecked: success after j steps at theta =
+    arcsin(sqrt(p)).  Both Monte Carlo paths draw against this one numpy
+    expression, so they compare a uniform with the same float."""
+    s = np.sin((2 * j + 1) * theta)
+    return s * s
+
+
 def success_prob(p, j: int):
     """Success probability sin^2((2j+1) * arcsin(sqrt(p))) after j steps."""
     _check_int(j, "iteration count", 0)
     _check_probability(p)
-    out = np.clip(np.sin((2 * j + 1) * np.arcsin(np.sqrt(p))) ** 2, 0.0, 1.0)
+    out = _success_at(np.arcsin(np.sqrt(p)), j)
     return float(out) if np.ndim(p) == 0 else out
 
 
 def exact_grover_queries(m: int, zero_or_one: bool = False) -> int:
-    """Oracle queries for certainty search over m elements: ceil(pi/4 sqrt m).
-
-    zero_or_one adds the one verification query needed when the subset may
-    contain no marked element (the measured outcome is checked classically).
-    """
+    """Oracle queries for certainty search over m elements: ceil(pi/4 sqrt m),
+    taken as is since pi/4 sqrt m is never an integer; zero_or_one adds the
+    verification query of a subset that may hold no marked element."""
     _check_int(m, "subset size", 1)
-    extra = 1 if zero_or_one else 0
-    value = 0.25 * math.pi * math.sqrt(m)
-    nearest = round(value)
-    if abs(value - nearest) < _CEIL_SNAP:
-        return int(nearest) + extra
-    return int(math.ceil(value)) + extra
+    return math.ceil(0.25 * math.pi * math.sqrt(m)) + (1 if zero_or_one else 0)
 
 
 def _angle_terms(p: np.ndarray, theta: np.ndarray | None = None,
@@ -110,13 +107,9 @@ def _iter_average(p: np.ndarray, theta: np.ndarray | None, c: np.ndarray | None,
 
 
 def uniform_iter_success(p, m: int):
-    """Average success probability over iteration counts drawn from {0..m-1}.
-
-    Closed form (1/m) sum_r sin^2((2r+1)theta)
-        = 1/2 - sin(4m theta) / (8m sqrt(p(1-p))),
-    with the series fallback of _iter_average when p(1-p) < 1e-12
-    (degenerate angle, where the closed form is 0/0).
-    """
+    """Average success probability over iteration counts drawn from {0..m-1}:
+    _iter_average's closed form 1/2 - sin(4m theta) / (8m sqrt(p(1-p))), with
+    its series where p(1-p) < DEGENERATE_TOL and the closed form is 0/0."""
     _check_int(m, "iteration budget", 1)
     _check_probability(p)
     arr = np.atleast_1d(np.asarray(p, dtype=np.float64))

@@ -50,6 +50,7 @@ def aa_success_curve(dist: AdviceDistribution, marked_rank: int,
                      max_iters: int) -> np.ndarray:
     """Success probabilities after j = 0..max_iters amplification steps."""
     _check_int(marked_rank, "marked rank", 1, dist.n)
+    _check_int(max_iters, "max_iters", 0)
     _check_cap(dist.n)
     mu = np.sqrt(dist.probs).astype(np.complex128)
     amps = mu.copy()
@@ -63,15 +64,8 @@ def aa_success_curve(dist: AdviceDistribution, marked_rank: int,
 
 
 def _certainty_reflections(n: int) -> int:
-    """Smallest m with sin(pi / (2(2m+1))) <= 1/sqrt(n)."""
-    target = 1.0 / math.sqrt(n)
-    theta = math.asin(target)
-    m = max(0, math.ceil((math.pi / (2.0 * theta) - 1.0) / 2.0))
-    while m > 0 and math.sin(math.pi / (2.0 * (2.0 * (m - 1) + 1.0))) <= target * (1 + 1e-12):
-        m -= 1
-    while math.sin(math.pi / (2.0 * (2.0 * m + 1.0))) > target * (1 + 1e-12):
-        m += 1
-    return m
+    """Smallest m with (2m+1) asin(1/sqrt n) >= pi/2, i.e. sin(pi/(2(2m+1))) <= 1/sqrt n."""
+    return max(0, math.ceil((math.pi / (2.0 * math.asin(1.0 / math.sqrt(n))) - 1.0) / 2.0))
 
 
 def exact_search_profile(n: int, marked_rank: int = 1) -> tuple[float, int]:

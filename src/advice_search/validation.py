@@ -90,7 +90,7 @@ def exact_search_certainty(cases):
     for count, (n, marked) in enumerate(cases, 1):
         prob, reflections = statevector.exact_search_profile(n, marked)
         worst = max(worst, 1.0 - prob)
-        budget = math.ceil(math.pi / 4.0 * math.sqrt(n)) + 1
+        budget = rotation.exact_grover_queries(n, zero_or_one=True)
         _require(reflections <= budget,
                  f"n={n}: {reflections} reflections > budget {budget}")
     _require(count > 0, "no cases")
@@ -119,11 +119,11 @@ def iteration_average_identity(ps, budgets):
 
 @_check
 def geometric_bound_sandwich(dists):
-    """q_mu_lower <= exact known-advice cost <= geometric_upper."""
+    """Lower bound <= exact known-advice cost <= geometric upper bound."""
     count = 0
     for count, dist in enumerate(dists, 1):
         measured = algorithms.geometric_expected(dist).f_mean
-        lower, upper = bounds.q_mu_lower(dist), bounds.geometric_upper(dist)
+        lower, upper = bounds.row_bounds(dist, "geometric")
         _require(lower <= measured <= upper,
                  f"n={dist.n}: {lower:.4g} <= {measured:.4g} <= {upper:.4g} is false")
     _require(count > 0, "no cases")

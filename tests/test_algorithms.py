@@ -23,12 +23,11 @@ from advice_search import (
     make_explicit,
     make_power_law,
     monte_carlo,
-    q_mu_lower,
+    row_bounds,
     unknown_expected_exact,
     unknown_expected_mu,
     unknown_rounds,
     unknown_search,
-    unknown_upper_mu,
 )
 from advice_search import algorithms
 from advice_search.algorithms import (
@@ -646,8 +645,7 @@ def test_oracle_only_row_holds_no_n_vector(monkeypatch, workers):
     try:
         dist = make_power_law(n, -0.75)
         unknown_expected_mu(dist)
-        q_mu_lower(dist)
-        unknown_upper_mu(dist)
+        row_bounds(dist, "unknown")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

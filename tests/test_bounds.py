@@ -10,14 +10,12 @@ from advice_search import (
     ConfigError,
     ParameterError,
     geometric_expected,
-    geometric_upper,
     las_vegas_report,
     make_explicit,
     make_power_law,
     powerlaw_exponents,
-    q_mu_lower,
+    row_bounds,
     unknown_expected_mu,
-    unknown_upper_mu,
 )
 from advice_search.algorithms import _SUB_BLOCK
 from advice_search.bounds import _BoundColumns
@@ -60,7 +58,7 @@ def test_las_vegas_lower_scales_like_sqrt():
 def test_q_mu_lower_formula():
     d = make_power_law(1000, -1.0)
     expected = 0.206 * ref_sqrt_rank_mean(list(d.probs)) - 1.0
-    assert math.isclose(q_mu_lower(d), expected, rel_tol=1e-12)
+    assert math.isclose(row_bounds(d)[0], expected, rel_tol=1e-12)
 
 
 def test_q_mu_lower_uniform_vs_plain_bound():
@@ -68,14 +66,16 @@ def test_q_mu_lower_uniform_vs_plain_bound():
     n = 4096
     d = make_explicit([1.0] * n)
     mean_sqrt = ref_sqrt_rank_mean(list(d.probs))
-    assert math.isclose(q_mu_lower(d), 0.206 * mean_sqrt - 1.0, rel_tol=1e-12)
-    assert 0.206 * (2.0 / 3.0) * math.sqrt(n) - 2 <= q_mu_lower(d)
+    lower, upper = row_bounds(d)
+    assert math.isclose(lower, 0.206 * mean_sqrt - 1.0, rel_tol=1e-12)
+    assert 0.206 * (2.0 / 3.0) * math.sqrt(n) - 2 <= lower
+    assert upper is None
 
 
 def test_geometric_upper_formula():
     d = make_power_law(512, -1.5)
     expected = math.pi * math.e * ref_sqrt_rank_mean(list(d.probs))
-    assert math.isclose(geometric_upper(d), expected, rel_tol=1e-12)
+    assert math.isclose(row_bounds(d, "geometric")[1], expected, rel_tol=1e-12)
 
 
 def test_geometric_row_holds_no_n_vector():
@@ -89,8 +89,7 @@ def test_geometric_row_holds_no_n_vector():
         live, peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         geometric_expected(dist)
-        q_mu_lower(dist)
-        geometric_upper(dist)
+        row_bounds(dist, "geometric")
         _, walk_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -104,7 +103,8 @@ def test_geometric_sandwich():
     for n, k in ((64, -0.5), (256, -1.0), (1024, -2.0), (4096, -1.25)):
         d = make_power_law(n, k)
         measured = geometric_expected(d).f_mean
-        assert q_mu_lower(d) <= measured <= geometric_upper(d)
+        lower, upper = row_bounds(d, "geometric")
+        assert lower <= measured <= upper
 
 
 def test_unknown_upper_per_rank_branches():
@@ -119,14 +119,14 @@ def test_unknown_upper_mu_dominates_weighted_per_rank():
     for n, k in ((100, -1.0), (1000, -2.0), (4096, -0.5)):
         d = make_power_law(n, k)
         weighted = float(np.dot(d.probs, _rank_ceilings(d, np.arange(1, n + 1))))
-        assert unknown_upper_mu(d) >= weighted - 1e-9
+        assert row_bounds(d, "unknown")[1] >= weighted - 1e-9
 
 
 def test_unknown_upper_mu_dominates_measured_cost():
     for n, k in ((64, -1.0), (256, -1.5), (1024, -0.5)):
         d = make_power_law(n, k)
         measured = unknown_expected_mu(d)
-        assert max(measured.means()) <= unknown_upper_mu(d)
+        assert max(measured.means()) <= row_bounds(d, "unknown")[1]
 
 
 def test_unknown_measured_cost_below_per_rank_ceiling():
@@ -231,9 +231,9 @@ def test_las_vegas_report_takes_integer_n():
 
 def test_compute_bounds_report():
     # a sweep row's bound columns are summed in the model's walk: 2^16-rank
-    # blocks for the scans, as the standalone bound functions use, and the
+    # blocks for the scans, as row_bounds' own walk uses, and the
     # oracle-only kernel's 2^14-rank blocks, whose sums may differ in the
-    # last bits from the standalone ones
+    # last bits from row_bounds' ones
     def row(model):
         dist = {"kind": "powerlaw", "n": 3 * _SUB_BLOCK + 5, "k": -1.0}
         point = run_point(SweepSpec(dist_cfg=dist, model=model))
@@ -241,9 +241,8 @@ def test_compute_bounds_report():
 
     d = make_power_law(3 * _SUB_BLOCK + 5, -1.0)
     assert row("classical") == (None, None)
-    assert row("geometric") == (q_mu_lower(d), geometric_upper(d))
+    assert row("geometric") == row_bounds(d, "geometric")
     columns = _BoundColumns(d, "unknown")
     _rank_weighted_sums(d, lambda block, ranks, worker: (), _SUB_BLOCK, extra=columns)
     assert row("unknown") == columns.values()
-    assert columns.values() == pytest.approx((q_mu_lower(d), unknown_upper_mu(d)),
-                                              rel=1e-14, abs=0)
+    assert columns.values() == pytest.approx(row_bounds(d, "unknown"), rel=1e-14, abs=0)

@@ -272,7 +272,7 @@ def test_check_int_and_check_real():
     for bad in (True, 1.0, "1", None, np.float64(2.0)):
         with pytest.raises(ConfigError):
             _check_int(bad, "x", 0)
-    for bad in (0, 4, -(10**400), 10**400):
+    for bad in (0, 4, -(10**400), 10**400, 10**5000, -(10**5000)):
         with pytest.raises(ParameterError):
             _check_int(bad, "x", 1, 3)
     assert _check_real(2, "y", 1.0) == 2.0 and type(_check_real(2, "y")) is float

@@ -43,6 +43,8 @@ def test_success_prob_clipped_to_unit_interval():
     for j in range(8):
         vals = success_prob(ps, j)
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
+        # a scalar p gets its array element bit for bit: one s*s for both
+        assert [success_prob(float(p), j) for p in ps] == vals.tolist()
 
 
 def test_exact_grover_queries_frozen():
@@ -55,6 +57,12 @@ def test_exact_grover_queries_frozen():
     # the verification query under the zero-or-one promise
     assert exact_grover_queries(4, zero_or_one=True) == 3
     assert exact_grover_queries(1, zero_or_one=True) == 2
+    # below 2^31 these are the m where the float pi/4 sqrt(m) lies within
+    # 1e-9 of an integer; its ceiling is still the one taken at 50 digits
+    for m, queries in ((963184502, 24376), (1105436435, 26114), (1275879979, 28055),
+                       (1694251630, 32329), (1918390974, 34401), (1967554029, 34838),
+                       (1994642750, 35078)):
+        assert exact_grover_queries(m) == queries
 
 
 def test_exact_grover_queries_matches_reference():

@@ -15,6 +15,7 @@ from advice_search import (
 from advice_search.statevector import (
     CapExceeded,
     DIM_CAP,
+    _certainty_reflections,
     aa_success_curve,
     exact_search_profile,
 )
@@ -80,6 +81,9 @@ def test_exact_search_reaches_certainty():
         prob, reflections = exact_search_profile(n)
         assert prob == pytest.approx(1.0, abs=1e-9)
         assert reflections == ref_certainty_reflections(n)
+    # the closed-form count over every n the cap admits
+    for n in range(1, DIM_CAP // 2 + 1):
+        assert _certainty_reflections(n) == ref_certainty_reflections(n), n
 
 
 def test_exact_search_reflection_budget():
@@ -129,3 +133,8 @@ def test_marked_rank_is_checked():
             exact_search_profile(4, rank)
     with pytest.raises(ConfigError):
         aa_success_curve(make_explicit(np.ones(4)), 1.0, 1)
+    # so is the step count
+    with pytest.raises(ParameterError):
+        aa_success_curve(make_explicit(np.ones(4)), 1, -1)
+    with pytest.raises(ConfigError):
+        aa_success_curve(make_explicit(np.ones(4)), 1, 2.5)
