@@ -127,9 +127,8 @@ def _check_amplify_ratio(k: float) -> float:
 
 
 def _floored_powers(k: float, what: str, estimate: float):
-    """(k^j, floor(k^j) nudged up by _FLOOR_EPS) for j = 0, 1, ..., by iterated
-    multiplication, never floating logs; first it refuses a schedule whose
-    length estimate, which does come from logs, exceeds _MAX_SCHEDULE."""
+    """(k^j, floor(k^j (1 + _FLOOR_EPS))) for j = 0, 1, ... by iterated multiplication,
+    after refusing a schedule whose length estimate (from logs) exceeds _MAX_SCHEDULE."""
     if estimate > _MAX_SCHEDULE:
         raise ParameterError(
             f"{what} ratio {k!r} needs about {estimate:.3g} schedule entries, "
@@ -173,12 +172,13 @@ def _geometric_schedule(n: int, k: float) -> tuple[np.ndarray, np.ndarray]:
     each charged at its nominal size."""
     k = _check_geometric_ratio(k)
     # blocks of size k^j (before the floor) cover n after log_k(1 + n(k-1)),
-    # a lower bound on the block count
-    count = math.log1p(min(n * (k - 1.0), 1e300)) / math.log1p(k - 1.0)
+    # a lower bound on the block count; a step is taken only while one is
+    # needed, as the power after the covering block may be inf
+    steps = _floored_powers(k, "block growth",
+                            math.log1p(min(n * (k - 1.0), 1e300)) / math.log1p(k - 1.0))
     ends, costs, end = [], [], 0
-    for _, size in _floored_powers(k, "block growth", count):
-        if end >= n:
-            break
+    while end < n:
+        _, size = next(steps)
         end = min(end + size, n)
         ends.append(end)
         costs.append(exact_grover_queries(size, zero_or_one=True))

@@ -12,8 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algorithms import MODELS
 from .distributions import (
     AdviceDistribution,
+    ConfigError,
     ParameterError,
     _check_int,
     _check_real,
@@ -122,10 +124,11 @@ class _BoundColumns:
 
 
 def row_bounds(dist: AdviceDistribution, model: str | None = None) -> tuple[float, float | None]:
-    """(lower, upper) bounds on a row's expected f queries, from one walk: 0.206
-    sum_x p_x sqrt(x) - 1 for any zero-error search, and the model's bound at
-    its default ratio, pi e sum_x p_x sqrt(x) ("geometric"), 83 sum sqrt(p_x)
-    over p_x >= 1/n + 53 sqrt(n) sum p_x over the rest + 4/3 ("unknown") or None."""
+    """(lower, upper) on a row's expected f queries from one walk: 0.206 sum p_x sqrt(x) - 1
+    for any zero-error search, and at the model's default ratio pi e sum p_x sqrt(x) ("geometric"),
+    83 sum_{p_x >= 1/n} sqrt(p_x) + 53 sqrt(n) sum_{p_x < 1/n} p_x + 4/3 ("unknown") or None."""
+    if model not in (None, *MODELS):
+        raise ConfigError(f"unknown algorithm id {model!r}")
     return _BoundColumns(dist, model).values()
 
 

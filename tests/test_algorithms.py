@@ -215,6 +215,11 @@ def test_geometric_ratio_validation():
         _geometric_schedule(10, float("inf"))
     with pytest.raises(ParameterError):
         geometric_expected(make_explicit([1.0] * 4), k=float("inf"))
+    # a huge finite ratio covers n in a block or two: the power after the
+    # covering block overflows to inf and is never taken
+    ends, costs = _geometric_schedule(2, 1e200)
+    assert ends.tolist() == [1, 2] and np.all(np.isfinite(costs))
+    assert math.isfinite(geometric_expected(make_explicit([1.0, 1.0]), k=1e200).f_mean)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,10 @@ def test_q_mu_lower_uniform_vs_plain_bound():
     assert math.isclose(lower, 0.206 * mean_sqrt - 1.0, rel_tol=1e-12)
     assert 0.206 * (2.0 / 3.0) * math.sqrt(n) - 2 <= lower
     assert upper is None
+    assert row_bounds(d, "classical") == (lower, None)
+    # an unknown model id is refused, not read as a model without an upper bound
+    with pytest.raises(ConfigError):
+        row_bounds(d, "Geometric")
 
 
 def test_geometric_upper_formula():

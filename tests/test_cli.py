@@ -254,6 +254,15 @@ def test_exit_code_schedule_ratio_near_one(tmp_path, capsys):
         assert main(["run", cfg]) == 3
         assert "schedule entries" in capsys.readouterr().err
     assert time.perf_counter() - started < 5.0
+    # a huge finite ratio is a one- or two-block schedule: a row, exact or
+    # Monte Carlo, never a traceback
+    for mode in ("exact", "monte_carlo"):
+        cfg = _write_cfg(tmp_path / f"huge_{mode}.json",
+                         {"dist": {"kind": "powerlaw", "n": 16, "k": -1.0},
+                          "model": "geometric", "k_algorithm": 1e200,
+                          "mode": mode, "trials": 50})
+        assert main(["run", cfg]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("16,-1,geometric,")
 
 
 def test_fit_rejects_non_finite_means(tmp_path, capsys):
