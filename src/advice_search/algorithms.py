@@ -145,8 +145,7 @@ def _floored_powers(k: float, what: str, estimate: float):
 
 def classical_expected(dist: AdviceDistribution) -> float:
     """Expected probes of the sequential scan: sum_x p_x * x."""
-    (mean,) = _rank_weighted_sums(dist, lambda block, ranks, _: (_dot(block, ranks),))
-    return mean
+    return next(_scan_means("classical", dist))
 
 
 def classical_sampling_expected(dist: AdviceDistribution) -> float:
@@ -185,26 +184,37 @@ def _geometric_schedule(n: int, k: float) -> tuple[np.ndarray, np.ndarray]:
     return np.array(ends, dtype=np.int64), np.cumsum(costs, dtype=np.float64)
 
 
+def _scan_means(model: str, dist: AdviceDistribution, k: float | None = None,
+                columns=None, stops=None):
+    """Yield the exact expected f queries of the scan, or of the block search
+    at ratio k, up to each of stops (dist.n by default) from one walk, which
+    sums columns too.  Per walk block, each schedule block's part is np.sum
+    times its cumulative cost, which is charged at nominal block sizes and
+    so does not depend on where the walk stops."""
+    if model == "classical":
+        fn = lambda block, ranks, _: (_dot(block, ranks),)   # noqa: E731
+    else:
+        ends, cum = _geometric_schedule((stops or (dist.n,))[-1], k)
+
+        def fn(block: np.ndarray, ranks: np.ndarray, worker: int) -> tuple[float]:
+            first = int(ranks[0])
+            m = int(np.searchsorted(ends, first))   # the schedule block of rank first
+            lo, parts = 0, []
+            while lo < block.size:
+                hi = min(int(ends[m]) - first + 1, block.size)
+                parts.append(cum[m] * float(np.sum(block[lo:hi])))
+                lo, m = hi, m + 1
+            return (math.fsum(parts),)
+
+    for f, _ in _rank_weighted_sums(dist, fn, extra=columns, stops=stops or (dist.n,)):
+        yield f
+
+
 def geometric_expected(dist: AdviceDistribution, k: float = DEFAULT_GEOMETRIC_RATIO,
                        *, columns=None) -> ExpectationReport:
-    """Exact expected f queries of the block search under the advice: each
-    walk block sums the part of each schedule block inside it with np.sum,
-    weighted by that schedule block's cumulative cost.  columns, if given,
-    are a row's bound columns, summed in the same walk."""
-    ends, cum = _geometric_schedule(dist.n, k)
-
-    def partial(block: np.ndarray, ranks: np.ndarray, worker: int) -> tuple[float]:
-        first = int(ranks[0])
-        m = int(np.searchsorted(ends, first))   # the schedule block of rank first
-        lo, parts = 0, []
-        while lo < block.size:
-            hi = min(int(ends[m]) - first + 1, block.size)
-            parts.append(cum[m] * float(np.sum(block[lo:hi])))
-            lo, m = hi, m + 1
-        return (math.fsum(parts),)
-
-    (f_mean,) = _rank_weighted_sums(dist, partial, extra=columns)
-    return _exact_report(f=f_mean, o_mu=0.0, o_mu_inv=0.0)
+    """Exact expected f queries of the block search under the advice.
+    columns, if given, are a row's bound columns, summed in the same walk."""
+    return _exact_report(f=next(_scan_means("geometric", dist, k, columns)), o_mu=0.0, o_mu_inv=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +223,7 @@ def geometric_expected(dist: AdviceDistribution, k: float = DEFAULT_GEOMETRIC_RA
 
 def unknown_rounds(n: int, k: float = DEFAULT_AMPLIFY_RATIO) -> int:
     """Largest j with k^j <= sqrt(n); computed by iterated multiplication."""
-    _check_int(n, "n", 1)
+    _check_int(n, "n", 1, 2**64)   # a 64-bit index's range; sqrt(n) must be a float
     return len(_round_sizes(n, _check_amplify_ratio(k))) - 1
 
 
@@ -391,13 +401,11 @@ def _model_ratio(model: str, k: float | None) -> float | None:
 def exact_expected(model: str, dist: AdviceDistribution, k: float | None = None,
                    columns=None) -> ExpectationReport:
     """Exact per-oracle expected costs of a model with the marked element ~ advice,
-    summing the row's bound columns, if given, in the quantum models' walk."""
+    summing the row's bound columns, if given, in the model's walk."""
     ratio = _model_ratio(model, k)
-    if model == "classical":
-        return _exact_report(f=classical_expected(dist), o_mu=0.0, o_mu_inv=0.0)
-    if model == "geometric":
-        return geometric_expected(dist, ratio, columns=columns)
-    return unknown_expected_mu(dist, ratio, columns=columns)
+    if model == "unknown":
+        return unknown_expected_mu(dist, ratio, columns=columns)
+    return _exact_report(f=next(_scan_means(model, dist, ratio, columns)), o_mu=0.0, o_mu_inv=0.0)
 
 
 def _trial_seed(seed: int, stream: int, index: int = 0) -> np.random.Generator:

@@ -16,7 +16,6 @@ from .algorithms import MODELS
 from .distributions import (
     AdviceDistribution,
     ConfigError,
-    ParameterError,
     _check_int,
     _check_real,
     _dot,
@@ -111,8 +110,9 @@ class _BoundColumns:
     def values(self) -> tuple[float, float | None]:
         """The lower bound, and the upper bound of the model named by upper;
         the columns get a walk of their own if no model's walk carried them."""
-        if not self.sums:
-            _rank_weighted_sums(self.dist, lambda block, ranks, worker: (), extra=self)
+        if not self.sums:   # only the oracle-only ceiling is not linear in p
+            list(_rank_weighted_sums(self.dist, lambda block, ranks, worker: (), extra=self,
+                                     stops=None if self.upper == "unknown" else (self.dist.n,)))
         sqrt_ranks, upper = self.sums[0], None
         if self.upper == "geometric":
             upper = math.pi * math.e * sqrt_ranks
@@ -159,7 +159,7 @@ def powerlaw_exponents(model: str, k: float) -> ScalingClass:
     """
     k = _check_real(k, "power-law exponent k", hi=0.0)
     if model not in _POWERLAW_GROWTH:
-        raise ParameterError(f"unknown model {model!r}")
+        raise ConfigError(f"unknown model {model!r}")
     growth, top, at_top, at_zero = _POWERLAW_GROWTH[model]
     log_exponent = -1 if k == at_top else 1 if k == at_zero else 0
     return ScalingClass(min(top, max(0.0, growth(k))), log_exponent)

@@ -37,8 +37,7 @@ PROB_SUM_TOL = 1e-12
 # The one block length of every sum (np.sum of each block, the block sums
 # combined exactly with math.fsum, so alpha's bits depend on it) and of
 # every walk.  A walk's reused ranks and block (512 KB each) stay in cache,
-# so making x^k twice, for alpha and per walk, costs less than one pass
-# over an n-sized array.
+# so a walk costs less than one pass over an n-sized array.
 _BUILD_STEP = 1 << 16
 
 # Longest float64 array numpy can address: its byte size must fit in intp.
@@ -109,7 +108,7 @@ def _dot(block: np.ndarray, v: np.ndarray) -> float:
 
 
 def _rank_weighted_sums(dist: AdviceDistribution, fn, step: int = _BUILD_STEP,
-                        workers: int = 1, extra=None) -> list[float]:
+                        workers: int = 1, extra=None, stops=None):
     """Column sums of the per-block partial sums that fn returns.
 
     fn(block, ranks, worker) gets the probabilities of one block of at most
@@ -120,8 +119,13 @@ def _rank_weighted_sums(dist: AdviceDistribution, fn, step: int = _BUILD_STEP,
     by dist._stream in scratch of its own: fn and then extra.partials may
     overwrite ranks, and nothing of size n is allocated.  Each column is
     combined with math.fsum, which is correctly rounded in any order, so
-    the sums do not depend on workers.
+    the sums do not depend on workers.  With stops, see _sums_at.
     """
+    def row(block: np.ndarray, ranks: np.ndarray, worker: int) -> tuple[float, ...]:
+        return (*fn(block, ranks, worker), *(() if extra is None else extra.partials(block, ranks)))
+
+    if stops is not None:
+        return _sums_at(dist, row, step, stops, extra)
     stop = threading.Event()
 
     def reduce(worker: int) -> list[tuple[float, ...]]:
@@ -129,8 +133,7 @@ def _rank_weighted_sums(dist: AdviceDistribution, fn, step: int = _BUILD_STEP,
         for _, ranks, block in dist._stream(step, worker, workers):
             if stop.is_set():
                 break
-            row = tuple(fn(block, ranks, worker))
-            rows.append(row if extra is None else row + extra.partials(block, ranks))
+            rows.append(row(block, ranks, worker))
         return rows
 
     if workers == 1:
@@ -151,6 +154,31 @@ def _rank_weighted_sums(dist: AdviceDistribution, fn, step: int = _BUILD_STEP,
     return sums
 
 
+def _sums_at(dist: AdviceDistribution, fn, step: int, stops, extra=None):
+    """Yield, at each of stops (increasing ranks, the last dist.n), fn's
+    column sums over the ranks up to it (extra's go to extra.sums) and
+    alpha, for columns linear in p.  A power law's are alpha times those of
+    one walk over its weights x^k, alpha = 1 / their sum with the bits of
+    power_law_alpha, as a stop inside a block adds its prefix's row."""
+    law, rows, ahead = dist.power_law, [], list(stops)[::-1]
+    row = lambda block, ranks: (*fn(block, ranks, 0), float(np.sum(block)))   # noqa: E731
+    for lo, ranks, block in (dist if law is None else _weights(dist.n, law.k))._stream(step):
+        whole = None
+        while ahead and ahead[-1] <= lo + block.size:
+            cut = ahead.pop() - lo
+            if cut < block.size:   # a prefix gets ranks of its own, as fn may overwrite them
+                head = row(block[:cut], ranks[:cut].copy())
+            else:
+                head = whole = row(block, ranks)
+            *sums, weight = (math.fsum(column) for column in zip(*rows, head))
+            alpha = 1.0 if law is None else 1.0 / weight
+            sums = [alpha * value for value in sums]
+            if extra is not None:
+                sums, extra.sums = sums[:-extra.width], sums[-extra.width:]
+            yield sums + [alpha]
+        rows.append(whole or row(block, ranks))
+
+
 def compensated_sum(values) -> float:
     """Sum an array: np.sum of each _BUILD_STEP block, the block sums combined
     exactly with math.fsum, so long inputs (n up to 2**30) do not drift."""
@@ -162,18 +190,11 @@ def compensated_sum(values) -> float:
 def power_law_alpha(n: int, k: float) -> float:
     """Normalizing constant alpha with sum_{x=1..n} alpha*x^k = 1.
 
-    Direct summation of x^k, no closed-form/integral shortcut: bit for bit
-    1 / compensated_sum(x^k for x = 1..n), with x^k made one _BUILD_STEP
-    block at a time into one reused buffer.
+    Direct summation of x^k, no closed-form/integral shortcut: a walk over
+    x^k with one stop, n, bit for bit 1 / compensated_sum(x^k for x = 1..n).
     """
     k = _check_power_law_params(n, k)
-    base = np.arange(min(n, _BUILD_STEP), dtype=np.float64)
-    values, sums = np.empty(base.size), []
-    for lo in range(0, n, _BUILD_STEP):
-        block = values[:min(_BUILD_STEP, n - lo)]
-        np.power(np.add(base[:block.size], lo + 1, out=block), k, out=block)
-        sums.append(float(np.sum(block)))
-    return 1.0 / math.fsum(sums)
+    return next(_sums_at(_weights(n, k), lambda *_: (), _BUILD_STEP, (n,)))[0]   # [alpha]
 
 
 @dataclass(frozen=True)
@@ -201,8 +222,8 @@ class AdviceDistribution:
     """A prior over {1..n}, sorted non-increasing, with sampling support.
 
     A power law (power_law given, probs None) is streamed: each walk makes
-    its blocks alpha * x^k from their ranks, the elementwise operations
-    that would build probs, so exact rows allocate nothing of size n.  probs
+    its blocks alpha * x^k from their ranks as probs would hold them (x^k
+    alone for sums linear in p), so exact rows allocate nothing of size n.  probs
     is built, with the same bits, only when read (statevector checks,
     validate() and tests); Monte Carlo builds only the cdf.  perm=None means
     the advice is already in rank order: the identity permutation is then
@@ -326,6 +347,11 @@ def _check_power_law_params(n, k) -> float:
     return k
 
 
+def _weights(n: int, k: float) -> AdviceDistribution:
+    """The weights x^k on {1..n}, unnormalized: a streamed power law of alpha 1."""
+    return AdviceDistribution(n=n, power_law=PowerLawSpec(n=n, k=k, alpha=1.0))
+
+
 def make_power_law(n: int, k: float) -> AdviceDistribution:
     """Power-law advice p_x = alpha * x^k on {1..n}, k < 0 (already sorted),
     streamed: it holds alpha, not probs."""
@@ -361,9 +387,13 @@ def make_explicit(weights) -> AdviceDistribution:
 
 
 def _dist_kind(cfg: dict) -> str:
-    """cfg["kind"] if dist_from_config builds that kind, else ConfigError."""
-    if cfg.get("kind") not in ("powerlaw", "explicit"):
+    """cfg["kind"] if dist_from_config builds that kind and cfg holds no key
+    that the kind does not take, else ConfigError."""
+    if cfg.get("kind") not in ("powerlaw", "explicit"):   # compared, not hashed: any value
         raise ConfigError(f"unknown dist kind {cfg.get('kind')!r}")
+    extra = set(cfg) - {"kind", *{"powerlaw": ("n", "k"), "explicit": ("weights",)}[cfg["kind"]]}
+    if extra:
+        raise ConfigError(f"unknown {cfg['kind']} keys: {sorted(extra)}")
     return cfg["kind"]
 
 
@@ -376,15 +406,7 @@ def dist_from_config(cfg: dict) -> AdviceDistribution:
     if not isinstance(cfg, dict):
         raise ConfigError(f"dist config must be a mapping, got {type(cfg).__name__}")
     if _dist_kind(cfg) == "powerlaw":
-        extra = set(cfg) - {"kind", "n", "k"}
-        if extra:
-            raise ConfigError(f"unknown powerlaw keys: {sorted(extra)}")
-        if "n" not in cfg or "k" not in cfg:
-            raise ConfigError("powerlaw dist needs 'n' and 'k'")
-        return make_power_law(cfg["n"], cfg["k"])
-    extra = set(cfg) - {"kind", "weights"}
-    if extra:
-        raise ConfigError(f"unknown explicit keys: {sorted(extra)}")
+        return make_power_law(cfg.get("n"), cfg.get("k"))   # a missing one fails as None
     if "weights" not in cfg or not isinstance(cfg["weights"], (list, tuple)):
         raise ConfigError("explicit dist needs a 'weights' list")
     for w in cfg["weights"]:

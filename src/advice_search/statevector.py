@@ -50,7 +50,7 @@ def aa_success_curve(dist: AdviceDistribution, marked_rank: int,
                      max_iters: int) -> np.ndarray:
     """Success probabilities after j = 0..max_iters amplification steps."""
     _check_int(marked_rank, "marked rank", 1, dist.n)
-    _check_int(max_iters, "max_iters", 0)
+    _check_int(max_iters, "max_iters", 0, 16 * DIM_CAP)
     _check_cap(dist.n)
     mu = np.sqrt(dist.probs).astype(np.complex128)
     amps = mu.copy()

@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -22,6 +22,8 @@ from .distributions import (
     _check_int,
     _check_real,
     _dist_kind,
+    _check_power_law_params,
+    _weights,
     dist_from_config,
 )
 
@@ -169,47 +171,60 @@ class SweepSpec:
                    seed=_check_int(merged.get("seed", 0), "seed", 0))
 
 
+def _columns(spec: SweepSpec, dist) -> bounds._BoundColumns | None:
+    """A row's bound columns, none for the scan: the 0.206 lower bound holds for any
+    zero-error quantum search; upper bounds are ratio-specific, at the default ratio only."""
+    if spec.model == "classical":
+        return None
+    default = spec.k_algorithm is None or math.isclose(
+        spec.k_algorithm, algorithms._model_ratio(spec.model, None), rel_tol=1e-12, abs_tol=0.0)
+    return bounds._BoundColumns(dist, spec.model if default else None)
+
+
+def _reports(spec: SweepSpec, cfgs: list[dict], seeds: list[int]):
+    """Yield (n, k_dist, report, bound columns) per dist config.  Exact scan
+    and block-search rows of power laws come from one walk to the largest n
+    that stops at each n: f and the bounds' sum p_x sqrt(x) are linear in p."""
+    if spec.mode == "exact" and spec.model != "unknown" and _dist_kind(cfgs[0]) == "powerlaw":
+        ns = [cfg.get("n") for cfg in cfgs]
+        for n, cfg in zip(ns, cfgs):   # each checked as its own dist would check it
+            k = _check_power_law_params(n, cfg.get("k"))
+        ratio = algorithms._model_ratio(spec.model, spec.k_algorithm)
+        columns = _columns(spec, None)
+        walk = algorithms._scan_means(spec.model, _weights(ns[-1], k), ratio, columns, ns)
+        for n, f in zip(ns, walk):
+            yield n, k, algorithms._exact_report(f, 0.0, 0.0), columns
+        return
+    for cfg, seed in zip(cfgs, seeds):
+        dist = dist_from_config(cfg)
+        columns = _columns(spec, dist)
+        if spec.mode == "monte_carlo":
+            report = algorithms.monte_carlo(spec.model, dist, spec.trials, seed,
+                                            k=spec.k_algorithm)
+        else:
+            report = algorithms.exact_expected(spec.model, dist, spec.k_algorithm, columns)
+        yield dist.n, dist.power_law and dist.power_law.k, report, columns
+
+
+def _rows(spec: SweepSpec, cfgs: list[dict], seeds: list[int], timing: bool) -> list[SweepRow]:
+    """The rows of _reports, each timed from the end of the previous one to
+    its bounds (which a Monte Carlo row walks) under timing."""
+    rows, started = [], time.perf_counter()
+    for n, k_dist, report, columns in _reports(spec, cfgs, seeds):
+        lower, upper = columns.values() if columns is not None else (None, None)
+        elapsed = time.perf_counter() - started
+        log.info("point n=%d model=%s mode=%s took %.3fs", n, spec.model, spec.mode, elapsed)
+        rows.append(SweepRow(n, k_dist, spec.model, spec.mode, *astuple(report),   # means, stderrs
+                             lower, upper, elapsed if timing else 0.0))
+        started = time.perf_counter()
+    return rows
+
+
 def run_point(spec: SweepSpec, *, n: int | None = None, seed: int | None = None,
               timing: bool = False) -> SweepRow:
-    """Measure one row.  n overrides the dist config (sweep grid points)."""
-    cfg = dict(spec.dist_cfg)
-    if n is not None:
-        cfg["n"] = n
-    dist = dist_from_config(cfg)
-    # the 0.206 lower bound holds for any zero-error quantum search; upper
-    # bounds are ratio-specific constants, emitted at the default ratio only
-    columns = None
-    if spec.model != "classical":
-        default = spec.k_algorithm is None or math.isclose(
-            spec.k_algorithm, algorithms._model_ratio(spec.model, None),
-            rel_tol=1e-12, abs_tol=0.0)
-        columns = bounds._BoundColumns(dist, spec.model if default else None)
-    started = time.perf_counter()
-    if spec.mode == "monte_carlo":
-        report = algorithms.monte_carlo(spec.model, dist, spec.trials,
-                                        spec.seed if seed is None else seed,
-                                        k=spec.k_algorithm)
-    else:
-        report = algorithms.exact_expected(spec.model, dist, spec.k_algorithm, columns)
-    lower, upper = columns.values() if columns is not None else (None, None)
-    elapsed = time.perf_counter() - started
-    log.info("point n=%d model=%s mode=%s took %.3fs", dist.n, spec.model,
-             spec.mode, elapsed)
-    return SweepRow(
-        n=dist.n,
-        k_dist=dist.power_law.k if dist.power_law is not None else None,
-        model=spec.model, mode=spec.mode,
-        f_mean=report.f_mean, f_stderr=report.f_stderr,
-        omu_mean=report.o_mu_mean, omu_stderr=report.o_mu_stderr,
-        omuinv_mean=report.o_mu_inv_mean, omuinv_stderr=report.o_mu_inv_stderr,
-        lower_bound=lower, upper_bound=upper,
-        seconds=elapsed if timing else 0.0,
-    )
-
-
-def _row_seed(base_seed: int, index: int) -> int:
-    return int(np.random.SeedSequence(entropy=base_seed,
-                                      spawn_key=(index,)).generate_state(1)[0])
+    """Measure one row.  n overrides the dist config."""
+    cfg = dict(spec.dist_cfg) if n is None else dict(spec.dist_cfg, n=n)
+    return _rows(spec, [cfg], [spec.seed if seed is None else seed], timing)[0]
 
 
 def run_sweep(spec: SweepSpec, *, timing: bool = False) -> list[SweepRow]:
@@ -217,8 +232,9 @@ def run_sweep(spec: SweepSpec, *, timing: bool = False) -> list[SweepRow]:
     from the spec seed."""
     if spec.n_grid is None:
         raise ConfigError("sweep needs an n_grid")
-    return [run_point(spec, n=n, seed=_row_seed(spec.seed, i), timing=timing)
-            for i, n in enumerate(spec.n_grid)]
+    seeds = [int(np.random.SeedSequence(entropy=spec.seed, spawn_key=(i,)).generate_state(1)[0])
+             for i in range(len(spec.n_grid))]
+    return _rows(spec, [dict(spec.dist_cfg, n=n) for n in spec.n_grid], seeds, timing)
 
 
 @dataclass(frozen=True)

@@ -78,6 +78,21 @@ def ref_geometric_cost(n: int, k: float, rank: int) -> int:
     raise AssertionError(f"rank {rank} not covered by schedule")
 
 
+def ref_scan_row(model: str, n: int, k: float, alpha: float, ratio: float) -> tuple[float, float]:
+    """(f, sum p_x sqrt(x)) of a classical or geometric row on the power law
+    p_x = alpha * x^k: each p_x made per element, then dotted exactly with
+    its rank's cost (the geometric one from ref_blocks' schedule)."""
+    x = np.arange(1, n + 1, dtype=np.float64)
+    p = alpha * np.power(x, k)
+    cost, total = x, 0
+    if model == "geometric":
+        cost = np.empty(n)
+        for start, end, size in ref_blocks(n, ratio):
+            total += ref_grover_queries(size, zero_or_one=True)
+            cost[start - 1:end] = total
+    return math.fsum(p * cost), math.fsum(p * np.sqrt(x))
+
+
 def ref_geometric_expected(probs, k: float) -> float:
     n = len(probs)
     return math.fsum(p * ref_geometric_cost(n, k, i + 1)

@@ -499,6 +499,13 @@ def test_schedule_ratio_near_one_exits_quickly():
     assert time.perf_counter() - started < 1.0
 
 
+def test_unknown_rounds_refuses_n_past_its_range():
+    # sqrt(n) of an integer beyond the float range would overflow
+    for n in (2**64 + 1, 10**400):
+        with pytest.raises(ParameterError):
+            unknown_rounds(n)
+
+
 def test_schedule_cap_leaves_usable_ratios_alone():
     # default and golden ratios stay far below the cap even at n = 2^62
     for k in (DEFAULT_AMPLIFY_RATIO, 1.3):

@@ -17,7 +17,7 @@ from advice_search import (
     row_bounds,
     unknown_expected_mu,
 )
-from advice_search.algorithms import _SUB_BLOCK
+from advice_search.algorithms import _SUB_BLOCK, _model_ratio
 from advice_search.bounds import _BoundColumns
 from advice_search.distributions import _BUILD_STEP, _rank_weighted_sums
 from advice_search.sweep import SweepSpec, run_point
@@ -222,8 +222,14 @@ def test_powerlaw_exponents_match_regime_ladder():
 def test_powerlaw_exponents_validation():
     with pytest.raises(ParameterError):
         powerlaw_exponents("classical", 0.5)
-    with pytest.raises(ParameterError):
-        powerlaw_exponents("telepathic", -1.0)
+    # a misspelt model id is a malformed input, as for every entry point
+    # that takes one
+    for call in (lambda model: powerlaw_exponents(model, -1.0),
+                 lambda model: row_bounds(make_power_law(8, -1.0), model),
+                 lambda model: _model_ratio(model, None)):
+        for model in ("telepathic", "Geometric"):
+            with pytest.raises(ConfigError):
+                call(model)
 
 
 def test_las_vegas_report_takes_integer_n():

@@ -118,7 +118,7 @@ def test_exit_code_malformed_config(tmp_path, capsys):
 
     # a dist with an unknown or missing kind is malformed in a sweep as in a
     # run (an explicit dist in a sweep is a parameter error, exit 3)
-    for dist in ({"kind": "gaussian", "k": -1.0}, {"k": -1.0}):
+    for dist in ({"kind": "gaussian", "k": -1.0}, {"k": -1.0}, {"kind": ["powerlaw"], "k": -1.0}):
         cfg = {"dist": dist, "model": "unknown"}
         assert main(["run", _write_cfg(tmp_path / "r.json", cfg)]) == 2
         cfg["n_grid"] = [4, 8, 16]
@@ -244,6 +244,28 @@ def test_exit_code_parameter_range(tmp_path):
     assert main(["run", huge_trials]) == 3
 
 
+@pytest.mark.parametrize("model", ("classical", "geometric", "unknown"))
+def test_sweep_checks_every_grid_point(tmp_path, model):
+    # each grid n is checked as its own row's dist would check it, whether
+    # the rows take one walk (classical, geometric) or one walk each
+    cases = (({"kind": "powerlaw", "k": -1.0}, [16, 2**50], None, 3),   # too large to hold
+             ({"kind": "powerlaw", "k": 1.0}, [16, 64], None, 3),
+             ({"kind": "powerlaw", "k": "x"}, [16, 64], None, 2),
+             ({"kind": "powerlaw"}, [16, 64], None, 2),
+             ({"kind": "powerlaw", "k": -1.0, "scale": 2}, [16, 64], None, 2),
+             ({"kind": "powerlaw", "k": -1.0}, [16, 10**6], 1.0 + 1e-9, 3))
+    started = time.perf_counter()
+    for i, (dist, grid, ratio, code) in enumerate(cases):
+        cfg = {"dist": dist, "model": model, "n_grid": grid}
+        if ratio is not None and model != "classical":
+            cfg["k_algorithm"] = ratio
+        elif ratio is not None:
+            code = 0
+        assert main(["sweep", _write_cfg(tmp_path / f"{i}.json", cfg),
+                     "--out", str(tmp_path / f"{i}.csv")]) == code, (dist, grid)
+    assert time.perf_counter() - started < 10.0
+
+
 def test_exit_code_schedule_ratio_near_one(tmp_path, capsys):
     # ~1e9-step schedules are refused up front instead of looping
     started = time.perf_counter()
@@ -363,8 +385,8 @@ def test_python_dash_m_entry_point(run_cfg):
 _RSS_SCRIPT = """
 import sys
 from advice_search.cli import main
-for cfg in sys.argv[1:]:
-    if main(["run", cfg]) != 0:
+for command, cfg in zip(sys.argv[1::2], sys.argv[2::2]):
+    if main([command, cfg]) != 0:
         raise SystemExit(1)
 with open("/proc/self/status", encoding="ascii") as fh:
     print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
@@ -373,13 +395,18 @@ with open("/proc/self/status", encoding="ascii") as fh:
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM is in Linux's /proc")
 def test_exact_scan_runs_at_2_26_fit_in_200_mb(tmp_path):
-    # a fresh process runs an exact classical and geometric row at n = 2^26:
-    # a streamed power law holds no array of size n (probs alone would be
-    # 512 MB), so the process peak stays near the interpreter's own
-    configs = [_write_cfg(tmp_path / f"{model}.json",
-                          {"dist": {"kind": "powerlaw", "n": 2**26, "k": -0.75},
-                           "model": model})
-               for model in ("classical", "geometric")]
+    # a fresh process runs an exact classical and geometric row at n = 2^26,
+    # and a sweep of each to 2^26 in one walk: a streamed power law holds no
+    # array of size n (probs alone would be 512 MB), so the process peak
+    # stays near the interpreter's own
+    configs = []
+    for model in ("classical", "geometric"):
+        configs += ["run", _write_cfg(tmp_path / f"{model}.json",
+                                      {"dist": {"kind": "powerlaw", "n": 2**26, "k": -0.75},
+                                       "model": model})]
+        configs += ["sweep", _write_cfg(tmp_path / f"{model}_sweep.json",
+                                        {"dist": {"kind": "powerlaw", "k": -0.75}, "model": model,
+                                         "n_grid": [2**20, 2**24 + 3, 2**26]})]
     package_root = os.path.dirname(os.path.dirname(advice_search.bounds.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -388,7 +415,7 @@ def test_exact_scan_runs_at_2_26_fit_in_200_mb(tmp_path):
                           capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert sum(line.startswith("67108864,") for line in lines) == 2, lines
+    assert sum(line.startswith("67108864,") for line in lines) == 4, lines
     peak_mb = int(lines[-1]) / 1024   # VmHWM is in kB
     assert peak_mb < 200, peak_mb
 

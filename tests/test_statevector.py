@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,3 +139,18 @@ def test_marked_rank_is_checked():
         aa_success_curve(make_explicit(np.ones(4)), 1, -1)
     with pytest.raises(ConfigError):
         aa_success_curve(make_explicit(np.ones(4)), 1, 2.5)
+
+
+def test_max_iters_is_bounded():
+    # a step count past the cap is refused before anything is allocated
+    d = make_explicit(np.ones(4))
+    tracemalloc.start()
+    try:
+        for max_iters in (10**9, 10**30):
+            with pytest.raises(ParameterError):
+                aa_success_curve(d, 1, max_iters)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert aa_success_curve(d, 1, 16 * DIM_CAP).size == 16 * DIM_CAP + 1

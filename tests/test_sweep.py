@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import math
 import os
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from advice_search import algorithms, bounds, distributions
 from advice_search import (
@@ -18,12 +21,15 @@ from advice_search import (
     fit_slope,
     geometric_expected,
     make_power_law,
+    power_law_alpha,
     read_rows,
     rows_to_csv,
     run_point,
     run_sweep,
     unknown_expected_mu,
 )
+
+from reference import ref_scan_row
 
 
 def _spec(**overrides):
@@ -99,7 +105,7 @@ def _record_walks(monkeypatch):
     walks = []
     walk = distributions._rank_weighted_sums
 
-    def recording(dist, fn, step=distributions._BUILD_STEP, workers=1, extra=None):
+    def recording(dist, fn, step=distributions._BUILD_STEP, workers=1, extra=None, stops=None):
         firsts = []
 
         def visit(block, ranks, worker):
@@ -107,7 +113,7 @@ def _record_walks(monkeypatch):
             return fn(block, ranks, worker)
 
         walks.append((step, firsts))
-        return walk(dist, visit, step, workers, extra)
+        return walk(dist, visit, step, workers, extra, stops)
 
     for module in (distributions, algorithms, bounds):
         monkeypatch.setattr(module, "_rank_weighted_sums", recording)
@@ -140,6 +146,58 @@ def test_monte_carlo_row_walks_only_its_bounds(monkeypatch, model, count):
     run_point(spec)
     assert [(size, sorted(firsts)) for size, firsts in walks] == [
         (2**16, list(range(1, _WALK_N + 1, 2**16)))] * count
+
+
+# grid points at and around the walk's 2^16-rank blocks: inside the first
+# block, at its end, one rank into the next, inside later blocks, at later ends
+_SCAN_NS = (1, 2, 1000, 2**16 - 1, 2**16, 2**16 + 1, 100_003, 2**17, 3 * 2**16 + 5)
+
+
+@settings(max_examples=25, deadline=None)
+@given(model=st.sampled_from(("classical", "geometric")),
+       k=st.floats(-3.0, -0.1),
+       ratio=st.sampled_from((None, 2.0, 1.5)),
+       grid=st.lists(st.sampled_from(_SCAN_NS) | st.integers(1, 3 * 2**16 + 5),
+                     min_size=1, max_size=4, unique=True).map(sorted))
+def test_one_walk_sweep_matches_per_element_rows(model, k, ratio, grid):
+    # a classical or geometric sweep takes one walk over x^k that stops at
+    # each n: alpha keeps the bits of power_law_alpha at every stop, and each
+    # row agrees with alpha * x^k made per element and dotted row by row
+    spec = SweepSpec(dist_cfg={"kind": "powerlaw", "k": k}, model=model,
+                     n_grid=tuple(grid), k_algorithm=ratio)
+    rows = run_sweep(spec)
+    alphas = distributions._rank_weighted_sums(
+        distributions._weights(grid[-1], k), lambda block, ranks, worker: (), stops=grid)
+    assert [row.n for row in rows] == grid
+    for n, row, (alpha,) in zip(grid, rows, alphas):
+        assert alpha == power_law_alpha(n, k), (n, k)
+        f, sqrt_ranks = ref_scan_row(model, n, k, alpha, ratio or algorithms.DEFAULT_GEOMETRIC_RATIO)
+        assert row.f_mean == pytest.approx(f, rel=1e-12, abs=0), n
+        if model == "classical":
+            assert row.lower_bound is None and row.upper_bound is None
+            continue
+        # the lower bound 0.206 S - 1 may sit near 0: within 1e-12 of its scale
+        lower = bounds.LAS_VEGAS_COEFF * sqrt_ranks
+        assert abs(row.lower_bound - (lower - 1.0)) <= 1e-12 * lower, n
+        if ratio is None:
+            assert row.upper_bound == pytest.approx(math.pi * math.e * sqrt_ranks, rel=1e-12, abs=0)
+        else:
+            assert row.upper_bound is None
+
+
+@pytest.mark.parametrize("model", ("classical", "geometric"))
+def test_one_walk_sweep_timing_column(model):
+    # under timing a row's seconds are the walk's since the previous row:
+    # each positive, together within the sweep's wall time
+    spec = SweepSpec.from_config(
+        {"dist": {"kind": "powerlaw", "k": -1.0}, "model": model,
+         "n_grid": [1000, 2**16, 2**17 + 3, 2**18]}, need_grid=True)
+    started = time.perf_counter()
+    rows = run_sweep(spec, timing=True)
+    wall = time.perf_counter() - started
+    assert all(row.seconds > 0.0 for row in rows), rows
+    assert math.fsum(row.seconds for row in rows) <= wall
+    assert all(row.seconds == 0.0 for row in run_sweep(spec))
 
 
 def test_run_point_monte_carlo_has_stderr():
