@@ -35,6 +35,7 @@ from .distributions import (
     _check_int,
     _check_real,
     _dot,
+    _linear_sums,
     _rank_weighted_sums,
 )
 from .rotation import _angle_terms, _iter_average, _success_at, exact_grover_queries
@@ -184,13 +185,18 @@ def _geometric_schedule(n: int, k: float) -> tuple[np.ndarray, np.ndarray]:
     return np.array(ends, dtype=np.int64), np.cumsum(costs, dtype=np.float64)
 
 
+def _with_columns(fn, columns):
+    """fn's columns, then a row's bound columns if given (last, as they overwrite ranks)."""
+    return fn if columns is None else lambda block, ranks, worker: (
+        *fn(block, ranks, worker), *columns.partials(block, ranks, worker))
+
+
 def _scan_means(model: str, dist: AdviceDistribution, k: float | None = None,
                 columns=None, stops=None):
     """Yield the exact expected f queries of the scan, or of the block search
     at ratio k, up to each of stops (dist.n by default) from one walk, which
     sums columns too.  Per walk block, each schedule block's part is np.sum
-    times its cumulative cost, which is charged at nominal block sizes and
-    so does not depend on where the walk stops."""
+    times its cumulative cost, charged at nominal block sizes whatever the stop."""
     if model == "classical":
         fn = lambda block, ranks, _: (_dot(block, ranks),)   # noqa: E731
     else:
@@ -206,15 +212,16 @@ def _scan_means(model: str, dist: AdviceDistribution, k: float | None = None,
                 lo, m = hi, m + 1
             return (math.fsum(parts),)
 
-    for f, _ in _rank_weighted_sums(dist, fn, extra=columns, stops=stops or (dist.n,)):
+    for _, f, *sums in _linear_sums(dist, _with_columns(fn, columns), stops):
+        if columns is not None:
+            columns.sums = sums
         yield f
 
 
-def geometric_expected(dist: AdviceDistribution, k: float = DEFAULT_GEOMETRIC_RATIO,
-                       *, columns=None) -> ExpectationReport:
-    """Exact expected f queries of the block search under the advice.
-    columns, if given, are a row's bound columns, summed in the same walk."""
-    return _exact_report(f=next(_scan_means("geometric", dist, k, columns)), o_mu=0.0, o_mu_inv=0.0)
+def geometric_expected(dist: AdviceDistribution,
+                       k: float = DEFAULT_GEOMETRIC_RATIO) -> ExpectationReport:
+    """Exact expected f queries of the block search under the advice."""
+    return _exact_report(f=next(_scan_means("geometric", dist, k)), o_mu=0.0, o_mu_inv=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +382,12 @@ def unknown_expected_mu(dist: AdviceDistribution, k: float = DEFAULT_AMPLIFY_RAT
     fallback = float(exact_grover_queries(dist.n, zero_or_one=False))
     workers = min(_kernel_workers(), -(-dist.n // _SUB_BLOCK))
     scratch = np.empty((workers, _SCRATCH_ROWS, min(dist.n, _SUB_BLOCK)))
-    f, o_mu, inv = _rank_weighted_sums(
-        dist,
-        lambda block, ranks, worker: [
-            _dot(block, v) for v in _amplify_sub_block(block, sizes, fallback, scratch[worker])],
-        _SUB_BLOCK, workers, extra=columns)
+    fn = lambda block, ranks, worker: [   # noqa: E731
+        _dot(block, v) for v in _amplify_sub_block(block, sizes, fallback, scratch[worker])]
+    f, o_mu, inv, *sums = next(_rank_weighted_sums(dist, _with_columns(fn, columns),
+                                                   step=_SUB_BLOCK, workers=workers))
+    if columns is not None:
+        columns.sums = sums
     return _exact_report(f=f, o_mu=o_mu, o_mu_inv=inv)
 
 

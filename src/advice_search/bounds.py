@@ -19,6 +19,7 @@ from .distributions import (
     _check_int,
     _check_real,
     _dot,
+    _linear_sums,
     _prefix_length,
     _rank_weighted_sums,
 )
@@ -93,10 +94,9 @@ class _BoundColumns:
 
     def __init__(self, dist: AdviceDistribution, upper: str | None = None):
         self.dist, self.upper = dist, upper
-        self.width = 3 if upper == "unknown" else 1
         self.sums: list[float] = []
 
-    def partials(self, block: np.ndarray, ranks: np.ndarray) -> tuple[float, ...]:
+    def partials(self, block: np.ndarray, ranks: np.ndarray, worker: int) -> tuple[float, ...]:
         # the walk's ranks are the worker's scratch, which the columns may
         # overwrite: rooted in place, then the roots of the high-prior
         # probabilities
@@ -110,9 +110,10 @@ class _BoundColumns:
     def values(self) -> tuple[float, float | None]:
         """The lower bound, and the upper bound of the model named by upper;
         the columns get a walk of their own if no model's walk carried them."""
-        if not self.sums:   # only the oracle-only ceiling is not linear in p
-            list(_rank_weighted_sums(self.dist, lambda block, ranks, worker: (), extra=self,
-                                     stops=None if self.upper == "unknown" else (self.dist.n,)))
+        if not self.sums and self.upper == "unknown":   # the one ceiling not linear in p
+            self.sums = next(_rank_weighted_sums(self.dist, self.partials))
+        elif not self.sums:
+            _, *self.sums = next(_linear_sums(self.dist, self.partials))
         sqrt_ranks, upper = self.sums[0], None
         if self.upper == "geometric":
             upper = math.pi * math.e * sqrt_ranks

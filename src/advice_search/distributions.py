@@ -107,76 +107,60 @@ def _dot(block: np.ndarray, v: np.ndarray) -> float:
     return float(np.einsum("i,i->", block, v))
 
 
-def _rank_weighted_sums(dist: AdviceDistribution, fn, step: int = _BUILD_STEP,
-                        workers: int = 1, extra=None, stops=None):
-    """Column sums of the per-block partial sums that fn returns.
+def _rank_weighted_sums(dist: AdviceDistribution, fn, stops=None, step: int = _BUILD_STEP,
+                        workers: int = 1):
+    """Yield, at each of stops (increasing ranks, the last dist.n; (dist.n,)
+    by default), the math.fsum of each column of fn over the ranks up to it.
 
     fn(block, ranks, worker) gets the probabilities of one block of at most
-    step ranks, those 1-based ranks as floats and the index of its thread,
-    and returns one partial sum per column.  If extra is given,
-    extra.partials(block, ranks) appends more columns, whose sums go to
-    extra.sums.  Worker w takes every workers-th block from block w, made
-    by dist._stream in scratch of its own: fn and then extra.partials may
-    overwrite ranks, and nothing of size n is allocated.  Each column is
-    combined with math.fsum, which is correctly rounded in any order, so
-    the sums do not depend on workers.  With stops, see _sums_at.
-    """
-    def row(block: np.ndarray, ranks: np.ndarray, worker: int) -> tuple[float, ...]:
-        return (*fn(block, ranks, worker), *(() if extra is None else extra.partials(block, ranks)))
-
-    if stops is not None:
-        return _sums_at(dist, row, step, stops, extra)
+    step ranks, those 1-based ranks as floats (which it may overwrite) and
+    the index of its thread, and returns one partial sum per column.  A stop
+    inside a block adds the row of its prefix, made first on ranks of its
+    own.  Worker w walks blocks w, w + workers, ... of dist._stream in its
+    own scratch; the rows are merged back into block order."""
+    stops = (dist.n,) if stops is None else stops
     stop = threading.Event()
 
-    def reduce(worker: int) -> list[tuple[float, ...]]:
-        rows = []
-        for _, ranks, block in dist._stream(step, worker, workers):
+    def rows(worker: int):
+        for lo, ranks, block in dist._stream(step, worker, workers):
             if stop.is_set():
                 break
-            rows.append(row(block, ranks, worker))
-        return rows
+            end = lo + block.size
+            heads = tuple(fn(block[:cut - lo], ranks[:cut - lo].copy(), worker)
+                          for cut in stops if lo < cut < end)
+            row = fn(block, ranks, worker)
+            yield end, heads + (row,) * (end in stops), row
 
     if workers == 1:
-        partials = reduce(0)
+        blocks = rows(0)
     else:
         # imported here, so that importing the package does not pay for it
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(workers) as pool:
             try:
-                partials = [row for rows in pool.map(reduce, range(workers)) for row in rows]
+                blocks = sorted((block for part in pool.map(lambda w: list(rows(w)), range(workers))
+                                 for block in part), key=lambda block: block[0])
             finally:
                 # after an interrupt or a failed worker, the others quit at
                 # their next block instead of finishing the whole reduction
                 stop.set()
-    sums = [math.fsum(column) for column in zip(*partials)]
-    if extra is not None:
-        sums, extra.sums = sums[:-extra.width], sums[-extra.width:]
-    return sums
+    done = []
+    for _, heads, row in blocks:
+        for head in heads:
+            yield [math.fsum(column) for column in zip(*done, head)]
+        done.append(row)
 
 
-def _sums_at(dist: AdviceDistribution, fn, step: int, stops, extra=None):
-    """Yield, at each of stops (increasing ranks, the last dist.n), fn's
-    column sums over the ranks up to it (extra's go to extra.sums) and
-    alpha, for columns linear in p.  A power law's are alpha times those of
-    one walk over its weights x^k, alpha = 1 / their sum with the bits of
-    power_law_alpha, as a stop inside a block adds its prefix's row."""
-    law, rows, ahead = dist.power_law, [], list(stops)[::-1]
-    row = lambda block, ranks: (*fn(block, ranks, 0), float(np.sum(block)))   # noqa: E731
-    for lo, ranks, block in (dist if law is None else _weights(dist.n, law.k))._stream(step):
-        whole = None
-        while ahead and ahead[-1] <= lo + block.size:
-            cut = ahead.pop() - lo
-            if cut < block.size:   # a prefix gets ranks of its own, as fn may overwrite them
-                head = row(block[:cut], ranks[:cut].copy())
-            else:
-                head = whole = row(block, ranks)
-            *sums, weight = (math.fsum(column) for column in zip(*rows, head))
-            alpha = 1.0 if law is None else 1.0 / weight
-            sums = [alpha * value for value in sums]
-            if extra is not None:
-                sums, extra.sums = sums[:-extra.width], sums[-extra.width:]
-            yield sums + [alpha]
-        rows.append(whole or row(block, ranks))
+def _linear_sums(dist: AdviceDistribution, fn, stops=None):
+    """Yield, at each of stops, alpha and alpha times fn's column sums, for
+    columns linear in p: a power law walks x^k with a weight column added,
+    alpha = 1 / its sum, with the bits of power_law_alpha at the stop; other advice has alpha 1."""
+    law = dist.power_law
+    for *sums, weight in _rank_weighted_sums(
+            dist if law is None else _weights(dist.n, law.k),
+            lambda block, ranks, worker: (*fn(block, ranks, worker), float(np.sum(block))), stops):
+        alpha = 1.0 if law is None else 1.0 / weight
+        yield [alpha, *(alpha * value for value in sums)]
 
 
 def compensated_sum(values) -> float:
@@ -190,11 +174,11 @@ def compensated_sum(values) -> float:
 def power_law_alpha(n: int, k: float) -> float:
     """Normalizing constant alpha with sum_{x=1..n} alpha*x^k = 1.
 
-    Direct summation of x^k, no closed-form/integral shortcut: a walk over
-    x^k with one stop, n, bit for bit 1 / compensated_sum(x^k for x = 1..n).
+    Direct summation of x^k, no closed-form/integral shortcut: the alpha of
+    a one-stop _linear_sums, bit for bit 1 / compensated_sum(x^k for x = 1..n).
     """
     k = _check_power_law_params(n, k)
-    return next(_sums_at(_weights(n, k), lambda *_: (), _BUILD_STEP, (n,)))[0]   # [alpha]
+    return next(_linear_sums(_weights(n, k), lambda *_: ()))[0]   # [alpha]
 
 
 @dataclass(frozen=True)
@@ -261,8 +245,8 @@ class AdviceDistribution:
         """Yield (lo, ranks, block) for blocks offset, offset + stride, ... of
         step ranks (the last may be shorter): the 1-based ranks lo + 1, ...
         as floats, and their probabilities, for a power law made in scratch
-        as np.power(ranks, k) * alpha, otherwise a slice of probs.  Scratch
-        is allocated once per call; each yield rewrites it."""
+        as np.power(ranks, k) * alpha (x^k alone at alpha 1), otherwise a
+        slice of probs.  Scratch is allocated once per call; each yield rewrites it."""
         base = np.arange(min(step, self.n), dtype=np.float64)
         scratch = np.empty((1 if self.power_law is None else 2, base.size))
         for lo in range(offset * step, self.n, stride * step):
@@ -272,7 +256,8 @@ class AdviceDistribution:
                 block = self._probs[lo:lo + size]
             else:
                 block = np.power(ranks, self.power_law.k, out=scratch[1, :size])
-                block *= self.power_law.alpha
+                if self.power_law.alpha != 1.0:   # x^k alone, for sums linear in p
+                    block *= self.power_law.alpha
             yield lo, ranks, block
 
     def _probs_at(self, ranks: np.ndarray) -> np.ndarray:

@@ -184,11 +184,13 @@ def _columns(spec: SweepSpec, dist) -> bounds._BoundColumns | None:
 def _reports(spec: SweepSpec, cfgs: list[dict], seeds: list[int]):
     """Yield (n, k_dist, report, bound columns) per dist config.  Exact scan
     and block-search rows of power laws come from one walk to the largest n
-    that stops at each n: f and the bounds' sum p_x sqrt(x) are linear in p."""
-    if spec.mode == "exact" and spec.model != "unknown" and _dist_kind(cfgs[0]) == "powerlaw":
-        ns = [cfg.get("n") for cfg in cfgs]
-        for n, cfg in zip(ns, cfgs):   # each checked as its own dist would check it
-            k = _check_power_law_params(n, cfg.get("k"))
+    that stops at each n: f and the bounds' sum p_x sqrt(x) are linear in p.
+    Every n of a power law is checked, as its own dist would check it, before any row."""
+    law = _dist_kind(cfgs[0]) == "powerlaw"
+    for cfg in cfgs if law else ():
+        k = _check_power_law_params(cfg.get("n"), cfg.get("k"))
+    if spec.mode == "exact" and spec.model != "unknown" and law:
+        ns = [cfg["n"] for cfg in cfgs]
         ratio = algorithms._model_ratio(spec.model, spec.k_algorithm)
         columns = _columns(spec, None)
         walk = algorithms._scan_means(spec.model, _weights(ns[-1], k), ratio, columns, ns)
@@ -220,11 +222,9 @@ def _rows(spec: SweepSpec, cfgs: list[dict], seeds: list[int], timing: bool) -> 
     return rows
 
 
-def run_point(spec: SweepSpec, *, n: int | None = None, seed: int | None = None,
-              timing: bool = False) -> SweepRow:
-    """Measure one row.  n overrides the dist config."""
-    cfg = dict(spec.dist_cfg) if n is None else dict(spec.dist_cfg, n=n)
-    return _rows(spec, [cfg], [spec.seed if seed is None else seed], timing)[0]
+def run_point(spec: SweepSpec, *, timing: bool = False) -> SweepRow:
+    """Measure one row."""
+    return _rows(spec, [dict(spec.dist_cfg)], [spec.seed], timing)[0]
 
 
 def run_sweep(spec: SweepSpec, *, timing: bool = False) -> list[SweepRow]:

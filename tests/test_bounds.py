@@ -253,6 +253,6 @@ def test_compute_bounds_report():
     assert row("classical") == (None, None)
     assert row("geometric") == row_bounds(d, "geometric")
     columns = _BoundColumns(d, "unknown")
-    _rank_weighted_sums(d, lambda block, ranks, worker: (), _SUB_BLOCK, extra=columns)
+    columns.sums = next(_rank_weighted_sums(d, columns.partials, step=_SUB_BLOCK))
     assert row("unknown") == columns.values()
     assert columns.values() == pytest.approx(row_bounds(d, "unknown"), rel=1e-14, abs=0)

@@ -3,9 +3,12 @@ from __future__ import annotations
 import math
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from advice_search import (
@@ -22,7 +25,9 @@ from advice_search.distributions import (
     _BUILD_STEP,
     _check_int,
     _check_real,
+    _dot,
     _rank_weighted_sums,
+    _weights,
 )
 
 from reference import ref_alpha, ref_power_probs, ref_sorted_probs, ref_x0
@@ -336,8 +341,54 @@ def test_rank_weighted_sums_stops_workers_after_a_failure():
         return (block,)
 
     with pytest.raises(RuntimeError, match="boom"):
-        _rank_weighted_sums(make_explicit(np.ones(200 * 16)), fn, step=16, workers=2)
+        next(_rank_weighted_sums(make_explicit(np.ones(200 * 16)), fn, step=16, workers=2))
     assert len(calls) < 50, len(calls)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 120), explicit=st.booleans(), k=st.floats(-3.0, -0.1))
+def test_threaded_walk_matches_one_worker(data, n, explicit, k):
+    # with stops at, inside and one past the ends of 16-rank blocks, two
+    # workers give the one-worker walk's sums bit for bit; fn overwrites its
+    # ranks, so a prefix that shared them with its block would differ
+    if explicit:
+        dist = make_explicit(data.draw(st.lists(st.floats(0.0, 1e3), min_size=n, max_size=n))
+                             + [1.0])
+    else:
+        dist = make_power_law(n, k)
+    near_ends = {min(dist.n, end + shift) for end in range(16, dist.n + 16, 16)
+                 for shift in (-5, -1, 0, 1)}
+    stops = sorted(data.draw(st.sets(st.sampled_from(sorted(near_ends)))) | {dist.n})
+
+    def fn(block, ranks, worker):
+        return _dot(block, ranks), float(np.sum(np.sqrt(ranks, out=ranks))), float(np.sum(block))
+
+    one = list(_rank_weighted_sums(dist, fn, stops, step=16))
+    assert len(one) == len(stops)
+    assert list(_rank_weighted_sums(dist, fn, stops, step=16, workers=2)) == one
+    ranks = np.arange(1.0, dist.n + 1)
+    for stop, sums in zip(stops, one):   # per 16-rank block, cut at the stop
+        cuts = [(lo, min(lo + 16, stop)) for lo in range(0, stop, 16)]
+        assert sums[0] == math.fsum(_dot(dist.probs[lo:hi], ranks[lo:hi]) for lo, hi in cuts)
+        assert sums[2] == math.fsum(float(np.sum(dist.probs[lo:hi])) for lo, hi in cuts)
+
+
+def test_threaded_walk_memory_is_its_rows():
+    # two workers hold one small row per block and nothing else that grows
+    # with the block count: 16 times the blocks may add 400 bytes a block,
+    # while a future per block (Executor.map over blocks) costs several KB
+    def peak(n):
+        dist = _weights(n, -1.0)
+        tracemalloc.start()
+        try:
+            next(_rank_weighted_sums(dist, lambda block, ranks, worker: (float(block[0]),),
+                                     step=256, workers=2))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2**18), peak(2**22)
+    assert large - small < 400 * (2**22 - 2**18) // 256, (small, large)
 
 
 def test_large_n_normalization():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import time
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advice_search import algorithms, bounds, distributions
+from advice_search import algorithms, bounds, distributions, sweep
 from advice_search import (
     ConfigError,
     HEADER,
@@ -100,23 +101,26 @@ _WALK_N = 3 * 2**16 + 5
 
 
 def _record_walks(monkeypatch):
-    """Make every _rank_weighted_sums call record its block length and the
-    first rank of each block it visits."""
+    """Make every walk that the models and the bounds take (_rank_weighted_sums
+    or _linear_sums, not the dist build's alpha) record its block length and
+    the first rank of each block it visits."""
     walks = []
-    walk = distributions._rank_weighted_sums
 
-    def recording(dist, fn, step=distributions._BUILD_STEP, workers=1, extra=None, stops=None):
-        firsts = []
+    def recorder(walk):
+        def recording(dist, fn, stops=None, **options):
+            firsts = []
 
-        def visit(block, ranks, worker):
-            firsts.append(int(ranks[0]))
-            return fn(block, ranks, worker)
+            def visit(block, ranks, worker):
+                firsts.append(int(ranks[0]))
+                return fn(block, ranks, worker)
 
-        walks.append((step, firsts))
-        return walk(dist, visit, step, workers, extra, stops)
+            walks.append((options.get("step", distributions._BUILD_STEP), firsts))
+            return walk(dist, visit, stops, **options)
+        return recording
 
-    for module in (distributions, algorithms, bounds):
-        monkeypatch.setattr(module, "_rank_weighted_sums", recording)
+    for module in (algorithms, bounds):
+        for name in ("_rank_weighted_sums", "_linear_sums"):
+            monkeypatch.setattr(module, name, recorder(getattr(module, name)))
     return walks
 
 
@@ -166,7 +170,7 @@ def test_one_walk_sweep_matches_per_element_rows(model, k, ratio, grid):
     spec = SweepSpec(dist_cfg={"kind": "powerlaw", "k": k}, model=model,
                      n_grid=tuple(grid), k_algorithm=ratio)
     rows = run_sweep(spec)
-    alphas = distributions._rank_weighted_sums(
+    alphas = distributions._linear_sums(
         distributions._weights(grid[-1], k), lambda block, ranks, worker: (), stops=grid)
     assert [row.n for row in rows] == grid
     for n, row, (alpha,) in zip(grid, rows, alphas):
@@ -198,6 +202,25 @@ def test_one_walk_sweep_timing_column(model):
     assert all(row.seconds > 0.0 for row in rows), rows
     assert math.fsum(row.seconds for row in rows) <= wall
     assert all(row.seconds == 0.0 for row in run_sweep(spec))
+
+
+@pytest.mark.parametrize("model,mode,grid", [
+    ("unknown", "exact", [2**10, 2**12, 2**45]),
+    ("classical", "monte_carlo", [2**10, 2**12, 2**45]),
+    ("unknown", "monte_carlo", [2**10, 2**45])])
+def test_sweep_refuses_a_bad_grid_point_before_any_row(monkeypatch, model, mode, grid):
+    # every grid n is checked before the first row is built, not when the
+    # rows before it are done
+    def no_row(*args, **kwargs):
+        raise AssertionError("a row was built before the grid was checked")
+
+    for name in ("unknown_expected_mu", "monte_carlo", "exact_expected"):
+        monkeypatch.setattr(algorithms, name, no_row)
+    monkeypatch.setattr(sweep, "dist_from_config", no_row)
+    spec = SweepSpec.from_config({"dist": {"kind": "powerlaw", "k": -0.75}, "model": model,
+                                  "mode": mode, "n_grid": grid}, need_grid=True)
+    with pytest.raises(ParameterError, match="bytes for its probabilities"):
+        run_sweep(spec)
 
 
 def test_run_point_monte_carlo_has_stderr():
@@ -266,14 +289,11 @@ def test_sweep_rows_follow_grid_order():
 
 
 def test_sweep_per_point_seeds_differ():
-    row_a = run_point(SweepSpec.from_config(
+    spec = SweepSpec.from_config(
         {"dist": {"kind": "powerlaw", "n": 64, "k": -1.0}, "model": "unknown",
-         "mode": "monte_carlo", "trials": 500, "seed": 3}, need_grid=False),
-        seed=101)
-    row_b = run_point(SweepSpec.from_config(
-        {"dist": {"kind": "powerlaw", "n": 64, "k": -1.0}, "model": "unknown",
-         "mode": "monte_carlo", "trials": 500, "seed": 3}, need_grid=False),
-        seed=202)
+         "mode": "monte_carlo", "trials": 500, "seed": 3}, need_grid=False)
+    row_a = run_point(dataclasses.replace(spec, seed=101))
+    row_b = run_point(dataclasses.replace(spec, seed=202))
     assert row_a.f_mean != row_b.f_mean
 
 
