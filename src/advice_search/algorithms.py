@@ -36,9 +36,11 @@ from .distributions import (
     _check_real,
     _dot,
     _linear_sums,
+    _prefix_length,
     _rank_weighted_sums,
 )
-from .rotation import _angle_terms, _iter_average, _success_at, exact_grover_queries
+from .rotation import (DEGENERATE_TOL, _angle_terms, _iter_average, _success_at,
+                       exact_grover_queries)
 
 __all__ = [
     "DEFAULT_GEOMETRIC_RATIO",
@@ -79,12 +81,19 @@ _FLOOR_EPS = 1e-12
 # a longer schedule is rejected up front from a log estimate of its length.
 _MAX_SCHEDULE = 100_000
 
-# Sub-block length of the oracle-only exact kernel: the ~10 float64 vectors
-# of this length that one round touches (1.3 MB) stay in a 2 MB L2 cache.
+# Sub-block length of the oracle-only exact kernel: its 8 scratch rows of
+# this length (1 MB) and the walk's block and ranks stay in a 2 MB L2 cache.
 _SUB_BLOCK = 1 << 14
 
-# Rows of one thread's kernel scratch, each _SUB_BLOCK long.
-_SCRATCH_ROWS = 9
+# Rows of one thread's kernel scratch, each _SUB_BLOCK long: the head's 8
+# vectors; the tail's powers reuse the first.
+_SCRATCH_ROWS = 8
+
+# The tiny tail's power series stops at the least degree whose truncation
+# bound, relative, is under _TAIL_TOL, far below any sum's rounding; a row
+# needing more than _TAIL_MAX_DEGREE keeps its tail in the kernel.
+_TAIL_TOL = 2.0 ** -64
+_TAIL_MAX_DEGREE = 8
 
 
 @dataclass(frozen=True)
@@ -117,14 +126,6 @@ class ExpectationReport:
 
 def _exact_report(f: float, o_mu: float, o_mu_inv: float) -> ExpectationReport:
     return ExpectationReport(f, 0.0, o_mu, 0.0, o_mu_inv, 0.0)
-
-
-def _check_geometric_ratio(k: float) -> float:
-    return _check_real(k, "block growth ratio", 1.0)
-
-
-def _check_amplify_ratio(k: float) -> float:
-    return _check_real(k, "iteration-budget ratio", *AMPLIFY_RATIO_BOUNDS)
 
 
 def _floored_powers(k: float, what: str, estimate: float):
@@ -170,7 +171,7 @@ def _geometric_schedule(n: int, k: float) -> tuple[np.ndarray, np.ndarray]:
     floor(k^m) and the last one truncated by n: each block's 1-based
     inclusive end, and the f queries spent once blocks 0..m are searched,
     each charged at its nominal size."""
-    k = _check_geometric_ratio(k)
+    k = _check_real(k, "block growth ratio", 1.0)
     # blocks of size k^j (before the floor) cover n after log_k(1 + n(k-1)),
     # a lower bound on the block count; a step is taken only while one is
     # needed, as the power after the covering block may be inf
@@ -231,7 +232,8 @@ def geometric_expected(dist: AdviceDistribution,
 def unknown_rounds(n: int, k: float = DEFAULT_AMPLIFY_RATIO) -> int:
     """Largest j with k^j <= sqrt(n); computed by iterated multiplication."""
     _check_int(n, "n", 1, 2**64)   # a 64-bit index's range; sqrt(n) must be a float
-    return len(_round_sizes(n, _check_amplify_ratio(k))) - 1
+    k = _check_real(k, "iteration-budget ratio", *AMPLIFY_RATIO_BOUNDS)
+    return len(_round_sizes(n, k)) - 1
 
 
 @functools.lru_cache(maxsize=16)   # every Monte Carlo trial reuses one schedule
@@ -256,7 +258,7 @@ def unknown_search(dist: AdviceDistribution, marked_rank: int,
     the whole domain (f queries only) ends the run.
     """
     _check_int(marked_rank, "marked rank", 1, dist.n)
-    k = _check_amplify_ratio(k)
+    k = _check_real(k, "iteration-budget ratio", *AMPLIFY_RATIO_BOUNDS)
     p = dist.prob(marked_rank)
     theta = np.arcsin(np.sqrt(p))
     found = int(dist.perm[marked_rank - 1])
@@ -322,72 +324,117 @@ def _amplify_sub_block(sub: np.ndarray, sizes: tuple[int, ...], fallback: float,
     each p in sub, under round budgets sizes and a fallback search of
     fallback f queries.
 
-    Mirrors the simulated process: reach round j with probability
-    prod_{i<j} (1 - s_i) where s_i = p + (1-p) P_{m_i}; a reached round
-    always pays the sampling step and pays the amplification step exactly
-    when the sample misses.  All rounds run in scratch, a
-    (_SCRATCH_ROWS, >= sub.size) buffer, so the working set stays in cache;
-    the three results are views of its rows, valid until its next use.
+    Mirrors the simulated process: round j is reached with probability
+    reach = prod_{i<j} (1-p)(1 - P_{m_i}), always pays the sampling step, and
+    pays (m+1)/2 preparations and f checks and (m-1)/2 inversions on average
+    when the sample misses, q = 1 - p.  So with A = sum reach and C = sum reach
+    (m-1)/2, shared = A + q (A + C) and inv = q C: four passes a round.  All
+    rounds run in scratch, a (_SCRATCH_ROWS, >= sub.size) buffer, so the
+    working set stays in cache; the results are views of its rows.
     """
-    q, theta, c, miss_round, reach, miss_weight, tmp, shared, inv = scratch[:, :sub.size]
+    q, theta, c, miss, reach, a, c_sum, tmp = scratch[:, :sub.size]
     np.subtract(1.0, sub, out=q)
     terms = _angle_terms(sub, theta, c)
     reach.fill(1.0)
-    shared.fill(0.0)   # f and preparation counters agree per round
-    inv.fill(0.0)
+    a.fill(0.0)
+    c_sum.fill(0.0)
     last_m = 0
     for m in sizes:
-        # the round's miss probability 1 - s depends on m alone, and
+        # the round's miss probability q (1 - P_m) depends on m alone, and
         # budgets repeat only in consecutive rounds
         if m != last_m:
-            _iter_average(sub, *terms, m, out=miss_round)   # P_m
-            miss_round *= q
-            miss_round += sub
-            np.minimum(miss_round, 1.0, out=miss_round)     # s
-            np.subtract(1.0, miss_round, out=miss_round)
+            _iter_average(sub, *terms, m, out=miss)
+            miss *= q   # 1 - (p + q P_m): fl(q) enters scaled by P_m, not once a round
+            miss += sub
+            np.subtract(1.0, miss, out=miss)
             last_m = m
-        np.multiply(reach, q, out=miss_weight)
-        np.multiply(miss_weight, (m + 1) * 0.5, out=tmp)
-        shared += np.add(reach, tmp, out=tmp)
-        inv += np.multiply(miss_weight, (m - 1) * 0.5, out=tmp)
-        reach *= miss_round
-    f = np.add(shared, np.multiply(reach, fallback, out=tmp), out=miss_weight)
-    return f, shared, inv
+        a += reach
+        c_sum += np.multiply(reach, (m - 1) * 0.5, out=tmp)
+        reach *= miss
+    a += np.multiply(np.add(a, c_sum, out=tmp), q, out=tmp)   # shared
+    c_sum *= q                                                # inv
+    return np.add(np.multiply(reach, fallback, out=reach), a, out=reach), a, c_sum
+
+
+def _tail_series(sizes: tuple[int, ...], fallback: float) -> tuple[np.ndarray, ...] | None:
+    """Taylor coefficients in p of the costs (f, shared, inv) that
+    _amplify_sub_block gives p < DEGENERATE_TOL, where a round misses with
+    probability (1-p)(1 - sigma p), sigma = (4m^2-1)/3: its recurrence on
+    polynomials cut at the least degree D whose bound is under _TAIL_TOL, or
+    None past _TAIL_MAX_DEGREE.  Coefficientwise a cost is at most its value
+    at 0 times exp(x p / DEGENERATE_TOL), x = DEGENERATE_TOL (1 + sum_j (1 +
+    sigma_j)), and at least that value times 1 - 2x: the cut errs by at most
+    e^x x^(D+1) / ((D+1)! (1 - 2x)), relative."""
+    sigmas = [(4.0 * m * m - 1.0) / 3.0 for m in sizes]
+    x = DEGENERATE_TOL * (1.0 + len(sizes) + math.fsum(sigmas))
+    degree = next((d for d in range(_TAIL_MAX_DEGREE + 1) if x < 0.5 and math.exp(x)
+                   * x ** (d + 1) / (math.factorial(d + 1) * (1.0 - 2.0 * x)) <= _TAIL_TOL), None)
+    if degree is None:
+        return None
+    reach, a, c_sum = np.zeros((3, degree + 1))
+    reach[0] = 1.0
+    for m, sigma in zip(sizes, sigmas):
+        a += reach
+        c_sum += reach * ((m - 1) * 0.5)
+        reach = np.convolve(reach, (1.0, -1.0 - sigma, sigma))[:degree + 1]
+    times_q = lambda v: v - np.pad(v[:-1], (1, 0))   # noqa: E731   (1 - p) v, cut at D
+    shared = a + times_q(a + c_sum)
+    return shared + reach * fallback, shared, times_q(c_sum)
 
 
 def unknown_expected_exact(dist: AdviceDistribution, marked_rank: int,
                            k: float = DEFAULT_AMPLIFY_RATIO) -> ExpectationReport:
-    """Exact per-oracle expected costs for one fixed marked rank."""
+    """Exact per-oracle expected costs for one fixed marked rank: for
+    p < DEGENERATE_TOL the tail series of unknown_expected_mu, if it has one."""
     _check_int(marked_rank, "marked rank", 1, dist.n)
-    k = _check_amplify_ratio(k)
-    f, o_mu, inv = _amplify_sub_block(np.array([dist.prob(marked_rank)]), _round_sizes(dist.n, k),
-                                      float(exact_grover_queries(dist.n)),
-                                      np.empty((_SCRATCH_ROWS, 1)))
-    return _exact_report(f=float(f[0]), o_mu=float(o_mu[0]), o_mu_inv=float(inv[0]))
+    k = _check_real(k, "iteration-budget ratio", *AMPLIFY_RATIO_BOUNDS)
+    p, sizes, fallback = dist.prob(marked_rank), _round_sizes(dist.n, k), float(
+        exact_grover_queries(dist.n))
+    series = _tail_series(sizes, fallback) if p < DEGENERATE_TOL else None
+    if series is not None:
+        return _exact_report(*(math.fsum(a * p ** d for d, a in enumerate(c)) for c in series))
+    return _exact_report(*(float(v[0]) for v in _amplify_sub_block(
+        np.array([p]), sizes, fallback, np.empty((_SCRATCH_ROWS, 1)))))
 
 
 def unknown_expected_mu(dist: AdviceDistribution, k: float = DEFAULT_AMPLIFY_RATIO,
                         *, columns=None) -> ExpectationReport:
     """Advice-averaged exact expected costs: sum_x p_x E[cost | marked=x].
 
-    Each _SUB_BLOCK of ranks is reduced to its three dot products as soon
-    as its costs are computed, so no n-sized output exists.  The sub-blocks
-    are spread over one thread per available CPU, each with its own
-    scratch (numpy's float ufuncs release the GIL); the means are the same
-    bit for bit for any thread count.  columns, if given, are a row's bound
-    columns, summed in the same walk.
+    Each _SUB_BLOCK is cut where p drops below DEGENERATE_TOL (a suffix, as
+    the advice is sorted).  Its head's costs from _amplify_sub_block are
+    reduced to three dot products at once, so no n-sized output exists; its
+    tail gives the power sums M_e = sum p^e, e = 1..D+1, and fsum_d a_d
+    M_(d+1) with _tail_series' a_d is added after the walk (a row with no
+    series runs all ranks in the kernel).  The sub-blocks are spread over one
+    thread per available CPU, each with its own scratch (numpy's float
+    ufuncs release the GIL); the means have the same bits for any thread
+    count.  columns, if given, are a row's bound columns, summed in the walk.
     """
-    k = _check_amplify_ratio(k)
+    k = _check_real(k, "iteration-budget ratio", *AMPLIFY_RATIO_BOUNDS)
     sizes = _round_sizes(dist.n, k)
     fallback = float(exact_grover_queries(dist.n, zero_or_one=False))
+    series = _tail_series(sizes, fallback)
+    count = 0 if series is None else series[0].size
     workers = min(_kernel_workers(), -(-dist.n // _SUB_BLOCK))
     scratch = np.empty((workers, _SCRATCH_ROWS, min(dist.n, _SUB_BLOCK)))
-    fn = lambda block, ranks, worker: [   # noqa: E731
-        _dot(block, v) for v in _amplify_sub_block(block, sizes, fallback, scratch[worker])]
+
+    def fn(block: np.ndarray, ranks: np.ndarray, worker: int) -> list[float]:
+        head = block[:_prefix_length(block, DEGENERATE_TOL)] if count else block
+        tail, power = block[head.size:], scratch[worker, 0, :block.size - head.size]
+        row = [_dot(head, v) for v in _amplify_sub_block(head, sizes, fallback, scratch[worker])
+               ] if head.size else [0.0, 0.0, 0.0]
+        np.copyto(power, tail)   # then the power sums sum tail^e, e = 1..count, in place
+        return row + [float(np.sum(power if e == 0 else np.multiply(power, tail, out=power)))
+                      for e in range(count)]
+
     f, o_mu, inv, *sums = next(_rank_weighted_sums(dist, _with_columns(fn, columns),
                                                    step=_SUB_BLOCK, workers=workers))
+    if count:
+        f, o_mu, inv = (head + math.fsum(a * m for a, m in zip(coeffs, sums))
+                        for head, coeffs in zip((f, o_mu, inv), series))
     if columns is not None:
-        columns.sums = sums
+        columns.sums = sums[count:]
     return _exact_report(f=f, o_mu=o_mu, o_mu_inv=inv)
 
 
@@ -400,9 +447,10 @@ def _model_ratio(model: str, k: float | None) -> float | None:
     if model == "classical":
         return None
     if model == "geometric":
-        return DEFAULT_GEOMETRIC_RATIO if k is None else _check_geometric_ratio(k)
+        return DEFAULT_GEOMETRIC_RATIO if k is None else _check_real(k, "block growth ratio", 1.0)
     if model == "unknown":
-        return DEFAULT_AMPLIFY_RATIO if k is None else _check_amplify_ratio(k)
+        return DEFAULT_AMPLIFY_RATIO if k is None else _check_real(
+            k, "iteration-budget ratio", *AMPLIFY_RATIO_BOUNDS)
     raise ConfigError(f"unknown algorithm id {model!r}")
 
 

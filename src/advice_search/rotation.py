@@ -56,25 +56,19 @@ def exact_grover_queries(m: int, zero_or_one: bool = False) -> int:
 def _angle_terms(p: np.ndarray, theta: np.ndarray | None = None,
                  c: np.ndarray | None = None):
     """theta, c = sqrt(p(1-p)) (1 where degenerate) and the masks of degenerate
-    angles near p = 0 (tiny) and near p = 1 (top).
-
-    A mask is None when no element is on its branch.  When every element is
-    tiny, theta and c are None too: the series needs neither, so arcsin is
-    skipped.  theta and c may be given as buffers the size of p.
+    angles near p = 0 (tiny) and near p = 1 (top), each None when no element
+    is on its branch.  theta and c may be given as buffers the size of p.
     """
     tiny = p < DEGENERATE_TOL
-    if tiny.all():
-        return None, None, tiny, None
     c = np.multiply(p, np.subtract(1.0, p, out=c), out=c)
-    degenerate = c < DEGENERATE_TOL
-    top = degenerate & ~tiny
+    top = (c < DEGENERATE_TOL) & (p > 0.5)   # p(1-p) < tol at p = tol is tiny's, not top's
     theta = np.arcsin(np.sqrt(p, out=theta), out=theta)
-    np.copyto(c, 1.0, where=degenerate)
+    np.copyto(c, 1.0, where=tiny | top)
     np.sqrt(c, out=c)
     return theta, c, tiny if tiny.any() else None, top if top.any() else None
 
 
-def _iter_average(p: np.ndarray, theta: np.ndarray | None, c: np.ndarray | None,
+def _iter_average(p: np.ndarray, theta: np.ndarray, c: np.ndarray,
                   tiny: np.ndarray | None, top: np.ndarray | None, m: int,
                   out: np.ndarray | None = None) -> np.ndarray:
     """(1/m) sum_{r<m} sin^2((2r+1) theta) for terms from _angle_terms.
@@ -91,17 +85,14 @@ def _iter_average(p: np.ndarray, theta: np.ndarray | None, c: np.ndarray | None,
         np.copyto(out, p)
         return out
     series = (4.0 * m * m - 1.0) / 3.0
-    if theta is None:
-        np.multiply(p, series, out=out)
-    else:
-        np.multiply(theta, 4.0 * m, out=out)
-        np.sin(out, out=out)
-        out /= (8.0 * m) * c
-        np.subtract(0.5, out, out=out)
-        if tiny is not None:
-            out[tiny] = p[tiny] * series
-        if top is not None:
-            out[top] = 1.0 - (1.0 - p[top]) * series
+    np.multiply(theta, 4.0 * m, out=out)
+    np.sin(out, out=out)
+    out /= (8.0 * m) * c
+    np.subtract(0.5, out, out=out)
+    if tiny is not None:
+        out[tiny] = p[tiny] * series
+    if top is not None:
+        out[top] = 1.0 - (1.0 - p[top]) * series
     np.clip(out, 0.0, 1.0, out=out)
     return out
 

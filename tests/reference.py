@@ -8,7 +8,9 @@ and obvious.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 
@@ -201,22 +203,26 @@ def ref_alpha(n: int, k: float) -> float:
     return 1.0 / math.fsum(float(x) ** k for x in range(1, n + 1))
 
 
-def ref_amplify_expected_whole(p, n: int, k: float):
+def ref_amplify_expected_whole(p, n: int, k: float, fused: bool = True):
     """Whole-array oracle-only kernel: (f, preparation, inversion) expected
     counts for every p, each operation one numpy expression over the whole
-    vector.  The exact floating-point operations, in the same order, that
-    the package's sub-blocked kernel must reproduce bit for bit."""
+    vector.  fused=True gives the exact floating-point operations, in the
+    same order, that the package's sub-blocked kernel must reproduce bit for
+    bit: per round, A += reach, C += reach (m-1)/2 and reach *= 1 - (p + q avg),
+    then shared = A + q (A + C) and inv = q C.  fused=False replays the
+    earlier order, which added each round's preparations and inversions to
+    shared and inv and took the round's miss as 1 - min(p + q avg, 1)."""
     tol = 1e-12
     p = np.asarray(p, dtype=np.float64)
     q = 1.0 - p
     c2 = p * (1.0 - p)
     tiny = p < tol
-    top = (c2 < tol) & ~tiny
+    top = (c2 < tol) & (p > 0.5)
     theta = np.arcsin(np.sqrt(p))
-    c = np.sqrt(np.where(c2 < tol, 1.0, c2))
+    c = np.sqrt(np.where(tiny | top, 1.0, c2))
     reach = np.ones_like(p)
-    shared = np.zeros_like(p)
-    inv = np.zeros_like(p)
+    shared = np.zeros_like(p)   # A while fused
+    inv = np.zeros_like(p)      # C while fused
     for m in ref_round_budgets(n, k):
         if m == 1:
             avg = p.copy()
@@ -226,13 +232,68 @@ def ref_amplify_expected_whole(p, n: int, k: float):
             avg[tiny] = p[tiny] * series
             avg[top] = 1.0 - (1.0 - p[top]) * series
             np.clip(avg, 0.0, 1.0, out=avg)
-        miss_weight = reach * q
-        shared += reach + miss_weight * ((m + 1) * 0.5)
-        inv += miss_weight * ((m - 1) * 0.5)
-        round_success = np.minimum(p + q * avg, 1.0)
-        reach = reach * (1.0 - round_success)
+        if fused:
+            shared += reach
+            inv += reach * ((m - 1) * 0.5)
+            reach = reach * (1.0 - (p + q * avg))
+        else:
+            miss_weight = reach * q
+            shared += reach + miss_weight * ((m + 1) * 0.5)
+            inv += miss_weight * ((m - 1) * 0.5)
+            reach = reach * (1.0 - np.minimum(p + q * avg, 1.0))
+    if fused:
+        shared, inv = shared + q * (shared + inv), q * inv
     f = shared + reach * float(ref_grover_queries(n))
     return f, shared, inv
+
+
+def ref_unknown_expected_mp(p: float, budgets, fallback: int, dps: int = 50):
+    """Per-rank (f, preparation, inversion) expected counts as mpmath numbers
+    at dps digits: BBHT's closed-form iteration average 1/2 - sin(4m theta) /
+    (4m sin(2 theta)) at that precision, where no float rounding enters."""
+    with mpmath.workdps(dps):
+        p = mpmath.mpf(p)
+        theta, q = mpmath.asin(mpmath.sqrt(p)), 1 - p
+        reach, shared, inv = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0)
+        for m in budgets:
+            avg = p if m == 1 else 0.5 - mpmath.sin(4 * m * theta) / (4 * m * mpmath.sin(2 * theta))
+            shared += reach + reach * q * mpmath.mpf(m + 1) / 2
+            inv += reach * q * mpmath.mpf(m - 1) / 2
+            reach *= q * (1 - avg)
+        return shared + reach * fallback, shared, inv
+
+
+def ref_tail_costs(p: Fraction, budgets, fallback: int):
+    """(f, preparation, inversion) exactly, in rationals, on the near-0 branch
+    where a round of budget m misses with probability (1-p)(1 - p(4m^2-1)/3)."""
+    reach, a, c = Fraction(1), Fraction(0), Fraction(0)
+    for m in budgets:
+        a += reach
+        c += reach * Fraction(m - 1, 2)
+        reach *= (1 - p) * (1 - p * Fraction(4 * m * m - 1, 3))
+    shared = a + (1 - p) * (a + c)
+    return shared + reach * fallback, shared, (1 - p) * c
+
+
+def ref_tail_coefficients(budgets, fallback: int, degree: int):
+    """The Taylor coefficients in p of ref_tail_costs to degree, exactly: the
+    same recurrence on lists of rational coefficients, products cut at degree."""
+    def times(u, v):
+        return [sum((u[i] * v[d - i] for i in range(d + 1) if i < len(u) and d - i < len(v)),
+                    Fraction(0)) for d in range(degree + 1)]
+
+    def plus(u, v):
+        return [x + y for x, y in zip(u, v)]
+
+    q = [Fraction(1), Fraction(-1)]
+    reach = [Fraction(1)] + [Fraction(0)] * degree
+    a, c = [Fraction(0)] * (degree + 1), [Fraction(0)] * (degree + 1)
+    for m in budgets:
+        a = plus(a, reach)
+        c = plus(c, [x * Fraction(m - 1, 2) for x in reach])
+        reach = times(reach, times(q, [Fraction(1), -Fraction(4 * m * m - 1, 3)]))
+    shared = plus(a, times(q, plus(a, c)))
+    return plus(shared, [x * fallback for x in reach]), shared, times(q, c)
 
 
 def ref_chunked_dot_sums(probs, vectors, chunk: int = 1 << 22) -> list[float]:

@@ -4,10 +4,12 @@ import math
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -37,9 +39,10 @@ from advice_search.algorithms import (
     _geometric_cost_by_rank,
     _geometric_schedule,
     _round_sizes,
+    _tail_series,
     _trial_seed,
 )
-from advice_search.distributions import _BUILD_STEP
+from advice_search.distributions import _BUILD_STEP, AdviceDistribution
 from advice_search.rotation import DEGENERATE_TOL
 from advice_search.sweep import SweepSpec, run_point
 
@@ -50,7 +53,10 @@ from reference import (
     ref_geometric_cost,
     ref_geometric_expected,
     ref_round_budgets,
+    ref_tail_coefficients,
+    ref_tail_costs,
     ref_unknown_expected,
+    ref_unknown_expected_mp,
     ref_unknown_expected_mu,
 )
 
@@ -538,6 +544,15 @@ def _sub_blocked_costs(p, n, k):
     return tuple(out)
 
 
+def _kernel_dot_sums(p, n, k):
+    """Every rank through the kernel: per _SUB_BLOCK, p dotted with its costs,
+    the dots of each cost combined with math.fsum."""
+    p = np.asarray(p, dtype=np.float64)
+    return tuple(math.fsum(float(np.einsum("i,i->", p[lo:lo + _SUB_BLOCK], v[lo:lo + _SUB_BLOCK]))
+                           for lo in range(0, p.size, _SUB_BLOCK))
+                 for v in _sub_blocked_costs(p, n, k))
+
+
 def _assert_kernel_matches_whole_array(p, n, k):
     got = _sub_blocked_costs(p, n, k)
     want = ref_amplify_expected_whole(p, n, k)
@@ -626,15 +641,36 @@ def test_unknown_expected_mu_same_for_any_worker_count(monkeypatch, k):
         sys.setswitchinterval(interval)
 
 
+def _head_and_tail_sums(p, n, k):
+    """unknown_expected_mu's decomposition, replayed: per _SUB_BLOCK, the head
+    (p >= DEGENERATE_TOL) dotted with its kernel costs and the tail's power
+    sums M_e = sum p^e, e = 1..D+1, by repeated multiplication; each column
+    combined over the sub-blocks with math.fsum, and the tail added after as
+    fsum_d a_d M_(d+1) for _tail_series' coefficients a_d."""
+    series = _tail_series(_round_sizes(n, k), float(exact_grover_queries(n)))
+    heads, moments = [[], [], []], [[] for _ in series[0]]
+    for lo in range(0, p.size, _SUB_BLOCK):
+        block = p[lo:lo + _SUB_BLOCK]
+        cut = np.count_nonzero(block >= DEGENERATE_TOL)
+        costs = _sub_blocked_costs(block[:cut], n, k) if cut else ([],) * 3
+        for column, v in zip(heads, costs):
+            column.append(float(np.einsum("i,i->", block[:cut], v)) if cut else 0.0)
+        power = block[cut:].copy()
+        for e, column in enumerate(moments):
+            column.append(float(np.sum(power if e == 0 else np.multiply(power, block[cut:],
+                                                                        out=power))))
+    sums = [math.fsum(column) for column in moments]
+    return tuple(math.fsum(column) + math.fsum(a * m for a, m in zip(coeffs, sums))
+                 for column, coeffs in zip(heads, series))
+
+
 @pytest.mark.parametrize("k", _MU_KS)
 def test_unknown_expected_mu_is_fsum_of_sub_block_dots(k):
+    # the head's sub-block dots plus the tail's series, bit for bit; at
+    # k = -0.75 and -2.5 there is no tail and the series adds 0.0
     d = make_power_law(_MU_N, k)
-    costs = _sub_blocked_costs(d.probs, d.n, DEFAULT_AMPLIFY_RATIO)
-    want = tuple(math.fsum(float(np.einsum("i,i->", d.probs[lo:lo + _SUB_BLOCK],
-                                           v[lo:lo + _SUB_BLOCK]))
-                           for lo in range(0, d.n, _SUB_BLOCK))
-                 for v in costs)
-    assert unknown_expected_mu(d).means() == want
+    assert unknown_expected_mu(d).means() == _head_and_tail_sums(d.probs, d.n,
+                                                                 DEFAULT_AMPLIFY_RATIO)
 
 
 @pytest.mark.parametrize("k", _MU_KS)
@@ -644,6 +680,113 @@ def test_unknown_expected_mu_near_whole_block_dots(k):
     d = make_power_law(_MU_N, k)
     want = ref_chunked_dot_sums(d.probs, _sub_blocked_costs(d.probs, d.n, DEFAULT_AMPLIFY_RATIO))
     np.testing.assert_allclose(unknown_expected_mu(d).means(), want, rtol=1e-13, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# the tiny tail as power series: against the kernel, and its truncation bound
+
+
+def _tail_advice(kind, head, tail, zeros, seed):
+    """Sorted advice with ranks below DEGENERATE_TOL: a steep power law over
+    more than a sub-block, explicit weights whose tail starts after head
+    ranks, or (kind "all tiny") unnormalized probabilities all below it."""
+    rng = np.random.default_rng(seed)
+    if kind == "power law":   # alpha x^k < 1e-12 from about x = 1e3 (k = -4) to 9.4e3 (k = -3)
+        return make_power_law(_SUB_BLOCK + head + tail + zeros, -3.0 - rng.random())
+    tiny = 10.0 ** rng.uniform(-40.0, -13.0, size=tail)
+    if kind == "all tiny":
+        return AdviceDistribution(n=tail + zeros, probs=np.concatenate(
+            [-np.sort(-tiny), np.zeros(zeros)]))
+    return make_explicit(np.concatenate([rng.uniform(0.5, 1.0, size=head), tiny, np.zeros(zeros)]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["power law", "explicit", "all tiny"]),
+       head=st.integers(1, 2 * _SUB_BLOCK + 5), tail=st.integers(1, 2 * _SUB_BLOCK),
+       zeros=st.integers(0, 300), k=st.sampled_from([DEFAULT_AMPLIFY_RATIO, 1.3]),
+       seed=st.integers(0, 2**32 - 1))
+# tails that start mid sub-block and span the next, with zeros after them
+@example(kind="explicit", head=_SUB_BLOCK + 777, tail=_SUB_BLOCK + 5, zeros=300, k=1.3, seed=1)
+@example(kind="all tiny", head=1, tail=2 * _SUB_BLOCK, zeros=17, k=DEFAULT_AMPLIFY_RATIO, seed=2)
+@example(kind="power law", head=_SUB_BLOCK, tail=3, zeros=0, k=DEFAULT_AMPLIFY_RATIO, seed=3)
+def test_tail_series_matches_kernel(kind, head, tail, zeros, k, seed):
+    d = _tail_advice(kind, head, tail, zeros, seed)
+    assert d.probs[-1] < DEGENERATE_TOL
+    means = []
+    with pytest.MonkeyPatch.context() as patch:
+        for workers in (1, 2):
+            patch.setattr(algorithms, "_kernel_workers", lambda: workers)
+            means.append(unknown_expected_mu(d, k).means())
+    assert means[0] == means[1]
+    np.testing.assert_allclose(means[0], _kernel_dot_sums(d.probs, d.n, k), rtol=1e-13, atol=0)
+
+
+def test_tail_degree_grows_with_n():
+    degrees = [_tail_series(_round_sizes(2**e, DEFAULT_AMPLIFY_RATIO), 1.0)[0].size - 1
+               for e in (10, 16, 20, 24, 28, 32)]
+    assert degrees == sorted(degrees) and degrees[0] < degrees[-1], degrees
+    # at 2^40 the sum of the budgets' series terms times 1e-12 passes 1/2
+    assert _tail_series(_round_sizes(2**40, DEFAULT_AMPLIFY_RATIO), 1.0) is None
+
+
+@pytest.mark.parametrize("n", (2**10, 2**16, 2**24, 2**30))
+def test_tail_series_truncation_bound_holds(n):
+    sizes, fallback = _round_sizes(n, DEFAULT_AMPLIFY_RATIO), exact_grover_queries(n)
+    series = _tail_series(sizes, float(fallback))
+    exact = ref_tail_coefficients(sizes, fallback, series[0].size - 1)
+    for got, want in zip(series, exact):
+        np.testing.assert_allclose(got, [float(c) for c in want], rtol=1e-14, atol=0)
+    # cut at D, the exact series is within _TAIL_TOL of the exact costs at
+    # the branch's edge, where the cut errs most
+    p = Fraction(DEGENERATE_TOL)
+    for coeffs, cost in zip(exact, ref_tail_costs(p, sizes, fallback)):
+        cut = sum(c * p**d for d, c in enumerate(coeffs))
+        assert abs(cut - cost) <= Fraction(algorithms._TAIL_TOL) * cost
+
+
+def test_failed_tail_bound_keeps_the_tail_in_the_kernel(monkeypatch):
+    # D = 2 at this n: a cap of 1 leaves no series, and every rank, the
+    # ~40k tiny ones too, runs through the kernel
+    d = make_power_law(_MU_N, -3.0)
+    sizes, fallback = _round_sizes(d.n, DEFAULT_AMPLIFY_RATIO), float(exact_grover_queries(d.n))
+    assert _tail_series(sizes, fallback)[0].size == 3
+    monkeypatch.setattr(algorithms, "_TAIL_MAX_DEGREE", 1)
+    assert _tail_series(sizes, fallback) is None
+    assert unknown_expected_mu(d).means() == _kernel_dot_sums(d.probs, d.n, DEFAULT_AMPLIFY_RATIO)
+    rank = d.n   # a tiny rank's exact cost is the kernel's too
+    assert unknown_expected_exact(d, rank).means() == tuple(
+        float(v[-1]) for v in _sub_blocked_costs(d.probs[-1:], d.n, DEFAULT_AMPLIFY_RATIO))
+
+
+def test_unknown_expected_exact_tiny_rank_is_the_tail_series():
+    d = make_power_law(_MU_N, -3.0)
+    p = d.prob(d.n)
+    assert p < DEGENERATE_TOL
+    sizes, fallback = _round_sizes(d.n, DEFAULT_AMPLIFY_RATIO), exact_grover_queries(d.n)
+    got = unknown_expected_exact(d, d.n).means()
+    kernel = [float(v[0]) for v in _sub_blocked_costs([p], d.n, DEFAULT_AMPLIFY_RATIO)]
+    np.testing.assert_allclose(got, kernel, rtol=1e-13, atol=0)
+    exact = [float(v) for v in ref_tail_costs(Fraction(p), sizes, fallback)]
+    np.testing.assert_allclose(got, exact, rtol=1e-15, atol=0)
+
+
+def test_head_no_further_from_exact_cost_than_earlier_order():
+    # 30 ranks on the head's closed-form branch at n = 2^24, against costs at
+    # 50 digits: the fused order (A, C and 1 - (p + q P_m)) errs no more, at
+    # worst, than the earlier order of operations; the closed form's own
+    # rounding of P_m sets both, ~5e-15 here
+    n, k = 2**24, DEFAULT_AMPLIFY_RATIO
+    p = np.geomspace(1e-12, 1e-8, 30)
+    sizes, fallback = _round_sizes(n, k), exact_grover_queries(n)
+    exact = [ref_unknown_expected_mp(x, sizes, fallback) for x in p]
+
+    def worst(costs):
+        with mpmath.workdps(50):
+            return max(float(abs((mpmath.mpf(float(v[i])) - want[j]) / want[j]))
+                       for i, want in enumerate(exact) for j, v in enumerate(costs))
+
+    new = worst(_sub_blocked_costs(p, n, k))
+    assert new <= worst(ref_amplify_expected_whole(p, n, k, fused=False)) and new < 1e-14, new
 
 
 @pytest.mark.parametrize("workers", (1, 2))
