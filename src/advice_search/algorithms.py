@@ -21,12 +21,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import distributions
 from .distributions import (
     AdviceDistribution,
     ConfigError,
@@ -310,14 +310,6 @@ def _unknown_rounds(p: np.ndarray, sizes: tuple[int, ...], fallback: int,
     return f, o_mu, inv
 
 
-def _kernel_workers() -> int:
-    """Threads of the oracle-only exact kernel: the CPUs this process may use."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _amplify_sub_block(sub: np.ndarray, sizes: tuple[int, ...], fallback: float,
                        scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact per-oracle expected costs (f, shared, inv) of unknown_search for
@@ -406,18 +398,18 @@ def unknown_expected_mu(dist: AdviceDistribution, k: float = DEFAULT_AMPLIFY_RAT
     reduced to three dot products at once, so no n-sized output exists; its
     tail gives the power sums M_e = sum p^e, e = 1..D+1, and fsum_d a_d
     M_(d+1) with _tail_series' a_d is added after the walk (a row with no
-    series runs all ranks in the kernel).  The sub-blocks are spread over one
-    thread per available CPU, each with its own scratch (numpy's float
-    ufuncs release the GIL); the means have the same bits for any thread
-    count.  columns, if given, are a row's bound columns, summed in the walk.
+    series runs all ranks in the kernel).  The sub-blocks are spread over
+    the walk's threads, each with scratch of its own allocated here (numpy's
+    float ufuncs release the GIL); the means have the same bits for any
+    thread count.  columns, if given, are a row's bound columns, summed in the walk.
     """
     k = _check_real(k, "iteration-budget ratio", *AMPLIFY_RATIO_BOUNDS)
     sizes = _round_sizes(dist.n, k)
     fallback = float(exact_grover_queries(dist.n, zero_or_one=False))
     series = _tail_series(sizes, fallback)
     count = 0 if series is None else series[0].size
-    workers = min(_kernel_workers(), -(-dist.n // _SUB_BLOCK))
-    scratch = np.empty((workers, _SCRATCH_ROWS, min(dist.n, _SUB_BLOCK)))
+    scratch = np.empty((distributions._walk_workers(dist.n, _SUB_BLOCK), _SCRATCH_ROWS,
+                        min(dist.n, _SUB_BLOCK)))
 
     def fn(block: np.ndarray, ranks: np.ndarray, worker: int) -> list[float]:
         head = block[:_prefix_length(block, DEGENERATE_TOL)] if count else block
@@ -429,7 +421,7 @@ def unknown_expected_mu(dist: AdviceDistribution, k: float = DEFAULT_AMPLIFY_RAT
                       for e in range(count)]
 
     f, o_mu, inv, *sums = next(_rank_weighted_sums(dist, _with_columns(fn, columns),
-                                                   step=_SUB_BLOCK, workers=workers))
+                                                   step=_SUB_BLOCK))
     if count:
         f, o_mu, inv = (head + math.fsum(a * m for a, m in zip(coeffs, sums))
                         for head, coeffs in zip((f, o_mu, inv), series))

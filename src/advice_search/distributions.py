@@ -11,6 +11,7 @@ something reads it.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
@@ -107,8 +108,17 @@ def _dot(block: np.ndarray, v: np.ndarray) -> float:
     return float(np.einsum("i,i->", block, v))
 
 
-def _rank_weighted_sums(dist: AdviceDistribution, fn, stops=None, step: int = _BUILD_STEP,
-                        workers: int = 1):
+def _walk_workers(n: int, step: int) -> int:
+    """Threads of a walk over n ranks in blocks of step: one per CPU this
+    process may use, and no more than the walk has blocks."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, -(-n // step))
+
+
+def _rank_weighted_sums(dist: AdviceDistribution, fn, stops=None, step: int = _BUILD_STEP):
     """Yield, at each of stops (increasing ranks, the last dist.n; (dist.n,)
     by default), the math.fsum of each column of fn over the ranks up to it.
 
@@ -116,13 +126,15 @@ def _rank_weighted_sums(dist: AdviceDistribution, fn, stops=None, step: int = _B
     step ranks, those 1-based ranks as floats (which it may overwrite) and
     the index of its thread, and returns one partial sum per column.  A stop
     inside a block adds the row of its prefix, made first on ranks of its
-    own.  Worker w walks blocks w, w + workers, ... of dist._stream in its
-    own scratch; the rows are merged back into block order."""
+    own.  Worker w of _walk_workers walks blocks w, w + workers, ... of
+    dist._streams, allocated here; the blocks up to each stop are merged
+    back into block order before its sums are yielded."""
     stops = (dist.n,) if stops is None else stops
+    workers = _walk_workers(dist.n, step)
     stop = threading.Event()
 
-    def rows(worker: int):
-        for lo, ranks, block in dist._stream(step, worker, workers):
+    def rows(stream, worker: int):
+        for lo, ranks, block in stream:
             if stop.is_set():
                 break
             end = lo + block.size
@@ -131,21 +143,26 @@ def _rank_weighted_sums(dist: AdviceDistribution, fn, stops=None, step: int = _B
             row = fn(block, ranks, worker)
             yield end, heads + (row,) * (end in stops), row
 
-    if workers == 1:
-        blocks = rows(0)
-    else:
+    walks = [rows(stream, w) for w, stream in enumerate(dist._streams(step, workers))]
+
+    def segments():
         # imported here, so that importing the package does not pay for it
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(workers) as pool:
             try:
-                blocks = sorted((block for part in pool.map(lambda w: list(rows(w)), range(workers))
-                                 for block in part), key=lambda block: block[0])
+                ends = [-(-cut // step) for cut in stops]   # the blocks that reach each stop
+                for start, end in zip((0, *ends), ends):   # one segment, blocks start..end - 1
+                    counts = (len(range(w, end, workers)) - len(range(w, start, workers))
+                              for w in range(workers))
+                    parts = pool.map(list, map(itertools.islice, walks, counts))
+                    yield from sorted(itertools.chain.from_iterable(parts), key=lambda b: b[0])
             finally:
                 # after an interrupt or a failed worker, the others quit at
-                # their next block instead of finishing the whole reduction
+                # their next block instead of finishing the segment
                 stop.set()
+
     done = []
-    for _, heads, row in blocks:
+    for _, heads, row in walks[0] if workers == 1 else segments():
         for head in heads:
             yield [math.fsum(column) for column in zip(*done, head)]
         done.append(row)
@@ -228,7 +245,7 @@ class AdviceDistribution:
         """Probability of each sorted rank."""
         if self._probs is None:
             probs = np.empty(self.n)
-            for lo, _, block in self._stream():
+            for lo, _, block in self._streams()[0]:
                 probs[lo:lo + block.size] = block
             self._probs = probs
         return self._probs
@@ -241,24 +258,29 @@ class AdviceDistribution:
                                    dtype=np.int32 if self.n < 2**31 else np.int64)
         return self._perm
 
-    def _stream(self, step: int = _BUILD_STEP, offset: int = 0, stride: int = 1):
-        """Yield (lo, ranks, block) for blocks offset, offset + stride, ... of
-        step ranks (the last may be shorter): the 1-based ranks lo + 1, ...
-        as floats, and their probabilities, for a power law made in scratch
-        as np.power(ranks, k) * alpha (x^k alone at alpha 1), otherwise a
-        slice of probs.  Scratch is allocated once per call; each yield rewrites it."""
+    def _streams(self, step: int = _BUILD_STEP, count: int = 1) -> list:
+        """count iterators, stream s of (lo, ranks, block) over blocks s, s +
+        count, ... of step ranks (the last may be shorter): the 1-based ranks
+        lo + 1, ... as floats, and their probabilities, for a power law made
+        in scratch as np.power(ranks, k) * alpha (x^k alone at alpha 1),
+        otherwise a slice of probs.  This call allocates all scratch, in the
+        calling thread whichever threads iterate: one base range that the
+        streams share, and each stream's ranks and block, rewritten per block."""
         base = np.arange(min(step, self.n), dtype=np.float64)
-        scratch = np.empty((1 if self.power_law is None else 2, base.size))
-        for lo in range(offset * step, self.n, stride * step):
-            size = min(step, self.n - lo)
-            ranks = np.add(base[:size], lo + 1, out=scratch[0, :size])
-            if self.power_law is None:
-                block = self._probs[lo:lo + size]
-            else:
-                block = np.power(ranks, self.power_law.k, out=scratch[1, :size])
-                if self.power_law.alpha != 1.0:   # x^k alone, for sums linear in p
-                    block *= self.power_law.alpha
-            yield lo, ranks, block
+
+        def blocks(offset: int, scratch: np.ndarray):
+            for lo in range(offset * step, self.n, count * step):
+                size = min(step, self.n - lo)
+                ranks = np.add(base[:size], lo + 1, out=scratch[0, :size])
+                if self.power_law is None:
+                    block = self._probs[lo:lo + size]
+                else:
+                    block = np.power(ranks, self.power_law.k, out=scratch[1, :size])
+                    if self.power_law.alpha != 1.0:   # x^k alone, for sums linear in p
+                        block *= self.power_law.alpha
+                yield lo, ranks, block
+        return [blocks(s, np.empty((1 if self.power_law is None else 2, base.size)))
+                for s in range(count)]
 
     def _probs_at(self, ranks: np.ndarray) -> np.ndarray:
         """Probabilities of the 1-based integer ranks, the same bits as
@@ -274,7 +296,7 @@ class AdviceDistribution:
         counts the support."""
         if self._cdf is None:
             cdf, carry, support = np.empty(self.n), 0.0, 0
-            for lo, _, block in self._stream():
+            for lo, _, block in self._streams()[0]:
                 support += _prefix_length(block, 0.0, "right")
                 out = cdf[lo:lo + block.size]
                 out[...] = block
@@ -292,12 +314,12 @@ class AdviceDistribution:
         """Number of ranks with positive probability."""
         if self._support is None:
             self._support = sum(_prefix_length(block, 0.0, "right")
-                                for _, _, block in self._stream())
+                                for _, _, block in self._streams()[0])
         return self._support
 
     def x0_threshold(self) -> int:
         """Largest sorted rank with p_x >= 1/n, or 0 if none."""
-        return sum(_prefix_length(block, 1.0 / self.n) for _, _, block in self._stream())
+        return sum(_prefix_length(block, 1.0 / self.n) for _, _, block in self._streams()[0])
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw size sorted ranks ~ probs (never a zero-probability rank)."""

@@ -31,7 +31,7 @@ from advice_search import (
     unknown_rounds,
     unknown_search,
 )
-from advice_search import algorithms
+from advice_search import algorithms, distributions
 from advice_search.algorithms import (
     _SCRATCH_ROWS,
     _SUB_BLOCK,
@@ -91,9 +91,11 @@ def test_classical_sampling_expected():
     assert math.isinf(classical_sampling_expected(make_explicit([1.0, 0.0])))
 
 
-def test_classical_row_holds_no_n_vector():
-    # build plus the exact classical row: alpha's pass holds a base range
-    # and one block of 2^16 ranks, the walk those and the ranks, whatever n is
+def _check_classical_row_holds_no_n_vector(monkeypatch, workers):
+    # build plus the exact classical row: alpha's pass and the walk each hold
+    # one base range of 2^16 ranks and, per worker, those ranks and their
+    # block, whatever n is
+    monkeypatch.setattr(distributions, "_walk_workers", lambda n, step: workers)
     n = 2**22 + 3
     tracemalloc.start()
     try:
@@ -104,10 +106,19 @@ def test_classical_row_holds_no_n_vector():
         _, walk_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert max(peak, walk_peak) < 3 * 8 * _BUILD_STEP + 2**20, (peak, walk_peak)
+    assert max(peak, walk_peak) < (1 + 2 * workers) * 8 * _BUILD_STEP + 2**20, (peak, walk_peak)
     # the walk allocates its scratch and no per-block temporaries
-    assert walk_peak - live < 3 * 8 * _BUILD_STEP + 2**16, walk_peak - live
+    assert walk_peak - live < (1 + 2 * workers) * 8 * _BUILD_STEP + 2**16, walk_peak - live
     assert dist._probs is None
+
+
+def test_classical_row_holds_no_n_vector(monkeypatch):
+    _check_classical_row_holds_no_n_vector(monkeypatch, 1)
+
+
+def test_classical_row_holds_no_n_vector_on_two_workers(monkeypatch):
+    # two walk threads hold two workers' scratch, and nothing more
+    _check_classical_row_holds_no_n_vector(monkeypatch, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -613,12 +624,12 @@ _MU_KS = (-0.75, -2.5, -3.0)
 
 
 def _mu_with_workers(monkeypatch, dist, workers):
-    monkeypatch.setattr(algorithms, "_kernel_workers", lambda: workers)
+    monkeypatch.setattr(distributions, "_walk_workers", lambda n, step: workers)
     return unknown_expected_mu(dist).means()
 
 
 def _row_with_workers(monkeypatch, k, workers):
-    monkeypatch.setattr(algorithms, "_kernel_workers", lambda: workers)
+    monkeypatch.setattr(distributions, "_walk_workers", lambda n, step: workers)
     return run_point(SweepSpec(dist_cfg={"kind": "powerlaw", "n": _MU_N, "k": k},
                                model="unknown"))
 
@@ -715,7 +726,7 @@ def test_tail_series_matches_kernel(kind, head, tail, zeros, k, seed):
     means = []
     with pytest.MonkeyPatch.context() as patch:
         for workers in (1, 2):
-            patch.setattr(algorithms, "_kernel_workers", lambda: workers)
+            patch.setattr(distributions, "_walk_workers", lambda n, step: workers)
             means.append(unknown_expected_mu(d, k).means())
     assert means[0] == means[1]
     np.testing.assert_allclose(means[0], _kernel_dot_sums(d.probs, d.n, k), rtol=1e-13, atol=0)
@@ -791,10 +802,10 @@ def test_head_no_further_from_exact_cost_than_earlier_order():
 
 @pytest.mark.parametrize("workers", (1, 2))
 def test_oracle_only_row_holds_no_n_vector(monkeypatch, workers):
-    # build, kernel and both bounds of an oracle-only row: per worker, the
-    # kernel's scratch and the walk's base range, ranks and block of one
+    # build, kernel and both bounds of an oracle-only row: per worker at
+    # most the kernel's scratch and a base range, ranks and block of one
     # sub-block (1.5 MB), and nothing of size n
-    monkeypatch.setattr(algorithms, "_kernel_workers", lambda: workers)
+    monkeypatch.setattr(distributions, "_walk_workers", lambda n, step: workers)
     n = 2**20 + 3
     tracemalloc.start()
     try:
@@ -808,18 +819,34 @@ def test_oracle_only_row_holds_no_n_vector(monkeypatch, workers):
     assert dist._probs is None
 
 
-def test_monte_carlo_row_holds_one_n_vector():
+def _check_monte_carlo_row_holds_one_n_vector(monkeypatch, workers):
     # a geometric Monte Carlo row of a power law builds its cdf block by
-    # block: the cdf is its only array of size n
+    # block: the cdf is its only array of size n, next to a walk's base
+    # range and each worker's ranks and block
+    monkeypatch.setattr(distributions, "_walk_workers", lambda n, step: workers)
+
+    def row(n):
+        return run_point(SweepSpec(dist_cfg={"kind": "powerlaw", "n": n, "k": -0.75},
+                                   model="geometric", mode="monte_carlo", trials=2000))
+
+    row(3 * _BUILD_STEP)   # the first row of a process pays for its imports (~0.8 MB)
     n = 2**22 + 3
     tracemalloc.start()
     try:
-        run_point(SweepSpec(dist_cfg={"kind": "powerlaw", "n": n, "k": -0.75},
-                            model="geometric", mode="monte_carlo", trials=2000))
+        row(n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * n + 2 * 2**20, peak
+    assert peak < 8 * n + (1 + 2 * workers) * 8 * _BUILD_STEP + 2**19, peak
+
+
+def test_monte_carlo_row_holds_one_n_vector(monkeypatch):
+    _check_monte_carlo_row_holds_one_n_vector(monkeypatch, 1)
+
+
+def test_monte_carlo_row_holds_one_n_vector_on_two_workers(monkeypatch):
+    # two walk threads hold two workers' scratch, and nothing more
+    _check_monte_carlo_row_holds_one_n_vector(monkeypatch, 2)
 
 
 # ---------------------------------------------------------------------------

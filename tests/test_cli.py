@@ -380,6 +380,21 @@ def test_python_dash_m_entry_point(run_cfg):
     assert proc.stdout.startswith(",".join(HEADER))
 
 
+def test_import_leaves_thread_pools_unloaded():
+    # set-up time: a walk of more than one block imports concurrent.futures
+    # when it starts its threads, so importing the CLI must not
+    package_root = os.path.dirname(os.path.dirname(advice_search.bounds.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, advice_search.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 # VmHWM is the peak of this process alone; ru_maxrss would not do, since a
 # child started by vfork carries its parent's peak across exec
 _RSS_SCRIPT = """

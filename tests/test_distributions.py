@@ -21,6 +21,7 @@ from advice_search import (
     make_power_law,
     power_law_alpha,
 )
+from advice_search import distributions
 from advice_search.distributions import (
     _BUILD_STEP,
     _check_int,
@@ -83,8 +84,8 @@ def test_streamed_blocks_are_probs_slices(step):
     n = 3 * step + 12_345
     streamed, whole = make_power_law(n, -1.75), make_power_law(n, -1.75)
     seen = []
-    for worker in (0, 1):
-        for lo, ranks, block in streamed._stream(step, worker, 2):
+    for stream in streamed._streams(step, 2):
+        for lo, ranks, block in stream:
             assert np.array_equal(ranks, np.arange(lo + 1, lo + block.size + 1))
             assert np.array_equal(block, whole.probs[lo:lo + step]), lo
             seen.append(lo)
@@ -325,7 +326,12 @@ def test_compensated_sum_accuracy():
     assert math.isclose(compensated_sum(values), exact, rel_tol=1e-13)
 
 
-def test_rank_weighted_sums_stops_workers_after_a_failure():
+def _pin_workers(patch, workers):
+    """Make every walk run on workers threads, whatever the CPUs and blocks."""
+    patch.setattr(distributions, "_walk_workers", lambda n, step: workers)
+
+
+def test_rank_weighted_sums_stops_workers_after_a_failure(monkeypatch):
     # the failure reaches the caller, and the other worker quits at its next
     # block instead of running its remaining 100 (~0.5 s)
     calls = []
@@ -340,8 +346,9 @@ def test_rank_weighted_sums_stops_workers_after_a_failure():
         time.sleep(0.005)
         return (block,)
 
+    _pin_workers(monkeypatch, 2)
     with pytest.raises(RuntimeError, match="boom"):
-        next(_rank_weighted_sums(make_explicit(np.ones(200 * 16)), fn, step=16, workers=2))
+        next(_rank_weighted_sums(make_explicit(np.ones(200 * 16)), fn, step=16))
     assert len(calls) < 50, len(calls)
 
 
@@ -363,9 +370,12 @@ def test_threaded_walk_matches_one_worker(data, n, explicit, k):
     def fn(block, ranks, worker):
         return _dot(block, ranks), float(np.sum(np.sqrt(ranks, out=ranks))), float(np.sum(block))
 
-    one = list(_rank_weighted_sums(dist, fn, stops, step=16))
+    with pytest.MonkeyPatch.context() as patch:
+        _pin_workers(patch, 1)
+        one = list(_rank_weighted_sums(dist, fn, stops, step=16))
+        _pin_workers(patch, 2)
+        assert list(_rank_weighted_sums(dist, fn, stops, step=16)) == one
     assert len(one) == len(stops)
-    assert list(_rank_weighted_sums(dist, fn, stops, step=16, workers=2)) == one
     ranks = np.arange(1.0, dist.n + 1)
     for stop, sums in zip(stops, one):   # per 16-rank block, cut at the stop
         cuts = [(lo, min(lo + 16, stop)) for lo in range(0, stop, 16)]
@@ -373,16 +383,18 @@ def test_threaded_walk_matches_one_worker(data, n, explicit, k):
         assert sums[2] == math.fsum(float(np.sum(dist.probs[lo:hi])) for lo, hi in cuts)
 
 
-def test_threaded_walk_memory_is_its_rows():
+def test_threaded_walk_memory_is_its_rows(monkeypatch):
     # two workers hold one small row per block and nothing else that grows
     # with the block count: 16 times the blocks may add 400 bytes a block,
     # while a future per block (Executor.map over blocks) costs several KB
+    _pin_workers(monkeypatch, 2)
+
     def peak(n):
         dist = _weights(n, -1.0)
         tracemalloc.start()
         try:
             next(_rank_weighted_sums(dist, lambda block, ranks, worker: (float(block[0]),),
-                                     step=256, workers=2))
+                                     step=256))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

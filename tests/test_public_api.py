@@ -25,7 +25,7 @@ REMOVED = (
     "round_cost", "GeometricBlocks", "geometric_blocks", "unknown_upper_per_rank",
     "rotation_angle", "DEFAULT_DIM_CAP", "_check_length", "_check_rank",
     "q_mu_lower", "geometric_upper", "unknown_upper_mu", "_CEIL_SNAP", "_attempt_success",
-    "_powers", "_floored_power", "_check_schedule_length", "_sums_at",
+    "_powers", "_floored_power", "_check_schedule_length", "_sums_at", "_kernel_workers",
 )
 
 

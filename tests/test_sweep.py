@@ -162,16 +162,22 @@ _SCAN_NS = (1, 2, 1000, 2**16 - 1, 2**16, 2**16 + 1, 100_003, 2**17, 3 * 2**16 +
        k=st.floats(-3.0, -0.1),
        ratio=st.sampled_from((None, 2.0, 1.5)),
        grid=st.lists(st.sampled_from(_SCAN_NS) | st.integers(1, 3 * 2**16 + 5),
-                     min_size=1, max_size=4, unique=True).map(sorted))
-def test_one_walk_sweep_matches_per_element_rows(model, k, ratio, grid):
+                     min_size=1, max_size=4, unique=True).map(sorted),
+       workers=st.sampled_from((1, 2)))
+def test_one_walk_sweep_matches_per_element_rows(model, k, ratio, grid, workers):
     # a classical or geometric sweep takes one walk over x^k that stops at
-    # each n: alpha keeps the bits of power_law_alpha at every stop, and each
-    # row agrees with alpha * x^k made per element and dotted row by row
+    # each n, on one or two threads: alpha keeps the bits of power_law_alpha
+    # at every stop, and each row agrees with alpha * x^k made per element
+    # and dotted row by row; a row has the same bits for either thread count
     spec = SweepSpec(dist_cfg={"kind": "powerlaw", "k": k}, model=model,
                      n_grid=tuple(grid), k_algorithm=ratio)
-    rows = run_sweep(spec)
-    alphas = distributions._linear_sums(
-        distributions._weights(grid[-1], k), lambda block, ranks, worker: (), stops=grid)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distributions, "_walk_workers", lambda n, step: workers)
+        rows = run_sweep(spec)
+        alphas = list(distributions._linear_sums(
+            distributions._weights(grid[-1], k), lambda block, ranks, worker: (), stops=grid))
+        patch.setattr(distributions, "_walk_workers", lambda n, step: 3 - workers)
+        assert run_sweep(spec) == rows
     assert [row.n for row in rows] == grid
     for n, row, (alpha,) in zip(grid, rows, alphas):
         assert alpha == power_law_alpha(n, k), (n, k)
@@ -202,6 +208,19 @@ def test_one_walk_sweep_timing_column(model):
     assert all(row.seconds > 0.0 for row in rows), rows
     assert math.fsum(row.seconds for row in rows) <= wall
     assert all(row.seconds == 0.0 for row in run_sweep(spec))
+
+
+@pytest.mark.parametrize("model", ("classical", "geometric"))
+def test_threaded_sweep_timing_lands_on_each_row(monkeypatch, model):
+    # on two threads each row's seconds are still its own segment of the
+    # walk: the last row, whose segment holds ~97% of the ranks, carries most
+    # of them, as it would not if the walk ran to its end before the first row
+    monkeypatch.setattr(distributions, "_walk_workers", lambda n, step: 2)
+    spec = SweepSpec.from_config(
+        {"dist": {"kind": "powerlaw", "k": -1.0}, "model": model,
+         "n_grid": [1000, 2**16, 2**17 + 3, 2**22]}, need_grid=True)
+    seconds = [row.seconds for row in run_sweep(spec, timing=True)]
+    assert seconds[-1] > 0.5 * math.fsum(seconds), seconds
 
 
 @pytest.mark.parametrize("model,mode,grid", [
