@@ -31,6 +31,7 @@ from .distributions import (
     AdviceDistribution,
     ConfigError,
     ParameterError,
+    PowerLawSpec,
     _MAX_LEN,
     _check_int,
     _check_real,
@@ -94,6 +95,21 @@ _SCRATCH_ROWS = 8
 # needing more than _TAIL_MAX_DEGREE keeps its tail in the kernel.
 _TAIL_TOL = 2.0 ** -64
 _TAIL_MAX_DEGREE = 8
+
+# A power law's ranks past _PANEL_START, up to its tail cut, are summed over
+# panels of whole sub-blocks, each about a quarter as wide as its start rank,
+# from the kernel's costs at _PANEL_NODES Chebyshev points.  A panel whose two
+# trailing coefficients exceed _PANEL_TOL of its mean goes back to the kernel:
+# they read 6e-16 to 3.5e-14 over n = 2^18..2^28 and ratios 1.01..1.3, the
+# rounding of the kernel's costs, and the integer sum weights mode i by ~2/i^2
+# of the mean, so a panel at the threshold errs by ~2e-15 of its sum.
+_PANEL_START = 4 * _SUB_BLOCK
+_PANEL_NODES = 24
+_PANEL_TOL = 1e-12
+
+# The Bernoulli numbers B_2, B_4, ..., B_22 of the panels' Euler-Maclaurin sums.
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
+              43867 / 798, -174611 / 330, 854513 / 138)
 
 
 @dataclass(frozen=True)
@@ -374,6 +390,76 @@ def _tail_series(sizes: tuple[int, ...], fallback: float) -> tuple[np.ndarray, .
     return shared + reach * fallback, shared, times_q(c_sum)
 
 
+def _panels(cut: int) -> list[tuple[int, int]]:
+    """(lo, hi) of the panels of ranks lo + 1..hi from _PANEL_START to cut: a
+    whole number of sub-blocks, about lo / 4, each, the last one ending at
+    cut (none unless cut is a sub-block or more past _PANEL_START)."""
+    panels, lo = [], _PANEL_START
+    while cut - lo >= _SUB_BLOCK:
+        hi = lo + max(1, lo // (4 * _SUB_BLOCK)) * _SUB_BLOCK
+        hi = cut if cut - hi < _SUB_BLOCK else hi
+        panels.append((lo, hi))
+        lo = hi
+    return panels
+
+
+@functools.lru_cache(maxsize=1)
+def _chebyshev_basis() -> tuple[np.ndarray, np.ndarray]:
+    """The _PANEL_NODES Chebyshev points of the first kind t_j on [-1, 1],
+    and the matrix of T_i(t_j) times the weights that turn values there
+    into the interpolant's coefficients, c = matrix @ values."""
+    count = _PANEL_NODES
+    angles = math.pi * (np.arange(count) + 0.5) / count
+    basis = np.cos(np.outer(np.arange(count), angles)) * (2.0 / count)
+    basis[0] *= 0.5
+    return np.cos(angles), basis
+
+
+def _panel_weights(width: int) -> np.ndarray:
+    """W_j with sum_{x=a}^{a+width} P(x) = sum_j W_j P(x_j) for every
+    polynomial P of degree < _PANEL_NODES and the Chebyshev points x_j of
+    [a, a + width]: W = S @ the coefficient matrix, where S_i = sum_x
+    T_i(t(x)) is 0 for odd i and, by Euler-Maclaurin (exact on polynomials),
+    the integral width/(1 - i^2), the end terms 1 and sum_r B_2r/(2r)! times
+    2 T_i^(2r-1)(1) (2/width)^(2r-1), T_i^(s)(1) = prod_{u<s} (i^2 - u^2)/(2u+1)."""
+    coefficients = [b / math.factorial(2 * r) for r, b in enumerate(_BERNOULLI, 1)]
+    h = 2.0 / width
+    sums = np.zeros(_PANEL_NODES)
+    for i in range(0, _PANEL_NODES, 2):
+        total, derivative = width / (1.0 - i * i) + 1.0, 1.0
+        for s in range(1, i, 2):   # the odd orders s = 2r - 1 below i
+            derivative *= (i * i - (s - 1) ** 2) / (2 * s - 1) * h
+            total += 2.0 * coefficients[s // 2] * derivative
+            derivative *= (i * i - s * s) / (2 * s + 1) * h
+        sums[i] = total
+    return sums @ _chebyshev_basis()[1]
+
+
+def _panel_rows(law: PowerLawSpec, sizes: tuple[int, ...], fallback: float, cut: int) -> dict:
+    """The walk rows of the blocks that _panels(cut) covers, by block index:
+    a panel's first block carries its column sums sum_j W_j p(x_j) cost(x_j)
+    over its Chebyshev points x_j, its other blocks zeros.  The kernel runs
+    once on every panel's points; a panel whose trailing two coefficients
+    exceed _PANEL_TOL of the leading one, in any column, gets no rows."""
+    panels = _panels(cut)
+    if not panels:
+        return {}
+    nodes, basis = _chebyshev_basis()
+    x = np.concatenate([(lo + 1 + hi) * 0.5 + (hi - lo - 1) * 0.5 * nodes for lo, hi in panels])
+    p = np.power(x, law.k) * law.alpha
+    costs = _amplify_sub_block(p, sizes, fallback, np.empty((_SCRATCH_ROWS, p.size)))
+    values = (np.stack(costs) * p).reshape(3, len(panels), _PANEL_NODES)
+    rows = {}
+    for (lo, hi), g in zip(panels, values.transpose(1, 0, 2)):
+        c = g @ basis.T
+        if np.any(np.abs(c[:, -2:]).sum(axis=1) > _PANEL_TOL * np.abs(c[:, 0])):
+            continue   # its blocks run the kernel
+        first = lo // _SUB_BLOCK
+        rows.update(dict.fromkeys(range(first + 1, -(-hi // _SUB_BLOCK)), (0.0, 0.0, 0.0)))
+        rows[first] = tuple(float(v) for v in g @ _panel_weights(hi - lo - 1))
+    return rows
+
+
 def unknown_expected_exact(dist: AdviceDistribution, marked_rank: int,
                            k: float = DEFAULT_AMPLIFY_RATIO) -> ExpectationReport:
     """Exact per-oracle expected costs for one fixed marked rank: for
@@ -393,32 +479,45 @@ def unknown_expected_mu(dist: AdviceDistribution, k: float = DEFAULT_AMPLIFY_RAT
                         *, columns=None) -> ExpectationReport:
     """Advice-averaged exact expected costs: sum_x p_x E[cost | marked=x].
 
-    Each _SUB_BLOCK is cut where p drops below DEGENERATE_TOL (a suffix, as
-    the advice is sorted).  Its head's costs from _amplify_sub_block are
-    reduced to three dot products at once, so no n-sized output exists; its
-    tail gives the power sums M_e = sum p^e, e = 1..D+1, and fsum_d a_d
-    M_(d+1) with _tail_series' a_d is added after the walk (a row with no
-    series runs all ranks in the kernel).  The sub-blocks are spread over
-    the walk's threads, each with scratch of its own allocated here (numpy's
-    float ufuncs release the GIL); the means have the same bits for any
-    thread count.  columns, if given, are a row's bound columns, summed in the walk.
+    One walk over _SUB_BLOCKs; each is cut where p drops below
+    DEGENERATE_TOL (a suffix, as the advice is sorted), and its ranks take
+    one of three paths:
+    * the tail, p < DEGENERATE_TOL, runs no rounds: it gives the power sums
+      M_e = sum p^e, e = 1..D+1, and fsum_d a_d M_(d+1) with _tail_series'
+      a_d is added after the walk (a row with no series has no tail);
+    * on a power law, the head's ranks past _PANEL_START (2^16) are summed
+      over Chebyshev panels by _panel_rows, whose sums are rows of the walk
+      in place of the kernel's on the blocks they cover; a panel over its
+      error threshold leaves its blocks to the kernel;
+    * every other head, and all of explicit advice, runs _amplify_sub_block,
+      its costs reduced to three dot products at once, so no n-sized output
+      exists.
+    The sub-blocks are spread over the walk's threads, each with scratch of
+    its own allocated here (numpy's float ufuncs release the GIL); the means
+    have the same bits for any thread count.  columns, if given, are a row's
+    bound columns, summed in the walk over every rank.
     """
     k = _check_real(k, "iteration-budget ratio", *AMPLIFY_RATIO_BOUNDS)
     sizes = _round_sizes(dist.n, k)
     fallback = float(exact_grover_queries(dist.n, zero_or_one=False))
     series = _tail_series(sizes, fallback)
     count = 0 if series is None else series[0].size
+    panel_rows = {} if dist.power_law is None else _panel_rows(
+        dist.power_law, sizes, fallback,
+        dist._last_rank_at_least(DEGENERATE_TOL) if count else dist.n)
     scratch = np.empty((distributions._walk_workers(dist.n, _SUB_BLOCK), _SCRATCH_ROWS,
                         min(dist.n, _SUB_BLOCK)))
 
     def fn(block: np.ndarray, ranks: np.ndarray, worker: int) -> list[float]:
         head = block[:_prefix_length(block, DEGENERATE_TOL)] if count else block
         tail, power = block[head.size:], scratch[worker, 0, :block.size - head.size]
-        row = [_dot(head, v) for v in _amplify_sub_block(head, sizes, fallback, scratch[worker])
-               ] if head.size else [0.0, 0.0, 0.0]
+        row = panel_rows.get((int(ranks[0]) - 1) // _SUB_BLOCK)
+        if row is None:
+            row = [_dot(head, v) for v in _amplify_sub_block(head, sizes, fallback, scratch[worker])
+                   ] if head.size else [0.0, 0.0, 0.0]
         np.copyto(power, tail)   # then the power sums sum tail^e, e = 1..count, in place
-        return row + [float(np.sum(power if e == 0 else np.multiply(power, tail, out=power)))
-                      for e in range(count)]
+        return [*row, *(float(np.sum(power if e == 0 else np.multiply(power, tail, out=power)))
+                        for e in range(count))]
 
     f, o_mu, inv, *sums = next(_rank_weighted_sums(dist, _with_columns(fn, columns),
                                                    step=_SUB_BLOCK))

@@ -215,8 +215,9 @@ class PowerLawSpec:
         return lo, lo + 1.0
 
     def threshold_rank_closed_form(self) -> int:
-        """floor((alpha*n)^(-1/k)): largest x with alpha*x^k >= 1/n."""
-        return min(self.n, int(math.floor((self.alpha * self.n) ** (-1.0 / self.k))))
+        """Largest x with alpha*x^k >= 1/n, by bisection on the walk's bits
+        (the float formula floor((alpha*n)^(-1/k)) misses it as k -> 0)."""
+        return AdviceDistribution(self.n, power_law=self)._last_rank_at_least(1.0 / self.n)
 
 
 class AdviceDistribution:
@@ -288,6 +289,19 @@ class AdviceDistribution:
         if self.power_law is None:
             return self._probs[ranks - 1]
         return np.power(ranks.astype(np.float64), self.power_law.k) * self.power_law.alpha
+
+    def _last_rank_at_least(self, threshold: float) -> int:
+        """Largest rank whose probability is at least threshold, or 0 if
+        none: a bisection over the sorted ranks on the bits of _probs_at,
+        which are the walk's, so a walk block's cut agrees on every rank."""
+        lo, hi = 0, self.n   # the answer lies in lo..hi
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if self._probs_at(np.array([mid]))[0] >= threshold:
+                lo = mid
+            else:
+                hi = mid - 1
+        return lo
 
     @property
     def cdf(self) -> np.ndarray:

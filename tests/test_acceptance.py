@@ -127,7 +127,7 @@ def test_criterion_8_powerlaw_scaling_exponents():
         # separation instance: flat quantum cost, polynomial classical cost
         assert abs(fits[("geometric", -1.75)].alpha) <= 0.05
         assert abs(fits[("classical", -1.75)].alpha - 0.25) <= 0.05
-        assert time.perf_counter() - started < 1800.0
+        assert time.perf_counter() - started < 120.0
 
 
 def test_criterion_9_lower_bound_maximizer():

@@ -33,15 +33,21 @@ from advice_search import (
 )
 from advice_search import algorithms, distributions
 from advice_search.algorithms import (
+    _PANEL_NODES,
     _SCRATCH_ROWS,
     _SUB_BLOCK,
     _amplify_sub_block,
+    _chebyshev_basis,
     _geometric_cost_by_rank,
     _geometric_schedule,
+    _panel_rows,
+    _panel_weights,
+    _panels,
     _round_sizes,
     _tail_series,
     _trial_seed,
 )
+from advice_search.bounds import _BoundColumns
 from advice_search.distributions import _BUILD_STEP, AdviceDistribution
 from advice_search.rotation import DEGENERATE_TOL
 from advice_search.sweep import SweepSpec, run_point
@@ -817,6 +823,100 @@ def test_oracle_only_row_holds_no_n_vector(monkeypatch, workers):
         tracemalloc.stop()
     assert peak < workers * 8 * (_SCRATCH_ROWS + 3) * _SUB_BLOCK + 2**20, peak
     assert dist._probs is None
+
+
+# ---------------------------------------------------------------------------
+# power-law ranks past 2^16 summed over Chebyshev panels
+
+
+def _kernel_row(d, k):
+    """d's row, then the row of the same probabilities as advice that is not
+    a power law, which runs every head rank in the kernel: each with the
+    oracle-only ceiling's bound columns summed in the walk."""
+    rows = []
+    for dist in (d, AdviceDistribution(d.n, probs=d.probs)):
+        columns = _BoundColumns(dist, "unknown")
+        rows.append((unknown_expected_mu(dist, k, columns=columns).means(), columns.values()))
+    return rows
+
+
+def _panel_cut(d, k):
+    sizes, fallback = _round_sizes(d.n, k), float(exact_grover_queries(d.n))
+    cut = (d._last_rank_at_least(DEGENERATE_TOL) if _tail_series(sizes, fallback) is not None
+           else d.n)
+    return sizes, fallback, cut
+
+
+@pytest.mark.parametrize("width", (_SUB_BLOCK - 1, 3 * _SUB_BLOCK + 17))
+def test_panel_weights_sum_polynomials_over_integers(width):
+    # W_j sums any polynomial of degree < _PANEL_NODES over the panel's
+    # integers: here each Chebyshev polynomial T_i of the panel, and a
+    # random mix of them, against a plain sum over every rank; the
+    # narrowest panel is a sub-block, width _SUB_BLOCK - 1
+    lo = 5 * _SUB_BLOCK
+    x = np.arange(lo + 1, lo + width + 2, dtype=np.float64)
+    nodes = (2 * lo + width + 2) * 0.5 + width * 0.5 * _chebyshev_basis()[0]
+    weights = _panel_weights(width)
+    rng = np.random.default_rng(width)
+    for coef in [*np.eye(_PANEL_NODES), rng.standard_normal(_PANEL_NODES)]:
+        value = lambda v: np.polynomial.chebyshev.chebval((2 * v - 2 * lo - 2 - width) / width,
+                                                          coef)   # noqa: E731
+        want = math.fsum(value(x))
+        assert abs(weights @ value(nodes) - want) <= 1e-13 * (width + 1), coef
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2**16 + 1, 2**20 + 7),
+       k=st.sampled_from([-1e-300, -1e-12, -1e-9]) | st.floats(-2.5, -1e-3),
+       ratio=st.sampled_from([1.05, DEFAULT_AMPLIFY_RATIO, 1.3]))
+# the tail cut falls inside a panel and inside a block; p is flat; a short
+# rank range past 2^16 that takes no panel; a slow ratio with many rounds
+@example(n=2**20 + 7, k=-2.0, ratio=DEFAULT_AMPLIFY_RATIO)
+@example(n=2**20 + 7, k=-1e-300, ratio=1.3)
+@example(n=2**16 + _SUB_BLOCK - 1, k=-0.5, ratio=DEFAULT_AMPLIFY_RATIO)
+@example(n=2**18, k=-0.75, ratio=1.05)
+@example(n=2**19 + 3, k=-2.5, ratio=1.3)
+def test_panel_rows_match_the_kernel(n, k, ratio):
+    d = make_power_law(n, k)
+    (panel, panel_bounds), (kernel, kernel_bounds) = _kernel_row(d, ratio)
+    np.testing.assert_allclose(panel, kernel, rtol=1e-13, atol=0)
+    assert panel_bounds == kernel_bounds   # the walk's columns keep their bits
+
+
+def test_panel_cut_falls_inside_a_panel_and_a_block():
+    d = make_power_law(2**20 + 7, -2.0)
+    sizes, fallback, cut = _panel_cut(d, DEFAULT_AMPLIFY_RATIO)
+    panels = _panels(cut)
+    assert cut % _SUB_BLOCK and panels[0][0] == 2**16 and panels[-1][1] == cut
+    assert all(hi - lo >= _SUB_BLOCK and lo % _SUB_BLOCK == 0 for lo, hi in panels)
+    assert all(a[1] == b[0] for a, b in zip(panels, panels[1:]))
+    rows = _panel_rows(d.power_law, sizes, fallback, cut)
+    assert sorted(rows) == list(range(4, -(-cut // _SUB_BLOCK)))   # every panel passed
+    assert d.probs[cut - 1] >= DEGENERATE_TOL > d.probs[cut]
+
+
+def test_panels_reach_n_when_the_tail_has_no_series(monkeypatch):
+    # with no tail series every rank is head, and the panels run to n
+    monkeypatch.setattr(algorithms, "_TAIL_MAX_DEGREE", 1)
+    d = make_power_law(2**18 + 3, -2.0)
+    sizes, fallback, cut = _panel_cut(d, DEFAULT_AMPLIFY_RATIO)
+    assert cut == d.n and _panels(cut)[-1][1] == d.n
+    assert len(_panel_rows(d.power_law, sizes, fallback, cut)) == -(-d.n // _SUB_BLOCK) - 4
+    (panel, _), (kernel, _) = _kernel_row(d, DEFAULT_AMPLIFY_RATIO)
+    np.testing.assert_allclose(panel, kernel, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("n, k, ratio", [(2**20 + 7, -2.0, DEFAULT_AMPLIFY_RATIO),
+                                         (2**18 + 5, -0.75, 1.3)])
+def test_failed_panels_leave_the_row_to_the_kernel(monkeypatch, n, k, ratio):
+    # every panel over its threshold: each block runs the kernel in the
+    # walk, and the row is the all-kernel row bit for bit
+    d = make_power_law(n, k)
+    assert _panel_rows(d.power_law, *_panel_cut(d, ratio))
+    monkeypatch.setattr(algorithms, "_PANEL_TOL", -1.0)
+    assert not _panel_rows(d.power_law, *_panel_cut(d, ratio))
+    panel, kernel = _kernel_row(d, ratio)
+    assert panel == kernel
 
 
 def _check_monte_carlo_row_holds_one_n_vector(monkeypatch, workers):

@@ -411,9 +411,10 @@ with open("/proc/self/status", encoding="ascii") as fh:
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM is in Linux's /proc")
 def test_exact_scan_runs_at_2_26_fit_in_200_mb(tmp_path):
     # a fresh process runs an exact classical and geometric row at n = 2^26,
-    # and a sweep of each to 2^26 in one walk: a streamed power law holds no
-    # array of size n (probs alone would be 512 MB), so the process peak
-    # stays near the interpreter's own
+    # a sweep of each to 2^26 in one walk, and an oracle-only row at 2^26,
+    # whose ranks past 2^16 are summed over panels: a streamed power law
+    # holds no array of size n (probs alone would be 512 MB), so the process
+    # peak stays near the interpreter's own
     configs = []
     for model in ("classical", "geometric"):
         configs += ["run", _write_cfg(tmp_path / f"{model}.json",
@@ -422,6 +423,9 @@ def test_exact_scan_runs_at_2_26_fit_in_200_mb(tmp_path):
         configs += ["sweep", _write_cfg(tmp_path / f"{model}_sweep.json",
                                         {"dist": {"kind": "powerlaw", "k": -0.75}, "model": model,
                                          "n_grid": [2**20, 2**24 + 3, 2**26]})]
+    configs += ["run", _write_cfg(tmp_path / "unknown.json",
+                                  {"dist": {"kind": "powerlaw", "n": 2**26, "k": -0.75},
+                                   "model": "unknown"})]
     package_root = os.path.dirname(os.path.dirname(advice_search.bounds.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -430,7 +434,8 @@ def test_exact_scan_runs_at_2_26_fit_in_200_mb(tmp_path):
                           capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert sum(line.startswith("67108864,") for line in lines) == 4, lines
+    assert sum(line.startswith("67108864,") for line in lines) == 5, lines
+    assert "67108864,-0.75,unknown,exact," in "\n".join(lines)
     peak_mb = int(lines[-1]) / 1024   # VmHWM is in kB
     assert peak_mb < 200, peak_mb
 

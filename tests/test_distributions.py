@@ -149,6 +149,25 @@ def test_threshold_rank():
         assert d.x0_threshold() == ref_x0(list(d.probs))
         assert d.x0_threshold() == d.power_law.threshold_rank_closed_form()
 
+    # near k = 0, where floor((alpha n)^(-1/k)) gave 1, 36,787 and 321
+    for n, k, x0 in ((4096, -1e-300, 4096), (10**5, -1e-12, 36789), (1000, -1e-15, 372)):
+        d = make_power_law(n, k)
+        assert d.x0_threshold() == ref_x0(list(d.probs)) == x0
+        assert d.power_law.threshold_rank_closed_form() == x0
+
+
+def test_last_rank_at_least_is_the_walk_count():
+    # the bisection that cuts both 1/n and the oracle-only tail agrees with
+    # a count over the walk's blocks at every threshold, for k down to
+    # -1e-9, where the float formula for the 1e-12 cut overflowed
+    thresholds = (1e-12, 1e-9, 1e-6, 0.0, 1.0, 2.0)
+    dists = [make_power_law(n, k) for n, k in ((2**17 + 7, -1e-9), (2**17 + 7, -2.0),
+                                               (5000, -0.75), (1, -1.0), (64, -80.0))]
+    dists += [make_explicit([1.0, 1e-13, 3e-14, 0.0, 0.0]), make_explicit([2.0, 1.0, 0.0, 1.0])]
+    for d in dists:
+        for t in (*thresholds, 1.0 / d.n, float(d.probs[-1]), float(d.probs[0])):
+            assert d._last_rank_at_least(t) == np.count_nonzero(d.probs >= t), (d.n, t)
+
 
 def test_threshold_rank_explicit():
     d = make_explicit([4.0, 2.0, 1.0, 1.0])
