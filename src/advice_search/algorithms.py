@@ -32,11 +32,13 @@ from .distributions import (
     ConfigError,
     ParameterError,
     PowerLawSpec,
+    _BERNOULLI,
     _MAX_LEN,
     _check_int,
     _check_real,
     _dot,
     _linear_sums,
+    _power_sums,
     _prefix_length,
     _rank_weighted_sums,
 )
@@ -106,10 +108,6 @@ _TAIL_MAX_DEGREE = 8
 _PANEL_START = 4 * _SUB_BLOCK
 _PANEL_NODES = 24
 _PANEL_TOL = 1e-12
-
-# The Bernoulli numbers B_2, B_4, ..., B_22 of the panels' Euler-Maclaurin sums.
-_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
-              43867 / 798, -174611 / 330, 854513 / 138)
 
 
 @dataclass(frozen=True)
@@ -211,11 +209,14 @@ def _with_columns(fn, columns):
 def _scan_means(model: str, dist: AdviceDistribution, k: float | None = None,
                 columns=None, stops=None):
     """Yield the exact expected f queries of the scan, or of the block search
-    at ratio k, up to each of stops (dist.n by default) from one walk, which
-    sums columns too.  Per walk block, each schedule block's part is np.sum
-    times its cumulative cost, charged at nominal block sizes whatever the stop."""
+    at ratio k, up to each of stops (dist.n by default) from one
+    _linear_sums, which sums columns too.  Each schedule block's part is its
+    cumulative cost, charged at nominal block sizes whatever the stop, times
+    its probability mass: per walk block an np.sum, past 2^16 on a power law
+    a power sum, one for each piece of a schedule block there."""
     if model == "classical":
         fn = lambda block, ranks, _: (_dot(block, ranks),)   # noqa: E731
+        tail = lambda k, lo, hi: (_power_sums(k + 1.0, lo, hi),)   # noqa: E731
     else:
         ends, cum = _geometric_schedule((stops or (dist.n,))[-1], k)
 
@@ -229,7 +230,14 @@ def _scan_means(model: str, dist: AdviceDistribution, k: float | None = None,
                 lo, m = hi, m + 1
             return (math.fsum(parts),)
 
-    for _, f, *sums in _linear_sums(dist, _with_columns(fn, columns), stops):
+        def tail(k: float, lo: int, hi: int) -> tuple[np.ndarray]:
+            first, last = np.searchsorted(ends, (lo + 1, hi))   # the schedule blocks of both ends
+            cuts = np.concatenate(((lo,), ends[first:last], (hi,)))
+            return (cum[first:last + 1] * _power_sums(k, cuts[:-1], cuts[1:]),)
+
+    tails = tail if columns is None else lambda k, lo, hi: (*tail(k, lo, hi),
+                                                            *columns.tail(k, lo, hi))
+    for _, f, *sums in _linear_sums(dist, _with_columns(fn, columns), stops, tail=tails):
         if columns is not None:
             columns.sums = sums
         yield f

@@ -20,6 +20,7 @@ from .distributions import (
     _check_real,
     _dot,
     _linear_sums,
+    _power_sums,
     _prefix_length,
     _rank_weighted_sums,
 )
@@ -107,13 +108,18 @@ class _BoundColumns:
                     float(np.sum(block[head:])))
         return out
 
+    def tail(self, k: float, lo: int, hi: int) -> tuple[np.ndarray]:
+        """The linear column's sum over ranks lo + 1..hi of a power law's x^k,
+        sum x^(k + 1/2), for _linear_sums (without upper="unknown")."""
+        return (_power_sums(k + 0.5, lo, hi),)
+
     def values(self) -> tuple[float, float | None]:
         """The lower bound, and the upper bound of the model named by upper;
         the columns get a walk of their own if no model's walk carried them."""
         if not self.sums and self.upper == "unknown":   # the one ceiling not linear in p
             self.sums = next(_rank_weighted_sums(self.dist, self.partials))
         elif not self.sums:
-            _, *self.sums = next(_linear_sums(self.dist, self.partials))
+            _, *self.sums = next(_linear_sums(self.dist, self.partials, tail=self.tail))
         sqrt_ranks, upper = self.sums[0], None
         if self.upper == "geometric":
             upper = math.pi * math.e * sqrt_ranks

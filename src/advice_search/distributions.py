@@ -44,6 +44,11 @@ _BUILD_STEP = 1 << 16
 # Longest float64 array numpy can address: its byte size must fit in intp.
 _MAX_LEN = np.iinfo(np.intp).max // 8
 
+# The Bernoulli numbers B_2, B_4, ..., B_22 of the Euler-Maclaurin sums:
+# _power_sums takes the first three, the oracle-only panels' weights all.
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
+              43867 / 798, -174611 / 330, 854513 / 138)
+
 
 def _physical_memory() -> int:
     """Bytes of physical memory, or the address space where that is unknown."""
@@ -127,8 +132,8 @@ def _rank_weighted_sums(dist: AdviceDistribution, fn, stops=None, step: int = _B
     the index of its thread, and returns one partial sum per column.  A stop
     inside a block adds the row of its prefix, made first on ranks of its
     own.  Worker w of _walk_workers walks blocks w, w + workers, ... of
-    dist._streams, allocated here; the blocks up to each stop are merged
-    back into block order before its sums are yielded."""
+    dist._streams, allocated here; a threaded walk merges its rows back into
+    block order before the first sums are yielded."""
     stops = (dist.n,) if stops is None else stops
     workers = _walk_workers(dist.n, step)
     stop = threading.Event()
@@ -145,39 +150,93 @@ def _rank_weighted_sums(dist: AdviceDistribution, fn, stops=None, step: int = _B
 
     walks = [rows(stream, w) for w, stream in enumerate(dist._streams(step, workers))]
 
-    def segments():
+    def merged():
         # imported here, so that importing the package does not pay for it
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(workers) as pool:
             try:
-                ends = [-(-cut // step) for cut in stops]   # the blocks that reach each stop
-                for start, end in zip((0, *ends), ends):   # one segment, blocks start..end - 1
-                    counts = (len(range(w, end, workers)) - len(range(w, start, workers))
-                              for w in range(workers))
-                    parts = pool.map(list, map(itertools.islice, walks, counts))
-                    yield from sorted(itertools.chain.from_iterable(parts), key=lambda b: b[0])
+                parts = pool.map(list, walks)
+                yield from sorted(itertools.chain.from_iterable(parts), key=lambda b: b[0])
             finally:
                 # after an interrupt or a failed worker, the others quit at
-                # their next block instead of finishing the segment
+                # their next block instead of finishing their walks
                 stop.set()
 
     done = []
-    for _, heads, row in walks[0] if workers == 1 else segments():
+    for _, heads, row in walks[0] if workers == 1 else merged():
         for head in heads:
             yield [math.fsum(column) for column in zip(*done, head)]
         done.append(row)
 
 
-def _linear_sums(dist: AdviceDistribution, fn, stops=None):
-    """Yield, at each of stops, alpha and alpha times fn's column sums, for
-    columns linear in p: a power law walks x^k with a weight column added,
-    alpha = 1 / its sum, with the bits of power_law_alpha at the stop; other advice has alpha 1."""
+def _power_integral(s: float, a, b) -> np.ndarray:
+    """The integral of x^s from a to b, elementwise over arrays 0 < a <= b:
+    a^(s+1) expm1(t)/(s + 1), t = (s + 1) ln(b/a), where |t| < 1/2 and the
+    difference (b^(s+1) - a^(s+1))/(s + 1) would cancel; ln(b/a) at s = -1.
+    x^(s+1) is taken as x^s x: the rounding of s + 1 would cost ln(x) ulps."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    log_ratio = np.log1p((b - a) / a)
+    if s == -1.0:
+        return log_ratio
+    t = (s + 1.0) * log_ratio
+    return np.where(np.abs(t) < 0.5, a ** s * a * np.expm1(t),
+                    b ** s * b - a ** s * a) / (s + 1.0)
+
+
+def _power_sums(s: float, lo, hi) -> np.ndarray:
+    """sum_{x=lo+1}^{hi} x^s, elementwise over arrays of ranks 0 <= lo < hi:
+    the Euler-Maclaurin sum, the integral, the end terms and the B_2, B_4,
+    B_6 terms.  It errs by about the first term it drops, B_8/8! s(s-1)...
+    (s-6) x^(s-7) between the ends: from lo = 2^16, where x^-7 <= 2^-112,
+    below 1e-33 of the sum (at least x^s) for |s| <= 4 and 1e-28 for |s| <=
+    40.  The derivatives take one factor (s - u)/x at a time, so where
+    (lo + 1)^s underflows every term is 0, as in the walk."""
+    a = np.asarray(lo, dtype=np.float64) + 1.0
+    b = np.asarray(hi, dtype=np.float64)
+    da, db = a ** s, b ** s   # the derivatives of x^s of order 0, 1, ... at a and b
+    total = _power_integral(s, a, b) + 0.5 * (da + db)
+    for r, bernoulli in enumerate(_BERNOULLI[:3], 1):
+        for u in range(max(0, 2 * r - 3), 2 * r - 1):   # on to the order 2r - 1
+            da, db = da * ((s - u) / a), db * ((s - u) / b)
+        total += bernoulli / math.factorial(2 * r) * (db - da)
+    return total
+
+
+def _no_columns(*_) -> tuple:
+    """No columns: the fn and the tail of a _linear_sums that yields alpha alone."""
+    return ()
+
+
+def _linear_sums(dist: AdviceDistribution, fn, stops=None, tail=_no_columns):
+    """Yield, at each of stops (dist.n by default), alpha and alpha times fn's
+    column sums, for columns linear in p; other advice than a power law is
+    walked whole, with alpha 1.
+
+    A power law walks x^k, with a weight column added, over the ranks up to
+    _BUILD_STEP only: one block.  At a stop past it, each column's math.fsum
+    takes in the terms (a number or an array) of its sum of x^k times the
+    column's cost over ranks _BUILD_STEP + 1..stop, by _power_sums: the
+    weight column's is sum x^k, fn's columns' come from tail(k, _BUILD_STEP,
+    stop).  Every stop is summed from _BUILD_STEP, not from the stop before,
+    so alpha = 1 / the weight column has the bits of power_law_alpha there."""
     law = dist.power_law
-    for *sums, weight in _rank_weighted_sums(
-            dist if law is None else _weights(dist.n, law.k),
-            lambda block, ranks, worker: (*fn(block, ranks, worker), float(np.sum(block))), stops):
-        alpha = 1.0 if law is None else 1.0 / weight
-        yield [alpha, *(alpha * value for value in sums)]
+    if law is None:
+        for sums in _rank_weighted_sums(dist, fn, stops):
+            yield [1.0, *sums]
+        return
+    stops = (dist.n,) if stops is None else stops
+    cuts = sorted({min(stop, _BUILD_STEP) for stop in stops})
+    heads = dict(zip(cuts, _rank_weighted_sums(
+        _weights(cuts[-1], law.k),
+        lambda block, ranks, worker: (float(np.sum(block)), *fn(block, ranks, worker)), cuts)))
+    for stop in stops:
+        sums = heads[min(stop, _BUILD_STEP)]
+        if stop > _BUILD_STEP:
+            tails = (_power_sums(law.k, _BUILD_STEP, stop), *tail(law.k, _BUILD_STEP, stop))
+            sums = [math.fsum((head, *np.ravel(terms)))
+                    for head, terms in zip(sums, tails, strict=True)]
+        alpha = 1.0 / sums[0]
+        yield [alpha, *(alpha * value for value in sums[1:])]
 
 
 def compensated_sum(values) -> float:
@@ -189,13 +248,13 @@ def compensated_sum(values) -> float:
 
 
 def power_law_alpha(n: int, k: float) -> float:
-    """Normalizing constant alpha with sum_{x=1..n} alpha*x^k = 1.
-
-    Direct summation of x^k, no closed-form/integral shortcut: the alpha of
-    a one-stop _linear_sums, bit for bit 1 / compensated_sum(x^k for x = 1..n).
+    """Normalizing constant alpha with sum_{x=1..n} alpha*x^k = 1: the alpha
+    of a one-stop _linear_sums.  The ranks up to 2^16 are summed directly, so
+    for n <= 2^16 it is bit for bit 1 / compensated_sum(x^k for x = 1..n);
+    the ranks past 2^16 are one Euler-Maclaurin power sum, within a few ulps.
     """
     k = _check_power_law_params(n, k)
-    return next(_linear_sums(_weights(n, k), lambda *_: ()))[0]   # [alpha]
+    return next(_linear_sums(_weights(n, k), _no_columns))[0]   # [alpha]
 
 
 @dataclass(frozen=True)
@@ -207,11 +266,9 @@ class PowerLawSpec:
     alpha: float
 
     def integral_bracket(self) -> tuple[float, float]:
-        """Bounds (lo, hi) with lo <= 1/alpha <= hi from the integral test."""
-        if self.k == -1.0:
-            lo = math.log(self.n)
-        else:
-            lo = (self.n ** (self.k + 1) - 1.0) / (self.k + 1)
+        """Bounds (lo, hi) with lo <= 1/alpha <= hi from the integral test:
+        lo the integral of x^k over [1, n], which does not cancel near k = -1."""
+        lo = float(_power_integral(self.k, 1.0, self.n))
         return lo, lo + 1.0
 
     def threshold_rank_closed_form(self) -> int:
@@ -359,9 +416,10 @@ def _check_power_law_params(n, k) -> float:
     """Check a power law's n and k; return k as a float."""
     _check_int(n, "n", 1, _MAX_LEN)
     k = _check_real(k, "power-law exponent k", hi=0.0)
-    # exact rows stream the probabilities, but Monte Carlo's cdf and
-    # validate() hold n of them, and a walk over more ranks than memory
-    # holds would run for days: such an n is refused at once
+    # exact rows stream the probabilities, and the scan and block-search rows
+    # sum the ranks past 2^16 in closed form, but Monte Carlo's cdf and
+    # validate() hold n of them, and the oracle-only walk visits every rank:
+    # such an n is refused at once
     if 8 * n > _physical_memory():
         raise ParameterError(f"n = {n} needs {8 * n} bytes for its probabilities, "
                              f"more than this machine's {_physical_memory()}")

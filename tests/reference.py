@@ -82,17 +82,22 @@ def ref_geometric_cost(n: int, k: float, rank: int) -> int:
 
 def ref_scan_row(model: str, n: int, k: float, alpha: float, ratio: float) -> tuple[float, float]:
     """(f, sum p_x sqrt(x)) of a classical or geometric row on the power law
-    p_x = alpha * x^k: each p_x made per element, then dotted exactly with
-    its rank's cost (the geometric one from ref_blocks' schedule)."""
-    x = np.arange(1, n + 1, dtype=np.float64)
-    p = alpha * np.power(x, k)
-    cost, total = x, 0
+    p_x = alpha * x^k: each p_x made per element, then dotted with its
+    rank's cost (the geometric one from ref_blocks' schedule), 2^16 ranks at
+    a time: math.fsum of each chunk, and of the chunk sums."""
+    ends = cum = None
     if model == "geometric":
-        cost = np.empty(n)
-        for start, end, size in ref_blocks(n, ratio):
-            total += ref_grover_queries(size, zero_or_one=True)
-            cost[start - 1:end] = total
-    return math.fsum(p * cost), math.fsum(p * np.sqrt(x))
+        blocks = ref_blocks(n, ratio)
+        ends = np.array([end for _, end, _ in blocks])
+        cum = np.cumsum([ref_grover_queries(size, zero_or_one=True) for _, _, size in blocks])
+    f, roots = [], []
+    for lo in range(0, n, 1 << 16):
+        x = np.arange(lo + 1, min(lo + (1 << 16), n) + 1, dtype=np.float64)
+        p = alpha * np.power(x, k)
+        cost = x if ends is None else cum[np.searchsorted(ends, x)].astype(np.float64)
+        f.append(math.fsum(p * cost))
+        roots.append(math.fsum(p * np.sqrt(x)))
+    return math.fsum(f), math.fsum(roots)
 
 
 def ref_geometric_expected(probs, k: float) -> float:
@@ -201,6 +206,25 @@ def ref_oracle_matrix(n: int, marked_rank: int) -> np.ndarray:
 
 def ref_alpha(n: int, k: float) -> float:
     return 1.0 / math.fsum(float(x) ** k for x in range(1, n + 1))
+
+
+def ref_power_sum(s, lo: int, hi: int, dps: int = 40):
+    """sum_{x=lo+1}^{hi} x^s as an mpmath number at dps digits, s a float or
+    an mpmath number: a difference of Hurwitz zeta values for s < 0 (of
+    digammas at s = -1), the count at s = 0, and for s > 0, where the Hurwitz
+    zeta takes seconds a call, the ranks up to 1024 term by term and the
+    rest by mpmath's Euler-Maclaurin summation (which errs by ~1e-9 from 1)."""
+    with mpmath.workdps(dps):
+        s, a, b = mpmath.mpf(s), mpmath.mpf(lo) + 1, mpmath.mpf(hi)
+        if s == -1:
+            return mpmath.digamma(b + 1) - mpmath.digamma(a)
+        if s == 0:
+            return b - a + 1
+        if s < 0:
+            return mpmath.zeta(-s, a) - mpmath.zeta(-s, b + 1)
+        head = mpmath.fsum(mpmath.mpf(x) ** s for x in range(lo + 1, min(hi, 1024) + 1))
+        a = max(a, 1025)
+        return head + (mpmath.sumem(lambda x: x ** s, [a, b]) if a <= b else 0)
 
 
 def ref_amplify_expected_whole(p, n: int, k: float, fused: bool = True):

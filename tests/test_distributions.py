@@ -31,7 +31,7 @@ from advice_search.distributions import (
     _weights,
 )
 
-from reference import ref_alpha, ref_power_probs, ref_sorted_probs, ref_x0
+from reference import ref_alpha, ref_power_probs, ref_power_sum, ref_sorted_probs, ref_x0
 
 
 def test_power_law_two_elements():
@@ -53,19 +53,66 @@ def test_power_law_alpha_matches_reference():
 
 
 def test_built_alpha_is_power_law_alpha():
-    # the streamed alpha has the bits of one over the compensated sum of the
-    # whole x^k array, at every golden and benchmark grid point, n = 1, and
-    # sizes that end one short of, one past or inside a 2^16-element block
+    # at every golden and benchmark grid point, n = 1, and sizes that end one
+    # short of, one past or inside a 2^16-element block: up to n = 2^16 the
+    # streamed alpha has the bits of one over the compensated sum of the
+    # whole x^k array; past it, where the ranks past 2^16 are one power sum,
+    # it is within 1e-15 of the exact alpha.  A built power law carries the
+    # bits of power_law_alpha everywhere.
     points = {(2**e, k) for e in range(10, 25, 2) for k in (-0.75, -1.75, -2.5)}
     points |= {(n, k) for n in (16, 64, 256) for k in (-0.75, -2.5)}
     points |= {(200, -1.25), (5_000_001, -2.5), (2**23 + 3, -1.25),
                (3 * 2**22 + 12_345, -1.75), (65_535, -0.75), (65_537, -1.0),
                (131_073, -1.75), (1, -0.75), (1, -2.5)}
     for n, k in sorted(points):
-        powers = np.arange(1, n + 1, dtype=np.float64)
-        alpha = 1.0 / compensated_sum(np.power(powers, k, out=powers))
-        assert power_law_alpha(n, k) == alpha, (n, k)
+        alpha = power_law_alpha(n, k)
+        if n <= _BUILD_STEP:
+            powers = np.arange(1, n + 1, dtype=np.float64)
+            assert alpha == 1.0 / compensated_sum(np.power(powers, k, out=powers)), (n, k)
+        else:
+            exact = 1 / ref_power_sum(k, 0, n)
+            assert abs(alpha - exact) <= 1e-15 * exact, (n, k)
         assert make_power_law(n, k).power_law.alpha == alpha, (n, k)
+
+
+_SUM_KS = (-1e-300, -1e-9, -0.05, -0.5, -1.0, -1.5, -2.0, -2.5, -4.0, -40.0)
+
+
+@pytest.mark.parametrize("k", _SUM_KS)
+def test_power_sums_match_exact_sums(k):
+    # the Euler-Maclaurin power sums past 2^16 of the scan (x^(k+1)), the
+    # bound column (x^(k+1/2)) and alpha (x^k), from one rank to 2^40 ranks,
+    # each alone and all at once, against exact sums
+    his = np.array([2**16 + 1, 2**16 + 2, 2**17 + 3, 2**24, 2**40])
+    for s in (k, k + 0.5, k + 1.0):
+        sums = distributions._power_sums(s, np.full(his.size, _BUILD_STEP), his)
+        for hi, got in zip(his, sums):
+            exact = ref_power_sum(s, _BUILD_STEP, int(hi))
+            assert abs(got - exact) <= 4e-15 * exact, (s, hi)
+            assert distributions._power_sums(s, _BUILD_STEP, int(hi)) == got, (s, hi)
+
+
+@pytest.mark.parametrize("s", (-2.5, -1.0, -0.5, 0.5))
+def test_power_sums_err_by_the_first_dropped_term(s):
+    # from ranks far below 2^16, where the B_4 and B_6 terms are well above
+    # rounding, the sum errs by no more than the first term it drops, the
+    # B_8 term B_8/8! (f^(7)(hi) - f^(7)(lo + 1)) of f = x^s
+    for lo, hi in ((16, 40), (16, 10**4), (64, 2**20), (256, 2**30)):
+        a, b = lo + 1, hi
+        falling = math.prod(s - u for u in range(7))
+        dropped = abs(falling * (b ** (s - 7) - a ** (s - 7))) / (30 * math.factorial(8))
+        exact = ref_power_sum(s, lo, hi)
+        got = distributions._power_sums(s, lo, hi)
+        assert abs(got - exact) <= 2 * dropped + 4e-15 * exact, (lo, hi)
+
+
+def test_power_sums_underflow_to_zero():
+    # where (2^16 + 1)^s underflows, as every x^k of the walk does, the sum
+    # is 0, with no overflow or 0 * inf on the way
+    for k in (-80.0, -1e300):
+        for s in (k, k + 0.5, k + 1.0):
+            sums = distributions._power_sums(s, _BUILD_STEP, np.array([2**16 + 1, 2**24, 2**40]))
+            assert sums.tolist() == [0.0, 0.0, 0.0], s
 
 
 def test_power_law_build_is_whole_array_power():
@@ -110,11 +157,13 @@ def test_power_law_lookups_match_probs():
 
 
 def test_alpha_integral_bracket():
-    for n in (2, 10, 1000, 10**6):
-        for k in (-0.5, -1.0, -1.5, -2.0, -3.0):
-            spec = make_power_law(n, k).power_law
-            lo, hi = spec.integral_bracket()
-            assert lo <= 1.0 / spec.alpha <= hi
+    # with two exponents an ulp from -1, where n^(k+1) - 1 loses every
+    # digit: it gave [6, 7] at n = 1000, and 1/alpha is 7.4855
+    points = [(n, k) for n in (2, 10, 1000, 10**6) for k in (-0.5, -1.0, -1.5, -2.0, -3.0)]
+    for n, k in points + [(1000, -0.9999999999999999), (4096, -1.0000000000000002)]:
+        spec = make_power_law(n, k).power_law
+        lo, hi = spec.integral_bracket()
+        assert lo <= 1.0 / spec.alpha <= hi, (n, k)
 
 
 def test_explicit_sorting_and_perm():
@@ -149,8 +198,10 @@ def test_threshold_rank():
         assert d.x0_threshold() == ref_x0(list(d.probs))
         assert d.x0_threshold() == d.power_law.threshold_rank_closed_form()
 
-    # near k = 0, where floor((alpha n)^(-1/k)) gave 1, 36,787 and 321
-    for n, k, x0 in ((4096, -1e-300, 4096), (10**5, -1e-12, 36789), (1000, -1e-15, 372)):
+    # near k = 0, where floor((alpha n)^(-1/k)) gave 1, 36,787 and 321; at
+    # k = -1e-12 an ulp of alpha moves the count by ~4 ranks (36,790 at the
+    # exact alpha, 36,789 at the walk's, one ulp below this one)
+    for n, k, x0 in ((4096, -1e-300, 4096), (10**5, -1e-12, 36793), (1000, -1e-15, 372)):
         d = make_power_law(n, k)
         assert d.x0_threshold() == ref_x0(list(d.probs)) == x0
         assert d.power_law.threshold_rank_closed_form() == x0

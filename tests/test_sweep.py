@@ -5,6 +5,7 @@ import math
 import os
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,7 @@ from advice_search import (
     unknown_expected_mu,
 )
 
-from reference import ref_scan_row
+from reference import ref_blocks, ref_grover_queries, ref_power_sum, ref_scan_row
 
 
 def _spec(**overrides):
@@ -130,26 +131,32 @@ def _record_walks(monkeypatch):
     ("unknown", None, algorithms._SUB_BLOCK), ("unknown", 1.3, algorithms._SUB_BLOCK)])
 def test_exact_row_is_one_walk(monkeypatch, model, ratio, step):
     # the model's means and the row's bound columns come from one pass over
-    # the advice that visits each of its ceil(n / step) blocks once
+    # the advice that visits each of its blocks once: all ceil(n / step) for
+    # the oracle-only model, and for the scan and the block search only the
+    # first 2^16 ranks, as a power law's ranks past them are power sums
     walks = _record_walks(monkeypatch)
     spec = SweepSpec(dist_cfg={"kind": "powerlaw", "n": _WALK_N, "k": -0.75},
                      model=model, k_algorithm=ratio)
     row = run_point(spec)
+    last = _WALK_N if model == "unknown" else distributions._BUILD_STEP
     assert [(size, sorted(firsts)) for size, firsts in walks] == [
-        (step, list(range(1, _WALK_N + 1, step)))]
-    assert len(walks[0][1]) == -(-_WALK_N // step)
+        (step, list(range(1, last + 1, step)))]
+    assert len(walks[0][1]) == -(-last // step)
     assert (row.lower_bound is None) == (model == "classical")
     assert (row.upper_bound is None) == (model == "classical" or ratio is not None)
 
 
 @pytest.mark.parametrize("model,count", [("classical", 0), ("geometric", 1), ("unknown", 1)])
 def test_monte_carlo_row_walks_only_its_bounds(monkeypatch, model, count):
+    # the oracle-only ceiling walks every rank; the linear bound column
+    # only the first 2^16, its power law's ranks past them being a power sum
     walks = _record_walks(monkeypatch)
     spec = SweepSpec(dist_cfg={"kind": "powerlaw", "n": _WALK_N, "k": -0.75},
                      model=model, mode="monte_carlo", trials=200)
     run_point(spec)
+    last = _WALK_N if model == "unknown" else 2**16
     assert [(size, sorted(firsts)) for size, firsts in walks] == [
-        (2**16, list(range(1, _WALK_N + 1, 2**16)))] * count
+        (2**16, list(range(1, last + 1, 2**16)))] * count
 
 
 # grid points at and around the walk's 2^16-rank blocks: inside the first
@@ -159,16 +166,19 @@ _SCAN_NS = (1, 2, 1000, 2**16 - 1, 2**16, 2**16 + 1, 100_003, 2**17, 3 * 2**16 +
 
 @settings(max_examples=25, deadline=None)
 @given(model=st.sampled_from(("classical", "geometric")),
-       k=st.floats(-3.0, -0.1),
-       ratio=st.sampled_from((None, 2.0, 1.5)),
+       k=st.floats(-3.0, -1e-300),
+       ratio=st.sampled_from((None, 2.0, 1.5, 1.01)),
        grid=st.lists(st.sampled_from(_SCAN_NS) | st.integers(1, 3 * 2**16 + 5),
                      min_size=1, max_size=4, unique=True).map(sorted),
+       large=st.booleans(),
        workers=st.sampled_from((1, 2)))
-def test_one_walk_sweep_matches_per_element_rows(model, k, ratio, grid, workers):
-    # a classical or geometric sweep takes one walk over x^k that stops at
-    # each n, on one or two threads: alpha keeps the bits of power_law_alpha
-    # at every stop, and each row agrees with alpha * x^k made per element
+def test_one_walk_sweep_matches_per_element_rows(model, k, ratio, grid, large, workers):
+    # a classical or geometric sweep takes one walk over the first 2^16
+    # ranks' x^k that stops at each n, and power sums past them, on one or
+    # two threads: alpha keeps the bits of power_law_alpha at every stop,
+    # and each row agrees at rtol 1e-14 with alpha * x^k made per element
     # and dotted row by row; a row has the same bits for either thread count
+    grid = grid + [2**22 + 3] * large
     spec = SweepSpec(dist_cfg={"kind": "powerlaw", "k": k}, model=model,
                      n_grid=tuple(grid), k_algorithm=ratio)
     with pytest.MonkeyPatch.context() as patch:
@@ -182,15 +192,15 @@ def test_one_walk_sweep_matches_per_element_rows(model, k, ratio, grid, workers)
     for n, row, (alpha,) in zip(grid, rows, alphas):
         assert alpha == power_law_alpha(n, k), (n, k)
         f, sqrt_ranks = ref_scan_row(model, n, k, alpha, ratio or algorithms.DEFAULT_GEOMETRIC_RATIO)
-        assert row.f_mean == pytest.approx(f, rel=1e-12, abs=0), n
+        assert row.f_mean == pytest.approx(f, rel=1e-14, abs=0), n
         if model == "classical":
             assert row.lower_bound is None and row.upper_bound is None
             continue
-        # the lower bound 0.206 S - 1 may sit near 0: within 1e-12 of its scale
+        # the lower bound 0.206 S - 1 may sit near 0: within 1e-14 of its scale
         lower = bounds.LAS_VEGAS_COEFF * sqrt_ranks
-        assert abs(row.lower_bound - (lower - 1.0)) <= 1e-12 * lower, n
+        assert abs(row.lower_bound - (lower - 1.0)) <= 1e-14 * lower, n
         if ratio is None:
-            assert row.upper_bound == pytest.approx(math.pi * math.e * sqrt_ranks, rel=1e-12, abs=0)
+            assert row.upper_bound == pytest.approx(math.pi * math.e * sqrt_ranks, rel=1e-14, abs=0)
         else:
             assert row.upper_bound is None
 
@@ -211,16 +221,46 @@ def test_one_walk_sweep_timing_column(model):
 
 
 @pytest.mark.parametrize("model", ("classical", "geometric"))
-def test_threaded_sweep_timing_lands_on_each_row(monkeypatch, model):
-    # on two threads each row's seconds are still its own segment of the
-    # walk: the last row, whose segment holds ~97% of the ranks, carries most
-    # of them, as it would not if the walk ran to its end before the first row
-    monkeypatch.setattr(distributions, "_walk_workers", lambda n, step: 2)
+def test_exact_rows_past_memory(monkeypatch, model):
+    # at n = 2^40, past the memory check (patched here), a classical or
+    # geometric row and its bounds take under a second, as every rank past
+    # 2^16 is in a power sum, and agree within 1e-13 with exact sums
+    monkeypatch.setattr(distributions, "_physical_memory", lambda: 2**62)
+    n, k = 2**40, -0.75
+    started = time.perf_counter()
+    row = run_point(SweepSpec(dist_cfg={"kind": "powerlaw", "n": n, "k": k}, model=model))
+    lower, upper = bounds.row_bounds(make_power_law(n, k), model)
+    assert time.perf_counter() - started < 1.0
+    weight = ref_power_sum(k, 0, n)
+    if model == "classical":
+        f = ref_power_sum(mpmath.mpf(k) + 1, 0, n) / weight
+    else:
+        cost, f = 0, 0
+        for start, end, size in ref_blocks(n, algorithms.DEFAULT_GEOMETRIC_RATIO):
+            cost += ref_grover_queries(size, zero_or_one=True)
+            f += cost * ref_power_sum(k, start - 1, end) / weight
+    sqrt_ranks = ref_power_sum(mpmath.mpf(k) + 0.5, 0, n) / weight
+    assert abs(row.f_mean - f) <= 1e-13 * f
+    scale = bounds.LAS_VEGAS_COEFF * sqrt_ranks
+    assert abs(lower - (scale - 1)) <= 1e-13 * scale
+    if model == "geometric":
+        assert (row.lower_bound, row.upper_bound) == (lower, upper)
+        assert abs(upper - math.pi * math.e * sqrt_ranks) <= 1e-13 * math.pi * math.e * sqrt_ranks
+
+
+def test_slow_ratio_sweep_takes_no_longer_than_the_walk():
+    # a block-search sweep to 2^24 at ratio 1.0001 sums ~74,000 schedule
+    # pieces past 2^16 per row in one vectorized call: best of two runs
+    # under 0.86 s (the walk over every rank took 0.53-0.86 s on 2 vCPUs)
     spec = SweepSpec.from_config(
-        {"dist": {"kind": "powerlaw", "k": -1.0}, "model": model,
-         "n_grid": [1000, 2**16, 2**17 + 3, 2**22]}, need_grid=True)
-    seconds = [row.seconds for row in run_sweep(spec, timing=True)]
-    assert seconds[-1] > 0.5 * math.fsum(seconds), seconds
+        {"dist": {"kind": "powerlaw", "k": -1.0}, "model": "geometric", "k_algorithm": 1.0001,
+         "n_grid": [2**e for e in range(10, 25, 2)]}, need_grid=True)
+    times = []
+    for _ in range(2):
+        started = time.perf_counter()
+        run_sweep(spec)
+        times.append(time.perf_counter() - started)
+    assert min(times) < 0.86, times
 
 
 @pytest.mark.parametrize("model,mode,grid", [
