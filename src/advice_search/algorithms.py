@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -33,14 +34,14 @@ from .distributions import (
     ParameterError,
     PowerLawSpec,
     _BERNOULLI,
+    _BUILD_STEP,
     _MAX_LEN,
     _check_int,
     _check_real,
     _dot,
+    _head_sums,
     _linear_sums,
     _power_sums,
-    _prefix_length,
-    _rank_weighted_sums,
 )
 from .rotation import (DEGENERATE_TOL, _angle_terms, _iter_average, _success_at,
                        exact_grover_queries)
@@ -88,8 +89,10 @@ _MAX_SCHEDULE = 100_000
 # this length (1 MB) and the walk's block and ranks stay in a 2 MB L2 cache.
 _SUB_BLOCK = 1 << 14
 
-# Rows of one thread's kernel scratch, each _SUB_BLOCK long: the head's 8
-# vectors; the tail's powers reuse the first.
+# Rows of one thread's kernel scratch, each up to _SUB_BLOCK long: the
+# head's 8 vectors.  A power law's walk runs the kernel only on its ranks up
+# to _PANEL_START, so its scratch is that narrow; the panels' nodes and a
+# refused panel's ranks get scratch of their own after the walk.
 _SCRATCH_ROWS = 8
 
 # The tiny tail's power series stops at the least degree whose truncation
@@ -98,14 +101,16 @@ _SCRATCH_ROWS = 8
 _TAIL_TOL = 2.0 ** -64
 _TAIL_MAX_DEGREE = 8
 
-# A power law's ranks past _PANEL_START, up to its tail cut, are summed over
-# panels of whole sub-blocks, each about a quarter as wide as its start rank,
-# from the kernel's costs at _PANEL_NODES Chebyshev points.  A panel whose two
-# trailing coefficients exceed _PANEL_TOL of its mean goes back to the kernel:
-# they read 6e-16 to 3.5e-14 over n = 2^18..2^28 and ratios 1.01..1.3, the
-# rounding of the kernel's costs, and the integer sum weights mode i by ~2/i^2
-# of the mean, so a panel at the threshold errs by ~2e-15 of its sum.
-_PANEL_START = 4 * _SUB_BLOCK
+# A power law's kernel runs on its ranks up to _PANEL_START.  Its head ranks
+# past that, up to the tail cut, are summed over panels, each a quarter as
+# wide as its start rank (so at least _PANEL_START / 4 = 32 >= _PANEL_NODES),
+# from the kernel's costs at _PANEL_NODES Chebyshev points; 128 is the least
+# power of two that keeps them that wide.  A panel whose two trailing
+# coefficients exceed _PANEL_TOL of its mean goes back to the kernel: they
+# read up to 3.5e-14, the rounding of the kernel's costs, and the integer
+# sum weights mode i by ~2/i^2 of the mean, so a panel at the threshold errs
+# by ~2e-15 of its sum.
+_PANEL_START = 128
 _PANEL_NODES = 24
 _PANEL_TOL = 1e-12
 
@@ -142,17 +147,21 @@ def _exact_report(f: float, o_mu: float, o_mu_inv: float) -> ExpectationReport:
     return ExpectationReport(f, 0.0, o_mu, 0.0, o_mu_inv, 0.0)
 
 
-def _floored_powers(k: float, what: str, estimate: float):
-    """(k^j, floor(k^j (1 + _FLOOR_EPS))) for j = 0, 1, ... by iterated multiplication,
-    after refusing a schedule whose length estimate (from logs) exceeds _MAX_SCHEDULE."""
+def _floored_powers(k: float, what: str, estimate: float,
+                    count: int) -> tuple[np.ndarray, np.ndarray]:
+    """k^j by iterated multiplication and floor(k^j (1 + _FLOOR_EPS)), at most
+    the largest float, for j < count, after refusing a schedule whose length
+    estimate (from logs) exceeds _MAX_SCHEDULE."""
     if estimate > _MAX_SCHEDULE:
         raise ParameterError(
             f"{what} ratio {k!r} needs about {estimate:.3g} schedule entries, "
             f"more than {_MAX_SCHEDULE}; use a ratio further from 1")
-    power = 1.0
-    while True:
-        yield power, int(math.floor(power * (1.0 + _FLOOR_EPS)))
-        power *= k
+    steps = np.full(count, k)
+    steps[0] = 1.0
+    # the powers past a schedule's last entry may overflow to inf
+    with np.errstate(over="ignore"):
+        powers = np.multiply.accumulate(steps)   # one product after another, as a loop takes them
+        return powers, np.floor(np.minimum(powers * (1.0 + _FLOOR_EPS), sys.float_info.max))
 
 
 # ---------------------------------------------------------------------------
@@ -187,17 +196,20 @@ def _geometric_schedule(n: int, k: float) -> tuple[np.ndarray, np.ndarray]:
     each charged at its nominal size."""
     k = _check_real(k, "block growth ratio", 1.0)
     # blocks of size k^j (before the floor) cover n after log_k(1 + n(k-1)),
-    # a lower bound on the block count; a step is taken only while one is
-    # needed, as the power after the covering block may be inf
-    steps = _floored_powers(k, "block growth",
-                            math.log1p(min(n * (k - 1.0), 1e300)) / math.log1p(k - 1.0))
-    ends, costs, end = [], [], 0
-    while end < n:
-        _, size = next(steps)
-        end = min(end + size, n)
-        ends.append(end)
-        costs.append(exact_grover_queries(size, zero_or_one=True))
-    return np.array(ends, dtype=np.int64), np.cumsum(costs, dtype=np.float64)
+    # a lower bound on the block count that the floors' losses may pass: the
+    # count doubles until the blocks cover n.  Sizes past 2^62 > n are cut
+    # there, so the ends up to the covering block fit in an int64.
+    estimate = math.log1p(min(n * (k - 1.0), 1e300)) / math.log1p(k - 1.0)
+    count = int(estimate) + 2
+    while True:
+        _, sizes = _floored_powers(k, "block growth", estimate, count)
+        ends = np.cumsum(np.minimum(sizes, 2.0 ** 62).astype(np.int64))
+        last = int(np.argmax(ends >= n))   # the covering block
+        if ends[last] >= n:
+            break
+        count *= 2
+    costs = np.ceil(0.25 * math.pi * np.sqrt(sizes[:last + 1])) + 1.0   # exact_grover_queries
+    return np.minimum(ends[:last + 1], n), np.cumsum(costs)
 
 
 def _with_columns(fn, columns):
@@ -216,7 +228,7 @@ def _scan_means(model: str, dist: AdviceDistribution, k: float | None = None,
     a power sum, one for each piece of a schedule block there."""
     if model == "classical":
         fn = lambda block, ranks, _: (_dot(block, ranks),)   # noqa: E731
-        tail = lambda k, lo, hi: (_power_sums(k + 1.0, lo, hi),)   # noqa: E731
+        tail = lambda law, lo, hi: (_power_sums(law.k + 1.0, lo, hi),)   # noqa: E731
     else:
         ends, cum = _geometric_schedule((stops or (dist.n,))[-1], k)
 
@@ -230,13 +242,13 @@ def _scan_means(model: str, dist: AdviceDistribution, k: float | None = None,
                 lo, m = hi, m + 1
             return (math.fsum(parts),)
 
-        def tail(k: float, lo: int, hi: int) -> tuple[np.ndarray]:
+        def tail(law: PowerLawSpec, lo: int, hi: int) -> tuple[np.ndarray]:
             first, last = np.searchsorted(ends, (lo + 1, hi))   # the schedule blocks of both ends
             cuts = np.concatenate(((lo,), ends[first:last], (hi,)))
-            return (cum[first:last + 1] * _power_sums(k, cuts[:-1], cuts[1:]),)
+            return (cum[first:last + 1] * _power_sums(law.k, cuts[:-1], cuts[1:]),)
 
-    tails = tail if columns is None else lambda k, lo, hi: (*tail(k, lo, hi),
-                                                            *columns.tail(k, lo, hi))
+    tails = tail if columns is None else lambda law, lo, hi: (*tail(law, lo, hi),
+                                                              *columns.tail(law, lo, hi))
     for _, f, *sums in _linear_sums(dist, _with_columns(fn, columns), stops, tail=tails):
         if columns is not None:
             columns.sums = sums
@@ -263,9 +275,9 @@ def unknown_rounds(n: int, k: float = DEFAULT_AMPLIFY_RATIO) -> int:
 @functools.lru_cache(maxsize=16)   # every Monte Carlo trial reuses one schedule
 def _round_sizes(n: int, k: float) -> tuple[int, ...]:
     """Iteration budgets floor(k^j) for rounds j = 0..unknown_rounds(n, k)."""
-    budgets = _floored_powers(k, "iteration-budget", 1.0 + 0.5 * math.log(n) / math.log1p(k - 1.0))
-    limit = math.sqrt(n) * (1.0 + _FLOOR_EPS)
-    return tuple(size for _, size in itertools.takewhile(lambda step: step[0] <= limit, budgets))
+    estimate = 1.0 + 0.5 * math.log(n) / math.log1p(k - 1.0)
+    powers, sizes = _floored_powers(k, "iteration-budget", estimate, int(estimate) + 2)
+    return tuple(int(size) for size in sizes[powers <= math.sqrt(n) * (1.0 + _FLOOR_EPS)])
 
 
 def unknown_search(dist: AdviceDistribution, marked_rank: int,
@@ -399,13 +411,14 @@ def _tail_series(sizes: tuple[int, ...], fallback: float) -> tuple[np.ndarray, .
 
 
 def _panels(cut: int) -> list[tuple[int, int]]:
-    """(lo, hi) of the panels of ranks lo + 1..hi from _PANEL_START to cut: a
-    whole number of sub-blocks, about lo / 4, each, the last one ending at
-    cut (none unless cut is a sub-block or more past _PANEL_START)."""
+    """(lo, hi) of the panels of ranks lo + 1..hi from _PANEL_START to cut,
+    each lo // 4 ranks wide, the last one ending at cut and taking in what
+    is left short of another panel (none unless cut is that far past
+    _PANEL_START)."""
     panels, lo = [], _PANEL_START
-    while cut - lo >= _SUB_BLOCK:
-        hi = lo + max(1, lo // (4 * _SUB_BLOCK)) * _SUB_BLOCK
-        hi = cut if cut - hi < _SUB_BLOCK else hi
+    while cut - lo >= lo // 4:
+        hi = lo + lo // 4
+        hi = cut if cut - hi < hi // 4 else hi
         panels.append((lo, hi))
         lo = hi
     return panels
@@ -423,6 +436,7 @@ def _chebyshev_basis() -> tuple[np.ndarray, np.ndarray]:
     return np.cos(angles), basis
 
 
+@functools.lru_cache(maxsize=512)   # rows share their panels but for the last
 def _panel_weights(width: int) -> np.ndarray:
     """W_j with sum_{x=a}^{a+width} P(x) = sum_j W_j P(x_j) for every
     polynomial P of degree < _PANEL_NODES and the Chebyshev points x_j of
@@ -443,29 +457,33 @@ def _panel_weights(width: int) -> np.ndarray:
     return sums @ _chebyshev_basis()[1]
 
 
-def _panel_rows(law: PowerLawSpec, sizes: tuple[int, ...], fallback: float, cut: int) -> dict:
-    """The walk rows of the blocks that _panels(cut) covers, by block index:
-    a panel's first block carries its column sums sum_j W_j p(x_j) cost(x_j)
-    over its Chebyshev points x_j, its other blocks zeros.  The kernel runs
-    once on every panel's points; a panel whose trailing two coefficients
-    exceed _PANEL_TOL of the leading one, in any column, gets no rows."""
-    panels = _panels(cut)
+def _panel_sums(law: PowerLawSpec, sizes: tuple[int, ...], fallback: float,
+                panels: list[tuple[int, int]]) -> list[tuple]:
+    """The terms of each column (f, shared, inv) over panels: per panel its
+    sums sum_j W_j p(x_j) cost(x_j) over its Chebyshev points x_j, the kernel
+    run once on every panel's points.  A panel whose trailing two
+    coefficients exceed _PANEL_TOL of the leading one, in any column, runs
+    the kernel on its own ranks instead, a _SUB_BLOCK at a time, and gives a
+    block dot a term."""
     if not panels:
-        return {}
+        return [(), (), ()]
     nodes, basis = _chebyshev_basis()
     x = np.concatenate([(lo + 1 + hi) * 0.5 + (hi - lo - 1) * 0.5 * nodes for lo, hi in panels])
     p = np.power(x, law.k) * law.alpha
     costs = _amplify_sub_block(p, sizes, fallback, np.empty((_SCRATCH_ROWS, p.size)))
-    values = (np.stack(costs) * p).reshape(3, len(panels), _PANEL_NODES)
-    rows = {}
-    for (lo, hi), g in zip(panels, values.transpose(1, 0, 2)):
+    terms = []
+    for (lo, hi), g in zip(panels, (np.stack(costs) * p).reshape(3, len(panels), -1)
+                           .transpose(1, 0, 2)):
         c = g @ basis.T
-        if np.any(np.abs(c[:, -2:]).sum(axis=1) > _PANEL_TOL * np.abs(c[:, 0])):
-            continue   # its blocks run the kernel
-        first = lo // _SUB_BLOCK
-        rows.update(dict.fromkeys(range(first + 1, -(-hi // _SUB_BLOCK)), (0.0, 0.0, 0.0)))
-        rows[first] = tuple(float(v) for v in g @ _panel_weights(hi - lo - 1))
-    return rows
+        if not np.any(np.abs(c[:, -2:]).sum(axis=1) > _PANEL_TOL * np.abs(c[:, 0])):
+            terms.append(g @ _panel_weights(hi - lo - 1))
+            continue
+        scratch = np.empty((_SCRATCH_ROWS, min(hi - lo, _SUB_BLOCK)))
+        for start in range(lo, hi, _SUB_BLOCK):   # the walk's bits: x^k, then times alpha
+            p = np.power(np.arange(start + 1.0, min(start + _SUB_BLOCK, hi) + 1.0), law.k)
+            p *= law.alpha
+            terms.append([_dot(p, v) for v in _amplify_sub_block(p, sizes, fallback, scratch)])
+    return list(zip(*terms))
 
 
 def unknown_expected_exact(dist: AdviceDistribution, marked_rank: int,
@@ -487,48 +505,76 @@ def unknown_expected_mu(dist: AdviceDistribution, k: float = DEFAULT_AMPLIFY_RAT
                         *, columns=None) -> ExpectationReport:
     """Advice-averaged exact expected costs: sum_x p_x E[cost | marked=x].
 
-    One walk over _SUB_BLOCKs; each is cut where p drops below
-    DEGENERATE_TOL (a suffix, as the advice is sorted), and its ranks take
-    one of three paths:
+    The head, p >= DEGENERATE_TOL, is a prefix of the sorted advice up to
+    the tail cut, and a rank takes one of three paths:
     * the tail, p < DEGENERATE_TOL, runs no rounds: it gives the power sums
       M_e = sum p^e, e = 1..D+1, and fsum_d a_d M_(d+1) with _tail_series'
-      a_d is added after the walk (a row with no series has no tail);
-    * on a power law, the head's ranks past _PANEL_START (2^16) are summed
-      over Chebyshev panels by _panel_rows, whose sums are rows of the walk
-      in place of the kernel's on the blocks they cover; a panel over its
-      error threshold leaves its blocks to the kernel;
-    * every other head, and all of explicit advice, runs _amplify_sub_block,
-      its costs reduced to three dot products at once, so no n-sized output
-      exists.
-    The sub-blocks are spread over the walk's threads, each with scratch of
-    its own allocated here (numpy's float ufuncs release the GIL); the means
+      a_d is added to each cost (a row with no series has no tail);
+    * on a power law, the head's ranks past _PANEL_START (128) are summed
+      over Chebyshev panels by _panel_sums, whose terms enter each cost's
+      math.fsum; a panel over its error threshold runs the kernel on its
+      own ranks;
+    * every other head rank, all of explicit advice's, runs
+      _amplify_sub_block, its costs reduced to three dot products at once,
+      so no n-sized output exists.
+    The walk is _head_sums, each _SUB_BLOCK's row made apart: on a power
+    law one block of its ranks up to 2^16, inline, and past them the tail's
+    moments alpha^e sum x^(ek) and the bound columns as power sums, so a
+    power-law row visits no rank past 2^16 and runs the kernel on at most
+    _PANEL_START ranks and the panels' nodes.  Explicit advice walks every
+    _SUB_BLOCK, spread over the walk's threads, each with scratch of its
+    own allocated here (numpy's float ufuncs release the GIL); the means
     have the same bits for any thread count.  columns, if given, are a row's
-    bound columns, summed in the walk over every rank.
+    bound columns, summed in the same walk.
     """
     k = _check_real(k, "iteration-budget ratio", *AMPLIFY_RATIO_BOUNDS)
     sizes = _round_sizes(dist.n, k)
     fallback = float(exact_grover_queries(dist.n, zero_or_one=False))
     series = _tail_series(sizes, fallback)
     count = 0 if series is None else series[0].size
-    panel_rows = {} if dist.power_law is None else _panel_rows(
-        dist.power_law, sizes, fallback,
-        dist._last_rank_at_least(DEGENERATE_TOL) if count else dist.n)
-    scratch = np.empty((distributions._walk_workers(dist.n, _SUB_BLOCK), _SCRATCH_ROWS,
-                        min(dist.n, _SUB_BLOCK)))
+    cut = dist._last_rank_at_least(DEGENERATE_TOL) if count else dist.n
+    law = dist.power_law
+    panels = [] if law is None else _panels(cut)
+    kernel_end = panels[0][0] if panels else cut   # the walk's last rank in the kernel
+    # a power law's walk is one block, its first 2^16 ranks, inline; per walk
+    # thread, the kernel's scratch, as wide as a power law's ranks in the
+    # kernel, and a row for the tail's powers
+    step = _SUB_BLOCK if law is None else _BUILD_STEP
+    workers = 1 if law else distributions._walk_workers(dist.n, step)
+    width = min(dist.n, _SUB_BLOCK)
+    scratch = np.empty((workers, _SCRATCH_ROWS, min(width, kernel_end) if law else width))
+    powers = np.empty((workers, width))
 
     def fn(block: np.ndarray, ranks: np.ndarray, worker: int) -> list[float]:
-        head = block[:_prefix_length(block, DEGENERATE_TOL)] if count else block
-        tail, power = block[head.size:], scratch[worker, 0, :block.size - head.size]
-        row = panel_rows.get((int(ranks[0]) - 1) // _SUB_BLOCK)
-        if row is None:
-            row = [_dot(head, v) for v in _amplify_sub_block(head, sizes, fallback, scratch[worker])
-                   ] if head.size else [0.0, 0.0, 0.0]
+        lo = int(ranks[0]) - 1
+        head, tail = block[:max(kernel_end - lo, 0)], block[max(cut - lo, 0):]
+        power = powers[worker, :tail.size]
+        row = [_dot(head, v) for v in _amplify_sub_block(head, sizes, fallback, scratch[worker])
+               ] if head.size else [0.0, 0.0, 0.0]
         np.copyto(power, tail)   # then the power sums sum tail^e, e = 1..count, in place
         return [*row, *(float(np.sum(power if e == 0 else np.multiply(power, tail, out=power)))
                         for e in range(count))]
 
-    f, o_mu, inv, *sums = next(_rank_weighted_sums(dist, _with_columns(fn, columns),
-                                                   step=_SUB_BLOCK))
+    def past_walk(law: PowerLawSpec, lo: int, hi: int) -> tuple:
+        # the tail's ranks past the walk; e k may overflow to -inf, while
+        # there every power below -2048 is 0 already
+        start = max(lo, cut)
+        return (0.0, 0.0, 0.0,
+                *(law.alpha ** e * _power_sums(max(e * law.k, -2048.0), start, hi)
+                  if hi > start else 0.0 for e in range(1, count + 1)),
+                *(() if columns is None else columns.tail(law, lo, hi)))
+
+    rows = _with_columns(fn, columns)
+
+    def sub_blocks(block: np.ndarray, ranks: np.ndarray, worker: int) -> list[float]:
+        # the rows of a block's sub-blocks, summed as a walk of them would be
+        return [math.fsum(column) for column in zip(*(
+            rows(block[lo:lo + _SUB_BLOCK], ranks[lo:lo + _SUB_BLOCK], worker)
+            for lo in range(0, block.size, _SUB_BLOCK)))]
+
+    f, o_mu, inv, *sums = next(_head_sums(dist, sub_blocks, past_walk, step=step))
+    f, o_mu, inv = (math.fsum((head, *terms)) for head, terms in zip(
+        (f, o_mu, inv), _panel_sums(law, sizes, fallback, panels)))
     if count:
         f, o_mu, inv = (head + math.fsum(a * m for a, m in zip(coeffs, sums))
                         for head, coeffs in zip((f, o_mu, inv), series))

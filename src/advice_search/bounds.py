@@ -16,13 +16,14 @@ from .algorithms import MODELS
 from .distributions import (
     AdviceDistribution,
     ConfigError,
+    PowerLawSpec,
     _check_int,
     _check_real,
     _dot,
+    _head_sums,
     _linear_sums,
     _power_sums,
     _prefix_length,
-    _rank_weighted_sums,
 )
 
 __all__ = [
@@ -108,16 +109,24 @@ class _BoundColumns:
                     float(np.sum(block[head:])))
         return out
 
-    def tail(self, k: float, lo: int, hi: int) -> tuple[np.ndarray]:
-        """The linear column's sum over ranks lo + 1..hi of a power law's x^k,
-        sum x^(k + 1/2), for _linear_sums (without upper="unknown")."""
-        return (_power_sums(k + 0.5, lo, hi),)
+    def tail(self, law: PowerLawSpec, lo: int, hi: int) -> tuple:
+        """Each column's sum over the ranks lo + 1..hi of a power law alpha x^k,
+        alpha 1 in _linear_sums' walk of x^k: alpha sum x^(k + 1/2), and with
+        upper="unknown" sqrt(alpha) sum x^(k/2) over those up to x0 = the last
+        rank with p_x >= 1/n and alpha sum x^k over the rest."""
+        out = (law.alpha * _power_sums(law.k + 0.5, lo, hi),)
+        if self.upper == "unknown":
+            x0 = min(max(self.dist._last_rank_at_least(1.0 / self.dist.n), lo), hi)
+            out += (math.sqrt(law.alpha) * _power_sums(0.5 * law.k, lo, x0) if x0 > lo else 0.0,
+                    law.alpha * _power_sums(law.k, x0, hi) if hi > x0 else 0.0)
+        return out
 
     def values(self) -> tuple[float, float | None]:
         """The lower bound, and the upper bound of the model named by upper;
-        the columns get a walk of their own if no model's walk carried them."""
+        the columns get a walk of their own if no model's walk carried them:
+        past 2^16 on a power law, power sums."""
         if not self.sums and self.upper == "unknown":   # the one ceiling not linear in p
-            self.sums = next(_rank_weighted_sums(self.dist, self.partials))
+            self.sums = next(_head_sums(self.dist, self.partials, self.tail))
         elif not self.sums:
             _, *self.sums = next(_linear_sums(self.dist, self.partials, tail=self.tail))
         sqrt_ranks, upper = self.sums[0], None

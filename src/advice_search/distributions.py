@@ -207,36 +207,52 @@ def _no_columns(*_) -> tuple:
     return ()
 
 
+def _head_sums(dist: AdviceDistribution, fn, tail, stops=None, step: int = _BUILD_STEP):
+    """Yield, at each of stops (dist.n by default), the math.fsum of each of
+    fn's columns over the ranks up to it, walked by _rank_weighted_sums in
+    blocks of step; a power law walks only its ranks up to _BUILD_STEP.  At
+    a stop past them each column's math.fsum takes in the terms (a number or
+    an array) of its sum over ranks _BUILD_STEP + 1..stop, from
+    tail(law, _BUILD_STEP, stop).  Every stop is summed from _BUILD_STEP,
+    not from the stop before, so its sums do not depend on the other stops."""
+    law = dist.power_law
+    if law is None:
+        yield from _rank_weighted_sums(dist, fn, stops, step)
+        return
+    stops = (dist.n,) if stops is None else stops
+    cuts = sorted({min(stop, _BUILD_STEP) for stop in stops})
+    heads = dict(zip(cuts, _rank_weighted_sums(AdviceDistribution(cuts[-1], power_law=law),
+                                               fn, cuts, step)))
+    for stop in stops:
+        sums = heads[min(stop, _BUILD_STEP)]
+        if stop > _BUILD_STEP:
+            sums = [math.fsum((head, *np.ravel(terms)))
+                    for head, terms in zip(sums, tail(law, _BUILD_STEP, stop), strict=True)]
+        yield sums
+
+
 def _linear_sums(dist: AdviceDistribution, fn, stops=None, tail=_no_columns):
     """Yield, at each of stops (dist.n by default), alpha and alpha times fn's
     column sums, for columns linear in p; other advice than a power law is
     walked whole, with alpha 1.
 
-    A power law walks x^k, with a weight column added, over the ranks up to
-    _BUILD_STEP only: one block.  At a stop past it, each column's math.fsum
-    takes in the terms (a number or an array) of its sum of x^k times the
-    column's cost over ranks _BUILD_STEP + 1..stop, by _power_sums: the
-    weight column's is sum x^k, fn's columns' come from tail(k, _BUILD_STEP,
-    stop).  Every stop is summed from _BUILD_STEP, not from the stop before,
-    so alpha = 1 / the weight column has the bits of power_law_alpha there."""
+    A power law is _head_sums of its weights x^k (alpha 1), with a weight
+    column added: one block, ranks 1.._BUILD_STEP, and past it each column's
+    sum of x^k times the column's cost by _power_sums, the weight column's
+    sum x^k and fn's columns' from tail(law, lo, hi).  Every stop is summed
+    from _BUILD_STEP, so alpha = 1 / the weight column has the bits of
+    power_law_alpha there."""
     law = dist.power_law
     if law is None:
         for sums in _rank_weighted_sums(dist, fn, stops):
             yield [1.0, *sums]
         return
-    stops = (dist.n,) if stops is None else stops
-    cuts = sorted({min(stop, _BUILD_STEP) for stop in stops})
-    heads = dict(zip(cuts, _rank_weighted_sums(
-        _weights(cuts[-1], law.k),
-        lambda block, ranks, worker: (float(np.sum(block)), *fn(block, ranks, worker)), cuts)))
-    for stop in stops:
-        sums = heads[min(stop, _BUILD_STEP)]
-        if stop > _BUILD_STEP:
-            tails = (_power_sums(law.k, _BUILD_STEP, stop), *tail(law.k, _BUILD_STEP, stop))
-            sums = [math.fsum((head, *np.ravel(terms)))
-                    for head, terms in zip(sums, tails, strict=True)]
-        alpha = 1.0 / sums[0]
-        yield [alpha, *(alpha * value for value in sums[1:])]
+    for weight, *sums in _head_sums(
+            _weights(dist.n, law.k),
+            lambda block, ranks, worker: (float(np.sum(block)), *fn(block, ranks, worker)),
+            lambda law, lo, hi: (_power_sums(law.k, lo, hi), *tail(law, lo, hi)), stops):
+        alpha = 1.0 / weight
+        yield [alpha, *(alpha * value for value in sums)]
 
 
 def compensated_sum(values) -> float:
@@ -416,10 +432,12 @@ def _check_power_law_params(n, k) -> float:
     """Check a power law's n and k; return k as a float."""
     _check_int(n, "n", 1, _MAX_LEN)
     k = _check_real(k, "power-law exponent k", hi=0.0)
-    # exact rows stream the probabilities, and the scan and block-search rows
-    # sum the ranks past 2^16 in closed form, but Monte Carlo's cdf and
-    # validate() hold n of them, and the oracle-only walk visits every rank:
-    # such an n is refused at once
+    # exact rows stream the probabilities and visit no rank past 2^16 (power
+    # sums, and the oracle-only panels), but Monte Carlo's cdf and validate()
+    # hold n of them, and past ~2^30 an oracle-only tail, whose rounds take
+    # only the leading term p (4m^2 - 1)/3 of each budget's success series,
+    # is off by ~7e-7 relative at the tail cut, more past it: such an n is
+    # refused at once
     if 8 * n > _physical_memory():
         raise ParameterError(f"n = {n} needs {8 * n} bytes for its probabilities, "
                              f"more than this machine's {_physical_memory()}")

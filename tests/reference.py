@@ -69,6 +69,21 @@ def ref_blocks(n: int, k: float) -> list[tuple[int, int, int]]:
     return rows
 
 
+def ref_geometric_schedule(n: int, k: float) -> tuple[list[int], list[float]]:
+    """The block search's schedule as the per-block loop builds it: sizes
+    floor(k^j (1 + 1e-12)) from powers by iterated multiplication, each
+    block's end min(end + size, n) and its cost ceil(pi/4 sqrt(size)) + 1
+    at its nominal size, the costs summed in turn (np.cumsum's order)."""
+    ends, costs, end, power = [], [], 0, 1.0
+    while end < n:
+        size = int(math.floor(power * (1.0 + 1e-12)))
+        end = min(end + size, n)
+        ends.append(end)
+        costs.append(math.ceil(0.25 * math.pi * math.sqrt(size)) + 1)
+        power *= k
+    return ends, np.cumsum(costs, dtype=np.float64).tolist()
+
+
 def ref_geometric_cost(n: int, k: float, rank: int) -> int:
     """f queries to find a given rank: certainty sweeps block by block,
     each charged at its nominal size."""

@@ -34,13 +34,14 @@ from advice_search import (
 from advice_search import algorithms, distributions
 from advice_search.algorithms import (
     _PANEL_NODES,
+    _PANEL_START,
     _SCRATCH_ROWS,
     _SUB_BLOCK,
     _amplify_sub_block,
     _chebyshev_basis,
     _geometric_cost_by_rank,
     _geometric_schedule,
-    _panel_rows,
+    _panel_sums,
     _panel_weights,
     _panels,
     _round_sizes,
@@ -58,6 +59,8 @@ from reference import (
     ref_chunked_dot_sums,
     ref_geometric_cost,
     ref_geometric_expected,
+    ref_geometric_schedule,
+    ref_power_sum,
     ref_round_budgets,
     ref_tail_coefficients,
     ref_tail_costs,
@@ -179,6 +182,22 @@ def test_blocks_match_reference_loop():
             assert costs == _nominal_costs([size for _, _, size in expected])
 
 
+@pytest.mark.parametrize("k", (1.0001, 1.01, math.e, 2.0, 1e300))
+def test_geometric_schedule_is_the_loop_bit_for_bit(k):
+    # the vectorized schedule against the per-block loop: the same ends and
+    # cumulative costs, bit for bit, from a one-block domain to n = 2^40
+    # (at ratio 1.0001, to 2^27: past ~2^28 its ~10^5 blocks are refused)
+    for n in (1, 2, 3, 30, 1000, 2**16 + 1, 2**24 + 3, 2**27, 2**40):
+        if k == 1.0001 and n == 2**40:
+            with pytest.raises(ParameterError, match="schedule entries"):
+                _geometric_schedule(n, k)
+            continue
+        ends, cum = _geometric_schedule(n, k)
+        want_ends, want_cum = ref_geometric_schedule(n, k)
+        assert ends.tolist() == want_ends, (n, k)
+        assert [c.hex() for c in cum.tolist()] == [c.hex() for c in want_cum], (n, k)
+
+
 def test_geometric_search_frozen_costs():
     costs = _geometric_cost_by_rank(30, math.e, np.array([1, 5, 30]))
     assert costs.tolist() == [2.0, 9.0, 14.0]
@@ -239,10 +258,15 @@ def test_geometric_ratio_validation():
     with pytest.raises(ParameterError):
         geometric_expected(make_explicit([1.0] * 4), k=float("inf"))
     # a huge finite ratio covers n in a block or two: the power after the
-    # covering block overflows to inf and is never taken
+    # covering block overflows to inf and is never taken; at the largest
+    # float, the nominal size k (1 + 1e-12) would overflow, and is the
+    # largest float instead
     ends, costs = _geometric_schedule(2, 1e200)
     assert ends.tolist() == [1, 2] and np.all(np.isfinite(costs))
     assert math.isfinite(geometric_expected(make_explicit([1.0, 1.0]), k=1e200).f_mean)
+    ends, costs = _geometric_schedule(2**40, sys.float_info.max)
+    assert ends.tolist() == [1, 2**40]
+    assert costs[1] == 2.0 + math.ceil(0.25 * math.pi * math.sqrt(sys.float_info.max)) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -634,17 +658,20 @@ def _mu_with_workers(monkeypatch, dist, workers):
     return unknown_expected_mu(dist).means()
 
 
-def _row_with_workers(monkeypatch, k, workers):
+def _row_with_workers(monkeypatch, weights, workers):
     monkeypatch.setattr(distributions, "_walk_workers", lambda n, step: workers)
-    return run_point(SweepSpec(dist_cfg={"kind": "powerlaw", "n": _MU_N, "k": k},
+    return run_point(SweepSpec(dist_cfg={"kind": "explicit", "weights": weights},
                                model="unknown"))
 
 
 @pytest.mark.parametrize("k", _MU_KS)
 def test_unknown_expected_mu_same_for_any_worker_count(monkeypatch, k):
-    d = make_power_law(_MU_N, k)
+    # explicit advice, whose walk over every rank runs on the walk's threads
+    # (a power law walks its first 2^16 ranks inline, as one block)
+    weights = make_power_law(_MU_N, k).probs
+    d = AdviceDistribution(_MU_N, probs=weights)
     serial = _mu_with_workers(monkeypatch, d, 1)
-    serial_row = _row_with_workers(monkeypatch, k, 1)
+    serial_row = _row_with_workers(monkeypatch, weights.tolist(), 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)   # switch threads as often as possible
     try:
@@ -653,7 +680,7 @@ def test_unknown_expected_mu_same_for_any_worker_count(monkeypatch, k):
             assert _mu_with_workers(monkeypatch, d, workers) == serial, workers
         # a whole row, whose bound columns ride on the kernel's threads with
         # per-worker scratch
-        assert _row_with_workers(monkeypatch, k, 2) == serial_row
+        assert _row_with_workers(monkeypatch, weights.tolist(), 2) == serial_row
     finally:
         sys.setswitchinterval(interval)
 
@@ -683,11 +710,17 @@ def _head_and_tail_sums(p, n, k):
 
 @pytest.mark.parametrize("k", _MU_KS)
 def test_unknown_expected_mu_is_fsum_of_sub_block_dots(k):
-    # the head's sub-block dots plus the tail's series, bit for bit; at
-    # k = -0.75 and -2.5 there is no tail and the series adds 0.0
+    # the head's sub-block dots plus the tail's series, bit for bit, on
+    # advice that runs every head rank in the kernel: explicit advice, and a
+    # power law of _PANEL_START ranks, whose panels start past it; at
+    # k = -0.75 and -2.5 there is no tail and the series adds 0.0, and at
+    # 3k = -7.5 and -9 the small law has one
     d = make_power_law(_MU_N, k)
-    assert unknown_expected_mu(d).means() == _head_and_tail_sums(d.probs, d.n,
-                                                                 DEFAULT_AMPLIFY_RATIO)
+    assert unknown_expected_mu(AdviceDistribution(d.n, probs=d.probs)).means() == (
+        _head_and_tail_sums(d.probs, d.n, DEFAULT_AMPLIFY_RATIO))
+    small = make_power_law(_PANEL_START, 3 * k)
+    assert unknown_expected_mu(small).means() == _head_and_tail_sums(small.probs, small.n,
+                                                                     DEFAULT_AMPLIFY_RATIO)
 
 
 @pytest.mark.parametrize("k", _MU_KS)
@@ -762,14 +795,17 @@ def test_tail_series_truncation_bound_holds(n):
 
 
 def test_failed_tail_bound_keeps_the_tail_in_the_kernel(monkeypatch):
-    # D = 2 at this n: a cap of 1 leaves no series, and every rank, the
-    # ~40k tiny ones too, runs through the kernel
+    # D = 2 at this n: a cap of 1 leaves no series, and every rank of
+    # explicit advice, the ~40k tiny ones too, runs through the kernel; the
+    # power law's panels then run to n
+    # (test_panels_reach_n_when_the_tail_has_no_series)
     d = make_power_law(_MU_N, -3.0)
     sizes, fallback = _round_sizes(d.n, DEFAULT_AMPLIFY_RATIO), float(exact_grover_queries(d.n))
     assert _tail_series(sizes, fallback)[0].size == 3
     monkeypatch.setattr(algorithms, "_TAIL_MAX_DEGREE", 1)
     assert _tail_series(sizes, fallback) is None
-    assert unknown_expected_mu(d).means() == _kernel_dot_sums(d.probs, d.n, DEFAULT_AMPLIFY_RATIO)
+    assert unknown_expected_mu(AdviceDistribution(d.n, probs=d.probs)).means() == (
+        _kernel_dot_sums(d.probs, d.n, DEFAULT_AMPLIFY_RATIO))
     rank = d.n   # a tiny rank's exact cost is the kernel's too
     assert unknown_expected_exact(d, rank).means() == tuple(
         float(v[-1]) for v in _sub_blocked_costs(d.probs[-1:], d.n, DEFAULT_AMPLIFY_RATIO))
@@ -808,9 +844,11 @@ def test_head_no_further_from_exact_cost_than_earlier_order():
 
 @pytest.mark.parametrize("workers", (1, 2))
 def test_oracle_only_row_holds_no_n_vector(monkeypatch, workers):
-    # build, kernel and both bounds of an oracle-only row: per worker at
-    # most the kernel's scratch and a base range, ranks and block of one
-    # sub-block (1.5 MB), and nothing of size n
+    # build, kernel and both bounds of an oracle-only row hold nothing of
+    # size n: the walks' one 2^16-rank block (a base range, and per worker
+    # ranks and block), the kernel's scratch for 128 ranks, a row for the
+    # tail's powers and the panels' nodes, within a sub-block's kernel
+    # scratch and walk per worker (1.4 MB) and 1 MB
     monkeypatch.setattr(distributions, "_walk_workers", lambda n, step: workers)
     n = 2**20 + 3
     tracemalloc.start()
@@ -826,18 +864,39 @@ def test_oracle_only_row_holds_no_n_vector(monkeypatch, workers):
 
 
 # ---------------------------------------------------------------------------
-# power-law ranks past 2^16 summed over Chebyshev panels
+# power-law head ranks past _PANEL_START summed over Chebyshev panels; the
+# tail moments and bound columns past 2^16 as power sums
 
 
-def _kernel_row(d, k):
-    """d's row, then the row of the same probabilities as advice that is not
-    a power law, which runs every head rank in the kernel: each with the
-    oracle-only ceiling's bound columns summed in the walk."""
-    rows = []
-    for dist in (d, AdviceDistribution(d.n, probs=d.probs)):
-        columns = _BoundColumns(dist, "unknown")
-        rows.append((unknown_expected_mu(dist, k, columns=columns).means(), columns.values()))
-    return rows
+def _exact_kernel_row(d, k):
+    """Every rank of d through the kernel, each cost's products p_x cost_x
+    summed by one math.fsum: the block dots of the kernel's walk (einsum)
+    err by up to 1e-13 on 2^14 equal products (k = -1e-300), this sum by
+    about an ulp."""
+    p = d.probs
+    return tuple(math.fsum(p * v) for v in _sub_blocked_costs(p, d.n, k))
+
+
+def _assert_bound_columns(d, sums, step):
+    """The oracle-only row's bound columns, sum p_x sqrt(x), sum sqrt(p_x) over
+    the ranks up to x0, the last with p_x >= 1/n, and sum p_x over the rest:
+    over the first 2^16 ranks the bits of a walk in blocks of step, past
+    them within 1e-14 of exact power sums at d's alpha."""
+    columns = _BoundColumns(d, "unknown")
+    head = next(distributions._rank_weighted_sums(
+        AdviceDistribution(min(d.n, _BUILD_STEP), power_law=d.power_law), columns.partials,
+        step=step))
+    if d.n <= _BUILD_STEP:
+        assert sums == head
+        return
+    alpha, k, lo = d.power_law.alpha, d.power_law.k, _BUILD_STEP
+    x0 = max(d._last_rank_at_least(1.0 / d.n), lo)
+    past = [alpha * ref_power_sum(mpmath.mpf(k) + 0.5, lo, d.n),
+            math.sqrt(alpha) * ref_power_sum(mpmath.mpf(k) / 2, lo, x0) if x0 > lo else 0,
+            alpha * ref_power_sum(k, x0, d.n) if x0 < d.n else 0]
+    for got, walked, rest in zip(sums, head, past, strict=True):
+        want = walked + rest
+        assert abs(got - want) <= 1e-14 * want, (got, float(want))
 
 
 def _panel_cut(d, k):
@@ -847,16 +906,26 @@ def _panel_cut(d, k):
     return sizes, fallback, cut
 
 
-@pytest.mark.parametrize("width", (_SUB_BLOCK - 1, 3 * _SUB_BLOCK + 17))
-def test_panel_weights_sum_polynomials_over_integers(width):
+def _panel_terms(d, k):
+    """The panels of d's row at ratio k, and their terms per column."""
+    sizes, fallback, cut = _panel_cut(d, k)
+    panels = _panels(cut)
+    return panels, _panel_sums(d.power_law, sizes, fallback, panels)
+
+
+@pytest.mark.parametrize("lo, width", [
+    pytest.param(lo, width, id=str(width)) for lo, width in (
+        (_PANEL_START, _PANEL_START // 4 - 1), (4 * _SUB_BLOCK, _SUB_BLOCK - 1),
+        (5 * _SUB_BLOCK, 3 * _SUB_BLOCK + 17))])
+def test_panel_weights_sum_polynomials_over_integers(lo, width):
     # W_j sums any polynomial of degree < _PANEL_NODES over the panel's
     # integers: here each Chebyshev polynomial T_i of the panel, and a
     # random mix of them, against a plain sum over every rank; the
-    # narrowest panel is a sub-block, width _SUB_BLOCK - 1
-    lo = 5 * _SUB_BLOCK
+    # narrowest panel, the first, is a quarter of _PANEL_START, width 31
     x = np.arange(lo + 1, lo + width + 2, dtype=np.float64)
     nodes = (2 * lo + width + 2) * 0.5 + width * 0.5 * _chebyshev_basis()[0]
     weights = _panel_weights(width)
+    assert _panel_weights(width) is weights   # cached by width
     rng = np.random.default_rng(width)
     for coef in [*np.eye(_PANEL_NODES), rng.standard_normal(_PANEL_NODES)]:
         value = lambda v: np.polynomial.chebyshev.chebval((2 * v - 2 * lo - 2 - width) / width,
@@ -865,58 +934,117 @@ def test_panel_weights_sum_polynomials_over_integers(width):
         assert abs(weights @ value(nodes) - want) <= 1e-13 * (width + 1), coef
 
 
+# n past _PANEL_START at ratios 1.162 and 1.3, and up to 2^18 at 1.01, whose
+# ~600 rounds make the all-kernel row slow
+_PANEL_CASES = (st.tuples(st.integers(_PANEL_START + 1, 2**20 + 7),
+                          st.sampled_from([DEFAULT_AMPLIFY_RATIO, 1.3]))
+                | st.tuples(st.integers(_PANEL_START + 1, 2**18), st.just(1.01)))
+
+
 @settings(max_examples=30, deadline=None)
-@given(n=st.integers(2**16 + 1, 2**20 + 7),
-       k=st.sampled_from([-1e-300, -1e-12, -1e-9]) | st.floats(-2.5, -1e-3),
-       ratio=st.sampled_from([1.05, DEFAULT_AMPLIFY_RATIO, 1.3]))
-# the tail cut falls inside a panel and inside a block; p is flat; a short
-# rank range past 2^16 that takes no panel; a slow ratio with many rounds
-@example(n=2**20 + 7, k=-2.0, ratio=DEFAULT_AMPLIFY_RATIO)
-@example(n=2**20 + 7, k=-1e-300, ratio=1.3)
-@example(n=2**16 + _SUB_BLOCK - 1, k=-0.5, ratio=DEFAULT_AMPLIFY_RATIO)
-@example(n=2**18, k=-0.75, ratio=1.05)
-@example(n=2**19 + 3, k=-2.5, ratio=1.3)
-def test_panel_rows_match_the_kernel(n, k, ratio):
+@given(case=_PANEL_CASES,
+       k=st.sampled_from([-1e-300, -1e-12, -1e-9, -4.0]) | st.floats(-4.0, -1e-3))
+# the tail cut falls inside a panel and inside a block; p is flat; a cut
+# less than a panel past _PANEL_START; a slow ratio with many rounds; the
+# tail cut near rank 1000; the head walk's end
+@example(case=(2**20 + 7, DEFAULT_AMPLIFY_RATIO), k=-2.0)
+@example(case=(2**20 + 7, 1.3), k=-1e-300)
+@example(case=(_PANEL_START + 20, DEFAULT_AMPLIFY_RATIO), k=-0.5)
+@example(case=(2**18, 1.01), k=-0.75)
+@example(case=(2**19 + 3, 1.3), k=-2.5)
+@example(case=(2**20 + 7, 1.01), k=-4.0)
+@example(case=(_BUILD_STEP + 1, DEFAULT_AMPLIFY_RATIO), k=-1.0)
+def test_panel_rows_match_the_kernel(case, k):
+    n, ratio = case
     d = make_power_law(n, k)
-    (panel, panel_bounds), (kernel, kernel_bounds) = _kernel_row(d, ratio)
-    np.testing.assert_allclose(panel, kernel, rtol=1e-13, atol=0)
-    assert panel_bounds == kernel_bounds   # the walk's columns keep their bits
+    columns = _BoundColumns(d, "unknown")
+    row = unknown_expected_mu(d, ratio, columns=columns).means()
+    np.testing.assert_allclose(row, _exact_kernel_row(d, ratio), rtol=1e-13, atol=0)
+    _assert_bound_columns(d, columns.sums, _SUB_BLOCK)
+    # the ceiling's own pass (row_bounds) walks 2^16-rank blocks
+    fresh = _BoundColumns(d, "unknown")
+    fresh.values()
+    _assert_bound_columns(d, fresh.sums, _BUILD_STEP)
 
 
 def test_panel_cut_falls_inside_a_panel_and_a_block():
+    # panels from _PANEL_START to the tail cut, which falls inside a panel
+    # and inside a walk block, past 2^16
     d = make_power_law(2**20 + 7, -2.0)
-    sizes, fallback, cut = _panel_cut(d, DEFAULT_AMPLIFY_RATIO)
-    panels = _panels(cut)
-    assert cut % _SUB_BLOCK and panels[0][0] == 2**16 and panels[-1][1] == cut
-    assert all(hi - lo >= _SUB_BLOCK and lo % _SUB_BLOCK == 0 for lo, hi in panels)
-    assert all(a[1] == b[0] for a, b in zip(panels, panels[1:]))
-    rows = _panel_rows(d.power_law, sizes, fallback, cut)
-    assert sorted(rows) == list(range(4, -(-cut // _SUB_BLOCK)))   # every panel passed
+    _, _, cut = _panel_cut(d, DEFAULT_AMPLIFY_RATIO)
+    assert cut > _BUILD_STEP and cut % _SUB_BLOCK
     assert d.probs[cut - 1] >= DEGENERATE_TOL > d.probs[cut]
+    panels, terms = _panel_terms(d, DEFAULT_AMPLIFY_RATIO)
+    assert panels[0][0] == _PANEL_START and panels[-1][1] == cut
+    assert all(a[1] == b[0] for a, b in zip(panels, panels[1:]))   # contiguous
+    assert all(hi - lo >= max(_PANEL_NODES, lo // 4) for lo, hi in panels)
+    assert all(len(column) == len(panels) for column in terms)   # no panel refused
+    # a cut less than a quarter of _PANEL_START past it leaves every head
+    # rank to the kernel; a quarter past it takes one panel
+    for short, count in ((_PANEL_START // 4 - 1, 0), (_PANEL_START // 4, 1)):
+        assert _panels(_PANEL_START + short) == [(_PANEL_START, _PANEL_START + short)][:count]
 
 
 def test_panels_reach_n_when_the_tail_has_no_series(monkeypatch):
     # with no tail series every rank is head, and the panels run to n
     monkeypatch.setattr(algorithms, "_TAIL_MAX_DEGREE", 1)
     d = make_power_law(2**18 + 3, -2.0)
-    sizes, fallback, cut = _panel_cut(d, DEFAULT_AMPLIFY_RATIO)
-    assert cut == d.n and _panels(cut)[-1][1] == d.n
-    assert len(_panel_rows(d.power_law, sizes, fallback, cut)) == -(-d.n // _SUB_BLOCK) - 4
-    (panel, _), (kernel, _) = _kernel_row(d, DEFAULT_AMPLIFY_RATIO)
-    np.testing.assert_allclose(panel, kernel, rtol=1e-13, atol=0)
+    panels, terms = _panel_terms(d, DEFAULT_AMPLIFY_RATIO)
+    assert panels[0][0] == _PANEL_START and panels[-1][1] == d.n
+    assert all(len(column) == len(panels) for column in terms)
+    np.testing.assert_allclose(unknown_expected_mu(d).means(),
+                               _exact_kernel_row(d, DEFAULT_AMPLIFY_RATIO), rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("n, k, ratio", [(2**20 + 7, -2.0, DEFAULT_AMPLIFY_RATIO),
-                                         (2**18 + 5, -0.75, 1.3)])
+                                         (2**18 + 5, -0.75, 1.3), (5000, -1e-300, 1.3)])
 def test_failed_panels_leave_the_row_to_the_kernel(monkeypatch, n, k, ratio):
-    # every panel over its threshold: each block runs the kernel in the
-    # walk, and the row is the all-kernel row bit for bit
+    # every panel over its threshold: each runs the kernel on its own ranks,
+    # a sub-block at a time from its start, so the row's block dots are laid
+    # out unlike the all-kernel walk's and agree with its exact sum at 1e-14
     d = make_power_law(n, k)
-    assert _panel_rows(d.power_law, *_panel_cut(d, ratio))
     monkeypatch.setattr(algorithms, "_PANEL_TOL", -1.0)
-    assert not _panel_rows(d.power_law, *_panel_cut(d, ratio))
-    panel, kernel = _kernel_row(d, ratio)
-    assert panel == kernel
+    panels, terms = _panel_terms(d, ratio)
+    assert all(len(column) == sum(-(-(hi - lo) // _SUB_BLOCK) for lo, hi in panels)
+               for column in terms)
+    np.testing.assert_allclose(unknown_expected_mu(d, ratio).means(), _exact_kernel_row(d, ratio),
+                               rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("k", (-1e300, -1e308, -sys.float_info.max))
+def test_power_law_row_with_all_mass_on_rank_one(k):
+    # p_1 = 1 and every later p underflows to 0: one sample finds the rank;
+    # past 2^16 the tail's moment powers e k overflow to -inf at e >= 2
+    assert unknown_expected_mu(make_power_law(2**17 + 3, k)).means() == (1.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in (2**20 + 7, 2**22 + 3, 2**24)
+                                  for k in (-1e-300, -0.75, -2.5, -4.0)]
+                         + [(2**28, k) for k in (-1e-300, -0.75, -4.0)])
+def test_power_law_row_runs_the_kernel_on_a_small_head_and_the_nodes(monkeypatch, n, k):
+    # the kernel sees at most the ranks up to _PANEL_START and 24 nodes a
+    # panel, whatever n, and the walk visits no rank past 2^16; at 2^26 and
+    # up, k = -1 .. -2.5 refuses a few panels near _PANEL_START, whose
+    # ranks the kernel then sees too
+    seen, firsts = [], []
+    kernel, walk = algorithms._amplify_sub_block, distributions._rank_weighted_sums
+
+    def counted(sub, *args):
+        seen.append(sub.size)
+        return kernel(sub, *args)
+
+    def recorded(dist, fn, *args, **kwargs):
+        return walk(dist, lambda block, ranks, worker: (
+            firsts.append(int(ranks[0])), fn(block, ranks, worker))[1], *args, **kwargs)
+
+    monkeypatch.setattr(algorithms, "_amplify_sub_block", counted)
+    monkeypatch.setattr(distributions, "_rank_weighted_sums", recorded)
+    d = make_power_law(n, k)
+    firsts.clear()   # alpha's own walk
+    unknown_expected_mu(d)
+    panels = _panels(_panel_cut(d, DEFAULT_AMPLIFY_RATIO)[2])
+    assert panels and sum(seen) <= _PANEL_START + _PANEL_NODES * len(panels), (sum(seen), panels)
+    assert firsts == [1]   # one block, ranks 1..2^16
 
 
 def _check_monte_carlo_row_holds_one_n_vector(monkeypatch, workers):

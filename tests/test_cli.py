@@ -409,12 +409,13 @@ with open("/proc/self/status", encoding="ascii") as fh:
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM is in Linux's /proc")
-def test_exact_scan_runs_at_2_26_fit_in_200_mb(tmp_path):
+def test_exact_runs_at_2_26_and_2_28_fit_in_64_mb(tmp_path):
     # a fresh process runs an exact classical and geometric row at n = 2^26,
-    # a sweep of each to 2^26 in one walk, and an oracle-only row at 2^26,
-    # whose ranks past 2^16 are summed over panels: a streamed power law
-    # holds no array of size n (probs alone would be 512 MB), so the process
-    # peak stays near the interpreter's own
+    # a sweep of each to 2^26 in one walk, and an oracle-only row at 2^26 and
+    # at 2^28: a power law's rows walk its first 2^16 ranks and take the rest
+    # from power sums and panels, so the process holds no array of size n
+    # (probs alone would be 512 MB at 2^26) and its peak stays near the
+    # interpreter's own
     configs = []
     for model in ("classical", "geometric"):
         configs += ["run", _write_cfg(tmp_path / f"{model}.json",
@@ -423,9 +424,10 @@ def test_exact_scan_runs_at_2_26_fit_in_200_mb(tmp_path):
         configs += ["sweep", _write_cfg(tmp_path / f"{model}_sweep.json",
                                         {"dist": {"kind": "powerlaw", "k": -0.75}, "model": model,
                                          "n_grid": [2**20, 2**24 + 3, 2**26]})]
-    configs += ["run", _write_cfg(tmp_path / "unknown.json",
-                                  {"dist": {"kind": "powerlaw", "n": 2**26, "k": -0.75},
-                                   "model": "unknown"})]
+    for n in (2**26, 2**28):
+        configs += ["run", _write_cfg(tmp_path / f"unknown_{n}.json",
+                                      {"dist": {"kind": "powerlaw", "n": n, "k": -0.75},
+                                       "model": "unknown"})]
     package_root = os.path.dirname(os.path.dirname(advice_search.bounds.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -436,8 +438,9 @@ def test_exact_scan_runs_at_2_26_fit_in_200_mb(tmp_path):
     lines = proc.stdout.splitlines()
     assert sum(line.startswith("67108864,") for line in lines) == 5, lines
     assert "67108864,-0.75,unknown,exact," in "\n".join(lines)
+    assert "268435456,-0.75,unknown,exact," in "\n".join(lines)
     peak_mb = int(lines[-1]) / 1024   # VmHWM is in kB
-    assert peak_mb < 200, peak_mb
+    assert peak_mb < 64, peak_mb
 
 
 def test_invalid_param_exit_code_matches_cli_contract(tmp_path):

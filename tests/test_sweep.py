@@ -102,9 +102,9 @@ _WALK_N = 3 * 2**16 + 5
 
 
 def _record_walks(monkeypatch):
-    """Make every walk that the models and the bounds take (_rank_weighted_sums
-    or _linear_sums, not the dist build's alpha) record its block length and
-    the first rank of each block it visits."""
+    """Make every walk that the models and the bounds take (_rank_weighted_sums,
+    _head_sums or _linear_sums, not the dist build's alpha) record its block
+    length and the first rank of each block it visits."""
     walks = []
 
     def recorder(walk):
@@ -120,25 +120,26 @@ def _record_walks(monkeypatch):
         return recording
 
     for module in (algorithms, bounds):
-        for name in ("_rank_weighted_sums", "_linear_sums"):
-            monkeypatch.setattr(module, name, recorder(getattr(module, name)))
+        for name in ("_rank_weighted_sums", "_head_sums", "_linear_sums"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recorder(getattr(module, name)))
     return walks
 
 
 @pytest.mark.parametrize("model,ratio,step", [
     ("classical", None, 2**16), ("classical", 1.5, 2**16),
     ("geometric", None, 2**16), ("geometric", 2.0, 2**16),
-    ("unknown", None, algorithms._SUB_BLOCK), ("unknown", 1.3, algorithms._SUB_BLOCK)])
+    ("unknown", None, 2**16), ("unknown", 1.3, 2**16)])
 def test_exact_row_is_one_walk(monkeypatch, model, ratio, step):
     # the model's means and the row's bound columns come from one pass over
-    # the advice that visits each of its blocks once: all ceil(n / step) for
-    # the oracle-only model, and for the scan and the block search only the
-    # first 2^16 ranks, as a power law's ranks past them are power sums
+    # the advice that visits each of its blocks once, only the first 2^16
+    # ranks, as a power law's ranks past them are power sums (and, for the
+    # oracle-only head, panels)
     walks = _record_walks(monkeypatch)
     spec = SweepSpec(dist_cfg={"kind": "powerlaw", "n": _WALK_N, "k": -0.75},
                      model=model, k_algorithm=ratio)
     row = run_point(spec)
-    last = _WALK_N if model == "unknown" else distributions._BUILD_STEP
+    last = distributions._BUILD_STEP
     assert [(size, sorted(firsts)) for size, firsts in walks] == [
         (step, list(range(1, last + 1, step)))]
     assert len(walks[0][1]) == -(-last // step)
@@ -148,15 +149,14 @@ def test_exact_row_is_one_walk(monkeypatch, model, ratio, step):
 
 @pytest.mark.parametrize("model,count", [("classical", 0), ("geometric", 1), ("unknown", 1)])
 def test_monte_carlo_row_walks_only_its_bounds(monkeypatch, model, count):
-    # the oracle-only ceiling walks every rank; the linear bound column
-    # only the first 2^16, its power law's ranks past them being a power sum
+    # the bound columns walk only the first 2^16 ranks, its power law's
+    # ranks past them being power sums: the oracle-only ceiling's two split
+    # at the last rank with p >= 1/n
     walks = _record_walks(monkeypatch)
     spec = SweepSpec(dist_cfg={"kind": "powerlaw", "n": _WALK_N, "k": -0.75},
                      model=model, mode="monte_carlo", trials=200)
     run_point(spec)
-    last = _WALK_N if model == "unknown" else 2**16
-    assert [(size, sorted(firsts)) for size, firsts in walks] == [
-        (2**16, list(range(1, last + 1, 2**16)))] * count
+    assert [(size, sorted(firsts)) for size, firsts in walks] == [(2**16, [1])] * count
 
 
 # grid points at and around the walk's 2^16-rank blocks: inside the first
