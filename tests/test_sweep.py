@@ -126,23 +126,37 @@ def _record_walks(monkeypatch):
     return walks
 
 
-@pytest.mark.parametrize("model,ratio,step", [
+@pytest.mark.parametrize("model,ratio,width", [
     ("classical", None, 2**16), ("classical", 1.5, 2**16),
     ("geometric", None, 2**16), ("geometric", 2.0, 2**16),
-    ("unknown", None, 2**16), ("unknown", 1.3, 2**16)])
-def test_exact_row_is_one_walk(monkeypatch, model, ratio, step):
+    ("unknown", None, algorithms._SUB_BLOCK), ("unknown", 1.3, algorithms._SUB_BLOCK)])
+def test_exact_row_is_one_walk(monkeypatch, model, ratio, width):
     # the model's means and the row's bound columns come from one pass over
-    # the advice that visits each of its blocks once, only the first 2^16
-    # ranks, as a power law's ranks past them are power sums (and, for the
-    # oracle-only head, panels)
+    # the advice, only its first 2^16 ranks in one block, as a power law's
+    # ranks past them are power sums (and, for the oracle-only head,
+    # panels); the block's rows are made width ranks at a time: the whole
+    # block for the scan and the block search, a _SUB_BLOCK at a time for
+    # the oracle-only model, as explicit advice's walk makes them
     walks = _record_walks(monkeypatch)
+    rows = []
+    with_columns = algorithms._with_columns
+
+    def recording(fn, columns):
+        row = with_columns(fn, columns)
+
+        def made(block, ranks, worker):
+            rows.append((block.size, int(ranks[0])))
+            return row(block, ranks, worker)
+        return made
+
+    monkeypatch.setattr(algorithms, "_with_columns", recording)
     spec = SweepSpec(dist_cfg={"kind": "powerlaw", "n": _WALK_N, "k": -0.75},
                      model=model, k_algorithm=ratio)
     row = run_point(spec)
     last = distributions._BUILD_STEP
-    assert [(size, sorted(firsts)) for size, firsts in walks] == [
-        (step, list(range(1, last + 1, step)))]
-    assert len(walks[0][1]) == -(-last // step)
+    assert [(size, sorted(firsts)) for size, firsts in walks] == [(last, [1])]
+    assert sorted(rows) == [(width, first) for first in range(1, last + 1, width)]
+    assert len(rows) == -(-last // width)
     assert (row.lower_bound is None) == (model == "classical")
     assert (row.upper_bound is None) == (model == "classical" or ratio is not None)
 
