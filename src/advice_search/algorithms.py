@@ -90,9 +90,9 @@ _MAX_SCHEDULE = 100_000
 _SUB_BLOCK = 1 << 14
 
 # Rows of one thread's kernel scratch, each up to _SUB_BLOCK long: the
-# head's 8 vectors.  A power law's walk runs the kernel only on its ranks up
-# to _PANEL_START, so its scratch is that narrow; the panels' nodes and a
-# refused panel's ranks get scratch of their own after the walk.
+# head's 8 vectors.  A power law's walk runs no kernel and holds none: after
+# it, its head ranks up to _PANEL_START and the panels' nodes share one
+# scratch, and a refused panel's ranks get scratch of their own.
 _SCRATCH_ROWS = 8
 
 # The tiny tail's power series stops at the least degree whose truncation
@@ -458,24 +458,25 @@ def _panel_weights(width: int) -> np.ndarray:
 
 
 def _panel_sums(law: PowerLawSpec, sizes: tuple[int, ...], fallback: float,
-                panels: list[tuple[int, int]]) -> list[tuple]:
-    """The terms of each column (f, shared, inv) over panels: per panel its
-    sums sum_j W_j p(x_j) cost(x_j) over its Chebyshev points x_j, the kernel
-    run once on every panel's points.  A panel whose trailing two
-    coefficients exceed _PANEL_TOL of the leading one, in any column, runs
-    the kernel on its own ranks instead, a _SUB_BLOCK at a time, and gives a
-    block dot a term."""
-    if not panels:
-        return [(), (), ()]
+                panels: list[tuple[int, int]], head: np.ndarray) -> list[tuple]:
+    """The terms of each column (f, shared, inv) over the head's ranks in the
+    kernel, whose probabilities are head, and over panels: first the head's
+    dot products, then per panel its sums sum_j W_j p(x_j) cost(x_j) over
+    its Chebyshev points x_j, the kernel run once on head and every panel's
+    points.  A panel whose trailing two coefficients exceed _PANEL_TOL of
+    the leading one, in any column, runs the kernel on its own ranks
+    instead, a _SUB_BLOCK at a time, and gives a block dot a term."""
     nodes, basis = _chebyshev_basis()
-    x = np.concatenate([(lo + 1 + hi) * 0.5 + (hi - lo - 1) * 0.5 * nodes for lo, hi in panels])
-    p = np.power(x, law.k) * law.alpha
-    costs = _amplify_sub_block(p, sizes, fallback, np.empty((_SCRATCH_ROWS, p.size)))
-    terms = []
-    for (lo, hi), g in zip(panels, (np.stack(costs) * p).reshape(3, len(panels), -1)
-                           .transpose(1, 0, 2)):
-        c = g @ basis.T
-        if not np.any(np.abs(c[:, -2:]).sum(axis=1) > _PANEL_TOL * np.abs(c[:, 0])):
+    x = [(lo + 1 + hi) * 0.5 + (hi - lo - 1) * 0.5 * nodes for lo, hi in panels]
+    p = np.concatenate((head, np.power(np.concatenate(x), law.k) * law.alpha)) if x else head
+    costs = np.stack(_amplify_sub_block(p, sizes, fallback, np.empty((_SCRATCH_ROWS, p.size))))
+    terms = [[_dot(head, v[:head.size]) for v in costs]]
+    # per panel, column and node, p_j cost(p_j), and every panel's Chebyshev coefficients
+    values = (costs[:, head.size:] * p[head.size:]).reshape(3, -1, _PANEL_NODES).transpose(1, 0, 2)
+    c = values @ basis.T
+    refused = np.any(np.abs(c[..., -2:]).sum(axis=2) > _PANEL_TOL * np.abs(c[..., 0]), axis=1)
+    for (lo, hi), g, refuse in zip(panels, values, refused):
+        if not refuse:
             terms.append(g @ _panel_weights(hi - lo - 1))
             continue
         scratch = np.empty((_SCRATCH_ROWS, min(hi - lo, _SUB_BLOCK)))
@@ -511,17 +512,20 @@ def unknown_expected_mu(dist: AdviceDistribution, k: float = DEFAULT_AMPLIFY_RAT
       M_e = sum p^e, e = 1..D+1, and fsum_d a_d M_(d+1) with _tail_series'
       a_d is added to each cost (a row with no series has no tail);
     * on a power law, the head's ranks past _PANEL_START (128) are summed
-      over Chebyshev panels by _panel_sums, whose terms enter each cost's
-      math.fsum; a panel over its error threshold runs the kernel on its
-      own ranks;
+      over Chebyshev panels by _panel_sums; a panel over its error
+      threshold runs the kernel on its own ranks;
     * every other head rank, all of explicit advice's, runs
       _amplify_sub_block, its costs reduced to three dot products at once,
       so no n-sized output exists.
-    The walk is _head_sums, each _SUB_BLOCK's row made apart: on a power
-    law one block of its ranks up to 2^16, inline, and past them the tail's
-    moments alpha^e sum x^(ek) and the bound columns as power sums, so a
-    power-law row visits no rank past 2^16 and runs the kernel on at most
-    _PANEL_START ranks and the panels' nodes.  Explicit advice walks every
+    The walk is _head_sums, each _SUB_BLOCK's row made apart.  On a power
+    law it is one block of its ranks up to 2^16, inline, that sums only the
+    tail's moments and the bound columns, and past them the moments alpha^e
+    sum x^(ek) and the bound columns as power sums; then one _panel_sums
+    runs the kernel once, on the head's ranks up to _PANEL_START (up to the
+    cut if there is no panel) and every panel's nodes, ~1,200 values at
+    n = 2^22, and the head's dots and the panels' terms enter each cost's
+    math.fsum.  So a power-law row visits no rank past 2^16 and allocates
+    no kernel scratch in its walk.  Explicit advice walks every
     _SUB_BLOCK, spread over the walk's threads, each with scratch of its
     own allocated here (numpy's float ufuncs release the GIL); the means
     have the same bits for any thread count.  columns, if given, are a row's
@@ -534,23 +538,23 @@ def unknown_expected_mu(dist: AdviceDistribution, k: float = DEFAULT_AMPLIFY_RAT
     count = 0 if series is None else series[0].size
     cut = dist._last_rank_at_least(DEGENERATE_TOL) if count else dist.n
     law = dist.power_law
-    panels = [] if law is None else _panels(cut)
-    kernel_end = panels[0][0] if panels else cut   # the walk's last rank in the kernel
-    # a power law's walk is one block, its first 2^16 ranks, inline; per walk
-    # thread, the kernel's scratch, as wide as a power law's ranks in the
-    # kernel, and a row for the tail's powers
+    # a power law's walk is one block, its first 2^16 ranks, inline, and runs
+    # no kernel; per walk thread, explicit advice's kernel scratch, and a row
+    # for the tail's powers
     step = _SUB_BLOCK if law is None else _BUILD_STEP
     workers = 1 if law else distributions._walk_workers(dist.n, step)
     width = min(dist.n, _SUB_BLOCK)
-    scratch = np.empty((workers, _SCRATCH_ROWS, min(width, kernel_end) if law else width))
+    scratch = None if law else np.empty((workers, _SCRATCH_ROWS, width))
     powers = np.empty((workers, width))
 
     def fn(block: np.ndarray, ranks: np.ndarray, worker: int) -> list[float]:
         lo = int(ranks[0]) - 1
-        head, tail = block[:max(kernel_end - lo, 0)], block[max(cut - lo, 0):]
+        head, tail = block[:max(cut - lo, 0)], block[max(cut - lo, 0):]
         power = powers[worker, :tail.size]
-        row = [_dot(head, v) for v in _amplify_sub_block(head, sizes, fallback, scratch[worker])
-               ] if head.size else [0.0, 0.0, 0.0]
+        row = []   # a power law's head is summed after the walk
+        if law is None:
+            row = [_dot(head, v) for v in _amplify_sub_block(head, sizes, fallback, scratch[worker])
+                   ] if head.size else [0.0, 0.0, 0.0]
         np.copyto(power, tail)   # then the power sums sum tail^e, e = 1..count, in place
         return [*row, *(float(np.sum(power if e == 0 else np.multiply(power, tail, out=power)))
                         for e in range(count))]
@@ -559,8 +563,7 @@ def unknown_expected_mu(dist: AdviceDistribution, k: float = DEFAULT_AMPLIFY_RAT
         # the tail's ranks past the walk; e k may overflow to -inf, while
         # there every power below -2048 is 0 already
         start = max(lo, cut)
-        return (0.0, 0.0, 0.0,
-                *(law.alpha ** e * _power_sums(max(e * law.k, -2048.0), start, hi)
+        return (*(law.alpha ** e * _power_sums(max(e * law.k, -2048.0), start, hi)
                   if hi > start else 0.0 for e in range(1, count + 1)),
                 *(() if columns is None else columns.tail(law, lo, hi)))
 
@@ -572,12 +575,16 @@ def unknown_expected_mu(dist: AdviceDistribution, k: float = DEFAULT_AMPLIFY_RAT
             rows(block[lo:lo + _SUB_BLOCK], ranks[lo:lo + _SUB_BLOCK], worker)
             for lo in range(0, block.size, _SUB_BLOCK)))]
 
-    f, o_mu, inv, *sums = next(_head_sums(dist, sub_blocks, past_walk, step=step))
-    f, o_mu, inv = (math.fsum((head, *terms)) for head, terms in zip(
-        (f, o_mu, inv), _panel_sums(law, sizes, fallback, panels)))
+    sums = next(_head_sums(dist, sub_blocks, past_walk, step=step))
+    if law is None:
+        (f, o_mu, inv), sums = sums[:3], sums[3:]
+    else:   # the kernel's head ranks, up to the first panel or the cut, with the walk's bits
+        panels = _panels(cut)
+        head = dist._probs_at(np.arange(1, (panels[0][0] if panels else cut) + 1))
+        f, o_mu, inv = map(math.fsum, _panel_sums(law, sizes, fallback, panels, head))
     if count:
-        f, o_mu, inv = (head + math.fsum(a * m for a, m in zip(coeffs, sums))
-                        for head, coeffs in zip((f, o_mu, inv), series))
+        f, o_mu, inv = (cost + math.fsum(a * m for a, m in zip(coeffs, sums))
+                        for cost, coeffs in zip((f, o_mu, inv), series))
     if columns is not None:
         columns.sums = sums[count:]
     return _exact_report(f=f, o_mu=o_mu, o_mu_inv=inv)

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 validation failure, 2 malformed config,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -37,6 +38,7 @@ EXIT_PARAMETER = 3
 EXIT_OUTPUT = 4
 
 
+@functools.cache   # parsing leaves the parser as it was, so in-process callers share one
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="advice-search",

@@ -93,7 +93,7 @@ def _iter_average(p: np.ndarray, theta: np.ndarray, c: np.ndarray,
         out[tiny] = p[tiny] * series
     if top is not None:
         out[top] = 1.0 - (1.0 - p[top]) * series
-    np.clip(out, 0.0, 1.0, out=out)
+    np.minimum(np.maximum(out, 0.0, out=out), 1.0, out=out)   # np.clip's bits, without its wrapper
     return out
 
 

@@ -846,9 +846,10 @@ def test_head_no_further_from_exact_cost_than_earlier_order():
 def test_oracle_only_row_holds_no_n_vector(monkeypatch, workers):
     # build, kernel and both bounds of an oracle-only row hold nothing of
     # size n: the walks' one 2^16-rank block (a base range, and per worker
-    # ranks and block), the kernel's scratch for 128 ranks, a row for the
-    # tail's powers and the panels' nodes, within a sub-block's kernel
-    # scratch and walk per worker (1.4 MB) and 1 MB
+    # ranks and block) and a row for the tail's powers, with no kernel
+    # scratch, then one kernel scratch for the 128 head ranks and the
+    # panels' nodes, within a sub-block's kernel scratch and walk per
+    # worker (1.4 MB) and 1 MB
     monkeypatch.setattr(distributions, "_walk_workers", lambda n, step: workers)
     n = 2**20 + 3
     tracemalloc.start()
@@ -906,11 +907,19 @@ def _panel_cut(d, k):
     return sizes, fallback, cut
 
 
+def _kernel_head(d, panels, cut):
+    """The probabilities of d's ranks that its row runs in the kernel: up
+    to the first panel, or to the tail cut if there is no panel."""
+    return d._probs_at(np.arange(1, (panels[0][0] if panels else cut) + 1))
+
+
 def _panel_terms(d, k):
-    """The panels of d's row at ratio k, and their terms per column."""
+    """The panels of d's row at ratio k, and per column their terms: those
+    of _panel_sums after its first, the head's dot."""
     sizes, fallback, cut = _panel_cut(d, k)
     panels = _panels(cut)
-    return panels, _panel_sums(d.power_law, sizes, fallback, panels)
+    terms = _panel_sums(d.power_law, sizes, fallback, panels, _kernel_head(d, panels, cut))
+    return panels, [column[1:] for column in terms]
 
 
 @pytest.mark.parametrize("lo, width", [
@@ -1022,10 +1031,10 @@ def test_power_law_row_with_all_mass_on_rank_one(k):
                                   for k in (-1e-300, -0.75, -2.5, -4.0)]
                          + [(2**28, k) for k in (-1e-300, -0.75, -4.0)])
 def test_power_law_row_runs_the_kernel_on_a_small_head_and_the_nodes(monkeypatch, n, k):
-    # the kernel sees at most the ranks up to _PANEL_START and 24 nodes a
-    # panel, whatever n, and the walk visits no rank past 2^16; at 2^26 and
-    # up, k = -1 .. -2.5 refuses a few panels near _PANEL_START, whose
-    # ranks the kernel then sees too
+    # one kernel call a row, on the ranks up to _PANEL_START and 24 nodes a
+    # panel, whatever n, and the walk visits no rank past 2^16; no panel of
+    # these rows is refused (a refused panel's ranks would take calls of
+    # their own, as in test_failed_panels_leave_the_row_to_the_kernel)
     seen, firsts = [], []
     kernel, walk = algorithms._amplify_sub_block, distributions._rank_weighted_sums
 
@@ -1043,8 +1052,59 @@ def test_power_law_row_runs_the_kernel_on_a_small_head_and_the_nodes(monkeypatch
     firsts.clear()   # alpha's own walk
     unknown_expected_mu(d)
     panels = _panels(_panel_cut(d, DEFAULT_AMPLIFY_RATIO)[2])
-    assert panels and sum(seen) <= _PANEL_START + _PANEL_NODES * len(panels), (sum(seen), panels)
+    assert panels and seen == [_PANEL_START + _PANEL_NODES * len(panels)], (seen, panels)
     assert firsts == [1]   # one block, ranks 1..2^16
+
+
+def _two_call_panel_sums(law, sizes, fallback, panels, head):
+    """_panel_sums replayed with the head and the nodes in kernel runs of
+    their own: the head's ranks alone, dotted; every panel's nodes in one
+    run, each panel tested by its own g @ basis.T; a refused panel's ranks a
+    _SUB_BLOCK at a time.  Also the refused panels."""
+    def kernel(p):
+        return _amplify_sub_block(p, sizes, fallback, np.empty((_SCRATCH_ROWS, p.size)))
+
+    terms, refused = [[float(np.einsum("i,i->", head, v)) for v in kernel(head)]], []
+    if not panels:
+        return list(zip(*terms)), refused
+    nodes, basis = _chebyshev_basis()
+    x = np.concatenate([(lo + 1 + hi) * 0.5 + (hi - lo - 1) * 0.5 * nodes for lo, hi in panels])
+    p = np.power(x, law.k) * law.alpha
+    for (lo, hi), g in zip(panels, (np.stack(kernel(p)) * p).reshape(3, len(panels), -1)
+                           .transpose(1, 0, 2)):
+        c = g @ basis.T
+        if not np.any(np.abs(c[:, -2:]).sum(axis=1) > algorithms._PANEL_TOL * np.abs(c[:, 0])):
+            terms.append(g @ _panel_weights(hi - lo - 1))
+            continue
+        refused.append((lo, hi))
+        for start in range(lo, hi, _SUB_BLOCK):
+            q = np.power(np.arange(start + 1.0, min(start + _SUB_BLOCK, hi) + 1.0), law.k)
+            q *= law.alpha
+            terms.append([float(np.einsum("i,i->", q, v)) for v in kernel(q)])
+    return list(zip(*terms)), refused
+
+
+@pytest.mark.parametrize("n, k, ratio", [
+    *((n, k, DEFAULT_AMPLIFY_RATIO) for n in (129, 150, 160, 2**16, 2**20 + 7, 2**22 + 3)
+      for k in (-1e-300, -0.75, -2.5, -4.0)),
+    *((2**22 + 3, k, 1.3) for k in (-1e-300, -0.75, -1.0, -1.5, -2.5, -4.0))])
+def test_fused_kernel_call_replays_the_two_call_row(monkeypatch, n, k, ratio):
+    # the head's ranks and every panel's nodes in one kernel call give each
+    # term, and so each row, the bits of separate calls: the kernel is
+    # elementwise, and math.fsum is exactly rounded wherever a term enters;
+    # the terms' equality also says that the batched refusal test refused
+    # the panels that a test per panel refuses (at 1.3, k = -1 and -1.5
+    # refuse some)
+    d = make_power_law(n, k)
+    sizes, fallback, cut = _panel_cut(d, ratio)
+    panels = _panels(cut)
+    head = _kernel_head(d, panels, cut)
+    want, refused = _two_call_panel_sums(d.power_law, sizes, fallback, panels, head)
+    assert _panel_sums(d.power_law, sizes, fallback, panels, head) == want, refused
+    assert bool(refused) == (ratio == 1.3 and k in (-1.0, -1.5)), refused
+    row = unknown_expected_mu(d, ratio).means()
+    monkeypatch.setattr(algorithms, "_panel_sums", lambda *args: _two_call_panel_sums(*args)[0])
+    assert row == unknown_expected_mu(d, ratio).means()
 
 
 def _check_monte_carlo_row_holds_one_n_vector(monkeypatch, workers):

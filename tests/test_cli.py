@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import advice_search.bounds
-from advice_search import HEADER
+from advice_search import HEADER, cli
 from advice_search.cli import main
 
 
@@ -73,6 +73,37 @@ def test_sweep_rerun_is_byte_identical(sweep_cfg, tmp_path):
     assert main(["sweep", sweep_cfg, "--out", str(a)]) == 0
     assert main(["sweep", sweep_cfg, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def _main_in_fresh_process(argv):
+    """Exit code, stdout and stderr of main(argv) run first in a new process."""
+    package_root = os.path.dirname(os.path.dirname(advice_search.bounds.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from advice_search.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, timeout=120, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_calls_in_one_process_share_the_parser_and_no_options(run_cfg, sweep_cfg, tmp_path,
+                                                              capsys):
+    # main builds its parser once a process; each call's output is the same
+    # call's made first in a new process, so no option leaks into the next
+    # call: a Monte Carlo run, then a plain (exact) one, a sweep, a fit of
+    # that sweep and a usage error
+    sweep_csv = tmp_path / "sweep.csv"
+    assert _main_in_fresh_process(["sweep", sweep_cfg, "--out", str(sweep_csv)])[0] == 0
+    calls = [["run", run_cfg, "--mode", "monte_carlo", "--trials", "50"], ["run", run_cfg],
+             ["sweep", sweep_cfg], ["fit", str(sweep_csv)], ["sweep", sweep_cfg, "--mode", "x"]]
+    for argv in calls:
+        code = main(argv)
+        captured = capsys.readouterr()
+        got = (code, captured.out.encode(), captured.err.encode())
+        assert got == _main_in_fresh_process(argv), argv
+    assert code == 2
+    assert cli._build_parser.cache_info().misses == 1   # built once in this process
 
 
 def test_fit_reports_slope(sweep_cfg, tmp_path, capsys):
