@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import distributions
 from .distributions import (
     AdviceDistribution,
     ConfigError,
@@ -89,10 +88,10 @@ _MAX_SCHEDULE = 100_000
 # this length (1 MB) and the walk's block and ranks stay in a 2 MB L2 cache.
 _SUB_BLOCK = 1 << 14
 
-# Rows of one thread's kernel scratch, each up to _SUB_BLOCK long: the
-# head's 8 vectors.  A power law's walk runs no kernel and holds none: after
-# it, its head ranks up to _PANEL_START and the panels' nodes share one
-# scratch, and a refused panel's ranks get scratch of their own.
+# Rows of the kernel's scratch, each up to _SUB_BLOCK long: the head's 8
+# vectors.  A power law's walk runs no kernel and holds none: after it, its
+# head ranks up to _PANEL_START and the panels' nodes share one scratch, and
+# a refused panel's ranks get scratch of their own.
 _SCRATCH_ROWS = 8
 
 # The tiny tail's power series stops at the least degree whose truncation
@@ -214,8 +213,8 @@ def _geometric_schedule(n: int, k: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _with_columns(fn, columns):
     """fn's columns, then a row's bound columns if given (last, as they overwrite ranks)."""
-    return fn if columns is None else lambda block, ranks, worker: (
-        *fn(block, ranks, worker), *columns.partials(block, ranks, worker))
+    return fn if columns is None else lambda block, ranks: (
+        *fn(block, ranks), *columns.partials(block, ranks))
 
 
 def _scan_means(model: str, dist: AdviceDistribution, k: float | None = None,
@@ -227,12 +226,12 @@ def _scan_means(model: str, dist: AdviceDistribution, k: float | None = None,
     its probability mass: per walk block an np.sum, past 2^16 on a power law
     a power sum, one for each piece of a schedule block there."""
     if model == "classical":
-        fn = lambda block, ranks, _: (_dot(block, ranks),)   # noqa: E731
+        fn = lambda block, ranks: (_dot(block, ranks),)   # noqa: E731
         tail = lambda law, lo, hi: (_power_sums(law.k + 1.0, lo, hi),)   # noqa: E731
     else:
         ends, cum = _geometric_schedule((stops or (dist.n,))[-1], k)
 
-        def fn(block: np.ndarray, ranks: np.ndarray, worker: int) -> tuple[float]:
+        def fn(block: np.ndarray, ranks: np.ndarray) -> tuple[float]:
             first = int(ranks[0])
             m = int(np.searchsorted(ends, first))   # the schedule block of rank first
             lo, parts = 0, []
@@ -525,10 +524,8 @@ def unknown_expected_mu(dist: AdviceDistribution, k: float = DEFAULT_AMPLIFY_RAT
     cut if there is no panel) and every panel's nodes, ~1,200 values at
     n = 2^22, and the head's dots and the panels' terms enter each cost's
     math.fsum.  So a power-law row visits no rank past 2^16 and allocates
-    no kernel scratch in its walk.  Explicit advice walks every
-    _SUB_BLOCK, spread over the walk's threads, each with scratch of its
-    own allocated here (numpy's float ufuncs release the GIL); the means
-    have the same bits for any thread count.  columns, if given, are a row's
+    no kernel scratch in its walk.  Explicit advice walks every _SUB_BLOCK
+    in one kernel scratch allocated here.  columns, if given, are a row's
     bound columns, summed in the same walk.
     """
     k = _check_real(k, "iteration-budget ratio", *AMPLIFY_RATIO_BOUNDS)
@@ -538,22 +535,20 @@ def unknown_expected_mu(dist: AdviceDistribution, k: float = DEFAULT_AMPLIFY_RAT
     count = 0 if series is None else series[0].size
     cut = dist._last_rank_at_least(DEGENERATE_TOL) if count else dist.n
     law = dist.power_law
-    # a power law's walk is one block, its first 2^16 ranks, inline, and runs
-    # no kernel; per walk thread, explicit advice's kernel scratch, and a row
-    # for the tail's powers
+    # a power law's walk is one block, its first 2^16 ranks, and runs no
+    # kernel; explicit advice's kernel scratch, and a row for the tail's powers
     step = _SUB_BLOCK if law is None else _BUILD_STEP
-    workers = 1 if law else distributions._walk_workers(dist.n, step)
     width = min(dist.n, _SUB_BLOCK)
-    scratch = None if law else np.empty((workers, _SCRATCH_ROWS, width))
-    powers = np.empty((workers, width))
+    scratch = None if law else np.empty((_SCRATCH_ROWS, width))
+    powers = np.empty(width)
 
-    def fn(block: np.ndarray, ranks: np.ndarray, worker: int) -> list[float]:
+    def fn(block: np.ndarray, ranks: np.ndarray) -> list[float]:
         lo = int(ranks[0]) - 1
         head, tail = block[:max(cut - lo, 0)], block[max(cut - lo, 0):]
-        power = powers[worker, :tail.size]
+        power = powers[:tail.size]
         row = []   # a power law's head is summed after the walk
         if law is None:
-            row = [_dot(head, v) for v in _amplify_sub_block(head, sizes, fallback, scratch[worker])
+            row = [_dot(head, v) for v in _amplify_sub_block(head, sizes, fallback, scratch)
                    ] if head.size else [0.0, 0.0, 0.0]
         np.copyto(power, tail)   # then the power sums sum tail^e, e = 1..count, in place
         return [*row, *(float(np.sum(power if e == 0 else np.multiply(power, tail, out=power)))
@@ -569,10 +564,10 @@ def unknown_expected_mu(dist: AdviceDistribution, k: float = DEFAULT_AMPLIFY_RAT
 
     rows = _with_columns(fn, columns)
 
-    def sub_blocks(block: np.ndarray, ranks: np.ndarray, worker: int) -> list[float]:
+    def sub_blocks(block: np.ndarray, ranks: np.ndarray) -> list[float]:
         # the rows of a block's sub-blocks, summed as a walk of them would be
         return [math.fsum(column) for column in zip(*(
-            rows(block[lo:lo + _SUB_BLOCK], ranks[lo:lo + _SUB_BLOCK], worker)
+            rows(block[lo:lo + _SUB_BLOCK], ranks[lo:lo + _SUB_BLOCK])
             for lo in range(0, block.size, _SUB_BLOCK)))]
 
     sums = next(_head_sums(dist, sub_blocks, past_walk, step=step))

@@ -98,10 +98,9 @@ class _BoundColumns:
         self.dist, self.upper = dist, upper
         self.sums: list[float] = []
 
-    def partials(self, block: np.ndarray, ranks: np.ndarray, worker: int) -> tuple[float, ...]:
-        # the walk's ranks are the worker's scratch, which the columns may
-        # overwrite: rooted in place, then the roots of the high-prior
-        # probabilities
+    def partials(self, block: np.ndarray, ranks: np.ndarray) -> tuple[float, ...]:
+        # the walk's ranks are its scratch, which the columns may overwrite:
+        # rooted in place, then the roots of the high-prior probabilities
         out = (_dot(block, np.sqrt(ranks, out=ranks)),)
         if self.upper == "unknown":
             head = _prefix_length(block, 1.0 / self.dist.n)

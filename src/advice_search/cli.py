@@ -102,20 +102,25 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    logger = logging.getLogger("advice_search")
+    level = logger.level
     if args.timing:
-        logging.getLogger("advice_search").setLevel(logging.INFO)
-    cfg = _load_config(args.config)
-    out = args.out if args.out is not None else cfg.get("out")
-    sweep = args.command == "sweep"
-    spec = SweepSpec.from_config(
-        cfg, need_grid=sweep,
-        overrides={"mode": args.mode, "trials": args.trials, "seed": args.seed})
-    if sweep:
-        rows = run_sweep(spec, timing=args.timing)
-    else:
-        rows = [run_point(spec, timing=args.timing)]
-    _write_text(out, rows_to_csv(rows))
-    return EXIT_OK
+        logger.setLevel(logging.INFO)
+    try:
+        cfg = _load_config(args.config)
+        out = args.out if args.out is not None else cfg.get("out")
+        sweep = args.command == "sweep"
+        spec = SweepSpec.from_config(
+            cfg, need_grid=sweep,
+            overrides={"mode": args.mode, "trials": args.trials, "seed": args.seed})
+        if sweep:
+            rows = run_sweep(spec, timing=args.timing)
+        else:
+            rows = [run_point(spec, timing=args.timing)]
+        _write_text(out, rows_to_csv(rows))
+        return EXIT_OK
+    finally:   # so the next call in this process logs only under its own --timing
+        logger.setLevel(level)
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:

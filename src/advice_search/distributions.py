@@ -11,10 +11,8 @@ something reads it.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,60 +111,13 @@ def _dot(block: np.ndarray, v: np.ndarray) -> float:
     return float(np.einsum("i,i->", block, v))
 
 
-def _walk_workers(n: int, step: int) -> int:
-    """Threads of a walk over n ranks in blocks of step: one per CPU this
-    process may use, and no more than the walk has blocks."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:   # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, -(-n // step))
-
-
-def _rank_weighted_sums(dist: AdviceDistribution, fn, stops=None, step: int = _BUILD_STEP):
-    """Yield, at each of stops (increasing ranks, the last dist.n; (dist.n,)
-    by default), the math.fsum of each column of fn over the ranks up to it.
-
-    fn(block, ranks, worker) gets the probabilities of one block of at most
-    step ranks, those 1-based ranks as floats (which it may overwrite) and
-    the index of its thread, and returns one partial sum per column.  A stop
-    inside a block adds the row of its prefix, made first on ranks of its
-    own.  Worker w of _walk_workers walks blocks w, w + workers, ... of
-    dist._streams, allocated here; a threaded walk merges its rows back into
-    block order before the first sums are yielded."""
-    stops = (dist.n,) if stops is None else stops
-    workers = _walk_workers(dist.n, step)
-    stop = threading.Event()
-
-    def rows(stream, worker: int):
-        for lo, ranks, block in stream:
-            if stop.is_set():
-                break
-            end = lo + block.size
-            heads = tuple(fn(block[:cut - lo], ranks[:cut - lo].copy(), worker)
-                          for cut in stops if lo < cut < end)
-            row = fn(block, ranks, worker)
-            yield end, heads + (row,) * (end in stops), row
-
-    walks = [rows(stream, w) for w, stream in enumerate(dist._streams(step, workers))]
-
-    def merged():
-        # imported here, so that importing the package does not pay for it
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(workers) as pool:
-            try:
-                parts = pool.map(list, walks)
-                yield from sorted(itertools.chain.from_iterable(parts), key=lambda b: b[0])
-            finally:
-                # after an interrupt or a failed worker, the others quit at
-                # their next block instead of finishing their walks
-                stop.set()
-
-    done = []
-    for _, heads, row in walks[0] if workers == 1 else merged():
-        for head in heads:
-            yield [math.fsum(column) for column in zip(*done, head)]
-        done.append(row)
+def _rank_weighted_sums(dist: AdviceDistribution, fn, step: int = _BUILD_STEP) -> list[float]:
+    """The math.fsum of each column of fn over the blocks of dist._streams(step):
+    fn(block, ranks) gets the probabilities of one block of at most step
+    ranks and those 1-based ranks as floats (which it may overwrite), and
+    returns one partial sum per column."""
+    return [math.fsum(column) for column in zip(*(fn(block, ranks)
+                                                 for _, ranks, block in dist._streams(step)))]
 
 
 def _power_integral(s: float, a, b) -> np.ndarray:
@@ -209,26 +160,30 @@ def _no_columns(*_) -> tuple:
 
 def _head_sums(dist: AdviceDistribution, fn, tail, stops=None, step: int = _BUILD_STEP):
     """Yield, at each of stops (dist.n by default), the math.fsum of each of
-    fn's columns over the ranks up to it, walked by _rank_weighted_sums in
-    blocks of step; a power law walks only its ranks up to _BUILD_STEP.  At
+    fn's columns over the ranks up to it.  Other advice than a power law is
+    _rank_weighted_sums in blocks of step, and stops only at dist.n.  A
+    power law walks only its ranks up to _BUILD_STEP, as one block: a stop
+    inside it gets fn's row of the block's prefix, on ranks of its own, and
+    the whole block's row is made last, as fn may overwrite its ranks.  At
     a stop past them each column's math.fsum takes in the terms (a number or
     an array) of its sum over ranks _BUILD_STEP + 1..stop, from
     tail(law, _BUILD_STEP, stop).  Every stop is summed from _BUILD_STEP,
     not from the stop before, so its sums do not depend on the other stops."""
     law = dist.power_law
-    if law is None:
-        yield from _rank_weighted_sums(dist, fn, stops, step)
-        return
     stops = (dist.n,) if stops is None else stops
+    if law is None:
+        if list(stops) != [dist.n]:   # sweeps, the walks that stop early, take power laws
+            raise ValueError(f"only a power law's walk stops before n = {dist.n}")
+        yield _rank_weighted_sums(dist, fn, step)
+        return
     cuts = sorted({min(stop, _BUILD_STEP) for stop in stops})
-    heads = dict(zip(cuts, _rank_weighted_sums(AdviceDistribution(cuts[-1], power_law=law),
-                                               fn, cuts, step)))
+    _, ranks, block = next(AdviceDistribution(cuts[-1], power_law=law)._streams())
+    heads = {cut: fn(block[:cut], ranks[:cut].copy()) for cut in cuts[:-1]}
+    heads[cuts[-1]] = fn(block, ranks)
     for stop in stops:
-        sums = heads[min(stop, _BUILD_STEP)]
-        if stop > _BUILD_STEP:
-            sums = [math.fsum((head, *np.ravel(terms)))
-                    for head, terms in zip(sums, tail(law, _BUILD_STEP, stop), strict=True)]
-        yield sums
+        row = heads[min(stop, _BUILD_STEP)]
+        tails = tail(law, _BUILD_STEP, stop) if stop > _BUILD_STEP else ((),) * len(row)
+        yield [math.fsum((head, *np.ravel(terms))) for head, terms in zip(row, tails, strict=True)]
 
 
 def _linear_sums(dist: AdviceDistribution, fn, stops=None, tail=_no_columns):
@@ -244,12 +199,12 @@ def _linear_sums(dist: AdviceDistribution, fn, stops=None, tail=_no_columns):
     power_law_alpha there."""
     law = dist.power_law
     if law is None:
-        for sums in _rank_weighted_sums(dist, fn, stops):
+        for sums in _head_sums(dist, fn, tail, stops):
             yield [1.0, *sums]
         return
     for weight, *sums in _head_sums(
             _weights(dist.n, law.k),
-            lambda block, ranks, worker: (float(np.sum(block)), *fn(block, ranks, worker)),
+            lambda block, ranks: (float(np.sum(block)), *fn(block, ranks)),
             lambda law, lo, hi: (_power_sums(law.k, lo, hi), *tail(law, lo, hi)), stops):
         alpha = 1.0 / weight
         yield [alpha, *(alpha * value for value in sums)]
@@ -319,7 +274,7 @@ class AdviceDistribution:
         """Probability of each sorted rank."""
         if self._probs is None:
             probs = np.empty(self.n)
-            for lo, _, block in self._streams()[0]:
+            for lo, _, block in self._streams():
                 probs[lo:lo + block.size] = block
             self._probs = probs
         return self._probs
@@ -332,29 +287,25 @@ class AdviceDistribution:
                                    dtype=np.int32 if self.n < 2**31 else np.int64)
         return self._perm
 
-    def _streams(self, step: int = _BUILD_STEP, count: int = 1) -> list:
-        """count iterators, stream s of (lo, ranks, block) over blocks s, s +
-        count, ... of step ranks (the last may be shorter): the 1-based ranks
-        lo + 1, ... as floats, and their probabilities, for a power law made
-        in scratch as np.power(ranks, k) * alpha (x^k alone at alpha 1),
-        otherwise a slice of probs.  This call allocates all scratch, in the
-        calling thread whichever threads iterate: one base range that the
-        streams share, and each stream's ranks and block, rewritten per block."""
+    def _streams(self, step: int = _BUILD_STEP):
+        """Yield (lo, ranks, block) over the blocks of step ranks (the last may
+        be shorter): the 1-based ranks lo + 1, ... as floats, and their
+        probabilities, for a power law made in scratch as np.power(ranks, k)
+        * alpha (x^k alone at alpha 1), otherwise a slice of probs.  The
+        scratch, a base range and the ranks and block it rewrites per block,
+        is allocated once per walk."""
         base = np.arange(min(step, self.n), dtype=np.float64)
-
-        def blocks(offset: int, scratch: np.ndarray):
-            for lo in range(offset * step, self.n, count * step):
-                size = min(step, self.n - lo)
-                ranks = np.add(base[:size], lo + 1, out=scratch[0, :size])
-                if self.power_law is None:
-                    block = self._probs[lo:lo + size]
-                else:
-                    block = np.power(ranks, self.power_law.k, out=scratch[1, :size])
-                    if self.power_law.alpha != 1.0:   # x^k alone, for sums linear in p
-                        block *= self.power_law.alpha
-                yield lo, ranks, block
-        return [blocks(s, np.empty((1 if self.power_law is None else 2, base.size)))
-                for s in range(count)]
+        scratch = np.empty((1 if self.power_law is None else 2, base.size))
+        for lo in range(0, self.n, step):
+            size = min(step, self.n - lo)
+            ranks = np.add(base[:size], lo + 1, out=scratch[0, :size])
+            if self.power_law is None:
+                block = self._probs[lo:lo + size]
+            else:
+                block = np.power(ranks, self.power_law.k, out=scratch[1, :size])
+                if self.power_law.alpha != 1.0:   # x^k alone, for sums linear in p
+                    block *= self.power_law.alpha
+            yield lo, ranks, block
 
     def _probs_at(self, ranks: np.ndarray) -> np.ndarray:
         """Probabilities of the 1-based integer ranks, the same bits as
@@ -383,7 +334,7 @@ class AdviceDistribution:
         counts the support."""
         if self._cdf is None:
             cdf, carry, support = np.empty(self.n), 0.0, 0
-            for lo, _, block in self._streams()[0]:
+            for lo, _, block in self._streams():
                 support += _prefix_length(block, 0.0, "right")
                 out = cdf[lo:lo + block.size]
                 out[...] = block
@@ -401,12 +352,12 @@ class AdviceDistribution:
         """Number of ranks with positive probability."""
         if self._support is None:
             self._support = sum(_prefix_length(block, 0.0, "right")
-                                for _, _, block in self._streams()[0])
+                                for _, _, block in self._streams())
         return self._support
 
     def x0_threshold(self) -> int:
         """Largest sorted rank with p_x >= 1/n, or 0 if none."""
-        return sum(_prefix_length(block, 1.0 / self.n) for _, _, block in self._streams()[0])
+        return sum(_prefix_length(block, 1.0 / self.n) for _, _, block in self._streams())
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw size sorted ranks ~ probs (never a zero-probability rank)."""

@@ -100,11 +100,9 @@ def test_classical_sampling_expected():
     assert math.isinf(classical_sampling_expected(make_explicit([1.0, 0.0])))
 
 
-def _check_classical_row_holds_no_n_vector(monkeypatch, workers):
+def test_classical_row_holds_no_n_vector():
     # build plus the exact classical row: alpha's pass and the walk each hold
-    # one base range of 2^16 ranks and, per worker, those ranks and their
-    # block, whatever n is
-    monkeypatch.setattr(distributions, "_walk_workers", lambda n, step: workers)
+    # one base range of 2^16 ranks, those ranks and their block, whatever n is
     n = 2**22 + 3
     tracemalloc.start()
     try:
@@ -115,19 +113,10 @@ def _check_classical_row_holds_no_n_vector(monkeypatch, workers):
         _, walk_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert max(peak, walk_peak) < (1 + 2 * workers) * 8 * _BUILD_STEP + 2**20, (peak, walk_peak)
+    assert max(peak, walk_peak) < 3 * 8 * _BUILD_STEP + 2**20, (peak, walk_peak)
     # the walk allocates its scratch and no per-block temporaries
-    assert walk_peak - live < (1 + 2 * workers) * 8 * _BUILD_STEP + 2**16, walk_peak - live
+    assert walk_peak - live < 3 * 8 * _BUILD_STEP + 2**16, walk_peak - live
     assert dist._probs is None
-
-
-def test_classical_row_holds_no_n_vector(monkeypatch):
-    _check_classical_row_holds_no_n_vector(monkeypatch, 1)
-
-
-def test_classical_row_holds_no_n_vector_on_two_workers(monkeypatch):
-    # two walk threads hold two workers' scratch, and nothing more
-    _check_classical_row_holds_no_n_vector(monkeypatch, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -645,44 +634,12 @@ def test_amplify_expected_bit_identical_property(p, sort, n, k):
 
 
 # ---------------------------------------------------------------------------
-# advice-averaged kernel: sub-blocks reduced in place, spread over threads
+# advice-averaged kernel: sub-blocks reduced in place
 
 # four sub-blocks, the last one short; at k = -3 the last ~40k ranks are on
 # the tiny branch, while k = -2.5 and -0.75 keep every rank off it
 _MU_N = 3 * _SUB_BLOCK + 7
 _MU_KS = (-0.75, -2.5, -3.0)
-
-
-def _mu_with_workers(monkeypatch, dist, workers):
-    monkeypatch.setattr(distributions, "_walk_workers", lambda n, step: workers)
-    return unknown_expected_mu(dist).means()
-
-
-def _row_with_workers(monkeypatch, weights, workers):
-    monkeypatch.setattr(distributions, "_walk_workers", lambda n, step: workers)
-    return run_point(SweepSpec(dist_cfg={"kind": "explicit", "weights": weights},
-                               model="unknown"))
-
-
-@pytest.mark.parametrize("k", _MU_KS)
-def test_unknown_expected_mu_same_for_any_worker_count(monkeypatch, k):
-    # explicit advice, whose walk over every rank runs on the walk's threads
-    # (a power law walks its first 2^16 ranks inline, as one block)
-    weights = make_power_law(_MU_N, k).probs
-    d = AdviceDistribution(_MU_N, probs=weights)
-    serial = _mu_with_workers(monkeypatch, d, 1)
-    serial_row = _row_with_workers(monkeypatch, weights.tolist(), 1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)   # switch threads as often as possible
-    try:
-        # more workers than CPUs, and than sub-blocks
-        for workers in (2, 3, 8):
-            assert _mu_with_workers(monkeypatch, d, workers) == serial, workers
-        # a whole row, whose bound columns ride on the kernel's threads with
-        # per-worker scratch
-        assert _row_with_workers(monkeypatch, weights.tolist(), 2) == serial_row
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def _head_and_tail_sums(p, n, k):
@@ -762,13 +719,8 @@ def _tail_advice(kind, head, tail, zeros, seed):
 def test_tail_series_matches_kernel(kind, head, tail, zeros, k, seed):
     d = _tail_advice(kind, head, tail, zeros, seed)
     assert d.probs[-1] < DEGENERATE_TOL
-    means = []
-    with pytest.MonkeyPatch.context() as patch:
-        for workers in (1, 2):
-            patch.setattr(distributions, "_walk_workers", lambda n, step: workers)
-            means.append(unknown_expected_mu(d, k).means())
-    assert means[0] == means[1]
-    np.testing.assert_allclose(means[0], _kernel_dot_sums(d.probs, d.n, k), rtol=1e-13, atol=0)
+    np.testing.assert_allclose(unknown_expected_mu(d, k).means(), _kernel_dot_sums(d.probs, d.n, k),
+                               rtol=1e-13, atol=0)
 
 
 def test_tail_degree_grows_with_n():
@@ -842,15 +794,12 @@ def test_head_no_further_from_exact_cost_than_earlier_order():
     assert new <= worst(ref_amplify_expected_whole(p, n, k, fused=False)) and new < 1e-14, new
 
 
-@pytest.mark.parametrize("workers", (1, 2))
-def test_oracle_only_row_holds_no_n_vector(monkeypatch, workers):
+def test_oracle_only_row_holds_no_n_vector():
     # build, kernel and both bounds of an oracle-only row hold nothing of
-    # size n: the walks' one 2^16-rank block (a base range, and per worker
-    # ranks and block) and a row for the tail's powers, with no kernel
-    # scratch, then one kernel scratch for the 128 head ranks and the
-    # panels' nodes, within a sub-block's kernel scratch and walk per
-    # worker (1.4 MB) and 1 MB
-    monkeypatch.setattr(distributions, "_walk_workers", lambda n, step: workers)
+    # size n: the walks' one 2^16-rank block (a base range, ranks and block)
+    # and a row for the tail's powers, with no kernel scratch, then one
+    # kernel scratch for the 128 head ranks and the panels' nodes, within a
+    # sub-block's kernel scratch and walk (1.4 MB) and 1 MB
     n = 2**20 + 3
     tracemalloc.start()
     try:
@@ -860,7 +809,7 @@ def test_oracle_only_row_holds_no_n_vector(monkeypatch, workers):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < workers * 8 * (_SCRATCH_ROWS + 3) * _SUB_BLOCK + 2**20, peak
+    assert peak < 8 * (_SCRATCH_ROWS + 3) * _SUB_BLOCK + 2**20, peak
     assert dist._probs is None
 
 
@@ -884,9 +833,9 @@ def _assert_bound_columns(d, sums, step):
     over the first 2^16 ranks the bits of a walk in blocks of step, past
     them within 1e-14 of exact power sums at d's alpha."""
     columns = _BoundColumns(d, "unknown")
-    head = next(distributions._rank_weighted_sums(
+    head = distributions._rank_weighted_sums(
         AdviceDistribution(min(d.n, _BUILD_STEP), power_law=d.power_law), columns.partials,
-        step=step))
+        step=step)
     if d.n <= _BUILD_STEP:
         assert sums == head
         return
@@ -1035,25 +984,26 @@ def test_power_law_row_runs_the_kernel_on_a_small_head_and_the_nodes(monkeypatch
     # panel, whatever n, and the walk visits no rank past 2^16; no panel of
     # these rows is refused (a refused panel's ranks would take calls of
     # their own, as in test_failed_panels_leave_the_row_to_the_kernel)
-    seen, firsts = [], []
-    kernel, walk = algorithms._amplify_sub_block, distributions._rank_weighted_sums
+    seen, blocks = [], []
+    kernel, streams = algorithms._amplify_sub_block, AdviceDistribution._streams
 
     def counted(sub, *args):
         seen.append(sub.size)
         return kernel(sub, *args)
 
-    def recorded(dist, fn, *args, **kwargs):
-        return walk(dist, lambda block, ranks, worker: (
-            firsts.append(int(ranks[0])), fn(block, ranks, worker))[1], *args, **kwargs)
+    def recorded(dist, *args):
+        for lo, ranks, block in streams(dist, *args):
+            blocks.append((lo + 1, block.size))
+            yield lo, ranks, block
 
     monkeypatch.setattr(algorithms, "_amplify_sub_block", counted)
-    monkeypatch.setattr(distributions, "_rank_weighted_sums", recorded)
+    monkeypatch.setattr(AdviceDistribution, "_streams", recorded)
     d = make_power_law(n, k)
-    firsts.clear()   # alpha's own walk
+    blocks.clear()   # alpha's own walk
     unknown_expected_mu(d)
     panels = _panels(_panel_cut(d, DEFAULT_AMPLIFY_RATIO)[2])
     assert panels and seen == [_PANEL_START + _PANEL_NODES * len(panels)], (seen, panels)
-    assert firsts == [1]   # one block, ranks 1..2^16
+    assert blocks == [(1, _BUILD_STEP)]   # one block, ranks 1..2^16
 
 
 def _two_call_panel_sums(law, sizes, fallback, panels, head):
@@ -1107,11 +1057,10 @@ def test_fused_kernel_call_replays_the_two_call_row(monkeypatch, n, k, ratio):
     assert row == unknown_expected_mu(d, ratio).means()
 
 
-def _check_monte_carlo_row_holds_one_n_vector(monkeypatch, workers):
+def test_monte_carlo_row_holds_one_n_vector():
     # a geometric Monte Carlo row of a power law builds its cdf block by
     # block: the cdf is its only array of size n, next to a walk's base
-    # range and each worker's ranks and block
-    monkeypatch.setattr(distributions, "_walk_workers", lambda n, step: workers)
+    # range, ranks and block
 
     def row(n):
         return run_point(SweepSpec(dist_cfg={"kind": "powerlaw", "n": n, "k": -0.75},
@@ -1125,16 +1074,7 @@ def _check_monte_carlo_row_holds_one_n_vector(monkeypatch, workers):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * n + (1 + 2 * workers) * 8 * _BUILD_STEP + 2**19, peak
-
-
-def test_monte_carlo_row_holds_one_n_vector(monkeypatch):
-    _check_monte_carlo_row_holds_one_n_vector(monkeypatch, 1)
-
-
-def test_monte_carlo_row_holds_one_n_vector_on_two_workers(monkeypatch):
-    # two walk threads hold two workers' scratch, and nothing more
-    _check_monte_carlo_row_holds_one_n_vector(monkeypatch, 2)
+    assert peak < 8 * n + 3 * 8 * _BUILD_STEP + 2**19, peak
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from advice_search import (
     row_bounds,
     unknown_expected_mu,
 )
-from advice_search import distributions
 from advice_search.algorithms import _SUB_BLOCK, _model_ratio
 from advice_search.bounds import _BoundColumns
 from advice_search.distributions import _BUILD_STEP, _rank_weighted_sums
@@ -83,12 +82,11 @@ def test_geometric_upper_formula():
     assert math.isclose(row_bounds(d, "geometric")[1], expected, rel_tol=1e-12)
 
 
-def _check_geometric_row_holds_no_n_vector(monkeypatch, workers):
+def test_geometric_row_holds_no_n_vector():
     # build plus the exact geometric row and its bounds: alpha's pass and
-    # each walk hold one base range of 2^16 ranks and, per worker, those ranks
-    # and their block, whatever n is, and the bound columns root the walk's
-    # ranks in place
-    monkeypatch.setattr(distributions, "_walk_workers", lambda n, step: workers)
+    # each walk hold one base range of 2^16 ranks, those ranks and their
+    # block, whatever n is, and the bound columns root the walk's ranks in
+    # place
     n = 2**22 + 3
     tracemalloc.start()
     try:
@@ -100,19 +98,10 @@ def _check_geometric_row_holds_no_n_vector(monkeypatch, workers):
         _, walk_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert max(peak, walk_peak) < (1 + 2 * workers) * 8 * _BUILD_STEP + 2**20, (peak, walk_peak)
+    assert max(peak, walk_peak) < 3 * 8 * _BUILD_STEP + 2**20, (peak, walk_peak)
     # the walks allocate their scratch and no per-block temporaries
-    assert walk_peak - live < (1 + 2 * workers) * 8 * _BUILD_STEP + 2**16, walk_peak - live
+    assert walk_peak - live < 3 * 8 * _BUILD_STEP + 2**16, walk_peak - live
     assert dist._probs is None
-
-
-def test_geometric_row_holds_no_n_vector(monkeypatch):
-    _check_geometric_row_holds_no_n_vector(monkeypatch, 1)
-
-
-def test_geometric_row_holds_no_n_vector_on_two_workers(monkeypatch):
-    # two walk threads hold two workers' scratch, and nothing more
-    _check_geometric_row_holds_no_n_vector(monkeypatch, 2)
 
 
 def test_geometric_sandwich():
@@ -265,6 +254,6 @@ def test_compute_bounds_report():
     assert row("classical") == (None, None)
     assert row("geometric") == row_bounds(d, "geometric")
     columns = _BoundColumns(d, "unknown")
-    columns.sums = next(_rank_weighted_sums(d, columns.partials, step=_SUB_BLOCK))
+    columns.sums = _rank_weighted_sums(d, columns.partials, step=_SUB_BLOCK)
     assert row("unknown") == columns.values()
     assert columns.values() == pytest.approx(row_bounds(d, "unknown"), rel=1e-14, abs=0)

@@ -88,13 +88,18 @@ def _main_in_fresh_process(argv):
 
 
 def test_calls_in_one_process_share_the_parser_and_no_options(run_cfg, sweep_cfg, tmp_path,
-                                                              capsys):
+                                                              capsys, caplog):
     # main builds its parser once a process; each call's output is the same
     # call's made first in a new process, so no option leaks into the next
-    # call: a Monte Carlo run, then a plain (exact) one, a sweep, a fit of
-    # that sweep and a usage error
+    # call: after a timed run (its log line and seconds differ run to run),
+    # a Monte Carlo run, then a plain (exact) one, a sweep, a fit of that
+    # sweep and a usage error, none of which logs
     sweep_csv = tmp_path / "sweep.csv"
     assert _main_in_fresh_process(["sweep", sweep_cfg, "--out", str(sweep_csv)])[0] == 0
+    assert main(["run", run_cfg, "--timing"]) == 0
+    capsys.readouterr()
+    assert [record.name for record in caplog.records] == ["advice_search"]
+    caplog.clear()
     calls = [["run", run_cfg, "--mode", "monte_carlo", "--trials", "50"], ["run", run_cfg],
              ["sweep", sweep_cfg], ["fit", str(sweep_csv)], ["sweep", sweep_cfg, "--mode", "x"]]
     for argv in calls:
@@ -103,6 +108,7 @@ def test_calls_in_one_process_share_the_parser_and_no_options(run_cfg, sweep_cfg
         got = (code, captured.out.encode(), captured.err.encode())
         assert got == _main_in_fresh_process(argv), argv
     assert code == 2
+    assert not caplog.records
     assert cli._build_parser.cache_info().misses == 1   # built once in this process
 
 
@@ -412,18 +418,23 @@ def test_python_dash_m_entry_point(run_cfg):
 
 
 def test_import_leaves_thread_pools_unloaded():
-    # set-up time: a walk of more than one block imports concurrent.futures
-    # when it starts its threads, so importing the CLI must not
+    # every walk runs in the calling thread: an exact oracle-only row of
+    # explicit advice, four 2^14-rank sub-blocks, starts no thread and
+    # imports no thread pool
     package_root = os.path.dirname(os.path.dirname(advice_search.bounds.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [package_root, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, advice_search.cli; print('concurrent.futures' in sys.modules)"],
-        capture_output=True, text=True, timeout=120, env=env)
+    script = ("import sys, threading, numpy as np\n"
+              "from advice_search import make_explicit, unknown_expected_mu\n"
+              "from advice_search.bounds import row_bounds\n"
+              "d = make_explicit(np.ones(2**16))\n"
+              "unknown_expected_mu(d), row_bounds(d, 'unknown')\n"
+              "print('concurrent.futures' in sys.modules, threading.active_count())")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "1"]
 
 
 # VmHWM is the peak of this process alone; ru_maxrss would not do, since a

@@ -1,9 +1,6 @@
 from __future__ import annotations
 
 import math
-import threading
-import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,12 +18,15 @@ from advice_search import (
     make_power_law,
     power_law_alpha,
 )
-from advice_search import distributions
+from advice_search import algorithms, distributions
+from advice_search.bounds import _BoundColumns
 from advice_search.distributions import (
     _BUILD_STEP,
     _check_int,
     _check_real,
     _dot,
+    _linear_sums,
+    _power_sums,
     _rank_weighted_sums,
     _weights,
 )
@@ -127,16 +127,15 @@ def test_power_law_build_is_whole_array_power():
 @pytest.mark.parametrize("step", (2**14, 2**16))
 def test_streamed_blocks_are_probs_slices(step):
     # each walk block of a power law, made from its ranks, has the bits of
-    # the same slice of probs, for either worker of a two-worker walk
+    # the same slice of probs
     n = 3 * step + 12_345
     streamed, whole = make_power_law(n, -1.75), make_power_law(n, -1.75)
     seen = []
-    for stream in streamed._streams(step, 2):
-        for lo, ranks, block in stream:
-            assert np.array_equal(ranks, np.arange(lo + 1, lo + block.size + 1))
-            assert np.array_equal(block, whole.probs[lo:lo + step]), lo
-            seen.append(lo)
-    assert sorted(seen) == list(range(0, n, step))
+    for lo, ranks, block in streamed._streams(step):
+        assert np.array_equal(ranks, np.arange(lo + 1, lo + block.size + 1))
+        assert np.array_equal(block, whole.probs[lo:lo + step]), lo
+        seen.append(lo)
+    assert seen == list(range(0, n, step))
     assert streamed._probs is None
 
 
@@ -396,81 +395,57 @@ def test_compensated_sum_accuracy():
     assert math.isclose(compensated_sum(values), exact, rel_tol=1e-13)
 
 
-def _pin_workers(patch, workers):
-    """Make every walk run on workers threads, whatever the CPUs and blocks."""
-    patch.setattr(distributions, "_walk_workers", lambda n, step: workers)
+def _sqrt_rank_sums(block, ranks):
+    """Two columns, the second of which overwrites the ranks: a prefix row that
+    shared them with the block's row made before it would differ."""
+    return _dot(block, ranks), _dot(block, np.sqrt(ranks, out=ranks))
 
 
-def test_rank_weighted_sums_stops_workers_after_a_failure(monkeypatch):
-    # the failure reaches the caller, and the other worker quits at its next
-    # block instead of running its remaining 100 (~0.5 s)
-    calls = []
-    started = threading.Event()
-
-    def fn(block, first, worker):
-        if worker == 0:
-            started.wait(5.0)   # fail only once the other worker is running
-            raise RuntimeError("boom")
-        calls.append(first)
-        started.set()
-        time.sleep(0.005)
-        return (block,)
-
-    _pin_workers(monkeypatch, 2)
-    with pytest.raises(RuntimeError, match="boom"):
-        next(_rank_weighted_sums(make_explicit(np.ones(200 * 16)), fn, step=16))
-    assert len(calls) < 50, len(calls)
+# stops at small n, and at, inside and one past the power law's one
+# 2^16-rank block
+_STOPS = (1, 2, 17, 1000, _BUILD_STEP - 5, _BUILD_STEP - 1, _BUILD_STEP, _BUILD_STEP + 1,
+          2 * _BUILD_STEP + 3)
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), n=st.integers(1, 120), explicit=st.booleans(), k=st.floats(-3.0, -0.1))
-def test_threaded_walk_matches_one_worker(data, n, explicit, k):
-    # with stops at, inside and one past the ends of 16-rank blocks, two
-    # workers give the one-worker walk's sums bit for bit; fn overwrites its
-    # ranks, so a prefix that shared them with its block would differ
+@settings(max_examples=40, deadline=None)
+@given(stops=st.sets(st.sampled_from(_STOPS) | st.integers(1, 3 * _BUILD_STEP), min_size=1,
+                     max_size=5).map(sorted),
+       k=st.floats(-3.0, -1e-300), model=st.sampled_from(("classical", "geometric")),
+       ratio=st.sampled_from((None, 2.0, 1.5)))
+def test_power_law_stops_match_one_stop_walks(stops, k, model, ratio):
+    # each stop of a power law's walk gets, bit for bit, the sums of a walk of
+    # the law cut there: _linear_sums' alpha and columns, and a sweep's scan
+    # or block-search mean with its bound columns
+    def tail(law, lo, hi):
+        return _power_sums(law.k + 1.0, lo, hi), _power_sums(law.k + 0.5, lo, hi)
+
+    walk = list(_linear_sums(_weights(stops[-1], k), _sqrt_rank_sums, stops, tail))
+    assert walk == [next(_linear_sums(_weights(stop, k), _sqrt_rank_sums, tail=tail))
+                    for stop in stops]
+    ratio = algorithms._model_ratio(model, ratio)
+
+    def means(n, stops=None):
+        columns = _BoundColumns(None, model)
+        return [(f, *columns.sums) for f in algorithms._scan_means(
+            model, _weights(n, k), ratio, columns, stops)]
+
+    assert means(stops[-1], stops) == [means(stop)[0] for stop in stops]
+
+
+@pytest.mark.parametrize("explicit", (True, False))
+def test_rank_weighted_sums_fsums_block_rows(explicit):
+    # the walk sums each column's block partials with math.fsum, in blocks of
+    # step, however fn treats its ranks; only a power law's walk stops early
+    n = 16 * 7 + 5
+    dist = make_explicit(np.arange(n, 0.0, -1.0)) if explicit else make_power_law(n, -1.5)
+    ranks = np.arange(1.0, n + 1)
+    blocks = [(lo, min(lo + 16, n)) for lo in range(0, n, 16)]
+    assert _rank_weighted_sums(dist, _sqrt_rank_sums, step=16) == [
+        math.fsum(_dot(dist.probs[lo:hi], v[lo:hi]) for lo, hi in blocks)
+        for v in (ranks, np.sqrt(ranks))]
     if explicit:
-        dist = make_explicit(data.draw(st.lists(st.floats(0.0, 1e3), min_size=n, max_size=n))
-                             + [1.0])
-    else:
-        dist = make_power_law(n, k)
-    near_ends = {min(dist.n, end + shift) for end in range(16, dist.n + 16, 16)
-                 for shift in (-5, -1, 0, 1)}
-    stops = sorted(data.draw(st.sets(st.sampled_from(sorted(near_ends)))) | {dist.n})
-
-    def fn(block, ranks, worker):
-        return _dot(block, ranks), float(np.sum(np.sqrt(ranks, out=ranks))), float(np.sum(block))
-
-    with pytest.MonkeyPatch.context() as patch:
-        _pin_workers(patch, 1)
-        one = list(_rank_weighted_sums(dist, fn, stops, step=16))
-        _pin_workers(patch, 2)
-        assert list(_rank_weighted_sums(dist, fn, stops, step=16)) == one
-    assert len(one) == len(stops)
-    ranks = np.arange(1.0, dist.n + 1)
-    for stop, sums in zip(stops, one):   # per 16-rank block, cut at the stop
-        cuts = [(lo, min(lo + 16, stop)) for lo in range(0, stop, 16)]
-        assert sums[0] == math.fsum(_dot(dist.probs[lo:hi], ranks[lo:hi]) for lo, hi in cuts)
-        assert sums[2] == math.fsum(float(np.sum(dist.probs[lo:hi])) for lo, hi in cuts)
-
-
-def test_threaded_walk_memory_is_its_rows(monkeypatch):
-    # two workers hold one small row per block and nothing else that grows
-    # with the block count: 16 times the blocks may add 400 bytes a block,
-    # while a future per block (Executor.map over blocks) costs several KB
-    _pin_workers(monkeypatch, 2)
-
-    def peak(n):
-        dist = _weights(n, -1.0)
-        tracemalloc.start()
-        try:
-            next(_rank_weighted_sums(dist, lambda block, ranks, worker: (float(block[0]),),
-                                     step=256))
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    small, large = peak(2**18), peak(2**22)
-    assert large - small < 400 * (2**22 - 2**18) // 256, (small, large)
+        with pytest.raises(ValueError, match="power law"):
+            next(_linear_sums(dist, _sqrt_rank_sums, stops=(16, n)))
 
 
 def test_large_n_normalization():

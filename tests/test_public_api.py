@@ -14,10 +14,10 @@ MODULES = ["advice_search"] + [f"advice_search.{name}" for name in (
     "sweep", "validation")]
 
 # Second copies of jobs that the CLI, validate and the benchmark do through
-# other names, the worker count of the removed sweep process pool, the
-# per-oracle counters that RunResult.queries replaced, and helpers that only
-# one caller or tests used; keeping one implementation per job means they
-# stay gone.
+# other names, the worker counts of the removed sweep process pool and walk
+# threads, the per-oracle counters that RunResult.queries replaced, and
+# helpers that only one caller or tests used; keeping one implementation per
+# job means they stay gone.
 REMOVED = (
     "classical_sequential", "geometric_search", "compute_bounds", "BoundReport",
     "zalka_bound", "las_vegas_lower", "StateVector", "prepare_mu", "aa_iteration",
@@ -26,6 +26,7 @@ REMOVED = (
     "rotation_angle", "DEFAULT_DIM_CAP", "_check_length", "_check_rank",
     "q_mu_lower", "geometric_upper", "unknown_upper_mu", "_CEIL_SNAP", "_attempt_success",
     "_powers", "_floored_power", "_check_schedule_length", "_sums_at", "_kernel_workers",
+    "_walk_workers",
 )
 
 

@@ -108,15 +108,15 @@ def _record_walks(monkeypatch):
     walks = []
 
     def recorder(walk):
-        def recording(dist, fn, stops=None, **options):
+        def recording(dist, fn, *args, **options):
             firsts = []
 
-            def visit(block, ranks, worker):
+            def visit(block, ranks):
                 firsts.append(int(ranks[0]))
-                return fn(block, ranks, worker)
+                return fn(block, ranks)
 
             walks.append((options.get("step", distributions._BUILD_STEP), firsts))
-            return walk(dist, visit, stops, **options)
+            return walk(dist, visit, *args, **options)
         return recording
 
     for module in (algorithms, bounds):
@@ -144,9 +144,9 @@ def test_exact_row_is_one_walk(monkeypatch, model, ratio, width):
     def recording(fn, columns):
         row = with_columns(fn, columns)
 
-        def made(block, ranks, worker):
+        def made(block, ranks):
             rows.append((block.size, int(ranks[0])))
-            return row(block, ranks, worker)
+            return row(block, ranks)
         return made
 
     monkeypatch.setattr(algorithms, "_with_columns", recording)
@@ -184,24 +184,18 @@ _SCAN_NS = (1, 2, 1000, 2**16 - 1, 2**16, 2**16 + 1, 100_003, 2**17, 3 * 2**16 +
        ratio=st.sampled_from((None, 2.0, 1.5, 1.01)),
        grid=st.lists(st.sampled_from(_SCAN_NS) | st.integers(1, 3 * 2**16 + 5),
                      min_size=1, max_size=4, unique=True).map(sorted),
-       large=st.booleans(),
-       workers=st.sampled_from((1, 2)))
-def test_one_walk_sweep_matches_per_element_rows(model, k, ratio, grid, large, workers):
+       large=st.booleans())
+def test_one_walk_sweep_matches_per_element_rows(model, k, ratio, grid, large):
     # a classical or geometric sweep takes one walk over the first 2^16
-    # ranks' x^k that stops at each n, and power sums past them, on one or
-    # two threads: alpha keeps the bits of power_law_alpha at every stop,
-    # and each row agrees at rtol 1e-14 with alpha * x^k made per element
-    # and dotted row by row; a row has the same bits for either thread count
+    # ranks' x^k that stops at each n, and power sums past them: alpha keeps
+    # the bits of power_law_alpha at every stop, and each row agrees at
+    # rtol 1e-14 with alpha * x^k made per element and dotted row by row
     grid = grid + [2**22 + 3] * large
     spec = SweepSpec(dist_cfg={"kind": "powerlaw", "k": k}, model=model,
                      n_grid=tuple(grid), k_algorithm=ratio)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(distributions, "_walk_workers", lambda n, step: workers)
-        rows = run_sweep(spec)
-        alphas = list(distributions._linear_sums(
-            distributions._weights(grid[-1], k), lambda block, ranks, worker: (), stops=grid))
-        patch.setattr(distributions, "_walk_workers", lambda n, step: 3 - workers)
-        assert run_sweep(spec) == rows
+    rows = run_sweep(spec)
+    alphas = list(distributions._linear_sums(
+        distributions._weights(grid[-1], k), lambda block, ranks: (), stops=grid))
     assert [row.n for row in rows] == grid
     for n, row, (alpha,) in zip(grid, rows, alphas):
         assert alpha == power_law_alpha(n, k), (n, k)
