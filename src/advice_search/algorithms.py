@@ -7,8 +7,8 @@
 * unknown (oracle-only advice): each round checks one sample, then
   amplifies with an iteration count drawn uniformly from a geometrically
   growing budget; after all rounds fail, a certainty search over the whole
-  domain ends the run with zero error.  unknown_search runs one trial;
-  monte_carlo runs the same rounds over the array of trials still active.
+  domain ends the run with zero error.  monte_carlo runs the rounds over
+  the array of trials still active.
 
 classical_expected, geometric_expected and unknown_expected_mu give the
 exact advice-averaged costs and monte_carlo estimates them.  Quantum steps
@@ -49,13 +49,11 @@ __all__ = [
     "DEFAULT_GEOMETRIC_RATIO",
     "DEFAULT_AMPLIFY_RATIO",
     "AMPLIFY_RATIO_BOUNDS",
-    "RunResult",
     "ExpectationReport",
     "classical_expected",
     "classical_sampling_expected",
     "geometric_expected",
     "unknown_rounds",
-    "unknown_search",
     "unknown_expected_exact",
     "unknown_expected_mu",
     "monte_carlo",
@@ -112,16 +110,6 @@ _TAIL_MAX_DEGREE = 8
 _PANEL_START = 128
 _PANEL_NODES = 24
 _PANEL_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class RunResult:
-    """Outcome of one zero-error run: found element, the queries it made to
-    f, O_mu and O_mu^-1, and the rounds it used."""
-
-    found: int
-    queries: tuple[int, int, int]
-    rounds: int
 
 
 @dataclass(frozen=True)
@@ -271,7 +259,7 @@ def unknown_rounds(n: int, k: float = DEFAULT_AMPLIFY_RATIO) -> int:
     return len(_round_sizes(n, k)) - 1
 
 
-@functools.lru_cache(maxsize=16)   # every Monte Carlo trial reuses one schedule
+@functools.lru_cache(maxsize=16)   # the rows and runs of one n share it; ~25 us uncached
 def _round_sizes(n: int, k: float) -> tuple[int, ...]:
     """Iteration budgets floor(k^j) for rounds j = 0..unknown_rounds(n, k)."""
     estimate = 1.0 + 0.5 * math.log(n) / math.log1p(k - 1.0)
@@ -279,54 +267,25 @@ def _round_sizes(n: int, k: float) -> tuple[int, ...]:
     return tuple(int(size) for size in sizes[powers <= math.sqrt(n) * (1.0 + _FLOOR_EPS)])
 
 
-def unknown_search(dist: AdviceDistribution, marked_rank: int,
-                   rng: np.random.Generator,
-                   k: float = DEFAULT_AMPLIFY_RATIO) -> RunResult:
-    """One zero-error run of the sample-and-amplify search.
-
-    Per round: draw one sample from the advice and check it (1 preparation
-    + 1 f query, succeeds with probability p_marked); if that misses, run
-    an amplification attempt whose iteration count i is uniform on
-    {0..floor(k^j)-1} (i+1 preparations and f checks, i inversions,
-    succeeds with probability sin^2((2i+1) arcsin sqrt(p_marked))).
-    Rounds restart fresh.  If every round fails, a certainty search over
-    the whole domain (f queries only) ends the run.
-    """
-    _check_int(marked_rank, "marked rank", 1, dist.n)
-    k = _check_real(k, "iteration-budget ratio", *AMPLIFY_RATIO_BOUNDS)
-    p = dist.prob(marked_rank)
-    theta = np.arcsin(np.sqrt(p))
-    found = int(dist.perm[marked_rank - 1])
-    f = o_mu = inv = 0
-    sizes = _round_sizes(dist.n, k)
-    for j, m in enumerate(sizes):
-        f += 1
-        o_mu += 1
-        if rng.random() < p:
-            return RunResult(found, (f, o_mu, inv), j + 1)
-        i = int(rng.integers(m))
-        # one preparation, then an inverse/re-preparation pair per iteration,
-        # with a classical check of every outcome
-        f += i + 1
-        o_mu += i + 1
-        inv += i
-        if rng.random() < _success_at(theta, i):
-            return RunResult(found, (f, o_mu, inv), j + 1)
-    f += exact_grover_queries(dist.n, zero_or_one=False)
-    return RunResult(found, (f, o_mu, inv), len(sizes))
-
-
 def _unknown_rounds(p: np.ndarray, sizes: tuple[int, ...], fallback: int,
                     round_rngs: Iterable[np.random.Generator],
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Query triples (f, O_mu, O_mu^-1) of unknown_search for trials whose
-    marked elements have probabilities p, simulated one round at a time.
+    """Query triples (f, O_mu, O_mu^-1) of zero-error runs of the
+    sample-and-amplify search, for trials whose marked elements have
+    probabilities p, simulated one round at a time.
+
+    Round j, of budget m = sizes[j], first draws one sample from the advice
+    and checks it (1 preparation and 1 f query, a hit with probability p);
+    if that misses, it runs an amplification attempt whose iteration count
+    i is uniform on {0..m-1} (i+1 preparations and f checks, i inversions, a
+    hit with probability sin^2((2i+1) arcsin sqrt(p))).  Rounds restart
+    fresh.  A run that every round misses ends with a certainty search over
+    the whole domain, fallback f queries only.
 
     Round j takes the next generator of round_rngs and, over the trials
     still active in index order, draws the sample-hit uniforms, then the
     iteration counts of the trials whose sample missed, then their
-    amplification uniforms; trials that succeed are retired.  Trials still
-    active after the last round pay the fallback search in f queries.
+    amplification uniforms; trials that succeed are retired.
     """
     theta = np.arcsin(np.sqrt(p))
     o_mu, inv = np.zeros((2, p.size))
@@ -347,8 +306,8 @@ def _unknown_rounds(p: np.ndarray, sizes: tuple[int, ...], fallback: int,
 
 def _amplify_sub_block(sub: np.ndarray, sizes: tuple[int, ...], fallback: float,
                        scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact per-oracle expected costs (f, shared, inv) of unknown_search for
-    each p in sub, under round budgets sizes and a fallback search of
+    """Exact per-oracle expected costs (f, shared, inv) of _unknown_rounds'
+    process for each p in sub, under round budgets sizes and a fallback search of
     fallback f queries.
 
     Mirrors the simulated process: round j is reached with probability

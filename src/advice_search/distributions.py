@@ -242,11 +242,6 @@ class PowerLawSpec:
         lo = float(_power_integral(self.k, 1.0, self.n))
         return lo, lo + 1.0
 
-    def threshold_rank_closed_form(self) -> int:
-        """Largest x with alpha*x^k >= 1/n, by bisection on the walk's bits
-        (the float formula floor((alpha*n)^(-1/k)) misses it as k -> 0)."""
-        return AdviceDistribution(self.n, power_law=self)._last_rank_at_least(1.0 / self.n)
-
 
 class AdviceDistribution:
     """A prior over {1..n}, sorted non-increasing, with sampling support.
@@ -267,7 +262,6 @@ class AdviceDistribution:
         self._probs = probs
         self._perm = perm
         self._cdf: np.ndarray | None = None
-        self._support: int | None = None
 
     @property
     def probs(self) -> np.ndarray:
@@ -317,7 +311,9 @@ class AdviceDistribution:
     def _last_rank_at_least(self, threshold: float) -> int:
         """Largest rank whose probability is at least threshold, or 0 if
         none: a bisection over the sorted ranks on the bits of _probs_at,
-        which are the walk's, so a walk block's cut agrees on every rank."""
+        which are the walk's, so a walk block's cut agrees on every rank (a
+        power law's float formula floor((threshold/alpha)^(1/k)) misses it
+        as k -> 0)."""
         lo, hi = 0, self.n   # the answer lies in lo..hi
         while lo < hi:
             mid = (lo + hi + 1) // 2
@@ -330,17 +326,15 @@ class AdviceDistribution:
     @property
     def cdf(self) -> np.ndarray:
         """Prefix sums of probs, the bits of np.cumsum(probs), built lazily
-        block by block (exact-mode runs never need it); the same pass
-        counts the support."""
+        block by block (exact-mode runs never need it)."""
         if self._cdf is None:
-            cdf, carry, support = np.empty(self.n), 0.0, 0
+            cdf, carry = np.empty(self.n), 0.0
             for lo, _, block in self._streams():
-                support += _prefix_length(block, 0.0, "right")
                 out = cdf[lo:lo + block.size]
                 out[...] = block
                 out[0] += carry   # the running sum enters each block's first term
                 carry = np.cumsum(out, out=out)[-1]
-            self._cdf, self._support = cdf, support
+            self._cdf = cdf
         return self._cdf
 
     def prob(self, rank: int) -> float:
@@ -349,15 +343,12 @@ class AdviceDistribution:
         return float(self._probs_at(np.array([rank]))[0])
 
     def support_size(self) -> int:
-        """Number of ranks with positive probability."""
-        if self._support is None:
-            self._support = sum(_prefix_length(block, 0.0, "right")
-                                for _, _, block in self._streams())
-        return self._support
+        """Number of ranks with positive probability: p > 0 is p >= 5e-324."""
+        return self._last_rank_at_least(math.ulp(0.0))
 
     def x0_threshold(self) -> int:
         """Largest sorted rank with p_x >= 1/n, or 0 if none."""
-        return sum(_prefix_length(block, 1.0 / self.n) for _, _, block in self._streams())
+        return self._last_rank_at_least(1.0 / self.n)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw size sorted ranks ~ probs (never a zero-probability rank)."""

@@ -31,8 +31,8 @@ def _check_probability(p) -> None:
 
 def _success_at(theta, j):
     """sin^2((2j+1) theta), unchecked: success after j steps at theta =
-    arcsin(sqrt(p)).  Both Monte Carlo paths draw against this one numpy
-    expression, so they compare a uniform with the same float."""
+    arcsin(sqrt(p)).  Monte Carlo's amplification uniforms are compared
+    with this one numpy expression."""
     s = np.sin((2 * j + 1) * theta)
     return s * s
 

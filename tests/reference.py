@@ -173,6 +173,39 @@ def ref_unknown_expected_mu(probs, k: float) -> tuple[float, float, float]:
     return tuple(totals)
 
 
+def ref_unknown_search(p: float, budgets, fallback: int, rng) -> tuple[tuple[int, int, int], int]:
+    """One zero-error run of the sample-and-amplify search for a marked
+    element of probability p, one draw at a time: the queries it made to
+    f, O_mu and O_mu^-1, and the rounds it used.
+
+    Per round of budget m: draw one sample from the advice and check it (1
+    preparation + 1 f query, succeeds with probability p); if that misses,
+    run an amplification attempt whose iteration count i is uniform on
+    {0..m-1} (i+1 preparations and f checks, i inversions, succeeds with
+    probability sin^2((2i+1) arcsin sqrt(p))).  Rounds restart fresh.  If
+    every round fails, a certainty search of fallback f queries ends the
+    run.  The success probability is the package's numpy expression, so a
+    uniform is compared with the same float as in the array simulation.
+    """
+    theta = np.arcsin(np.sqrt(p))
+    f = o_mu = inv = 0
+    for j, m in enumerate(budgets):
+        f += 1
+        o_mu += 1
+        if rng.random() < p:
+            return (f, o_mu, inv), j + 1
+        i = int(rng.integers(m))
+        # one preparation, then an inverse/re-preparation pair per iteration,
+        # with a classical check of every outcome
+        f += i + 1
+        o_mu += i + 1
+        inv += i
+        s = np.sin((2 * i + 1) * theta)
+        if rng.random() < s * s:
+            return (f, o_mu, inv), j + 1
+    return (f + fallback, o_mu, inv), len(budgets)
+
+
 def ref_min_queries_for_prob(n: int, p: float) -> int:
     """Fewest uniform-search iterations whose accumulated rotation angle
     reaches asin(sqrt p), scanning up from zero.  (Scanning the success

@@ -29,7 +29,6 @@ from advice_search import (
     unknown_expected_exact,
     unknown_expected_mu,
     unknown_rounds,
-    unknown_search,
 )
 from advice_search import algorithms, distributions
 from advice_search.algorithms import (
@@ -60,6 +59,7 @@ from reference import (
     ref_geometric_cost,
     ref_geometric_expected,
     ref_geometric_schedule,
+    ref_grover_queries,
     ref_power_sum,
     ref_round_budgets,
     ref_tail_coefficients,
@@ -67,6 +67,7 @@ from reference import (
     ref_unknown_expected,
     ref_unknown_expected_mp,
     ref_unknown_expected_mu,
+    ref_unknown_search,
 )
 
 
@@ -269,22 +270,28 @@ def test_unknown_rounds_budgets():
             assert unknown_rounds(n, k) == len(sizes) - 1
 
 
+def _run_rounds(d, ranks, round_rngs=None, k=DEFAULT_AMPLIFY_RATIO, seed=0):
+    """_unknown_rounds' query triples for trials marked at the 1-based ranks
+    of d, as monte_carlo runs them: round j draws from round_rngs' jth
+    generator, by default one derived from (seed, j)."""
+    sizes = _round_sizes(d.n, k)
+    if round_rngs is None:
+        round_rngs = [_trial_seed(seed, 1, j) for j in range(len(sizes))]
+    return algorithms._unknown_rounds(d._probs_at(np.asarray(ranks)), sizes,
+                                      exact_grover_queries(d.n, zero_or_one=False), round_rngs)
+
+
 def test_unknown_search_point_mass():
-    d = make_explicit([1.0])
-    rng = np.random.default_rng(0)
-    run = unknown_search(d, 1, rng)
-    assert run.queries == (1, 1, 0)
-    assert run.found == 1
-    assert run.rounds == 1
+    f, o_mu, inv = _run_rounds(make_explicit([1.0]), [1])
+    assert (f.tolist(), o_mu.tolist(), inv.tolist()) == ([1], [1], [0])
 
 
 def test_unknown_search_certain_first_sample():
     # p = 1 always succeeds at the first sampling step regardless of n
     d = make_explicit([1.0] + [0.0] * 63)
-    rng = np.random.default_rng(1)
-    for _ in range(5):
-        run = unknown_search(d, 1, rng)
-        assert run.queries == (1, 1, 0)
+    for seed in range(3):
+        f, o_mu, inv = _run_rounds(d, [1] * 5, seed=seed)
+        assert list(zip(f, o_mu, inv)) == [(1, 1, 0)] * 5
 
 
 class _Scripted:
@@ -299,62 +306,6 @@ class _Scripted:
     def integers(self, high):
         assert 0 <= self.iterations[0] < high
         return self.iterations.pop(0)
-
-
-def _expected_totals(iterations, fallback_f=0):
-    """Each round's sample (1, 1, 0) plus each attempt's (i+1, i+1, i)."""
-    rounds, calls = len(iterations), sum(i + 1 for i in iterations)
-    return (rounds + calls + fallback_f, rounds + calls, sum(iterations))
-
-
-def test_unknown_search_scripted_totals():
-    d = make_power_law(256, -1.0)
-    budgets = ref_round_budgets(256, DEFAULT_AMPLIFY_RATIO)
-    rank = 100
-    assert 0.0 < d.prob(rank) < 0.01
-
-    # the first sample hits
-    rng = _Scripted([0.0], [])
-    run = unknown_search(d, rank, rng)
-    assert (run.queries, run.rounds) == ((1, 1, 0), 1)
-    assert rng.uniforms == rng.iterations == []
-
-    # rounds before `last` miss twice; round `last` misses its sample and its
-    # attempt, at the budget's largest count m - 1, hits
-    for last in (0, 3, len(budgets) - 1):
-        iterations = [m - 1 for m in budgets[:last + 1]]
-        rng = _Scripted([1.0, 1.0] * last + [1.0, 0.0], iterations)
-        run = unknown_search(d, rank, rng)
-        assert (run.queries, run.rounds) == (_expected_totals(iterations), last + 1)
-        assert rng.uniforms == rng.iterations == []
-
-    # every draw misses, so the certainty search over all n ends the run
-    iterations = [j % m for j, m in enumerate(budgets)]
-    rng = _Scripted([1.0, 1.0] * len(budgets), iterations)
-    run = unknown_search(d, rank, rng)
-    fallback_f = 13  # ceil(pi/4 * sqrt(256)), f queries only
-    assert (run.queries, run.rounds) == (_expected_totals(iterations, fallback_f),
-                                         len(budgets))
-    assert rng.uniforms == rng.iterations == []
-
-
-def test_unknown_search_ledger_consistency():
-    d = make_power_law(256, -1.0)
-    rng = np.random.default_rng(17)
-    budget_total = sum(ref_round_budgets(256, DEFAULT_AMPLIFY_RATIO))
-    rounds_max = len(ref_round_budgets(256, DEFAULT_AMPLIFY_RATIO))
-    fallback_f = 13  # ceil(pi/4 * sqrt(256))
-    for _ in range(200):
-        rank = int(d.sample(rng, 1)[0])
-        run = unknown_search(d, rank, rng)
-        f, o_mu, inv = run.queries
-        assert run.rounds <= rounds_max
-        # sample step adds 1 to o_mu-inv, an amplification attempt adds 1
-        # more; only a sample-success final round skips its attempt
-        assert o_mu - inv in (2 * run.rounds - 1, 2 * run.rounds)
-        # f mirrors o_mu except for the f-only certainty fallback
-        assert f == o_mu or (f == o_mu + fallback_f and run.rounds == rounds_max)
-        assert inv <= budget_total
 
 
 class _ScriptedRound:
@@ -379,31 +330,90 @@ class _ScriptedRound:
         return self._next("integers", size)
 
 
+def _expected_totals(iterations, fallback_f=0):
+    """Each round's sample (1, 1, 0) plus each attempt's (i+1, i+1, i)."""
+    rounds, calls = len(iterations), sum(i + 1 for i in iterations)
+    return (rounds + calls + fallback_f, rounds + calls, sum(iterations))
+
+
+def _one_trial_script(budgets, hits, iterations, attempts):
+    """A _ScriptedRound per round of one trial, from its sample-hit uniforms,
+    and the iteration counts and amplification uniforms of its attempts."""
+    return [_ScriptedRound(m, np.array(hits[j:j + 1]),
+                           np.array(iterations[j:j + 1], dtype=np.int64),
+                           np.array(attempts[j:j + 1])) for j, m in enumerate(budgets)]
+
+
+def test_unknown_search_scripted_totals():
+    d = make_power_law(256, -1.0)
+    budgets = ref_round_budgets(256, DEFAULT_AMPLIFY_RATIO)
+    rank = 100
+    assert 0.0 < d.prob(rank) < 0.01
+
+    def run(script):
+        f, o_mu, inv = _run_rounds(d, [rank], iter(script))
+        assert all(not rnd.calls for rnd in script)   # every scripted round was drawn
+        return (f[0], o_mu[0], inv[0])
+
+    # the first sample hits
+    assert run(_one_trial_script(budgets[:1], [0.0], [], [])) == (1, 1, 0)
+
+    # rounds before `last` miss twice; round `last` misses its sample and its
+    # attempt, at the budget's largest count m - 1, hits
+    for last in (0, 3, len(budgets) - 1):
+        iterations = [m - 1 for m in budgets[:last + 1]]
+        script = _one_trial_script(budgets[:last + 1], [1.0] * (last + 1), iterations,
+                                   [1.0] * last + [0.0])
+        assert run(script) == _expected_totals(iterations)
+
+    # every draw misses, so the certainty search over all n ends the run
+    iterations = [j % m for j, m in enumerate(budgets)]
+    script = _one_trial_script(budgets, [1.0] * len(budgets), iterations, [1.0] * len(budgets))
+    fallback_f = 13  # ceil(pi/4 * sqrt(256)), f queries only
+    assert run(script) == _expected_totals(iterations, fallback_f)
+
+
+def test_unknown_search_ledger_consistency():
+    d = make_power_law(256, -1.0)
+    budgets = ref_round_budgets(256, DEFAULT_AMPLIFY_RATIO)
+    fallback_f = 13  # ceil(pi/4 * sqrt(256))
+    ranks = d.sample(np.random.default_rng(17), 200)
+    for f, o_mu, inv in zip(*_run_rounds(d, ranks, seed=17)):
+        # a round's sample step adds 1 to o_mu - inv, its amplification
+        # attempt 1 more; only a sample-success final round skips its attempt
+        assert 1 <= o_mu - inv <= 2 * len(budgets)
+        # f mirrors o_mu except for the f-only certainty fallback, which
+        # only a run that missed every draw of every round pays
+        assert f == o_mu or (f == o_mu + fallback_f and o_mu - inv == 2 * len(budgets))
+        assert inv <= sum(m - 1 for m in budgets)
+
+
 def _unknown_rounds_against_search(d, ranks, k, rng):
     """Draw every trial's per-round uniforms and iteration counts up front,
-    replay them through unknown_search one trial at a time and through
+    replay them through ref_unknown_search one trial at a time and through
     _unknown_rounds one round at a time, and assert equal query triples.
-    Returns the marked probabilities and unknown_search's runs."""
+    Returns the marked probabilities and ref_unknown_search's (queries,
+    rounds) runs."""
     sizes = algorithms._round_sizes(d.n, k)
+    assert list(sizes) == ref_round_budgets(d.n, k)
     hit_u, attempt_u = rng.random((2, ranks.size, len(sizes)))
     iterations = np.stack([rng.integers(m, size=ranks.size) for m in sizes], axis=1)
-    runs = [unknown_search(d, int(rank),
-                           _Scripted(np.column_stack([hit_u[t], attempt_u[t]]).ravel(),
-                                     iterations[t]), k)
-            for t, rank in enumerate(ranks)]
-    # the trials that reach round j, in index order, and those among them
-    # whose sample misses, as unknown_search consumed them
     p = d.probs[ranks - 1]
-    reached = np.array([run.rounds for run in runs])
+    runs = [ref_unknown_search(float(p[t]), sizes, ref_grover_queries(d.n),
+                               _Scripted(np.column_stack([hit_u[t], attempt_u[t]]).ravel(),
+                                         iterations[t]))
+            for t in range(ranks.size)]
+    # the trials that reach round j, in index order, and those among them
+    # whose sample misses, as ref_unknown_search consumed them
+    reached = np.array([rounds for _, rounds in runs])
     script = []
     for j, m in enumerate(sizes):
         live = reached > j
         missed = live & (hit_u[:, j] >= p)
         script.append(_ScriptedRound(m, hit_u[live, j], iterations[missed, j],
                                      attempt_u[missed, j]))
-    f, o_mu, inv = algorithms._unknown_rounds(
-        p, sizes, exact_grover_queries(d.n, zero_or_one=False), iter(script))
-    assert list(zip(f, o_mu, inv)) == [run.queries for run in runs]
+    f, o_mu, inv = _run_rounds(d, ranks, iter(script), k)
+    assert list(zip(f, o_mu, inv)) == [queries for queries, _ in runs]
     assert all(not rnd.calls for j, rnd in enumerate(script) if (reached > j).any())
     return p, runs
 
@@ -422,8 +432,8 @@ def test_unknown_rounds_replay_unknown_search():
     for d, k, trials in cases:
         ranks = np.concatenate([[1, d.n], rng.integers(1, d.n + 1, size=trials - 2)])
         p, runs = _unknown_rounds_against_search(d, ranks, k, rng)
-        f, o_mu, inv = np.array([run.queries for run in runs]).T
-        reached = np.array([run.rounds for run in runs])
+        f, o_mu, inv = np.array([queries for queries, _ in runs]).T
+        reached = np.array([rounds for _, rounds in runs])
         seen.update(name for name, covered in (
             ("p = 1", (p == 1.0).any()),
             ("degenerate", ((0.0 < p) & (p < DEGENERATE_TOL)).any()),
@@ -480,16 +490,14 @@ def test_unknown_expected_mu_explicit_with_zeros():
 
 def test_unknown_search_round_success_frequency():
     # first-round success rate = p + (1-p) * p (budget 1 means i = 0, one
-    # rotation step has success exactly p); frequency within 4 sigma
+    # rotation step has success exactly p); frequency within 4 sigma.  A
+    # round-1 success costs f <= 2, a later one at least round 2's sample too
     d = make_explicit([0.3, 0.7])
     p = d.prob(2)  # 0.3 after sorting
     assert p == 0.3
-    rng = np.random.default_rng(77)
     trials = 20000
-    hits = 0
-    for _ in range(trials):
-        run = unknown_search(d, 2, rng)
-        hits += run.rounds == 1 and run.queries[0] <= 2
+    f, _, _ = _run_rounds(d, [2] * trials, seed=77)
+    hits = int(np.count_nonzero(f <= 2))
     target = p + (1 - p) * p
     sigma = math.sqrt(trials * target * (1 - target))
     assert abs(hits - trials * target) < 4 * sigma
@@ -497,12 +505,9 @@ def test_unknown_search_round_success_frequency():
 
 def test_marked_rank_is_checked():
     d = make_explicit([1.0, 1.0, 2.0])
-    rng = np.random.default_rng(0)
     for rank in (2.5, 1.0, True):
         with pytest.raises(ConfigError):
             unknown_expected_exact(d, rank)
-        with pytest.raises(ConfigError):
-            unknown_search(d, rank, rng)
     for rank in (0, 4):
         with pytest.raises(ParameterError):
             unknown_expected_exact(d, rank)
@@ -517,8 +522,6 @@ def test_amplify_ratio_validation():
             unknown_rounds(100, bad)
         with pytest.raises(ParameterError):
             unknown_expected_mu(d, bad)
-    with pytest.raises(ParameterError):
-        unknown_search(d, 3, np.random.default_rng(0))
 
 
 def test_schedule_ratio_near_one_exits_quickly():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from advice_search import (
     AdviceDistribution,
     ConfigError,
     ParameterError,
+    classical_sampling_expected,
     compensated_sum,
     dist_from_config,
     make_explicit,
@@ -188,14 +190,11 @@ def test_explicit_ties_are_stable():
 
 
 def test_threshold_rank():
-    d = make_power_law(10**4, -2.0)
-    assert d.x0_threshold() == 77
-    assert d.power_law.threshold_rank_closed_form() == 77
+    assert make_power_law(10**4, -2.0).x0_threshold() == 77
 
     for n, k in ((100, -1.0), (333, -1.7), (2048, -0.5), (50, -3.0)):
         d = make_power_law(n, k)
         assert d.x0_threshold() == ref_x0(list(d.probs))
-        assert d.x0_threshold() == d.power_law.threshold_rank_closed_form()
 
     # near k = 0, where floor((alpha n)^(-1/k)) gave 1, 36,787 and 321; at
     # k = -1e-12 an ulp of alpha moves the count by ~4 ranks (36,790 at the
@@ -203,7 +202,6 @@ def test_threshold_rank():
     for n, k, x0 in ((4096, -1e-300, 4096), (10**5, -1e-12, 36793), (1000, -1e-15, 372)):
         d = make_power_law(n, k)
         assert d.x0_threshold() == ref_x0(list(d.probs)) == x0
-        assert d.power_law.threshold_rank_closed_form() == x0
 
 
 def test_last_rank_at_least_is_the_walk_count():
@@ -217,6 +215,38 @@ def test_last_rank_at_least_is_the_walk_count():
     for d in dists:
         for t in (*thresholds, 1.0 / d.n, float(d.probs[-1]), float(d.probs[0])):
             assert d._last_rank_at_least(t) == np.count_nonzero(d.probs >= t), (d.n, t)
+
+
+_WEIGHTS = st.lists(st.one_of(st.sampled_from((0.0, 0.25, 1.0, 2.0)), st.floats(0.0, 1e3),
+                              st.floats(0.0, 1e-300)), min_size=1, max_size=300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(power_law=st.tuples(st.integers(1, 2**18),
+                           st.one_of(st.floats(-4.0, -1e-12), st.floats(-150.0, -90.0))),
+       weights=_WEIGHTS.filter(lambda w: max(w) > 0.0))
+def test_threshold_bisections_match_brute_counts(power_law, weights):
+    # x0 and the support, each one bisection, against counts over probs: on
+    # power laws whose tail underflows to 0 (k <= -90) and on explicit advice
+    # with zero weights, ties and weights whose probabilities underflow
+    for d in (make_power_law(*power_law), make_explicit(weights)):
+        assert d.x0_threshold() == np.count_nonzero(d.probs >= 1.0 / d.n), d.n
+        assert d.support_size() == np.count_nonzero(d.probs > 0.0), d.n
+
+
+def test_threshold_counts_allocate_nothing_n_sized():
+    # the bisections read a rank at a time: no n-sized array, nor a walk's
+    # scratch of 2^16-rank blocks (1.5 MB)
+    d = make_power_law(2**26, -0.5)
+    tracemalloc.start()
+    try:
+        assert d.x0_threshold() > 0 and d.support_size() == d.n
+        assert classical_sampling_expected(d) == d.n
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 1024, peak
+    assert d._probs is None
 
 
 def test_threshold_rank_explicit():
@@ -233,7 +263,7 @@ def test_support_size():
 
 
 def test_threshold_searches_match_negated_search():
-    def check(d):   # against the searches over -probs that the reversed view replaced
+    def check(d):   # against searches over -probs, a whole array at a time
         negated = (int(np.searchsorted(-d.probs, -1.0 / d.n, side="right")),
                    int(np.searchsorted(-d.probs, 0.0, side="left")))
         assert (d.x0_threshold(), d.support_size()) == negated, d.n

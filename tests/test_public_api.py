@@ -4,6 +4,7 @@ import ast
 import importlib
 import pathlib
 
+import numpy as np
 import pytest
 
 import advice_search
@@ -14,8 +15,9 @@ MODULES = ["advice_search"] + [f"advice_search.{name}" for name in (
     "sweep", "validation")]
 
 # Second copies of jobs that the CLI, validate and the benchmark do through
-# other names, the worker counts of the removed sweep process pool and walk
-# threads, the per-oracle counters that RunResult.queries replaced, and
+# other names (the single-trial oracle-only simulator, now the tests'
+# reference), the worker counts of the removed sweep process pool and walk
+# threads, the per-oracle counters of that simulator's old ledger, and
 # helpers that only one caller or tests used; keeping one implementation per
 # job means they stay gone.
 REMOVED = (
@@ -26,7 +28,7 @@ REMOVED = (
     "rotation_angle", "DEFAULT_DIM_CAP", "_check_length", "_check_rank",
     "q_mu_lower", "geometric_upper", "unknown_upper_mu", "_CEIL_SNAP", "_attempt_success",
     "_powers", "_floored_power", "_check_schedule_length", "_sums_at", "_kernel_workers",
-    "_walk_workers",
+    "_walk_workers", "unknown_search", "RunResult",
 )
 
 
@@ -51,6 +53,13 @@ def test_removed_names_are_gone(module):
     mod = importlib.import_module(module)
     for name in REMOVED:
         assert not hasattr(mod, name), f"{module}.{name}"
+
+
+def test_one_threshold_search():
+    # every "last rank with p >= t" is AdviceDistribution._last_rank_at_least:
+    # no closed form beside it, and no support count cached by the cdf pass
+    assert not hasattr(distributions.PowerLawSpec, "threshold_rank_closed_form")
+    assert not hasattr(distributions.AdviceDistribution(1, np.ones(1)), "_support")
 
 
 def _imported_names(tree: ast.Module):
