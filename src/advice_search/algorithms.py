@@ -38,9 +38,10 @@ from .distributions import (
     _check_int,
     _check_real,
     _dot,
-    _head_sums,
+    _last_ranks_at_least,
     _linear_sums,
     _power_sums,
+    _rank_weighted_sums,
 )
 from .rotation import (DEGENERATE_TOL, _angle_terms, _iter_average, _success_at,
                        exact_grover_queries)
@@ -304,19 +305,23 @@ def _unknown_rounds(p: np.ndarray, sizes: tuple[int, ...], fallback: int,
     return f, o_mu, inv
 
 
-def _amplify_sub_block(sub: np.ndarray, sizes: tuple[int, ...], fallback: float,
-                       scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _amplify_sub_block(sub: np.ndarray, sizes: tuple[int, ...], fallback, scratch: np.ndarray,
+                       starts=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact per-oracle expected costs (f, shared, inv) of _unknown_rounds'
     process for each p in sub, under round budgets sizes and a fallback search of
-    fallback f queries.
+    fallback f queries (one number, or one per element).
 
     Mirrors the simulated process: round j is reached with probability
     reach = prod_{i<j} (1-p)(1 - P_{m_i}), always pays the sampling step, and
     pays (m+1)/2 preparations and f checks and (m-1)/2 inversions on average
     when the sample misses, q = 1 - p.  So with A = sum reach and C = sum reach
-    (m-1)/2, shared = A + q (A + C) and inv = q C: four passes a round.  All
-    rounds run in scratch, a (_SCRATCH_ROWS, >= sub.size) buffer, so the
-    working set stays in cache; the results are views of its rows.
+    (m-1)/2, shared = A + q (A + C) and inv = q C: four passes a round.
+    starts, if given, holds per round the first element that runs it: the
+    elements of a sweep's rows, in order of their round counts, each row's
+    schedule a prefix of sizes, run their rounds on a suffix, and each
+    element's fallback enters after its own last round.  All rounds run in
+    scratch, a (_SCRATCH_ROWS, >= sub.size) buffer, so the working set stays
+    in cache; the results are views of its rows.
     """
     q, theta, c, miss, reach, a, c_sum, tmp = scratch[:, :sub.size]
     np.subtract(1.0, sub, out=q)
@@ -324,48 +329,75 @@ def _amplify_sub_block(sub: np.ndarray, sizes: tuple[int, ...], fallback: float,
     reach.fill(1.0)
     a.fill(0.0)
     c_sum.fill(0.0)
-    last_m = 0
-    for m in sizes:
+    last_m, start = 0, None
+    for m, first in zip(sizes, itertools.repeat(0) if starts is None else starts):
+        if first != start:   # views of the elements still running
+            start = first
+            p, q_, miss_, reach_, a_, c_, tmp_ = (v[first:] for v in (sub, q, miss, reach, a,
+                                                                        c_sum, tmp))
+            terms_ = [None if v is None else v[first:] for v in terms]
         # the round's miss probability q (1 - P_m) depends on m alone, and
         # budgets repeat only in consecutive rounds
         if m != last_m:
-            _iter_average(sub, *terms, m, out=miss)
-            miss *= q   # 1 - (p + q P_m): fl(q) enters scaled by P_m, not once a round
-            miss += sub
-            np.subtract(1.0, miss, out=miss)
+            _iter_average(p, *terms_, m, out=miss_)
+            miss_ *= q_   # 1 - (p + q P_m): fl(q) enters scaled by P_m, not once a round
+            miss_ += p
+            np.subtract(1.0, miss_, out=miss_)
             last_m = m
-        a += reach
-        c_sum += np.multiply(reach, (m - 1) * 0.5, out=tmp)
-        reach *= miss
+        a_ += reach_
+        c_ += np.multiply(reach_, (m - 1) * 0.5, out=tmp_)
+        reach_ *= miss_
     a += np.multiply(np.add(a, c_sum, out=tmp), q, out=tmp)   # shared
     c_sum *= q                                                # inv
     return np.add(np.multiply(reach, fallback, out=reach), a, out=reach), a, c_sum
 
 
-def _tail_series(sizes: tuple[int, ...], fallback: float) -> tuple[np.ndarray, ...] | None:
-    """Taylor coefficients in p of the costs (f, shared, inv) that
-    _amplify_sub_block gives p < DEGENERATE_TOL, where a round misses with
-    probability (1-p)(1 - sigma p), sigma = (4m^2-1)/3: its recurrence on
-    polynomials cut at the least degree D whose bound is under _TAIL_TOL, or
-    None past _TAIL_MAX_DEGREE.  Coefficientwise a cost is at most its value
-    at 0 times exp(x p / DEGENERATE_TOL), x = DEGENERATE_TOL (1 + sum_j (1 +
-    sigma_j)), and at least that value times 1 - 2x: the cut errs by at most
-    e^x x^(D+1) / ((D+1)! (1 - 2x)), relative."""
-    sigmas = [(4.0 * m * m - 1.0) / 3.0 for m in sizes]
-    x = DEGENERATE_TOL * (1.0 + len(sizes) + math.fsum(sigmas))
-    degree = next((d for d in range(_TAIL_MAX_DEGREE + 1) if x < 0.5 and math.exp(x)
-                   * x ** (d + 1) / (math.factorial(d + 1) * (1.0 - 2.0 * x)) <= _TAIL_TOL), None)
-    if degree is None:
-        return None
-    reach, a, c_sum = np.zeros((3, degree + 1))
+def _tail_series(sizes: tuple[int, ...], fallbacks, stops=None) -> list[tuple | None]:
+    """For each of stops (len(sizes) by default), a round count r, the
+    Taylor coefficients in p of the costs (f, shared, inv) that
+    _amplify_sub_block gives p < DEGENERATE_TOL under the budgets sizes[:r]
+    and a fallback of the matching entry of fallbacks, where a round misses
+    with probability (1-p)(1 - sigma p), sigma = (4m^2-1)/3: its recurrence
+    on polynomials cut at the least degree D whose bound is under _TAIL_TOL,
+    or None past _TAIL_MAX_DEGREE.  Coefficientwise a cost is at most its
+    value at 0 times exp(x p / DEGENERATE_TOL), x = DEGENERATE_TOL (1 + sum_j
+    (1 + sigma_j)), and at least that value times 1 - 2x: the cut errs by at
+    most e^x x^(D+1) / ((D+1)! (1 - 2x)), relative.  The recurrence runs
+    once, to the last stop at the largest D, and each stop keeps its state
+    at its round, cut to its own D: no coefficient depends on a higher one."""
+    stops = (len(sizes),) if stops is None else stops
+    sigmas = [(4.0 * m * m - 1.0) / 3.0 for m in sizes[:max(stops)]]
+
+    def degree(r: int) -> int | None:
+        x = DEGENERATE_TOL * (1.0 + r + math.fsum(sigmas[:r]))
+        return next((d for d in range(_TAIL_MAX_DEGREE + 1) if x < 0.5 and math.exp(x)
+                     * x ** (d + 1) / (math.factorial(d + 1) * (1.0 - 2.0 * x)) <= _TAIL_TOL), None)
+
+    degrees = [degree(r) for r in stops]
+    top = max((d for d in degrees if d is not None), default=None)
+    if top is None:
+        return [None] * len(degrees)
+    reach, a, c_sum = np.zeros((3, top + 1))
     reach[0] = 1.0
-    for m, sigma in zip(sizes, sigmas):
-        a += reach
-        c_sum += reach * ((m - 1) * 0.5)
-        reach = np.convolve(reach, (1.0, -1.0 - sigma, sigma))[:degree + 1]
-    times_q = lambda v: v - np.pad(v[:-1], (1, 0))   # noqa: E731   (1 - p) v, cut at D
-    shared = a + times_q(a + c_sum)
-    return shared + reach * fallback, shared, times_q(c_sum)
+    kept = {}
+    for r in range(max(stops) + 1):
+        if r in stops:
+            kept[r] = reach, a.copy(), c_sum.copy()   # reach is rebound, never written
+        if r < len(sigmas):
+            m, sigma = sizes[r], sigmas[r]
+            a += reach
+            c_sum += reach * ((m - 1) * 0.5)
+            reach = np.convolve(reach, (1.0, -1.0 - sigma, sigma))[:top + 1]
+    times_q = lambda v: v - np.concatenate(((0.0,), v[:-1]))   # noqa: E731   (1 - p) v, cut at D
+    series = []
+    for r, d, fallback in zip(stops, degrees, fallbacks):
+        if d is None:
+            series.append(None)
+            continue
+        reach, a, c_sum = (v[:d + 1] for v in kept[r])
+        shared = a + times_q(a + c_sum)
+        series.append((shared + reach * fallback, shared, times_q(c_sum)))
+    return series
 
 
 def _panels(cut: int) -> list[tuple[int, int]]:
@@ -415,34 +447,54 @@ def _panel_weights(width: int) -> np.ndarray:
     return sums @ _chebyshev_basis()[1]
 
 
-def _panel_sums(law: PowerLawSpec, sizes: tuple[int, ...], fallback: float,
-                panels: list[tuple[int, int]], head: np.ndarray) -> list[tuple]:
-    """The terms of each column (f, shared, inv) over the head's ranks in the
-    kernel, whose probabilities are head, and over panels: first the head's
-    dot products, then per panel its sums sum_j W_j p(x_j) cost(x_j) over
-    its Chebyshev points x_j, the kernel run once on head and every panel's
-    points.  A panel whose trailing two coefficients exceed _PANEL_TOL of
+def _panel_sums(k: float, sizes: tuple[int, ...], rows: list[tuple]) -> list[list[tuple]]:
+    """Per row (alpha, rounds, fallback, panels, head) of the power law
+    alpha x^k, the terms of each column (f, shared, inv) over its head's
+    ranks, whose probabilities are head, and over its panels: first the
+    head's dot products, then per panel its sums sum_j W_j p(x_j) cost(x_j)
+    over its Chebyshev points x_j, all panels' in one batched product.  The
+    kernel runs once, on every row's head and points in row order, under the
+    budgets sizes, a row's rounds the first of them; rows come in order of
+    rounds.  A panel whose trailing two coefficients exceed _PANEL_TOL of
     the leading one, in any column, runs the kernel on its own ranks
     instead, a _SUB_BLOCK at a time, and gives a block dot a term."""
     nodes, basis = _chebyshev_basis()
-    x = [(lo + 1 + hi) * 0.5 + (hi - lo - 1) * 0.5 * nodes for lo, hi in panels]
-    p = np.concatenate((head, np.power(np.concatenate(x), law.k) * law.alpha)) if x else head
-    costs = np.stack(_amplify_sub_block(p, sizes, fallback, np.empty((_SCRATCH_ROWS, p.size))))
-    terms = [[_dot(head, v[:head.size]) for v in costs]]
+    alphas, rounds, fallbacks, row_panels, heads = zip(*rows)
+    panels = [panel for own in row_panels for panel in own]
+    ends = np.cumsum([0, *map(len, row_panels)])   # each row's panels
+    lo, hi = np.array(panels, dtype=np.int64).reshape(-1, 2).T
+    x = ((lo + 1 + hi) * 0.5)[:, None] + ((hi - lo - 1) * 0.5)[:, None] * nodes
+    points = np.power(x, k) * np.repeat(alphas, np.diff(ends))[:, None]
+    lengths = [head.size + _PANEL_NODES * len(own) for head, own in zip(heads, row_panels)]
+    offsets = np.cumsum([0, *lengths])
+    p = np.concatenate([piece for head, a, b in zip(heads, ends, ends[1:])
+                        for piece in (head, points[a:b].ravel())])
+    starts = offsets[np.searchsorted(rounds, np.arange(len(sizes)), "right")]
+    costs = np.stack(_amplify_sub_block(p, sizes, np.repeat(fallbacks, lengths),
+                                        np.empty((_SCRATCH_ROWS, p.size)), starts))
     # per panel, column and node, p_j cost(p_j), and every panel's Chebyshev coefficients
-    values = (costs[:, head.size:] * p[head.size:]).reshape(3, -1, _PANEL_NODES).transpose(1, 0, 2)
+    at_nodes = np.concatenate([costs[:, off + head.size:off + length]
+                               for head, off, length in zip(heads, offsets, lengths)], axis=1)
+    values = (at_nodes * points.ravel()).reshape(3, -1, _PANEL_NODES).transpose(1, 0, 2)
     c = values @ basis.T
     refused = np.any(np.abs(c[..., -2:]).sum(axis=2) > _PANEL_TOL * np.abs(c[..., 0]), axis=1)
-    for (lo, hi), g, refuse in zip(panels, values, refused):
-        if not refuse:
-            terms.append(g @ _panel_weights(hi - lo - 1))
-            continue
-        scratch = np.empty((_SCRATCH_ROWS, min(hi - lo, _SUB_BLOCK)))
-        for start in range(lo, hi, _SUB_BLOCK):   # the walk's bits: x^k, then times alpha
-            p = np.power(np.arange(start + 1.0, min(start + _SUB_BLOCK, hi) + 1.0), law.k)
-            p *= law.alpha
-            terms.append([_dot(p, v) for v in _amplify_sub_block(p, sizes, fallback, scratch)])
-    return list(zip(*terms))
+    weights = np.array([_panel_weights(b - a - 1) for a, b in panels]).reshape(-1, _PANEL_NODES)
+    sums = (values @ weights[:, :, None])[..., 0]
+    out = []
+    for (alpha, count, fallback, _, head), off, a, b in zip(rows, offsets, ends, ends[1:]):
+        terms = [[_dot(head, v[off:off + head.size]) for v in costs]]
+        for j in range(a, b):
+            if not refused[j]:
+                terms.append(sums[j])
+                continue
+            scratch = np.empty((_SCRATCH_ROWS, min(hi[j] - lo[j], _SUB_BLOCK)))
+            for start in range(lo[j], hi[j], _SUB_BLOCK):   # the walk's bits: x^k, then times alpha
+                q = np.power(np.arange(start + 1.0, min(start + _SUB_BLOCK, hi[j]) + 1.0), k)
+                q *= alpha
+                terms.append([_dot(q, v) for v in _amplify_sub_block(
+                    q, sizes[:count], fallback, scratch)])
+        out.append(list(zip(*terms)))
+    return out
 
 
 def unknown_expected_exact(dist: AdviceDistribution, marked_rank: int,
@@ -453,95 +505,158 @@ def unknown_expected_exact(dist: AdviceDistribution, marked_rank: int,
     k = _check_real(k, "iteration-budget ratio", *AMPLIFY_RATIO_BOUNDS)
     p, sizes, fallback = dist.prob(marked_rank), _round_sizes(dist.n, k), float(
         exact_grover_queries(dist.n))
-    series = _tail_series(sizes, fallback) if p < DEGENERATE_TOL else None
+    series = _tail_series(sizes, (fallback,))[0] if p < DEGENERATE_TOL else None
     if series is not None:
         return _exact_report(*(math.fsum(a * p ** d for d, a in enumerate(c)) for c in series))
     return _exact_report(*(float(v[0]) for v in _amplify_sub_block(
         np.array([p]), sizes, fallback, np.empty((_SCRATCH_ROWS, 1)))))
 
 
+def _moments(tail: np.ndarray, count: int, scratch: np.ndarray) -> list[float]:
+    """sum tail^e for e = 1..count, the powers made in place in scratch."""
+    power = scratch[:tail.size]
+    np.copyto(power, tail)
+    return [float(np.sum(power if e == 0 else np.multiply(power, tail, out=power)))
+            for e in range(count)]
+
+
+def _with_series(costs, series, moments) -> list[float]:
+    """Each cost plus fsum_d a_d M_(d+1) over the tail's series a_d, if it
+    has one, and moments M_e = sum p^e (the first of moments)."""
+    return list(costs) if series is None else [
+        cost + math.fsum(a * m for a, m in zip(coeffs, moments))
+        for cost, coeffs in zip(costs, series)]
+
+
+def _scaled_power_sums(s: float, lo, hi, scales) -> list:
+    """scale * sum_{x=lo+1}^{hi} x^s for each scale and range, 0.0 where hi
+    <= lo: one _power_sums call over the ranges."""
+    lo, hi = np.asarray(lo), np.asarray(hi)
+    some = hi > lo
+    sums = iter(_power_sums(s, lo[some], hi[some]))
+    return [scale * next(sums) if on else 0.0 for scale, on in zip(scales, some)]
+
+
+def _unknown_means(dist: AdviceDistribution, k: float, columns=None, stops=None):
+    """Yield, at each of stops (dist.n by default), the exact
+    ExpectationReport of the oracle-only search at ratio k on the power law
+    of dist's exponent over 1..stop.  The stops share one pass:
+    * one _linear_sums walk of x^k over the ranks up to min(stops[-1], 2^16)
+      gives every stop's alpha and keeps the block, which each row scales by
+      its alpha;
+    * one _tail_series recurrence runs over the last stop's schedule, of
+      which every row's is a prefix;
+    * one bisection finds every row's tail cut, and the last rank x0 with
+      p >= 1/n of its ceiling;
+    * one _panel_sums call runs the kernel on every row's head and panel
+      points;
+    * one _power_sums call per column sums the ranks past 2^16 of every row.
+    A rank takes one of three paths.  The tail, p < DEGENERATE_TOL, runs no
+    rounds: it gives the moments M_e = sum p^e, e = 1..D+1, of the row's
+    series (a row with no series has no tail).  The head's ranks past
+    _PANEL_START are summed over Chebyshev panels, and the others run the
+    kernel.  A row's block gives per _SUB_BLOCK its tail moments and bound
+    columns, and each column's math.fsum takes in its terms past 2^16, so
+    no row visits a rank past 2^16.  columns, if given, take each stop's
+    power law as their dist and its bound columns as their sums before its
+    report is yielded."""
+    law, ns = dist.power_law, (dist.n,) if stops is None else tuple(stops)
+    kept = []
+
+    def keep(block: np.ndarray, ranks: np.ndarray) -> tuple:
+        kept[:] = block, ranks   # the walk's whole block comes last
+        return ()
+
+    alphas = [alpha for alpha, in _linear_sums(dist, keep, ns)]
+    weights, ranks = kept
+    sizes = _round_sizes(ns[-1], k)
+    rounds = [len(_round_sizes(n, k)) for n in ns]
+    fallbacks = [float(exact_grover_queries(n)) for n in ns]
+    series = _tail_series(sizes, fallbacks, rounds)
+    counts = [0 if s is None else s[0].size for s in series]
+    pairs = np.array(alphas * 2)
+    found = _last_ranks_at_least(lambda x: np.power(x.astype(np.float64), law.k) * pairs,
+                                 ns * 2, [DEGENERATE_TOL] * len(ns) + [1.0 / n for n in ns])
+    cuts = [int(cut) if count else n for n, count, cut in zip(ns, counts, found)]
+    rows = []
+    for alpha, r, fallback, cut in zip(alphas, rounds, fallbacks, cuts):
+        panels = _panels(cut)   # the kernel's head ranks: up to the first panel, or the cut
+        rows.append((alpha, r, fallback, panels,
+                     weights[:panels[0][0] if panels else cut] * alpha))
+    terms = _panel_sums(law.k, sizes, rows)
+    # per column, the terms past 2^16 of every row that reaches them: the
+    # tail's moments alpha^e sum x^(ek) from the cut (e k may overflow to
+    # -inf, while there every power below -2048 is 0 already), then the
+    # bound columns, as _BoundColumns.tail makes them
+    far = [i for i, n in enumerate(ns) if n > _BUILD_STEP]
+    start, end = np.full(len(far), _BUILD_STEP), np.array([ns[i] for i in far], dtype=np.int64)
+    scales = [alphas[i] for i in far]
+    moments = [_scaled_power_sums(max(e * law.k, -2048.0), np.maximum(start, [cuts[i] for i in far]),
+                                  np.where([counts[i] >= e for i in far], end, 0),
+                                  [alpha ** e for alpha in scales])
+               for e in range(1, max(counts) + 1)]
+    ceiling = [] if columns is None else [_scaled_power_sums(law.k + 0.5, start, end, scales)]
+    if columns is not None and columns.upper == "unknown":
+        x0 = np.minimum(np.maximum([found[len(ns) + i] for i in far], start), end)
+        ceiling += [_scaled_power_sums(0.5 * law.k, start, x0, map(math.sqrt, scales)),
+                   _scaled_power_sums(law.k, x0, end, scales)]
+    past = {i: [column[j] for column in (*moments[:counts[i]], *ceiling)]
+            for j, i in enumerate(far)}
+    if columns is not None:
+        roots = np.sqrt(ranks, out=ranks)
+    block, scratch = np.empty(weights.size), np.empty(min(weights.size, _SUB_BLOCK))
+    for i, (n, alpha, cut, count) in enumerate(zip(ns, alphas, cuts, counts)):
+        if columns is not None:
+            columns.dist = AdviceDistribution(n, power_law=PowerLawSpec(n=n, k=law.k, alpha=alpha))
+        row = np.multiply(weights[:min(n, _BUILD_STEP)], alpha, out=block[:min(n, _BUILD_STEP)])
+        parts = []
+        for lo in range(0, row.size, _SUB_BLOCK):
+            sub = row[lo:lo + _SUB_BLOCK]
+            parts.append([*_moments(sub[max(cut - lo, 0):], count, scratch), *(
+                () if columns is None else columns.rooted(sub, roots[lo:lo + sub.size], scratch))])
+        sums = [math.fsum(column) for column in zip(*parts)]
+        if i in past:
+            sums = [math.fsum((head, term)) for head, term in zip(sums, past[i], strict=True)]
+        if columns is not None:
+            columns.sums = sums[count:]
+        yield _exact_report(*_with_series(map(math.fsum, terms[i]), series[i], sums))
+
+
 def unknown_expected_mu(dist: AdviceDistribution, k: float = DEFAULT_AMPLIFY_RATIO,
                         *, columns=None) -> ExpectationReport:
     """Advice-averaged exact expected costs: sum_x p_x E[cost | marked=x].
 
+    A power law's row is the one stop of _unknown_means.  Other advice is
+    walked a _SUB_BLOCK at a time, in one kernel scratch allocated here.
     The head, p >= DEGENERATE_TOL, is a prefix of the sorted advice up to
-    the tail cut, and a rank takes one of three paths:
-    * the tail, p < DEGENERATE_TOL, runs no rounds: it gives the power sums
-      M_e = sum p^e, e = 1..D+1, and fsum_d a_d M_(d+1) with _tail_series'
-      a_d is added to each cost (a row with no series has no tail);
-    * on a power law, the head's ranks past _PANEL_START (128) are summed
-      over Chebyshev panels by _panel_sums; a panel over its error
-      threshold runs the kernel on its own ranks;
-    * every other head rank, all of explicit advice's, runs
-      _amplify_sub_block, its costs reduced to three dot products at once,
-      so no n-sized output exists.
-    The walk is _head_sums, each _SUB_BLOCK's row made apart.  On a power
-    law it is one block of its ranks up to 2^16, inline, that sums only the
-    tail's moments and the bound columns, and past them the moments alpha^e
-    sum x^(ek) and the bound columns as power sums; then one _panel_sums
-    runs the kernel once, on the head's ranks up to _PANEL_START (up to the
-    cut if there is no panel) and every panel's nodes, ~1,200 values at
-    n = 2^22, and the head's dots and the panels' terms enter each cost's
-    math.fsum.  So a power-law row visits no rank past 2^16 and allocates
-    no kernel scratch in its walk.  Explicit advice walks every _SUB_BLOCK
-    in one kernel scratch allocated here.  columns, if given, are a row's
-    bound columns, summed in the same walk.
+    the tail cut: it runs _amplify_sub_block, its costs reduced to three dot
+    products at once, so no n-sized output exists.  The tail runs no
+    rounds: it gives the power sums M_e = sum p^e, e = 1..D+1, and
+    fsum_d a_d M_(d+1) with _tail_series' a_d is added to each cost (a row
+    with no series has no tail).  columns, if given, are a row's bound
+    columns, summed in the same walk.
     """
     k = _check_real(k, "iteration-budget ratio", *AMPLIFY_RATIO_BOUNDS)
+    if dist.power_law is not None:
+        return next(_unknown_means(dist, k, columns))
     sizes = _round_sizes(dist.n, k)
     fallback = float(exact_grover_queries(dist.n, zero_or_one=False))
-    series = _tail_series(sizes, fallback)
+    series = _tail_series(sizes, (fallback,))[0]
     count = 0 if series is None else series[0].size
     cut = dist._last_rank_at_least(DEGENERATE_TOL) if count else dist.n
-    law = dist.power_law
-    # a power law's walk is one block, its first 2^16 ranks, and runs no
-    # kernel; explicit advice's kernel scratch, and a row for the tail's powers
-    step = _SUB_BLOCK if law is None else _BUILD_STEP
-    width = min(dist.n, _SUB_BLOCK)
-    scratch = None if law else np.empty((_SCRATCH_ROWS, width))
-    powers = np.empty(width)
+    scratch = np.empty((_SCRATCH_ROWS, min(dist.n, _SUB_BLOCK)))
+    powers = np.empty(min(dist.n, _SUB_BLOCK))   # the tail's
 
     def fn(block: np.ndarray, ranks: np.ndarray) -> list[float]:
-        lo = int(ranks[0]) - 1
-        head, tail = block[:max(cut - lo, 0)], block[max(cut - lo, 0):]
-        power = powers[:tail.size]
-        row = []   # a power law's head is summed after the walk
-        if law is None:
-            row = [_dot(head, v) for v in _amplify_sub_block(head, sizes, fallback, scratch)
-                   ] if head.size else [0.0, 0.0, 0.0]
-        np.copyto(power, tail)   # then the power sums sum tail^e, e = 1..count, in place
-        return [*row, *(float(np.sum(power if e == 0 else np.multiply(power, tail, out=power)))
-                        for e in range(count))]
+        head = block[:max(cut - int(ranks[0]) + 1, 0)]
+        costs = [_dot(head, v) for v in _amplify_sub_block(head, sizes, fallback, scratch)
+                 ] if head.size else [0.0, 0.0, 0.0]
+        return [*costs, *_moments(block[head.size:], count, powers)]
 
-    def past_walk(law: PowerLawSpec, lo: int, hi: int) -> tuple:
-        # the tail's ranks past the walk; e k may overflow to -inf, while
-        # there every power below -2048 is 0 already
-        start = max(lo, cut)
-        return (*(law.alpha ** e * _power_sums(max(e * law.k, -2048.0), start, hi)
-                  if hi > start else 0.0 for e in range(1, count + 1)),
-                *(() if columns is None else columns.tail(law, lo, hi)))
-
-    rows = _with_columns(fn, columns)
-
-    def sub_blocks(block: np.ndarray, ranks: np.ndarray) -> list[float]:
-        # the rows of a block's sub-blocks, summed as a walk of them would be
-        return [math.fsum(column) for column in zip(*(
-            rows(block[lo:lo + _SUB_BLOCK], ranks[lo:lo + _SUB_BLOCK])
-            for lo in range(0, block.size, _SUB_BLOCK)))]
-
-    sums = next(_head_sums(dist, sub_blocks, past_walk, step=step))
-    if law is None:
-        (f, o_mu, inv), sums = sums[:3], sums[3:]
-    else:   # the kernel's head ranks, up to the first panel or the cut, with the walk's bits
-        panels = _panels(cut)
-        head = dist._probs_at(np.arange(1, (panels[0][0] if panels else cut) + 1))
-        f, o_mu, inv = map(math.fsum, _panel_sums(law, sizes, fallback, panels, head))
-    if count:
-        f, o_mu, inv = (cost + math.fsum(a * m for a, m in zip(coeffs, sums))
-                        for cost, coeffs in zip((f, o_mu, inv), series))
+    f, o_mu, inv, *sums = _rank_weighted_sums(dist, _with_columns(fn, columns), _SUB_BLOCK)
     if columns is not None:
         columns.sums = sums[count:]
-    return _exact_report(f=f, o_mu=o_mu, o_mu_inv=inv)
+    return _exact_report(*_with_series((f, o_mu, inv), series, sums))
 
 
 # ---------------------------------------------------------------------------

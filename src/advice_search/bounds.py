@@ -101,10 +101,15 @@ class _BoundColumns:
     def partials(self, block: np.ndarray, ranks: np.ndarray) -> tuple[float, ...]:
         # the walk's ranks are its scratch, which the columns may overwrite:
         # rooted in place, then the roots of the high-prior probabilities
-        out = (_dot(block, np.sqrt(ranks, out=ranks)),)
+        return self.rooted(block, np.sqrt(ranks, out=ranks), ranks)
+
+    def rooted(self, block: np.ndarray, roots: np.ndarray, scratch: np.ndarray) -> tuple[float, ...]:
+        """partials of a block whose ranks' square roots are roots, with
+        scratch at least as long as block (roots may be it)."""
+        out = (_dot(block, roots),)
         if self.upper == "unknown":
             head = _prefix_length(block, 1.0 / self.dist.n)
-            out += (float(np.sum(np.sqrt(block[:head], out=ranks[:head]))),
+            out += (float(np.sum(np.sqrt(block[:head], out=scratch[:head]))),
                     float(np.sum(block[head:])))
         return out
 

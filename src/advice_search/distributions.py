@@ -153,15 +153,33 @@ def _power_sums(s: float, lo, hi) -> np.ndarray:
     return total
 
 
+def _last_ranks_at_least(probs_at, ns, thresholds) -> np.ndarray:
+    """For each pair of ns and thresholds, the largest rank in 1..n whose
+    probability is at least the threshold, or 0 if none: one bisection over
+    the sorted ranks of every pair at once, where probs_at(ranks) gives the
+    probability of each pair's rank (as a walk block makes it, so a walk's
+    cut agrees on every rank; a power law's float formula
+    floor((threshold/alpha)^(1/k)) misses it as k -> 0)."""
+    lo = np.zeros(len(ns), dtype=np.int64)   # each answer lies in lo..hi
+    hi = np.array(ns, dtype=np.int64)
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    while (active := lo < hi).any():
+        mid = (lo + hi + 1) // 2   # at least 1 where active
+        at_least = probs_at(np.maximum(mid, 1)) >= thresholds
+        lo = np.where(active & at_least, mid, lo)
+        hi = np.where(active & ~at_least, mid - 1, hi)
+    return lo
+
+
 def _no_columns(*_) -> tuple:
     """No columns: the fn and the tail of a _linear_sums that yields alpha alone."""
     return ()
 
 
-def _head_sums(dist: AdviceDistribution, fn, tail, stops=None, step: int = _BUILD_STEP):
+def _head_sums(dist: AdviceDistribution, fn, tail, stops=None):
     """Yield, at each of stops (dist.n by default), the math.fsum of each of
     fn's columns over the ranks up to it.  Other advice than a power law is
-    _rank_weighted_sums in blocks of step, and stops only at dist.n.  A
+    _rank_weighted_sums, and stops only at dist.n.  A
     power law walks only its ranks up to _BUILD_STEP, as one block: a stop
     inside it gets fn's row of the block's prefix, on ranks of its own, and
     the whole block's row is made last, as fn may overwrite its ranks.  At
@@ -174,7 +192,7 @@ def _head_sums(dist: AdviceDistribution, fn, tail, stops=None, step: int = _BUIL
     if law is None:
         if list(stops) != [dist.n]:   # sweeps, the walks that stop early, take power laws
             raise ValueError(f"only a power law's walk stops before n = {dist.n}")
-        yield _rank_weighted_sums(dist, fn, step)
+        yield _rank_weighted_sums(dist, fn)
         return
     cuts = sorted({min(stop, _BUILD_STEP) for stop in stops})
     _, ranks, block = next(AdviceDistribution(cuts[-1], power_law=law)._streams())
@@ -310,18 +328,8 @@ class AdviceDistribution:
 
     def _last_rank_at_least(self, threshold: float) -> int:
         """Largest rank whose probability is at least threshold, or 0 if
-        none: a bisection over the sorted ranks on the bits of _probs_at,
-        which are the walk's, so a walk block's cut agrees on every rank (a
-        power law's float formula floor((threshold/alpha)^(1/k)) misses it
-        as k -> 0)."""
-        lo, hi = 0, self.n   # the answer lies in lo..hi
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._probs_at(np.array([mid]))[0] >= threshold:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        none: _last_ranks_at_least on the bits of _probs_at."""
+        return int(_last_ranks_at_least(self._probs_at, [self.n], [threshold])[0])
 
     @property
     def cdf(self) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -182,20 +182,26 @@ def _columns(spec: SweepSpec, dist) -> bounds._BoundColumns | None:
 
 
 def _reports(spec: SweepSpec, cfgs: list[dict], seeds: list[int]):
-    """Yield (n, k_dist, report, bound columns) per dist config.  Exact scan
-    and block-search rows of power laws come from one walk to the largest n
-    that stops at each n: f and the bounds' sum p_x sqrt(x) are linear in p.
+    """Yield (n, k_dist, report, bound columns) per dist config.  Exact rows
+    of power laws come from one pass to the largest n that stops at each n:
+    for the scan and the block search one walk, as f and the bounds' sum p_x
+    sqrt(x) are linear in p, and for the oracle-only model one walk, one
+    kernel call and one of each shared step (algorithms._unknown_means).
     Every n of a power law is checked, as its own dist would check it, before any row."""
     law = _dist_kind(cfgs[0]) == "powerlaw"
     for cfg in cfgs if law else ():
         k = _check_power_law_params(cfg.get("n"), cfg.get("k"))
-    if spec.mode == "exact" and spec.model != "unknown" and law:
+    if spec.mode == "exact" and law:
         ns = [cfg["n"] for cfg in cfgs]
         ratio = algorithms._model_ratio(spec.model, spec.k_algorithm)
         columns = _columns(spec, None)
-        walk = algorithms._scan_means(spec.model, _weights(ns[-1], k), ratio, columns, ns)
-        for n, f in zip(ns, walk):
-            yield n, k, algorithms._exact_report(f, 0.0, 0.0), columns
+        if spec.model == "unknown":
+            walk = algorithms._unknown_means(_weights(ns[-1], k), ratio, columns, ns)
+        else:
+            walk = (algorithms._exact_report(f, 0.0, 0.0) for f in algorithms._scan_means(
+                spec.model, _weights(ns[-1], k), ratio, columns, ns))
+        for n, report in zip(ns, walk):
+            yield n, k, report, columns
         return
     for cfg, seed in zip(cfgs, seeds):
         dist = dist_from_config(cfg)
@@ -216,7 +222,8 @@ def _rows(spec: SweepSpec, cfgs: list[dict], seeds: list[int], timing: bool) -> 
         lower, upper = columns.values() if columns is not None else (None, None)
         elapsed = time.perf_counter() - started
         log.info("point n=%d model=%s mode=%s took %.3fs", n, spec.model, spec.mode, elapsed)
-        rows.append(SweepRow(n, k_dist, spec.model, spec.mode, *astuple(report),   # means, stderrs
+        rows.append(SweepRow(n, k_dist, spec.model, spec.mode,   # means, stderrs
+                             *(getattr(report, field.name) for field in fields(report)),
                              lower, upper, elapsed if timing else 0.0))
         started = time.perf_counter()
     return rows

@@ -197,7 +197,7 @@ def exact_vs_monte_carlo(cases, trials: int):
 
 
 @_check
-def threshold_rank_closed_form(points):
+def threshold_rank_bisection(points):
     """Power-law threshold ranks, by bisection, vs a brute scan of probs."""
     for n, k in points:
         dist = make_power_law(n, k)
@@ -278,8 +278,7 @@ def run_validation(seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS) -> li
         fallback_bound_ceiling((256, 1024), (-1.0,), 25,
                                (make_explicit(w) for w in ([0.8] + [0.2 / 127] * 127,))),
         exact_vs_monte_carlo(_monte_carlo_cases(seed), trials),
-        threshold_rank_closed_form(((10**4, -2.0), (4096, -1.2), (10**5, -3.0),
-                                    (512, -0.5))),
+        threshold_rank_bisection(((10**4, -2.0), (4096, -1.2), (10**5, -3.0), (512, -0.5))),
         alpha_integral_bracket((2, 64, 4096, 10**5), (-0.25, -0.5, -1.0, -1.5, -2.0, -2.5)),
         classical_identities(make_explicit(w) for w in (np.ones(1024), [1.0, 1.0, 0.0])),
     ]

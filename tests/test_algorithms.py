@@ -48,7 +48,7 @@ from advice_search.algorithms import (
     _trial_seed,
 )
 from advice_search.bounds import _BoundColumns
-from advice_search.distributions import _BUILD_STEP, AdviceDistribution
+from advice_search.distributions import _BUILD_STEP, AdviceDistribution, PowerLawSpec
 from advice_search.rotation import DEGENERATE_TOL
 from advice_search.sweep import SweepSpec, run_point
 
@@ -651,7 +651,7 @@ def _head_and_tail_sums(p, n, k):
     sums M_e = sum p^e, e = 1..D+1, by repeated multiplication; each column
     combined over the sub-blocks with math.fsum, and the tail added after as
     fsum_d a_d M_(d+1) for _tail_series' coefficients a_d."""
-    series = _tail_series(_round_sizes(n, k), float(exact_grover_queries(n)))
+    series = _tail_series(_round_sizes(n, k), (float(exact_grover_queries(n)),))[0]
     heads, moments = [[], [], []], [[] for _ in series[0]]
     for lo in range(0, p.size, _SUB_BLOCK):
         block = p[lo:lo + _SUB_BLOCK]
@@ -727,17 +727,35 @@ def test_tail_series_matches_kernel(kind, head, tail, zeros, k, seed):
 
 
 def test_tail_degree_grows_with_n():
-    degrees = [_tail_series(_round_sizes(2**e, DEFAULT_AMPLIFY_RATIO), 1.0)[0].size - 1
+    degrees = [_tail_series(_round_sizes(2**e, DEFAULT_AMPLIFY_RATIO), (1.0,))[0][0].size - 1
                for e in (10, 16, 20, 24, 28, 32)]
     assert degrees == sorted(degrees) and degrees[0] < degrees[-1], degrees
     # at 2^40 the sum of the budgets' series terms times 1e-12 passes 1/2
-    assert _tail_series(_round_sizes(2**40, DEFAULT_AMPLIFY_RATIO), 1.0) is None
+    assert _tail_series(_round_sizes(2**40, DEFAULT_AMPLIFY_RATIO), (1.0,)) == [None]
+
+
+@pytest.mark.parametrize("ratio", (DEFAULT_AMPLIFY_RATIO, 1.3, 1.01))
+def test_one_tail_recurrence_is_each_schedules_own(ratio):
+    # every n = 2^e +- 1's schedule is a prefix of 2^40's, so one recurrence
+    # over 2^40's, kept at each row's round and cut to its own degree, gives
+    # each row the bits of its own schedule's series (or None with it)
+    longest = _round_sizes(2**40, ratio)
+    ns = [2**e + d for e in range(1, 40) for d in (-1, 1)]
+    sizes = [_round_sizes(n, ratio) for n in ns]
+    assert all(longest[:len(s)] == s for s in sizes)
+    fallbacks = [float(exact_grover_queries(n)) for n in ns]
+    shared = _tail_series(longest, fallbacks, [len(s) for s in sizes])
+    assert any(series is None for series in shared) and shared[0] is not None
+    for n, s, fallback, series in zip(ns, sizes, fallbacks, shared):
+        (own,) = _tail_series(s, (fallback,))
+        assert (series is None) == (own is None), n
+        assert series is None or all(np.array_equal(a, b) for a, b in zip(series, own)), n
 
 
 @pytest.mark.parametrize("n", (2**10, 2**16, 2**24, 2**30))
 def test_tail_series_truncation_bound_holds(n):
     sizes, fallback = _round_sizes(n, DEFAULT_AMPLIFY_RATIO), exact_grover_queries(n)
-    series = _tail_series(sizes, float(fallback))
+    (series,) = _tail_series(sizes, (float(fallback),))
     exact = ref_tail_coefficients(sizes, fallback, series[0].size - 1)
     for got, want in zip(series, exact):
         np.testing.assert_allclose(got, [float(c) for c in want], rtol=1e-14, atol=0)
@@ -756,9 +774,9 @@ def test_failed_tail_bound_keeps_the_tail_in_the_kernel(monkeypatch):
     # (test_panels_reach_n_when_the_tail_has_no_series)
     d = make_power_law(_MU_N, -3.0)
     sizes, fallback = _round_sizes(d.n, DEFAULT_AMPLIFY_RATIO), float(exact_grover_queries(d.n))
-    assert _tail_series(sizes, fallback)[0].size == 3
+    assert _tail_series(sizes, (fallback,))[0][0].size == 3
     monkeypatch.setattr(algorithms, "_TAIL_MAX_DEGREE", 1)
-    assert _tail_series(sizes, fallback) is None
+    assert _tail_series(sizes, (fallback,)) == [None]
     assert unknown_expected_mu(AdviceDistribution(d.n, probs=d.probs)).means() == (
         _kernel_dot_sums(d.probs, d.n, DEFAULT_AMPLIFY_RATIO))
     rank = d.n   # a tiny rank's exact cost is the kernel's too
@@ -854,7 +872,7 @@ def _assert_bound_columns(d, sums, step):
 
 def _panel_cut(d, k):
     sizes, fallback = _round_sizes(d.n, k), float(exact_grover_queries(d.n))
-    cut = (d._last_rank_at_least(DEGENERATE_TOL) if _tail_series(sizes, fallback) is not None
+    cut = (d._last_rank_at_least(DEGENERATE_TOL) if _tail_series(sizes, (fallback,))[0] is not None
            else d.n)
     return sizes, fallback, cut
 
@@ -870,7 +888,8 @@ def _panel_terms(d, k):
     of _panel_sums after its first, the head's dot."""
     sizes, fallback, cut = _panel_cut(d, k)
     panels = _panels(cut)
-    terms = _panel_sums(d.power_law, sizes, fallback, panels, _kernel_head(d, panels, cut))
+    (terms,) = _panel_sums(d.power_law.k, sizes, [(d.power_law.alpha, len(sizes), fallback, panels,
+                                                   _kernel_head(d, panels, cut))])
     return panels, [column[1:] for column in terms]
 
 
@@ -1053,10 +1072,13 @@ def test_fused_kernel_call_replays_the_two_call_row(monkeypatch, n, k, ratio):
     panels = _panels(cut)
     head = _kernel_head(d, panels, cut)
     want, refused = _two_call_panel_sums(d.power_law, sizes, fallback, panels, head)
-    assert _panel_sums(d.power_law, sizes, fallback, panels, head) == want, refused
+    assert _panel_sums(k, sizes, [(d.power_law.alpha, len(sizes), fallback, panels, head)]) == [
+        want], refused
     assert bool(refused) == (ratio == 1.3 and k in (-1.0, -1.5)), refused
     row = unknown_expected_mu(d, ratio).means()
-    monkeypatch.setattr(algorithms, "_panel_sums", lambda *args: _two_call_panel_sums(*args)[0])
+    monkeypatch.setattr(algorithms, "_panel_sums", lambda k, sizes, rows: [_two_call_panel_sums(
+        PowerLawSpec(n, k, alpha), sizes[:rounds], fallback, panels, head)[0]
+        for alpha, rounds, fallback, panels, head in rows])
     assert row == unknown_expected_mu(d, ratio).means()
 
 

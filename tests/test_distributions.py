@@ -13,6 +13,7 @@ from advice_search import (
     AdviceDistribution,
     ConfigError,
     ParameterError,
+    PowerLawSpec,
     classical_sampling_expected,
     compensated_sum,
     dist_from_config,
@@ -232,6 +233,31 @@ def test_threshold_bisections_match_brute_counts(power_law, weights):
     for d in (make_power_law(*power_law), make_explicit(weights)):
         assert d.x0_threshold() == np.count_nonzero(d.probs >= 1.0 / d.n), d.n
         assert d.support_size() == np.count_nonzero(d.probs > 0.0), d.n
+
+
+@settings(max_examples=40, deadline=None)
+@given(laws=st.lists(st.tuples(st.integers(1, 2**40), st.floats(-4.0, -1e-300)),
+                     min_size=1, max_size=6),
+       thresholds=st.lists(st.sampled_from((1e-12, 5e-324, 0.5, 1.0, 2.0)) | st.floats(0.0, 1.0),
+                           min_size=1, max_size=3))
+def test_batched_threshold_search_is_each_pairs_own(laws, thresholds):
+    # one bisection over every (n, threshold) pair of power laws with their
+    # own alpha (past the memory check, which only a build makes), as an
+    # oracle-only sweep cuts its rows, against each pair's own
+    # _last_rank_at_least, and against a count over probs at small n
+    pairs = [(n, k, t) for n, k in laws for t in thresholds]
+    alphas = {(n, k): next(_linear_sums(_weights(n, k), lambda block, ranks: ()))[0]
+              for n, k in laws}
+    ks = np.array([k for _, k, _ in pairs])
+    scales = np.array([alphas[n, k] for n, k, _ in pairs])
+    found = distributions._last_ranks_at_least(
+        lambda x: np.power(x.astype(np.float64), ks) * scales,
+        [n for n, _, _ in pairs], [t for _, _, t in pairs])
+    for (n, k, t), rank in zip(pairs, found):
+        d = AdviceDistribution(n, power_law=PowerLawSpec(n=n, k=k, alpha=alphas[n, k]))
+        assert rank == d._last_rank_at_least(t), (n, k, t)
+        if n <= 2**16:
+            assert rank == np.count_nonzero(d.probs >= t), (n, k, t)
 
 
 def test_threshold_counts_allocate_nothing_n_sized():

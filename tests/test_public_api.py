@@ -55,11 +55,44 @@ def test_removed_names_are_gone(module):
         assert not hasattr(mod, name), f"{module}.{name}"
 
 
-def test_one_threshold_search():
-    # every "last rank with p >= t" is AdviceDistribution._last_rank_at_least:
-    # no closed form beside it, and no support count cached by the cdf pass
+def _bisections(path: pathlib.Path):
+    """Names of the functions of a module that halve a range in a loop: a
+    while loop that floor-divides by 2."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(loop, ast.While) and any(
+                    isinstance(op, ast.BinOp) and isinstance(op.op, ast.FloorDiv)
+                    and isinstance(op.right, ast.Constant) and op.right.value == 2
+                    for op in ast.walk(loop))
+                for loop in ast.walk(node)):
+            yield node.name
+
+
+def test_one_threshold_search(monkeypatch):
+    # every "last rank with p >= t" is distributions._last_ranks_at_least:
+    # no closed form beside it, no support count cached by the cdf pass, no
+    # other bisection in src; a dist's own threshold ranks and a sweep's
+    # cuts and ceilings go through it
     assert not hasattr(distributions.PowerLawSpec, "threshold_rank_closed_form")
     assert not hasattr(distributions.AdviceDistribution(1, np.ones(1)), "_support")
+    package = pathlib.Path(advice_search.__file__).parent
+    assert [name for path in sorted(package.glob("*.py")) for name in _bisections(path)] == [
+        "_last_ranks_at_least"]
+    calls = []
+    search = distributions._last_ranks_at_least
+
+    def counted(probs_at, ns, thresholds):
+        calls.append(len(ns))
+        return search(probs_at, ns, thresholds)
+
+    for module in (distributions, algorithms):
+        monkeypatch.setattr(module, "_last_ranks_at_least", counted)
+    dist = distributions.make_power_law(1000, -1.0)
+    assert dist.x0_threshold() > 0 and dist.support_size() == 1000
+    grid = (2**10, 2**16, 2**20)
+    sweep.run_sweep(sweep.SweepSpec(dist_cfg={"kind": "powerlaw", "k": -2.5}, model="unknown",
+                                    n_grid=grid))
+    assert calls == [1, 1, 2 * len(grid)]
 
 
 def _imported_names(tree: ast.Module):

@@ -8,7 +8,7 @@ import time
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from advice_search import algorithms, bounds, distributions, sweep
@@ -136,10 +136,11 @@ def test_exact_row_is_one_walk(monkeypatch, model, ratio, width):
     # ranks past them are power sums (and, for the oracle-only head,
     # panels); the block's rows are made width ranks at a time: the whole
     # block for the scan and the block search, a _SUB_BLOCK at a time for
-    # the oracle-only model, as explicit advice's walk makes them
+    # the oracle-only model, as explicit advice's walk makes them (its
+    # bound columns from the block's roots, made once)
     walks = _record_walks(monkeypatch)
     rows = []
-    with_columns = algorithms._with_columns
+    with_columns, rooted = algorithms._with_columns, bounds._BoundColumns.rooted
 
     def recording(fn, columns):
         row = with_columns(fn, columns)
@@ -149,7 +150,14 @@ def test_exact_row_is_one_walk(monkeypatch, model, ratio, width):
             return row(block, ranks)
         return made
 
-    monkeypatch.setattr(algorithms, "_with_columns", recording)
+    def recording_roots(columns, block, roots, scratch):
+        rows.append((block.size, round(float(roots[0]) ** 2)))
+        return rooted(columns, block, roots, scratch)
+
+    if model == "unknown":
+        monkeypatch.setattr(bounds._BoundColumns, "rooted", recording_roots)
+    else:
+        monkeypatch.setattr(algorithms, "_with_columns", recording)
     spec = SweepSpec(dist_cfg={"kind": "powerlaw", "n": _WALK_N, "k": -0.75},
                      model=model, k_algorithm=ratio)
     row = run_point(spec)
@@ -213,10 +221,11 @@ def test_one_walk_sweep_matches_per_element_rows(model, k, ratio, grid, large):
             assert row.upper_bound is None
 
 
-@pytest.mark.parametrize("model", ("classical", "geometric"))
+@pytest.mark.parametrize("model", ("classical", "geometric", "unknown"))
 def test_one_walk_sweep_timing_column(model):
     # under timing a row's seconds are the walk's since the previous row:
-    # each positive, together within the sweep's wall time
+    # each positive, together within the sweep's wall time; the first row
+    # carries the pass that the rows share
     spec = SweepSpec.from_config(
         {"dist": {"kind": "powerlaw", "k": -1.0}, "model": model,
          "n_grid": [1000, 2**16, 2**17 + 3, 2**18]}, need_grid=True)
@@ -226,6 +235,63 @@ def test_one_walk_sweep_timing_column(model):
     assert all(row.seconds > 0.0 for row in rows), rows
     assert math.fsum(row.seconds for row in rows) <= wall
     assert all(row.seconds == 0.0 for row in run_sweep(spec))
+
+
+# grid points at the panels' start (128, 160 = its first panel's end), the
+# walk's 2^16-rank block and the refused panels' n (2^22 + 3)
+_UNKNOWN_NS = (1, 2, 127, 128, 129, 160, 2**16 - 1, 2**16, 2**16 + 1, 2**20 + 7, 2**22 + 3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.floats(-4.0, -1e-300), ratio=st.sampled_from((None, 1.3, 1.01)),
+       grid=st.lists(st.sampled_from(_UNKNOWN_NS) | st.integers(1, 2**22 + 3),
+                     min_size=1, max_size=4, unique=True).map(sorted))
+# at ratio 1.3, k = -1 and -1.5 refuse panels at 2^22 + 3, which then run
+# the kernel on their own ranks
+@example(k=-1.0, ratio=1.3, grid=[129, 2**16, 2**22 + 3])
+@example(k=-1.5, ratio=1.3, grid=[2**22 + 3])
+def test_oracle_only_sweep_rows_are_run_point_rows(k, ratio, grid):
+    # an oracle-only sweep's one pass gives each row, all 13 columns and
+    # both bounds, the bits of its own run_point
+    spec = SweepSpec(dist_cfg={"kind": "powerlaw", "k": k}, model="unknown",
+                     n_grid=tuple(grid), k_algorithm=ratio)
+    rows = run_sweep(spec)
+    assert [row.n for row in rows] == grid
+    for n, row in zip(grid, rows):
+        assert row == run_point(dataclasses.replace(spec, dist_cfg={"kind": "powerlaw", "n": n,
+                                                                    "k": k}, n_grid=None)), n
+
+
+def _kernel_values(n, k, ratio):
+    """The values of an oracle-only row's kernel call: its head ranks up to
+    the first panel (or the tail cut) and 24 Chebyshev points a panel."""
+    (series,) = algorithms._tail_series(algorithms._round_sizes(n, ratio), (1.0,))
+    cut = n if series is None else make_power_law(n, k)._last_rank_at_least(1e-12)
+    panels = algorithms._panels(cut)
+    return (panels[0][0] if panels else cut) + algorithms._PANEL_NODES * len(panels)
+
+
+@pytest.mark.parametrize("k, ratio, refused", [(-0.75, algorithms.DEFAULT_AMPLIFY_RATIO, False),
+                                               (-2.5, algorithms.DEFAULT_AMPLIFY_RATIO, False),
+                                               (-1.5, 1.3, True)])
+def test_oracle_only_sweep_is_one_walk_and_one_kernel_call(monkeypatch, k, ratio, refused):
+    # a sweep walks the first 2^16 ranks' x^k once, for every row's alpha,
+    # and runs the kernel once, on every row's head and panel points; a
+    # refused panel then runs it on its own ranks, a call each sub-block
+    grid = [2**e for e in range(10, 23, 2)] + [2**22 + 3] * refused
+    walks, seen = _record_walks(monkeypatch), []
+    kernel = algorithms._amplify_sub_block
+
+    def counted(sub, *args):
+        seen.append(sub.size)
+        return kernel(sub, *args)
+
+    monkeypatch.setattr(algorithms, "_amplify_sub_block", counted)
+    run_sweep(SweepSpec(dist_cfg={"kind": "powerlaw", "k": k}, model="unknown",
+                        n_grid=tuple(grid), k_algorithm=ratio))
+    assert [(size, set(firsts)) for size, firsts in walks] == [(2**16, {1})]
+    assert seen[0] == sum(_kernel_values(n, k, ratio) for n in grid)
+    assert (len(seen) > 1) == refused, seen
 
 
 @pytest.mark.parametrize("model", ("classical", "geometric"))

@@ -35,7 +35,7 @@ _EMPTY_INPUTS = {
     "classical_identities": ([],),
     "las_vegas_chain": ([],),
     "exact_vs_monte_carlo": ([], 10),
-    "threshold_rank_closed_form": ([],),
+    "threshold_rank_bisection": ([],),
     "alpha_integral_bracket": ([], []),
     "fallback_bound_ceiling": ([], [], 5, []),
     "iteration_average_identity": ([], []),
