@@ -10,8 +10,9 @@
   domain ends the run with zero error.  monte_carlo runs the rounds over
   the array of trials still active.
 
-classical_expected, geometric_expected and unknown_expected_mu give the
-exact advice-averaged costs and monte_carlo estimates them.  Quantum steps
+_exact_rows gives every exact advice-averaged cost, with the row's bounds,
+and classical_expected, geometric_expected and unknown_expected_mu are its
+rows one model at a time; monte_carlo estimates them.  Quantum steps
 are simulated at the probability level (closed-form success probability,
 Bernoulli draw), so runs scale to huge n while statevector.py certifies
 the same closed forms at small n.
@@ -38,6 +39,7 @@ from .distributions import (
     _check_int,
     _check_real,
     _dot,
+    _head_sums,
     _last_ranks_at_least,
     _linear_sums,
     _power_sums,
@@ -158,7 +160,7 @@ def _floored_powers(k: float, what: str, estimate: float,
 
 def classical_expected(dist: AdviceDistribution) -> float:
     """Expected probes of the sequential scan: sum_x p_x * x."""
-    return next(_scan_means("classical", dist))
+    return next(_exact_rows("classical", dist, None))[0].f_mean
 
 
 def classical_sampling_expected(dist: AdviceDistribution) -> float:
@@ -200,17 +202,11 @@ def _geometric_schedule(n: int, k: float) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(ends[:last + 1], n), np.cumsum(costs)
 
 
-def _with_columns(fn, columns):
-    """fn's columns, then a row's bound columns if given (last, as they overwrite ranks)."""
-    return fn if columns is None else lambda block, ranks: (
-        *fn(block, ranks), *columns.partials(block, ranks))
-
-
-def _scan_means(model: str, dist: AdviceDistribution, k: float | None = None,
-                columns=None, stops=None):
+def _scan_means(model: str, dist: AdviceDistribution, k: float | None, stops, columns):
     """Yield the exact expected f queries of the scan, or of the block search
-    at ratio k, up to each of stops (dist.n by default) from one
-    _linear_sums, which sums columns too.  Each schedule block's part is its
+    at ratio k, up to each of stops, and the sums of columns there, linear
+    bound columns (a bounds._BoundColumns without the oracle-only ceiling)
+    or none, from one _linear_sums.  Each schedule block's part is its
     cumulative cost, charged at nominal block sizes whatever the stop, times
     its probability mass: per walk block an np.sum, past 2^16 on a power law
     a power sum, one for each piece of a schedule block there."""
@@ -218,7 +214,7 @@ def _scan_means(model: str, dist: AdviceDistribution, k: float | None = None,
         fn = lambda block, ranks: (_dot(block, ranks),)   # noqa: E731
         tail = lambda law, lo, hi: (_power_sums(law.k + 1.0, lo, hi),)   # noqa: E731
     else:
-        ends, cum = _geometric_schedule((stops or (dist.n,))[-1], k)
+        ends, cum = _geometric_schedule(stops[-1], k)
 
         def fn(block: np.ndarray, ranks: np.ndarray) -> tuple[float]:
             first = int(ranks[0])
@@ -235,18 +231,18 @@ def _scan_means(model: str, dist: AdviceDistribution, k: float | None = None,
             cuts = np.concatenate(((lo,), ends[first:last], (hi,)))
             return (cum[first:last + 1] * _power_sums(law.k, cuts[:-1], cuts[1:]),)
 
-    tails = tail if columns is None else lambda law, lo, hi: (*tail(law, lo, hi),
-                                                              *columns.tail(law, lo, hi))
-    for _, f, *sums in _linear_sums(dist, _with_columns(fn, columns), stops, tail=tails):
-        if columns is not None:
-            columns.sums = sums
-        yield f
+    row, tails = fn, tail
+    if columns is not None:   # last, as they overwrite the ranks
+        row = lambda block, x: (*fn(block, x), *columns.partials(block, x))   # noqa: E731
+        tails = lambda law, lo, hi: (*tail(law, lo, hi), *columns.tail(law, lo, hi))   # noqa: E731
+    for _, f, *sums in _linear_sums(dist, row, stops, tail=tails):
+        yield f, sums
 
 
 def geometric_expected(dist: AdviceDistribution,
                        k: float = DEFAULT_GEOMETRIC_RATIO) -> ExpectationReport:
     """Exact expected f queries of the block search under the advice."""
-    return _exact_report(f=next(_scan_means("geometric", dist, k)), o_mu=0.0, o_mu_inv=0.0)
+    return next(_exact_rows("geometric", dist, k))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -537,14 +533,16 @@ def _scaled_power_sums(s: float, lo, hi, scales) -> list:
     return [scale * next(sums) if on else 0.0 for scale, on in zip(scales, some)]
 
 
-def _unknown_means(dist: AdviceDistribution, k: float, columns=None, stops=None):
-    """Yield, at each of stops (dist.n by default), the exact
-    ExpectationReport of the oracle-only search at ratio k on the power law
-    of dist's exponent over 1..stop.  The stops share one pass:
-    * one _linear_sums walk of x^k over the ranks up to min(stops[-1], 2^16)
-      gives every stop's alpha and keeps the block, which each row scales by
+def _unknown_means(dist: AdviceDistribution, k: float, ns, fallbacks, columns):
+    """Yield, at each n of ns, the exact ExpectationReport of the
+    oracle-only search at ratio k, under the fallback of the matching entry
+    of fallbacks, on the power law of dist's exponent over 1..n, and the
+    sums of columns (bounds._BoundColumns, or none) there.  The rows share
+    one pass:
+    * one _linear_sums walk of x^k over the ranks up to min(ns[-1], 2^16)
+      gives every row's alpha and keeps the block, which each row scales by
       its alpha;
-    * one _tail_series recurrence runs over the last stop's schedule, of
+    * one _tail_series recurrence runs over the last row's schedule, of
       which every row's is a prefix;
     * one bisection finds every row's tail cut, and the last rank x0 with
       p >= 1/n of its ceiling;
@@ -557,11 +555,8 @@ def _unknown_means(dist: AdviceDistribution, k: float, columns=None, stops=None)
     _PANEL_START are summed over Chebyshev panels, and the others run the
     kernel.  A row's block gives per _SUB_BLOCK its tail moments and bound
     columns, and each column's math.fsum takes in its terms past 2^16, so
-    no row visits a rank past 2^16.  columns, if given, take each stop's
-    power law as their dist and its bound columns as their sums before its
-    report is yielded."""
-    law, ns = dist.power_law, (dist.n,) if stops is None else tuple(stops)
-    kept = []
+    no row visits a rank past 2^16."""
+    law, kept = dist.power_law, []
 
     def keep(block: np.ndarray, ranks: np.ndarray) -> tuple:
         kept[:] = block, ranks   # the walk's whole block comes last
@@ -571,7 +566,6 @@ def _unknown_means(dist: AdviceDistribution, k: float, columns=None, stops=None)
     weights, ranks = kept
     sizes = _round_sizes(ns[-1], k)
     rounds = [len(_round_sizes(n, k)) for n in ns]
-    fallbacks = [float(exact_grover_queries(n)) for n in ns]
     series = _tail_series(sizes, fallbacks, rounds)
     counts = [0 if s is None else s[0].size for s in series]
     pairs = np.array(alphas * 2)
@@ -606,41 +600,26 @@ def _unknown_means(dist: AdviceDistribution, k: float, columns=None, stops=None)
         roots = np.sqrt(ranks, out=ranks)
     block, scratch = np.empty(weights.size), np.empty(min(weights.size, _SUB_BLOCK))
     for i, (n, alpha, cut, count) in enumerate(zip(ns, alphas, cuts, counts)):
-        if columns is not None:
-            columns.dist = AdviceDistribution(n, power_law=PowerLawSpec(n=n, k=law.k, alpha=alpha))
         row = np.multiply(weights[:min(n, _BUILD_STEP)], alpha, out=block[:min(n, _BUILD_STEP)])
         parts = []
         for lo in range(0, row.size, _SUB_BLOCK):
             sub = row[lo:lo + _SUB_BLOCK]
-            parts.append([*_moments(sub[max(cut - lo, 0):], count, scratch), *(
-                () if columns is None else columns.rooted(sub, roots[lo:lo + sub.size], scratch))])
+            parts.append([*_moments(sub[max(cut - lo, 0):], count, scratch), *(() if columns is None
+                          else columns.rooted(sub, roots[lo:lo + sub.size], scratch, n))])
         sums = [math.fsum(column) for column in zip(*parts)]
         if i in past:
             sums = [math.fsum((head, term)) for head, term in zip(sums, past[i], strict=True)]
-        if columns is not None:
-            columns.sums = sums[count:]
-        yield _exact_report(*_with_series(map(math.fsum, terms[i]), series[i], sums))
+        yield _exact_report(*_with_series(map(math.fsum, terms[i]), series[i], sums)), sums[count:]
 
 
-def unknown_expected_mu(dist: AdviceDistribution, k: float = DEFAULT_AMPLIFY_RATIO,
-                        *, columns=None) -> ExpectationReport:
-    """Advice-averaged exact expected costs: sum_x p_x E[cost | marked=x].
-
-    A power law's row is the one stop of _unknown_means.  Other advice is
-    walked a _SUB_BLOCK at a time, in one kernel scratch allocated here.
-    The head, p >= DEGENERATE_TOL, is a prefix of the sorted advice up to
-    the tail cut: it runs _amplify_sub_block, its costs reduced to three dot
-    products at once, so no n-sized output exists.  The tail runs no
-    rounds: it gives the power sums M_e = sum p^e, e = 1..D+1, and
-    fsum_d a_d M_(d+1) with _tail_series' a_d is added to each cost (a row
-    with no series has no tail).  columns, if given, are a row's bound
-    columns, summed in the same walk.
-    """
-    k = _check_real(k, "iteration-budget ratio", *AMPLIFY_RATIO_BOUNDS)
-    if dist.power_law is not None:
-        return next(_unknown_means(dist, k, columns))
+def _sub_block_means(dist: AdviceDistribution, k: float, fallback: float, columns):
+    """_unknown_means' one row on other advice than a power law, walked a
+    _SUB_BLOCK at a time in one kernel scratch.  The head, p >=
+    DEGENERATE_TOL, a prefix of the sorted advice, runs _amplify_sub_block,
+    its costs reduced to three dot products at once, so no n-sized output
+    exists.  The tail runs no rounds: it gives the power sums M_e = sum p^e,
+    e = 1..D+1, of _tail_series' terms (a row with no series has no tail)."""
     sizes = _round_sizes(dist.n, k)
-    fallback = float(exact_grover_queries(dist.n, zero_or_one=False))
     series = _tail_series(sizes, (fallback,))[0]
     count = 0 if series is None else series[0].size
     cut = dist._last_rank_at_least(DEGENERATE_TOL) if count else dist.n
@@ -651,12 +630,18 @@ def unknown_expected_mu(dist: AdviceDistribution, k: float = DEFAULT_AMPLIFY_RAT
         head = block[:max(cut - int(ranks[0]) + 1, 0)]
         costs = [_dot(head, v) for v in _amplify_sub_block(head, sizes, fallback, scratch)
                  ] if head.size else [0.0, 0.0, 0.0]
-        return [*costs, *_moments(block[head.size:], count, powers)]
+        return [*costs, *_moments(block[head.size:], count, powers),
+                *(() if columns is None else columns.partials(block, ranks, dist.n))]
 
-    f, o_mu, inv, *sums = _rank_weighted_sums(dist, _with_columns(fn, columns), _SUB_BLOCK)
-    if columns is not None:
-        columns.sums = sums[count:]
-    return _exact_report(*_with_series((f, o_mu, inv), series, sums))
+    f, o_mu, inv, *sums = _rank_weighted_sums(dist, fn, _SUB_BLOCK)
+    return _exact_report(*_with_series((f, o_mu, inv), series, sums)), sums[count:]
+
+
+def unknown_expected_mu(dist: AdviceDistribution,
+                        k: float = DEFAULT_AMPLIFY_RATIO) -> ExpectationReport:
+    """Advice-averaged exact expected costs: sum_x p_x E[cost | marked=x]."""
+    return next(_exact_rows("unknown", dist, _check_real(
+        k, "iteration-budget ratio", *AMPLIFY_RATIO_BOUNDS)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -675,14 +660,34 @@ def _model_ratio(model: str, k: float | None) -> float | None:
     raise ConfigError(f"unknown algorithm id {model!r}")
 
 
-def exact_expected(model: str, dist: AdviceDistribution, k: float | None = None,
-                   columns=None) -> ExpectationReport:
-    """Exact per-oracle expected costs of a model with the marked element ~ advice,
-    summing the row's bound columns, if given, in the model's walk."""
-    ratio = _model_ratio(model, k)
-    if model == "unknown":
-        return unknown_expected_mu(dist, ratio, columns=columns)
-    return _exact_report(f=next(_scan_means(model, dist, ratio, columns)), o_mu=0.0, o_mu_inv=0.0)
+def _exact_rows(model: str | None, dist: AdviceDistribution, ratio: float | None,
+                stops=None, columns=None):
+    """Yield, at each of stops (dist.n by default; only a power law's walk
+    stops early), the exact ExpectationReport of model at its checked ratio
+    and the row's (lower, upper) from its bound columns, a
+    bounds._BoundColumns, or (None, None) without them.  Each row and its
+    bounds come from one walk: _scan_means for the scan and the block
+    search, _unknown_means (a power law) or _sub_block_means for the
+    oracle-only model under the fallback ceil(pi/4 sqrt(n)), and with model
+    None the columns of dist's one row alone, report None."""
+    ns = (dist.n,) if stops is None else tuple(stops)
+    if model is None and columns is None:
+        rows = [(None, ())]
+    elif model is None and columns.upper == "unknown":   # the one ceiling not linear in p
+        rows = ((None, sums) for sums in _head_sums(
+            dist, lambda block, ranks: columns.partials(block, ranks, dist.n),
+            lambda law, lo, hi: columns.tail(law, lo, hi, dist.x0_threshold())))
+    elif model is None:
+        rows = ((None, sums[1:]) for sums in _linear_sums(dist, columns.partials, tail=columns.tail))
+    elif model != "unknown":
+        rows = ((_exact_report(f, 0.0, 0.0), sums)
+                for f, sums in _scan_means(model, dist, ratio, ns, columns))
+    else:
+        fallbacks = [float(exact_grover_queries(n)) for n in ns]
+        rows = (_unknown_means(dist, ratio, ns, fallbacks, columns) if dist.power_law is not None
+                else [_sub_block_means(dist, ratio, *fallbacks, columns)])
+    for n, (report, sums) in zip(ns, rows):
+        yield report, (None, None) if columns is None else columns.values(sums, n)
 
 
 def _trial_seed(seed: int, stream: int, index: int = 0) -> np.random.Generator:
@@ -717,7 +722,7 @@ def monte_carlo(algorithm: str, dist: AdviceDistribution, trials: int, seed: int
     else:
         f, o_mu, inv = _unknown_rounds(
             dist._probs_at(ranks), _round_sizes(dist.n, ratio),
-            exact_grover_queries(dist.n, zero_or_one=False),
+            exact_grover_queries(dist.n),
             (_trial_seed(seed, 1, j) for j in itertools.count()))
     stats = []   # mean and standard error of each oracle's count, in field order
     for values in (f, o_mu, inv):

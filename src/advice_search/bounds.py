@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import MODELS
+from . import algorithms
 from .distributions import (
     AdviceDistribution,
     ConfigError,
@@ -20,8 +20,6 @@ from .distributions import (
     _check_int,
     _check_real,
     _dot,
-    _head_sums,
-    _linear_sums,
     _power_sums,
     _prefix_length,
 )
@@ -87,69 +85,67 @@ def las_vegas_report(n: int) -> LasVegasBound:
     )
 
 
+@dataclass(frozen=True)
 class _BoundColumns:
-    """A row's bound columns, summed by the walk that carries them: per
-    block, sum p_x sqrt(x), which scales the lower and the known-advice
-    upper bound, and with upper="unknown" the two parts of the oracle-only
-    ceiling, sum sqrt(p_x) over the ranks with p_x >= 1/n (a prefix) and
-    sum p_x over the rest."""
+    """A description of a row's bound columns, which the walk that carries
+    them sums (algorithms._exact_rows): per block, sum p_x sqrt(x), which
+    scales the lower and the known-advice upper bound, and with
+    upper="unknown" the two parts of the oracle-only ceiling of a row over
+    1..n, sum sqrt(p_x) over the ranks with p_x >= 1/n (a prefix, up to x0)
+    and sum p_x over the rest.  n and x0 are read with upper="unknown" only."""
 
-    def __init__(self, dist: AdviceDistribution, upper: str | None = None):
-        self.dist, self.upper = dist, upper
-        self.sums: list[float] = []
+    upper: str | None
 
-    def partials(self, block: np.ndarray, ranks: np.ndarray) -> tuple[float, ...]:
+    def partials(self, block: np.ndarray, ranks: np.ndarray,
+                 n: int | None = None) -> tuple[float, ...]:
         # the walk's ranks are its scratch, which the columns may overwrite:
         # rooted in place, then the roots of the high-prior probabilities
-        return self.rooted(block, np.sqrt(ranks, out=ranks), ranks)
+        return self.rooted(block, np.sqrt(ranks, out=ranks), ranks, n)
 
-    def rooted(self, block: np.ndarray, roots: np.ndarray, scratch: np.ndarray) -> tuple[float, ...]:
+    def rooted(self, block: np.ndarray, roots: np.ndarray, scratch: np.ndarray,
+               n: int | None) -> tuple[float, ...]:
         """partials of a block whose ranks' square roots are roots, with
         scratch at least as long as block (roots may be it)."""
         out = (_dot(block, roots),)
         if self.upper == "unknown":
-            head = _prefix_length(block, 1.0 / self.dist.n)
+            head = _prefix_length(block, 1.0 / n)
             out += (float(np.sum(np.sqrt(block[:head], out=scratch[:head]))),
                     float(np.sum(block[head:])))
         return out
 
-    def tail(self, law: PowerLawSpec, lo: int, hi: int) -> tuple:
+    def tail(self, law: PowerLawSpec, lo: int, hi: int, x0: int | None = None) -> tuple:
         """Each column's sum over the ranks lo + 1..hi of a power law alpha x^k,
         alpha 1 in _linear_sums' walk of x^k: alpha sum x^(k + 1/2), and with
-        upper="unknown" sqrt(alpha) sum x^(k/2) over those up to x0 = the last
-        rank with p_x >= 1/n and alpha sum x^k over the rest."""
+        upper="unknown" sqrt(alpha) sum x^(k/2) over those up to x0 and alpha
+        sum x^k over the rest."""
         out = (law.alpha * _power_sums(law.k + 0.5, lo, hi),)
         if self.upper == "unknown":
-            x0 = min(max(self.dist._last_rank_at_least(1.0 / self.dist.n), lo), hi)
+            x0 = min(max(x0, lo), hi)
             out += (math.sqrt(law.alpha) * _power_sums(0.5 * law.k, lo, x0) if x0 > lo else 0.0,
                     law.alpha * _power_sums(law.k, x0, hi) if hi > x0 else 0.0)
         return out
 
-    def values(self) -> tuple[float, float | None]:
-        """The lower bound, and the upper bound of the model named by upper;
-        the columns get a walk of their own if no model's walk carried them:
-        past 2^16 on a power law, power sums."""
-        if not self.sums and self.upper == "unknown":   # the one ceiling not linear in p
-            self.sums = next(_head_sums(self.dist, self.partials, self.tail))
-        elif not self.sums:
-            _, *self.sums = next(_linear_sums(self.dist, self.partials, tail=self.tail))
-        sqrt_ranks, upper = self.sums[0], None
+    def values(self, sums, n: int) -> tuple[float, float | None]:
+        """The lower bound of a row over 1..n whose columns sum to sums, and
+        the upper bound of the model named by upper."""
+        sqrt_ranks, upper = sums[0], None
         if self.upper == "geometric":
             upper = math.pi * math.e * sqrt_ranks
         elif self.upper == "unknown":
-            head, tail = self.sums[1:]
-            upper = (HIGH_PRIOR_COEFF * head + FALLBACK_COEFF * math.sqrt(self.dist.n) * tail
+            head, tail = sums[1:]
+            upper = (HIGH_PRIOR_COEFF * head + FALLBACK_COEFF * math.sqrt(n) * tail
                      + UNKNOWN_OFFSET)
         return LAS_VEGAS_COEFF * sqrt_ranks - 1.0, upper
 
 
 def row_bounds(dist: AdviceDistribution, model: str | None = None) -> tuple[float, float | None]:
-    """(lower, upper) on a row's expected f queries from one walk: 0.206 sum p_x sqrt(x) - 1
-    for any zero-error search, and at the model's default ratio pi e sum p_x sqrt(x) ("geometric"),
+    """(lower, upper) on a row's expected f queries from one walk of the bound columns alone
+    (algorithms._exact_rows without a model): 0.206 sum p_x sqrt(x) - 1 for any zero-error
+    search, and at the model's default ratio pi e sum p_x sqrt(x) ("geometric"),
     83 sum_{p_x >= 1/n} sqrt(p_x) + 53 sqrt(n) sum_{p_x < 1/n} p_x + 4/3 ("unknown") or None."""
-    if model not in (None, *MODELS):
+    if model not in (None, *algorithms.MODELS):
         raise ConfigError(f"unknown algorithm id {model!r}")
-    return _BoundColumns(dist, model).values()
+    return next(algorithms._exact_rows(None, dist, None, columns=_BoundColumns(model)))[1]
 
 
 @dataclass(frozen=True)

@@ -171,55 +171,47 @@ class SweepSpec:
                    seed=_check_int(merged.get("seed", 0), "seed", 0))
 
 
-def _columns(spec: SweepSpec, dist) -> bounds._BoundColumns | None:
+def _columns(spec: SweepSpec) -> bounds._BoundColumns | None:
     """A row's bound columns, none for the scan: the 0.206 lower bound holds for any
     zero-error quantum search; upper bounds are ratio-specific, at the default ratio only."""
     if spec.model == "classical":
         return None
     default = spec.k_algorithm is None or math.isclose(
         spec.k_algorithm, algorithms._model_ratio(spec.model, None), rel_tol=1e-12, abs_tol=0.0)
-    return bounds._BoundColumns(dist, spec.model if default else None)
+    return bounds._BoundColumns(spec.model if default else None)
 
 
 def _reports(spec: SweepSpec, cfgs: list[dict], seeds: list[int]):
-    """Yield (n, k_dist, report, bound columns) per dist config.  Exact rows
-    of power laws come from one pass to the largest n that stops at each n:
-    for the scan and the block search one walk, as f and the bounds' sum p_x
-    sqrt(x) are linear in p, and for the oracle-only model one walk, one
-    kernel call and one of each shared step (algorithms._unknown_means).
-    Every n of a power law is checked, as its own dist would check it, before any row."""
+    """Yield (n, k_dist, report, (lower, upper)) per dist config, each exact
+    row and its bounds from algorithms._exact_rows: a power law's from one
+    pass over its weights to the largest n that stops at each n, explicit
+    advice's as its one stop.  A Monte Carlo row walks its bound columns
+    alone.  Every n of a power law is checked, as its own dist would check
+    it, before any row."""
     law = _dist_kind(cfgs[0]) == "powerlaw"
     for cfg in cfgs if law else ():
         k = _check_power_law_params(cfg.get("n"), cfg.get("k"))
-    if spec.mode == "exact" and law:
-        ns = [cfg["n"] for cfg in cfgs]
-        ratio = algorithms._model_ratio(spec.model, spec.k_algorithm)
-        columns = _columns(spec, None)
-        if spec.model == "unknown":
-            walk = algorithms._unknown_means(_weights(ns[-1], k), ratio, columns, ns)
-        else:
-            walk = (algorithms._exact_report(f, 0.0, 0.0) for f in algorithms._scan_means(
-                spec.model, _weights(ns[-1], k), ratio, columns, ns))
-        for n, report in zip(ns, walk):
-            yield n, k, report, columns
+    columns = _columns(spec)
+    if spec.mode == "exact":
+        ns = [cfg["n"] for cfg in cfgs] if law else None
+        dist = _weights(ns[-1], k) if law else dist_from_config(cfgs[0])
+        rows = algorithms._exact_rows(spec.model, dist, algorithms._model_ratio(
+            spec.model, spec.k_algorithm), ns, columns)
+        for n, (report, row) in zip(ns or (dist.n,), rows):
+            yield n, k if law else None, report, row
         return
     for cfg, seed in zip(cfgs, seeds):
         dist = dist_from_config(cfg)
-        columns = _columns(spec, dist)
-        if spec.mode == "monte_carlo":
-            report = algorithms.monte_carlo(spec.model, dist, spec.trials, seed,
-                                            k=spec.k_algorithm)
-        else:
-            report = algorithms.exact_expected(spec.model, dist, spec.k_algorithm, columns)
-        yield dist.n, dist.power_law and dist.power_law.k, report, columns
+        report = algorithms.monte_carlo(spec.model, dist, spec.trials, seed, k=spec.k_algorithm)
+        _, row = next(algorithms._exact_rows(None, dist, None, columns=columns))
+        yield dist.n, dist.power_law and dist.power_law.k, report, row
 
 
 def _rows(spec: SweepSpec, cfgs: list[dict], seeds: list[int], timing: bool) -> list[SweepRow]:
     """The rows of _reports, each timed from the end of the previous one to
     its bounds (which a Monte Carlo row walks) under timing."""
     rows, started = [], time.perf_counter()
-    for n, k_dist, report, columns in _reports(spec, cfgs, seeds):
-        lower, upper = columns.values() if columns is not None else (None, None)
+    for n, k_dist, report, (lower, upper) in _reports(spec, cfgs, seeds):
         elapsed = time.perf_counter() - started
         log.info("point n=%d model=%s mode=%s took %.3fs", n, spec.model, spec.mode, elapsed)
         rows.append(SweepRow(n, k_dist, spec.model, spec.mode,   # means, stderrs

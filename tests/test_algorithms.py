@@ -5,6 +5,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -853,10 +854,10 @@ def _assert_bound_columns(d, sums, step):
     the ranks up to x0, the last with p_x >= 1/n, and sum p_x over the rest:
     over the first 2^16 ranks the bits of a walk in blocks of step, past
     them within 1e-14 of exact power sums at d's alpha."""
-    columns = _BoundColumns(d, "unknown")
+    columns = _BoundColumns("unknown")
     head = distributions._rank_weighted_sums(
-        AdviceDistribution(min(d.n, _BUILD_STEP), power_law=d.power_law), columns.partials,
-        step=step)
+        AdviceDistribution(min(d.n, _BUILD_STEP), power_law=d.power_law),
+        lambda block, ranks: columns.partials(block, ranks, d.n), step=step)
     if d.n <= _BUILD_STEP:
         assert sums == head
         return
@@ -868,6 +869,21 @@ def _assert_bound_columns(d, sums, step):
     for got, walked, rest in zip(sums, head, past, strict=True):
         want = walked + rest
         assert abs(got - want) <= 1e-14 * want, (got, float(want))
+
+
+def _column_sums(call):
+    """call's result, and the bound column sums of the one row whose bounds
+    it makes, as _BoundColumns.values gets them."""
+    seen, values = [], _BoundColumns.values
+
+    def recording(columns, sums, n):
+        seen.append(list(sums))
+        return values(columns, sums, n)
+
+    with mock.patch.object(_BoundColumns, "values", recording):
+        result = call()
+    (sums,) = seen
+    return result, sums
 
 
 def _panel_cut(d, k):
@@ -937,14 +953,13 @@ _PANEL_CASES = (st.tuples(st.integers(_PANEL_START + 1, 2**20 + 7),
 def test_panel_rows_match_the_kernel(case, k):
     n, ratio = case
     d = make_power_law(n, k)
-    columns = _BoundColumns(d, "unknown")
-    row = unknown_expected_mu(d, ratio, columns=columns).means()
-    np.testing.assert_allclose(row, _exact_kernel_row(d, ratio), rtol=1e-13, atol=0)
-    _assert_bound_columns(d, columns.sums, _SUB_BLOCK)
+    (report, _), sums = _column_sums(lambda: next(algorithms._exact_rows(
+        "unknown", d, ratio, columns=_BoundColumns("unknown"))))
+    np.testing.assert_allclose(report.means(), _exact_kernel_row(d, ratio), rtol=1e-13, atol=0)
+    _assert_bound_columns(d, sums, _SUB_BLOCK)
     # the ceiling's own pass (row_bounds) walks 2^16-rank blocks
-    fresh = _BoundColumns(d, "unknown")
-    fresh.values()
-    _assert_bound_columns(d, fresh.sums, _BUILD_STEP)
+    _, sums = _column_sums(lambda: row_bounds(d, "unknown"))
+    _assert_bound_columns(d, sums, _BUILD_STEP)
 
 
 def test_panel_cut_falls_inside_a_panel_and_a_block():

@@ -19,7 +19,7 @@ from advice_search import (
 )
 from advice_search.algorithms import _SUB_BLOCK, _model_ratio
 from advice_search.bounds import _BoundColumns
-from advice_search.distributions import _BUILD_STEP, _rank_weighted_sums
+from advice_search.distributions import _BUILD_STEP, AdviceDistribution, _rank_weighted_sums
 from advice_search.sweep import SweepSpec, run_point
 from advice_search.validation import _rank_ceilings, fallback_bound_ceiling
 
@@ -240,20 +240,44 @@ def test_las_vegas_report_takes_integer_n():
         las_vegas_report(1)
 
 
+def _oracle_only_bounds(d):
+    """The oracle-only row's bounds from its columns summed in the kernel's
+    _SUB_BLOCK steps, and on a power law past 2^16 by the columns' tail."""
+    columns = _BoundColumns("unknown")
+    fn = lambda block, ranks: columns.partials(block, ranks, d.n)   # noqa: E731
+    if d.power_law is None or d.n <= _BUILD_STEP:
+        return columns.values(_rank_weighted_sums(d, fn, step=_SUB_BLOCK), d.n)
+    head = _rank_weighted_sums(AdviceDistribution(_BUILD_STEP, power_law=d.power_law), fn,
+                               step=_SUB_BLOCK)
+    tail = columns.tail(d.power_law, _BUILD_STEP, d.n, d.x0_threshold())
+    return columns.values([math.fsum((h, t)) for h, t in zip(head, tail, strict=True)], d.n)
+
+
+def _bound_weights(kind, n):
+    rng = np.random.default_rng(n)
+    if kind == "pareto":
+        return rng.pareto(1.5, n) + 1e-3
+    if kind == "zeros":   # flat, then zeros
+        return np.repeat([1.0, 0.0], [n - n // 3, n // 3])
+    return rng.integers(1, 4, n).astype(np.float64)   # ties
+
+
 def test_compute_bounds_report():
-    # a sweep row's bound columns are summed in the model's walk: 2^16-rank
+    # a row's bound columns are summed in the model's walk: 2^16-rank
     # blocks for the scans, as row_bounds' own walk uses, and the
     # oracle-only kernel's 2^14-rank blocks, whose sums may differ in the
-    # last bits from row_bounds' ones
-    def row(model):
-        dist = {"kind": "powerlaw", "n": 3 * _SUB_BLOCK + 5, "k": -1.0}
-        point = run_point(SweepSpec(dist_cfg=dist, model=model))
-        return point.lower_bound, point.upper_bound
-
-    d = make_power_law(3 * _SUB_BLOCK + 5, -1.0)
-    assert row("classical") == (None, None)
-    assert row("geometric") == row_bounds(d, "geometric")
-    columns = _BoundColumns(d, "unknown")
-    columns.sums = _rank_weighted_sums(d, columns.partials, step=_SUB_BLOCK)
-    assert row("unknown") == columns.values()
-    assert columns.values() == pytest.approx(row_bounds(d, "unknown"), rel=1e-14, abs=0)
+    # last bits from row_bounds' ones; on a power law and on explicit advice
+    for kind in ("powerlaw", "pareto", "zeros", "ties"):
+        for n in (1, _SUB_BLOCK, _SUB_BLOCK + 1, 3 * _SUB_BLOCK + 5, _BUILD_STEP + 1):
+            if kind == "powerlaw":
+                cfg, d = {"kind": "powerlaw", "n": n, "k": -1.0}, make_power_law(n, -1.0)
+            else:
+                weights = _bound_weights(kind, n)
+                cfg, d = {"kind": "explicit", "weights": weights.tolist()}, make_explicit(weights)
+            rows = [run_point(SweepSpec(dist_cfg=cfg, model=model))
+                    for model in ("classical", "geometric", "unknown")]
+            classical, geometric, unknown = ((row.lower_bound, row.upper_bound) for row in rows)
+            assert classical == (None, None), (kind, n)
+            assert geometric == row_bounds(d, "geometric"), (kind, n)
+            assert unknown == _oracle_only_bounds(d), (kind, n)
+            assert unknown == pytest.approx(row_bounds(d, "unknown"), rel=1e-14, abs=0), (kind, n)

@@ -481,9 +481,8 @@ def test_power_law_stops_match_one_stop_walks(stops, k, model, ratio):
     ratio = algorithms._model_ratio(model, ratio)
 
     def means(n, stops=None):
-        columns = _BoundColumns(None, model)
-        return [(f, *columns.sums) for f in algorithms._scan_means(
-            model, _weights(n, k), ratio, columns, stops)]
+        return [(f, *sums) for f, sums in algorithms._scan_means(
+            model, _weights(n, k), ratio, stops or (n,), _BoundColumns(model))]
 
     assert means(stops[-1], stops) == [means(stop)[0] for stop in stops]
 

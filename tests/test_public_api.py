@@ -28,8 +28,10 @@ REMOVED = (
     "rotation_angle", "DEFAULT_DIM_CAP", "_check_length", "_check_rank",
     "q_mu_lower", "geometric_upper", "unknown_upper_mu", "_CEIL_SNAP", "_attempt_success",
     "_powers", "_floored_power", "_check_schedule_length", "_sums_at", "_kernel_workers",
-    "_walk_workers", "unknown_search", "RunResult",
+    "_walk_workers", "unknown_search", "RunResult", "exact_expected", "_with_columns",
 )
+
+SOURCES = sorted(pathlib.Path(advice_search.__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -104,8 +106,7 @@ def _imported_names(tree: ast.Module):
             yield from (alias.asname or alias.name for alias in node.names if alias.name != "*")
 
 
-@pytest.mark.parametrize("path", sorted(pathlib.Path(advice_search.__file__).parent.glob("*.py")),
-                         ids=lambda path: path.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_every_import_is_used(path):
     # no linter runs on the package, so an import left behind by a refactor
     # is caught here: each imported name is read in its module or exported
@@ -115,3 +116,67 @@ def test_every_import_is_used(path):
     exported = set(getattr(importlib.import_module(module), "__all__", ()))
     unused = sorted(set(_imported_names(tree)) - used - exported)
     assert not unused, f"{path.name} imports {unused} without using them"
+
+
+def _trees():
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
+
+
+def test_no_attribute_named_sums_or_dist_is_assigned():
+    # a row's bound column sums and its dist travel as values through
+    # algorithms._exact_rows, never as attributes that a walk overwrites
+    def targets(node):
+        if isinstance(node, ast.Assign):
+            return node.targets
+        return [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else []
+
+    assigned = [(node.lineno, target.attr) for tree in _trees() for node in ast.walk(tree)
+                for top in targets(node) for target in ast.walk(top)
+                if isinstance(target, ast.Attribute) and target.attr in ("sums", "dist")]
+    assert not assigned, assigned
+
+
+def test_every_private_helper_is_used():
+    # no linter runs on the package, so a helper left behind by a refactor
+    # is caught here: every _-prefixed top-level function and method of src
+    # is read somewhere in src, by name or as an attribute
+    trees = _trees()
+    used = {node.id if isinstance(node, ast.Name) else node.attr for tree in trees
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+    unused = []
+    for tree in trees:
+        for top in tree.body:
+            for node in top.body if isinstance(top, ast.ClassDef) else [top]:
+                if (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                        and not node.name.startswith("__") and node.name not in used):
+                    unused.append(node.name)
+    assert not unused, unused
+
+
+def test_every_row_path_enters_the_row_generator_once(monkeypatch):
+    # every exact row and every row's bounds come from one call of
+    # algorithms._exact_rows: a run of a power law or of explicit advice, a
+    # whole sweep, row_bounds, and a Monte Carlo run's bounds
+    calls = []
+    rows = algorithms._exact_rows
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return rows(*args, **kwargs)
+
+    monkeypatch.setattr(algorithms, "_exact_rows", counted)
+    power_law = {"kind": "powerlaw", "n": 1000, "k": -1.5}
+    explicit = {"kind": "explicit", "weights": [3.0, 1.0, 1.0, 0.0]}
+    for model in algorithms.MODELS:
+        for cfg in (power_law, explicit):
+            for mode in sweep.MODES:
+                calls.clear()
+                sweep.run_point(sweep.SweepSpec(dist_cfg=cfg, model=model, mode=mode, trials=10))
+                assert calls == [model if mode == "exact" else None], (model, cfg, mode)
+        calls.clear()
+        sweep.run_sweep(sweep.SweepSpec(dist_cfg={"kind": "powerlaw", "k": -1.5}, model=model,
+                                        n_grid=(10, 1000, 2**17)))
+        assert calls == [model]
+        calls.clear()
+        bounds.row_bounds(distributions.make_power_law(1000, -1.5), model)
+        assert calls == [None]

@@ -101,10 +101,11 @@ def test_run_point_nondefault_ratio_drops_upper_bound():
 _WALK_N = 3 * 2**16 + 5
 
 
-def _record_walks(monkeypatch):
+def _record_walks(monkeypatch, rows=None):
     """Make every walk that the models and the bounds take (_rank_weighted_sums,
     _head_sums or _linear_sums, not the dist build's alpha) record its block
-    length and the first rank of each block it visits."""
+    length and the first rank of each block it visits, and in rows, if
+    given, the size and first rank of each block row its fn makes."""
     walks = []
 
     def recorder(walk):
@@ -113,6 +114,8 @@ def _record_walks(monkeypatch):
 
             def visit(block, ranks):
                 firsts.append(int(ranks[0]))
+                if rows is not None:
+                    rows.append((block.size, int(ranks[0])))
                 return fn(block, ranks)
 
             walks.append((options.get("step", distributions._BUILD_STEP), firsts))
@@ -138,26 +141,16 @@ def test_exact_row_is_one_walk(monkeypatch, model, ratio, width):
     # block for the scan and the block search, a _SUB_BLOCK at a time for
     # the oracle-only model, as explicit advice's walk makes them (its
     # bound columns from the block's roots, made once)
-    walks = _record_walks(monkeypatch)
     rows = []
-    with_columns, rooted = algorithms._with_columns, bounds._BoundColumns.rooted
+    walks = _record_walks(monkeypatch, None if model == "unknown" else rows)
+    rooted = bounds._BoundColumns.rooted
 
-    def recording(fn, columns):
-        row = with_columns(fn, columns)
-
-        def made(block, ranks):
-            rows.append((block.size, int(ranks[0])))
-            return row(block, ranks)
-        return made
-
-    def recording_roots(columns, block, roots, scratch):
+    def recording_roots(columns, block, roots, scratch, n):
         rows.append((block.size, round(float(roots[0]) ** 2)))
-        return rooted(columns, block, roots, scratch)
+        return rooted(columns, block, roots, scratch, n)
 
     if model == "unknown":
         monkeypatch.setattr(bounds._BoundColumns, "rooted", recording_roots)
-    else:
-        monkeypatch.setattr(algorithms, "_with_columns", recording)
     spec = SweepSpec(dist_cfg={"kind": "powerlaw", "n": _WALK_N, "k": -0.75},
                      model=model, k_algorithm=ratio)
     row = run_point(spec)
@@ -347,7 +340,7 @@ def test_sweep_refuses_a_bad_grid_point_before_any_row(monkeypatch, model, mode,
     def no_row(*args, **kwargs):
         raise AssertionError("a row was built before the grid was checked")
 
-    for name in ("unknown_expected_mu", "monte_carlo", "exact_expected"):
+    for name in ("unknown_expected_mu", "monte_carlo", "_exact_rows"):
         monkeypatch.setattr(algorithms, name, no_row)
     monkeypatch.setattr(sweep, "dist_from_config", no_row)
     spec = SweepSpec.from_config({"dist": {"kind": "powerlaw", "k": -0.75}, "model": model,
