@@ -34,14 +34,15 @@ from .distributions import (
     ParameterError,
     PowerLawSpec,
     _BERNOULLI,
-    _BUILD_STEP,
     _MAX_LEN,
+    _PANEL_START,
     _check_int,
     _check_real,
     _dot,
     _head_sums,
     _last_ranks_at_least,
     _linear_sums,
+    _no_columns,
     _power_sums,
     _rank_weighted_sums,
 )
@@ -90,9 +91,9 @@ _MAX_SCHEDULE = 100_000
 _SUB_BLOCK = 1 << 14
 
 # Rows of the kernel's scratch, each up to _SUB_BLOCK long: the head's 8
-# vectors.  A power law's walk runs no kernel and holds none: after it, its
-# head ranks up to _PANEL_START and the panels' nodes share one scratch, and
-# a refused panel's ranks get scratch of their own.
+# vectors.  A power law's head ranks up to _PANEL_START and its panels'
+# nodes share one scratch, and a refused panel's ranks get scratch of their
+# own.
 _SCRATCH_ROWS = 8
 
 # The tiny tail's power series stops at the least degree whose truncation
@@ -101,16 +102,15 @@ _SCRATCH_ROWS = 8
 _TAIL_TOL = 2.0 ** -64
 _TAIL_MAX_DEGREE = 8
 
-# A power law's kernel runs on its ranks up to _PANEL_START.  Its head ranks
-# past that, up to the tail cut, are summed over panels, each a quarter as
-# wide as its start rank (so at least _PANEL_START / 4 = 32 >= _PANEL_NODES),
-# from the kernel's costs at _PANEL_NODES Chebyshev points; 128 is the least
-# power of two that keeps them that wide.  A panel whose two trailing
-# coefficients exceed _PANEL_TOL of its mean goes back to the kernel: they
-# read up to 3.5e-14, the rounding of the kernel's costs, and the integer
-# sum weights mode i by ~2/i^2 of the mean, so a panel at the threshold errs
-# by ~2e-15 of its sum.
-_PANEL_START = 128
+# A power law's kernel runs on its head, the ranks up to _PANEL_START
+# (distributions).  Its ranks past that, up to the tail cut, are summed over
+# panels, each a quarter as wide as its start rank (so at least
+# _PANEL_START / 4 = 32 >= _PANEL_NODES), from the kernel's costs at
+# _PANEL_NODES Chebyshev points; 128 is the least power of two that keeps
+# them that wide.  A panel whose two trailing coefficients exceed _PANEL_TOL
+# of its mean goes back to the kernel: they read up to 3.5e-14, the
+# rounding of the kernel's costs, and the integer sum weights mode i by
+# ~2/i^2 of the mean, so a panel at the threshold errs by ~2e-15 of its sum.
 _PANEL_NODES = 24
 _PANEL_TOL = 1e-12
 
@@ -208,11 +208,13 @@ def _scan_means(model: str, dist: AdviceDistribution, k: float | None, stops, co
     bound columns (a bounds._BoundColumns without the oracle-only ceiling)
     or none, from one _linear_sums.  Each schedule block's part is its
     cumulative cost, charged at nominal block sizes whatever the stop, times
-    its probability mass: per walk block an np.sum, past 2^16 on a power law
-    a power sum, one for each piece of a schedule block there."""
+    its probability mass: per schedule block in the head (or an explicit
+    walk's block) an np.sum, and past _PANEL_START on a power law a power
+    sum, one for each piece of a schedule block there, all stops' pieces in
+    one _power_sums call."""
     if model == "classical":
         fn = lambda block, ranks: (_dot(block, ranks),)   # noqa: E731
-        tail = lambda law, lo, hi: (_power_sums(law.k + 1.0, lo, hi),)   # noqa: E731
+        tail = lambda law, lo, his: (_power_sums(law.k + 1.0, lo, his),)   # noqa: E731
     else:
         ends, cum = _geometric_schedule(stops[-1], k)
 
@@ -226,15 +228,20 @@ def _scan_means(model: str, dist: AdviceDistribution, k: float | None, stops, co
                 lo, m = hi, m + 1
             return (math.fsum(parts),)
 
-        def tail(law: PowerLawSpec, lo: int, hi: int) -> tuple[np.ndarray]:
-            first, last = np.searchsorted(ends, (lo + 1, hi))   # the schedule blocks of both ends
-            cuts = np.concatenate(((lo,), ends[first:last], (hi,)))
-            return (cum[first:last + 1] * _power_sums(law.k, cuts[:-1], cuts[1:]),)
+        def tail(law: PowerLawSpec, lo: int, his: np.ndarray) -> tuple[list]:
+            first, lasts = np.searchsorted(ends, lo + 1), np.searchsorted(ends, his)
+            cuts = [np.concatenate(((lo,), ends[first:last], (hi,)))
+                    for last, hi in zip(lasts, his)]
+            sums = _power_sums(law.k, np.concatenate([c[:-1] for c in cuts]),
+                               np.concatenate([c[1:] for c in cuts]))
+            pieces = np.split(sums, np.cumsum([c.size - 1 for c in cuts])[:-1])
+            return ([cum[first:last + 1] * piece for last, piece in zip(lasts, pieces)],)
 
     row, tails = fn, tail
     if columns is not None:   # last, as they overwrite the ranks
         row = lambda block, x: (*fn(block, x), *columns.partials(block, x))   # noqa: E731
-        tails = lambda law, lo, hi: (*tail(law, lo, hi), *columns.tail(law, lo, hi))   # noqa: E731
+        tails = lambda law, lo, his: (   # noqa: E731
+            *tail(law, lo, his), *columns.tail(law.k, lo, his))
     for _, f, *sums in _linear_sums(dist, row, stops, tail=tails):
         yield f, sums
 
@@ -524,46 +531,32 @@ def _with_series(costs, series, moments) -> list[float]:
         for cost, coeffs in zip(costs, series)]
 
 
-def _scaled_power_sums(s: float, lo, hi, scales) -> list:
-    """scale * sum_{x=lo+1}^{hi} x^s for each scale and range, 0.0 where hi
-    <= lo: one _power_sums call over the ranges."""
-    lo, hi = np.asarray(lo), np.asarray(hi)
-    some = hi > lo
-    sums = iter(_power_sums(s, lo[some], hi[some]))
-    return [scale * next(sums) if on else 0.0 for scale, on in zip(scales, some)]
-
-
 def _unknown_means(dist: AdviceDistribution, k: float, ns, fallbacks, columns):
     """Yield, at each n of ns, the exact ExpectationReport of the
     oracle-only search at ratio k, under the fallback of the matching entry
     of fallbacks, on the power law of dist's exponent over 1..n, and the
     sums of columns (bounds._BoundColumns, or none) there.  The rows share
     one pass:
-    * one _linear_sums walk of x^k over the ranks up to min(ns[-1], 2^16)
-      gives every row's alpha and keeps the block, which each row scales by
-      its alpha;
+    * one _linear_sums of x^k gives every row's alpha;
     * one _tail_series recurrence runs over the last row's schedule, of
       which every row's is a prefix;
     * one bisection finds every row's tail cut, and the last rank x0 with
       p >= 1/n of its ceiling;
     * one _panel_sums call runs the kernel on every row's head and panel
       points;
-    * one _power_sums call per column sums the ranks past 2^16 of every row.
+    * one _power_sums call per column sums every row's ranks past
+      _PANEL_START.
     A rank takes one of three paths.  The tail, p < DEGENERATE_TOL, runs no
     rounds: it gives the moments M_e = sum p^e, e = 1..D+1, of the row's
     series (a row with no series has no tail).  The head's ranks past
     _PANEL_START are summed over Chebyshev panels, and the others run the
-    kernel.  A row's block gives per _SUB_BLOCK its tail moments and bound
-    columns, and each column's math.fsum takes in its terms past 2^16, so
-    no row visits a rank past 2^16."""
-    law, kept = dist.power_law, []
-
-    def keep(block: np.ndarray, ranks: np.ndarray) -> tuple:
-        kept[:] = block, ranks   # the walk's whole block comes last
-        return ()
-
-    alphas = [alpha for alpha, in _linear_sums(dist, keep, ns)]
-    weights, ranks = kept
+    kernel.  A row's ranks up to _PANEL_START, made as probs holds them,
+    give their tail moments and bound columns, and each column's math.fsum
+    takes in its power sum past them.  The kernel's head is those ranks, or
+    the ranks up to a tail cut that falls short of a first panel (at most
+    _PANEL_START + 31)."""
+    law = dist.power_law
+    alphas = [alpha for alpha, in _linear_sums(dist, _no_columns, ns)]
     sizes = _round_sizes(ns[-1], k)
     rounds = [len(_round_sizes(n, k)) for n in ns]
     series = _tail_series(sizes, fallbacks, rounds)
@@ -572,43 +565,30 @@ def _unknown_means(dist: AdviceDistribution, k: float, ns, fallbacks, columns):
     found = _last_ranks_at_least(lambda x: np.power(x.astype(np.float64), law.k) * pairs,
                                  ns * 2, [DEGENERATE_TOL] * len(ns) + [1.0 / n for n in ns])
     cuts = [int(cut) if count else n for n, count, cut in zip(ns, counts, found)]
-    rows = []
-    for alpha, r, fallback, cut in zip(alphas, rounds, fallbacks, cuts):
-        panels = _panels(cut)   # the kernel's head ranks: up to the first panel, or the cut
-        rows.append((alpha, r, fallback, panels,
-                     weights[:panels[0][0] if panels else cut] * alpha))
+    rows, heads = [], []
+    for n, alpha, r, fallback, cut in zip(ns, alphas, rounds, fallbacks, cuts):
+        panels = _panels(cut)   # the kernel's head: up to the first panel, or the cut
+        size = panels[0][0] if panels else cut
+        _, ranks, probs = next(AdviceDistribution(n, power_law=PowerLawSpec(n, law.k, alpha))
+                               ._streams(max(size, min(n, _PANEL_START))))
+        rows.append((alpha, r, fallback, panels, probs[:size]))
+        heads.append((ranks, probs[:min(n, _PANEL_START)]))
     terms = _panel_sums(law.k, sizes, rows)
-    # per column, the terms past 2^16 of every row that reaches them: the
-    # tail's moments alpha^e sum x^(ek) from the cut (e k may overflow to
-    # -inf, while there every power below -2048 is 0 already), then the
-    # bound columns, as _BoundColumns.tail makes them
-    far = [i for i, n in enumerate(ns) if n > _BUILD_STEP]
-    start, end = np.full(len(far), _BUILD_STEP), np.array([ns[i] for i in far], dtype=np.int64)
-    scales = [alphas[i] for i in far]
-    moments = [_scaled_power_sums(max(e * law.k, -2048.0), np.maximum(start, [cuts[i] for i in far]),
-                                  np.where([counts[i] >= e for i in far], end, 0),
-                                  [alpha ** e for alpha in scales])
-               for e in range(1, max(counts) + 1)]
-    ceiling = [] if columns is None else [_scaled_power_sums(law.k + 0.5, start, end, scales)]
-    if columns is not None and columns.upper == "unknown":
-        x0 = np.minimum(np.maximum([found[len(ns) + i] for i in far], start), end)
-        ceiling += [_scaled_power_sums(0.5 * law.k, start, x0, map(math.sqrt, scales)),
-                   _scaled_power_sums(law.k, x0, end, scales)]
-    past = {i: [column[j] for column in (*moments[:counts[i]], *ceiling)]
-            for j, i in enumerate(far)}
+    # per column, every row's sum past _PANEL_START: the tail's moments
+    # alpha^e sum x^(ek) from the cut (e k may overflow to -inf, while there
+    # every power below -2048 is 0 already), then the bound columns
+    start, end = np.maximum(cuts, _PANEL_START), np.array(ns, dtype=np.int64)
+    past = [np.array([alpha ** e for alpha in alphas]) * _power_sums(
+        max(e * law.k, -2048.0), start, np.where(np.array(counts) >= e, end, 0))
+        for e in range(1, max(counts) + 1)]
     if columns is not None:
-        roots = np.sqrt(ranks, out=ranks)
-    block, scratch = np.empty(weights.size), np.empty(min(weights.size, _SUB_BLOCK))
-    for i, (n, alpha, cut, count) in enumerate(zip(ns, alphas, cuts, counts)):
-        row = np.multiply(weights[:min(n, _BUILD_STEP)], alpha, out=block[:min(n, _BUILD_STEP)])
-        parts = []
-        for lo in range(0, row.size, _SUB_BLOCK):
-            sub = row[lo:lo + _SUB_BLOCK]
-            parts.append([*_moments(sub[max(cut - lo, 0):], count, scratch), *(() if columns is None
-                          else columns.rooted(sub, roots[lo:lo + sub.size], scratch, n))])
-        sums = [math.fsum(column) for column in zip(*parts)]
-        if i in past:
-            sums = [math.fsum((head, term)) for head, term in zip(sums, past[i], strict=True)]
+        past += columns.tail(law.k, _PANEL_START, end, np.array(alphas), found[len(ns):])
+    scratch = np.empty(_PANEL_START)   # the tail's powers
+    for i, ((ranks, head), cut, count) in enumerate(zip(heads, cuts, counts)):
+        sums = [*_moments(head[cut:], count, scratch),
+                *(() if columns is None else columns.partials(head, ranks[:head.size], ns[i]))]
+        sums = [math.fsum((value, column[i])) for value, column in zip(
+            sums, (*past[:count], *past[max(counts):]), strict=True)]
         yield _exact_report(*_with_series(map(math.fsum, terms[i]), series[i], sums)), sums[count:]
 
 
@@ -676,9 +656,10 @@ def _exact_rows(model: str | None, dist: AdviceDistribution, ratio: float | None
     elif model is None and columns.upper == "unknown":   # the one ceiling not linear in p
         rows = ((None, sums) for sums in _head_sums(
             dist, lambda block, ranks: columns.partials(block, ranks, dist.n),
-            lambda law, lo, hi: columns.tail(law, lo, hi, dist.x0_threshold())))
+            lambda law, lo, his: columns.tail(law.k, lo, his, law.alpha, dist.x0_threshold())))
     elif model is None:
-        rows = ((None, sums[1:]) for sums in _linear_sums(dist, columns.partials, tail=columns.tail))
+        rows = ((None, sums[1:]) for sums in _linear_sums(
+            dist, columns.partials, tail=lambda law, lo, his: columns.tail(law.k, lo, his)))
     elif model != "unknown":
         rows = ((_exact_report(f, 0.0, 0.0), sums)
                 for f, sums in _scan_means(model, dist, ratio, ns, columns))

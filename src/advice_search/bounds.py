@@ -16,7 +16,6 @@ from . import algorithms
 from .distributions import (
     AdviceDistribution,
     ConfigError,
-    PowerLawSpec,
     _check_int,
     _check_real,
     _dot,
@@ -100,29 +99,24 @@ class _BoundColumns:
                  n: int | None = None) -> tuple[float, ...]:
         # the walk's ranks are its scratch, which the columns may overwrite:
         # rooted in place, then the roots of the high-prior probabilities
-        return self.rooted(block, np.sqrt(ranks, out=ranks), ranks, n)
-
-    def rooted(self, block: np.ndarray, roots: np.ndarray, scratch: np.ndarray,
-               n: int | None) -> tuple[float, ...]:
-        """partials of a block whose ranks' square roots are roots, with
-        scratch at least as long as block (roots may be it)."""
+        roots = np.sqrt(ranks, out=ranks)
         out = (_dot(block, roots),)
         if self.upper == "unknown":
             head = _prefix_length(block, 1.0 / n)
-            out += (float(np.sum(np.sqrt(block[:head], out=scratch[:head]))),
+            out += (float(np.sum(np.sqrt(block[:head], out=roots[:head]))),
                     float(np.sum(block[head:])))
         return out
 
-    def tail(self, law: PowerLawSpec, lo: int, hi: int, x0: int | None = None) -> tuple:
-        """Each column's sum over the ranks lo + 1..hi of a power law alpha x^k,
-        alpha 1 in _linear_sums' walk of x^k: alpha sum x^(k + 1/2), and with
-        upper="unknown" sqrt(alpha) sum x^(k/2) over those up to x0 and alpha
-        sum x^k over the rest."""
-        out = (law.alpha * _power_sums(law.k + 0.5, lo, hi),)
+    def tail(self, k: float, lo: int, his, alpha=1.0, x0=None) -> tuple:
+        """Each column's sums over the ranks lo + 1..hi, for each of his, of
+        the power laws alpha x^k (one alpha, 1 in _linear_sums' walk of x^k,
+        or one per hi), each a _power_sums call over his: alpha sum x^(k +
+        1/2), and with upper="unknown" sqrt(alpha) sum x^(k/2) over those up
+        to x0 (one, or one per hi) and alpha sum x^k over the rest."""
+        out = (alpha * _power_sums(k + 0.5, lo, his),)
         if self.upper == "unknown":
-            x0 = min(max(x0, lo), hi)
-            out += (math.sqrt(law.alpha) * _power_sums(0.5 * law.k, lo, x0) if x0 > lo else 0.0,
-                    law.alpha * _power_sums(law.k, x0, hi) if hi > x0 else 0.0)
+            x0 = np.clip(x0, lo, his)
+            out += (np.sqrt(alpha) * _power_sums(0.5 * k, lo, x0), alpha * _power_sums(k, x0, his))
         return out
 
     def values(self, sums, n: int) -> tuple[float, float | None]:

@@ -5,9 +5,10 @@ being the marked one.  Probabilities are stored sorted in non-increasing
 order; ``perm`` remembers where each sorted rank lived in the caller's
 original ordering (the identity for power laws, which are built in rank
 order).  Ranks and original positions are 1-based throughout, matching the
-{1, ..., n} domain convention.  A power law is streamed: walks make its
-probabilities block by block, and the n-sized ``probs`` exists only once
-something reads it.
+{1, ..., n} domain convention.  A power law is streamed: an exact row
+makes only its first 128 probabilities and takes the rest from power sums,
+the builds make them block by block, and the n-sized ``probs`` exists only
+once something reads it.
 """
 from __future__ import annotations
 
@@ -33,19 +34,26 @@ __all__ = [
 # the probabilities are a distribution up to this tolerance.
 PROB_SUM_TOL = 1e-12
 
-# The one block length of every sum (np.sum of each block, the block sums
-# combined exactly with math.fsum, so alpha's bits depend on it) and of
-# every walk.  A walk's reused ranks and block (512 KB each) stay in cache,
-# so a walk costs less than one pass over an n-sized array.
+# The block length of compensated_sum (np.sum of each block, the block sums
+# combined exactly with math.fsum) and of the walks of explicit advice and of
+# a power law's probs and cdf builds.  A walk's reused ranks and block (512
+# KB each) stay in cache, so a walk costs less than one pass over an n-sized
+# array.
 _BUILD_STEP = 1 << 16
 
 # Longest float64 array numpy can address: its byte size must fit in intp.
 _MAX_LEN = np.iinfo(np.intp).max // 8
 
 # The Bernoulli numbers B_2, B_4, ..., B_22 of the Euler-Maclaurin sums:
-# _power_sums takes the first three, the oracle-only panels' weights all.
+# _power_sums takes the first eight, the oracle-only panels' weights all.
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
               43867 / 798, -174611 / 330, 854513 / 138)
+
+# The head of every power-law row: its ranks up to _PANEL_START are made and
+# summed directly, with the bits probs holds, and each column past them is a
+# power sum (_power_sums).  The oracle-only kernel runs on these ranks, and
+# its Chebyshev panels start here.
+_PANEL_START = 128
 
 
 def _physical_memory() -> int:
@@ -129,28 +137,30 @@ def _power_integral(s: float, a, b) -> np.ndarray:
     log_ratio = np.log1p((b - a) / a)
     if s == -1.0:
         return log_ratio
-    t = (s + 1.0) * log_ratio
-    return np.where(np.abs(t) < 0.5, a ** s * a * np.expm1(t),
-                    b ** s * b - a ** s * a) / (s + 1.0)
+    with np.errstate(over="ignore"):   # a t past the float range takes the difference
+        t = (s + 1.0) * log_ratio
+    return np.where(np.abs(t) < 0.5, np.power(a, s) * a * np.expm1(t),
+                    np.power(b, s) * b - np.power(a, s) * a) / (s + 1.0)
 
 
 def _power_sums(s: float, lo, hi) -> np.ndarray:
-    """sum_{x=lo+1}^{hi} x^s, elementwise over arrays of ranks 0 <= lo < hi:
-    the Euler-Maclaurin sum, the integral, the end terms and the B_2, B_4,
-    B_6 terms.  It errs by about the first term it drops, B_8/8! s(s-1)...
-    (s-6) x^(s-7) between the ends: from lo = 2^16, where x^-7 <= 2^-112,
-    below 1e-33 of the sum (at least x^s) for |s| <= 4 and 1e-28 for |s| <=
-    40.  The derivatives take one factor (s - u)/x at a time, so where
-    (lo + 1)^s underflows every term is 0, as in the walk."""
+    """sum_{x=lo+1}^{hi} x^s, elementwise over arrays of ranks 0 <= lo, and 0
+    where hi <= lo: the Euler-Maclaurin sum, the integral, the end terms and
+    the B_2, ..., B_16 terms.  It errs by about the first term it drops,
+    B_18/18! s(s-1)...(s-16) x^(s-17) between the ends: from lo =
+    _PANEL_START, where x^-17 <= 129^-17 < 2^-119, below 1e-32 of the sum
+    (at least x^s) for |s| <= 4 and 1e-21 for |s| <= 40.  The derivatives
+    take one factor (s - u)/x at a time, so where (lo + 1)^s underflows
+    every term is 0, as in the walk."""
     a = np.asarray(lo, dtype=np.float64) + 1.0
-    b = np.asarray(hi, dtype=np.float64)
-    da, db = a ** s, b ** s   # the derivatives of x^s of order 0, 1, ... at a and b
+    b = np.maximum(np.asarray(hi, dtype=np.float64), a)   # an empty range is summed as one rank
+    da, db = np.power(a, s), np.power(b, s)   # x^s and its derivatives, order by order, at a and b
     total = _power_integral(s, a, b) + 0.5 * (da + db)
-    for r, bernoulli in enumerate(_BERNOULLI[:3], 1):
+    for r, bernoulli in enumerate(_BERNOULLI[:8], 1):
         for u in range(max(0, 2 * r - 3), 2 * r - 1):   # on to the order 2r - 1
             da, db = da * ((s - u) / a), db * ((s - u) / b)
         total += bernoulli / math.factorial(2 * r) * (db - da)
-    return total
+    return np.where(np.asarray(hi) > np.asarray(lo), total, 0.0)
 
 
 def _last_ranks_at_least(probs_at, ns, thresholds) -> np.ndarray:
@@ -179,14 +189,13 @@ def _no_columns(*_) -> tuple:
 def _head_sums(dist: AdviceDistribution, fn, tail, stops=None):
     """Yield, at each of stops (dist.n by default), the math.fsum of each of
     fn's columns over the ranks up to it.  Other advice than a power law is
-    _rank_weighted_sums, and stops only at dist.n.  A
-    power law walks only its ranks up to _BUILD_STEP, as one block: a stop
-    inside it gets fn's row of the block's prefix, on ranks of its own, and
-    the whole block's row is made last, as fn may overwrite its ranks.  At
-    a stop past them each column's math.fsum takes in the terms (a number or
-    an array) of its sum over ranks _BUILD_STEP + 1..stop, from
-    tail(law, _BUILD_STEP, stop).  Every stop is summed from _BUILD_STEP,
-    not from the stop before, so its sums do not depend on the other stops."""
+    _rank_weighted_sums, and stops only at dist.n.  A power law makes each
+    head, its ranks up to min(stop, _PANEL_START), as one block of its own
+    (fn may overwrite its ranks) with the bits probs holds, and gets fn's
+    row of it.  Past the head each column's math.fsum takes in the terms (a
+    number or an array per stop) of its sum over ranks _PANEL_START + 1..stop,
+    from one tail(law, _PANEL_START, his) call over the stops past the head:
+    tail is elementwise in his, so no stop's sums depend on the other stops."""
     law = dist.power_law
     stops = (dist.n,) if stops is None else stops
     if law is None:
@@ -194,14 +203,16 @@ def _head_sums(dist: AdviceDistribution, fn, tail, stops=None):
             raise ValueError(f"only a power law's walk stops before n = {dist.n}")
         yield _rank_weighted_sums(dist, fn)
         return
-    cuts = sorted({min(stop, _BUILD_STEP) for stop in stops})
-    _, ranks, block = next(AdviceDistribution(cuts[-1], power_law=law)._streams())
-    heads = {cut: fn(block[:cut], ranks[:cut].copy()) for cut in cuts[:-1]}
-    heads[cuts[-1]] = fn(block, ranks)
+    heads = {}
+    for cut in {min(stop, _PANEL_START) for stop in stops}:
+        _, ranks, block = next(AdviceDistribution(cut, power_law=law)._streams(cut))
+        heads[cut] = fn(block, ranks)
+    far = [stop for stop in stops if stop > _PANEL_START]
+    tails = zip(*tail(law, _PANEL_START, np.array(far, dtype=np.int64))) if far else iter(())
     for stop in stops:
-        row = heads[min(stop, _BUILD_STEP)]
-        tails = tail(law, _BUILD_STEP, stop) if stop > _BUILD_STEP else ((),) * len(row)
-        yield [math.fsum((head, *np.ravel(terms))) for head, terms in zip(row, tails, strict=True)]
+        row = heads[min(stop, _PANEL_START)]
+        terms = next(tails) if stop > _PANEL_START else ((),) * len(row)
+        yield [math.fsum((head, *np.ravel(t).tolist())) for head, t in zip(row, terms, strict=True)]
 
 
 def _linear_sums(dist: AdviceDistribution, fn, stops=None, tail=_no_columns):
@@ -210,11 +221,11 @@ def _linear_sums(dist: AdviceDistribution, fn, stops=None, tail=_no_columns):
     walked whole, with alpha 1.
 
     A power law is _head_sums of its weights x^k (alpha 1), with a weight
-    column added: one block, ranks 1.._BUILD_STEP, and past it each column's
-    sum of x^k times the column's cost by _power_sums, the weight column's
-    sum x^k and fn's columns' from tail(law, lo, hi).  Every stop is summed
-    from _BUILD_STEP, so alpha = 1 / the weight column has the bits of
-    power_law_alpha there."""
+    column added: the head's ranks up to _PANEL_START, and past them each
+    column's sum of x^k times the column's cost by _power_sums, the weight
+    column's sum x^k and fn's columns' from tail(law, lo, his).  A stop's
+    alpha = 1 / the weight column is its own, so it has the bits of
+    power_law_alpha."""
     law = dist.power_law
     if law is None:
         for sums in _head_sums(dist, fn, tail, stops):
@@ -223,7 +234,7 @@ def _linear_sums(dist: AdviceDistribution, fn, stops=None, tail=_no_columns):
     for weight, *sums in _head_sums(
             _weights(dist.n, law.k),
             lambda block, ranks: (float(np.sum(block)), *fn(block, ranks)),
-            lambda law, lo, hi: (_power_sums(law.k, lo, hi), *tail(law, lo, hi)), stops):
+            lambda law, lo, his: (_power_sums(law.k, lo, his), *tail(law, lo, his)), stops):
         alpha = 1.0 / weight
         yield [alpha, *(alpha * value for value in sums)]
 
@@ -238,9 +249,10 @@ def compensated_sum(values) -> float:
 
 def power_law_alpha(n: int, k: float) -> float:
     """Normalizing constant alpha with sum_{x=1..n} alpha*x^k = 1: the alpha
-    of a one-stop _linear_sums.  The ranks up to 2^16 are summed directly, so
-    for n <= 2^16 it is bit for bit 1 / compensated_sum(x^k for x = 1..n);
-    the ranks past 2^16 are one Euler-Maclaurin power sum, within a few ulps.
+    of a one-stop _linear_sums.  The ranks up to _PANEL_START (128) are
+    summed directly, so for n <= 128 it is bit for bit 1 /
+    compensated_sum(x^k for x = 1..n); the ranks past 128 are one
+    Euler-Maclaurin power sum, within about an ulp of the exact alpha.
     """
     k = _check_power_law_params(n, k)
     return next(_linear_sums(_weights(n, k), _no_columns))[0]   # [alpha]
@@ -382,7 +394,7 @@ def _check_power_law_params(n, k) -> float:
     """Check a power law's n and k; return k as a float."""
     _check_int(n, "n", 1, _MAX_LEN)
     k = _check_real(k, "power-law exponent k", hi=0.0)
-    # exact rows stream the probabilities and visit no rank past 2^16 (power
+    # exact rows stream the probabilities and visit no rank past 128 (power
     # sums, and the oracle-only panels), but Monte Carlo's cdf and validate()
     # hold n of them, and past ~2^30 an oracle-only tail, whose rounds take
     # only the leading term p (4m^2 - 1)/3 of each budget's success series,

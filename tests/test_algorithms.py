@@ -103,21 +103,18 @@ def test_classical_sampling_expected():
 
 
 def test_classical_row_holds_no_n_vector():
-    # build plus the exact classical row: alpha's pass and the walk each hold
-    # one base range of 2^16 ranks, those ranks and their block, whatever n is
-    n = 2**22 + 3
+    # build plus the exact classical row and its bounds make no rank past
+    # the 128-rank head, whatever n is: the whole call peaks at or below 512
+    # KB under tracemalloc
     tracemalloc.start()
     try:
-        dist = make_power_law(n, -0.75)
-        live, peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
+        dist = make_power_law(2**26, -0.75)
         classical_expected(dist)
-        _, walk_peak = tracemalloc.get_traced_memory()
+        row_bounds(dist, "classical")
+        _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert max(peak, walk_peak) < 3 * 8 * _BUILD_STEP + 2**20, (peak, walk_peak)
-    # the walk allocates its scratch and no per-block temporaries
-    assert walk_peak - live < 3 * 8 * _BUILD_STEP + 2**16, walk_peak - live
+    assert peak <= 2**19, peak
     assert dist._probs is None
 
 
@@ -817,27 +814,25 @@ def test_head_no_further_from_exact_cost_than_earlier_order():
 
 
 def test_oracle_only_row_holds_no_n_vector():
-    # build, kernel and both bounds of an oracle-only row hold nothing of
-    # size n: the walks' one 2^16-rank block (a base range, ranks and block)
-    # and a row for the tail's powers, with no kernel scratch, then one
-    # kernel scratch for the 128 head ranks and the panels' nodes, within a
-    # sub-block's kernel scratch and walk (1.4 MB) and 1 MB
-    n = 2**20 + 3
+    # build, kernel and both bounds of an oracle-only row make no rank past
+    # its 128-rank head: one kernel scratch for the head and the panels'
+    # nodes, 8 x (128 + 24 x panels) floats, and no n-sized array; the
+    # whole call peaks at or below 512 KB under tracemalloc
     tracemalloc.start()
     try:
-        dist = make_power_law(n, -0.75)
+        dist = make_power_law(2**26, -0.75)
         unknown_expected_mu(dist)
         row_bounds(dist, "unknown")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * (_SCRATCH_ROWS + 3) * _SUB_BLOCK + 2**20, peak
+    assert peak <= 2**19, peak
     assert dist._probs is None
 
 
 # ---------------------------------------------------------------------------
 # power-law head ranks past _PANEL_START summed over Chebyshev panels; the
-# tail moments and bound columns past 2^16 as power sums
+# tail moments and bound columns past _PANEL_START as power sums
 
 
 def _exact_kernel_row(d, k):
@@ -849,19 +844,19 @@ def _exact_kernel_row(d, k):
     return tuple(math.fsum(p * v) for v in _sub_blocked_costs(p, d.n, k))
 
 
-def _assert_bound_columns(d, sums, step):
+def _assert_bound_columns(d, sums):
     """The oracle-only row's bound columns, sum p_x sqrt(x), sum sqrt(p_x) over
     the ranks up to x0, the last with p_x >= 1/n, and sum p_x over the rest:
-    over the first 2^16 ranks the bits of a walk in blocks of step, past
-    them within 1e-14 of exact power sums at d's alpha."""
+    over the 128-rank head the bits of a walk of it in one block, past it
+    within 1e-14 of exact power sums at d's alpha."""
     columns = _BoundColumns("unknown")
     head = distributions._rank_weighted_sums(
-        AdviceDistribution(min(d.n, _BUILD_STEP), power_law=d.power_law),
-        lambda block, ranks: columns.partials(block, ranks, d.n), step=step)
-    if d.n <= _BUILD_STEP:
+        AdviceDistribution(min(d.n, _PANEL_START), power_law=d.power_law),
+        lambda block, ranks: columns.partials(block, ranks, d.n), step=_PANEL_START)
+    if d.n <= _PANEL_START:
         assert sums == head
         return
-    alpha, k, lo = d.power_law.alpha, d.power_law.k, _BUILD_STEP
+    alpha, k, lo = d.power_law.alpha, d.power_law.k, _PANEL_START
     x0 = max(d._last_rank_at_least(1.0 / d.n), lo)
     past = [alpha * ref_power_sum(mpmath.mpf(k) + 0.5, lo, d.n),
             math.sqrt(alpha) * ref_power_sum(mpmath.mpf(k) / 2, lo, x0) if x0 > lo else 0,
@@ -942,32 +937,33 @@ _PANEL_CASES = (st.tuples(st.integers(_PANEL_START + 1, 2**20 + 7),
        k=st.sampled_from([-1e-300, -1e-12, -1e-9, -4.0]) | st.floats(-4.0, -1e-3))
 # the tail cut falls inside a panel and inside a block; p is flat; a cut
 # less than a panel past _PANEL_START; a slow ratio with many rounds; the
-# tail cut near rank 1000; the head walk's end
+# tail cut near rank 1000; one rank past the head, and past 2^16
 @example(case=(2**20 + 7, DEFAULT_AMPLIFY_RATIO), k=-2.0)
 @example(case=(2**20 + 7, 1.3), k=-1e-300)
 @example(case=(_PANEL_START + 20, DEFAULT_AMPLIFY_RATIO), k=-0.5)
 @example(case=(2**18, 1.01), k=-0.75)
 @example(case=(2**19 + 3, 1.3), k=-2.5)
 @example(case=(2**20 + 7, 1.01), k=-4.0)
-@example(case=(_BUILD_STEP + 1, DEFAULT_AMPLIFY_RATIO), k=-1.0)
+@example(case=(_PANEL_START + 1, DEFAULT_AMPLIFY_RATIO), k=-1.0)
+@example(case=(2**16 + 1, DEFAULT_AMPLIFY_RATIO), k=-1.0)
 def test_panel_rows_match_the_kernel(case, k):
     n, ratio = case
     d = make_power_law(n, k)
     (report, _), sums = _column_sums(lambda: next(algorithms._exact_rows(
         "unknown", d, ratio, columns=_BoundColumns("unknown"))))
     np.testing.assert_allclose(report.means(), _exact_kernel_row(d, ratio), rtol=1e-13, atol=0)
-    _assert_bound_columns(d, sums, _SUB_BLOCK)
-    # the ceiling's own pass (row_bounds) walks 2^16-rank blocks
-    _, sums = _column_sums(lambda: row_bounds(d, "unknown"))
-    _assert_bound_columns(d, sums, _BUILD_STEP)
+    _assert_bound_columns(d, sums)
+    # the ceiling's own pass (row_bounds) takes the same head and power sums
+    _, bound_sums = _column_sums(lambda: row_bounds(d, "unknown"))
+    assert bound_sums == sums
 
 
 def test_panel_cut_falls_inside_a_panel_and_a_block():
     # panels from _PANEL_START to the tail cut, which falls inside a panel
-    # and inside a walk block, past 2^16
+    # and inside a refused panel's sub-block, past 2^16
     d = make_power_law(2**20 + 7, -2.0)
     _, _, cut = _panel_cut(d, DEFAULT_AMPLIFY_RATIO)
-    assert cut > _BUILD_STEP and cut % _SUB_BLOCK
+    assert cut > 2**16 and cut % _SUB_BLOCK
     assert d.probs[cut - 1] >= DEGENERATE_TOL > d.probs[cut]
     panels, terms = _panel_terms(d, DEFAULT_AMPLIFY_RATIO)
     assert panels[0][0] == _PANEL_START and panels[-1][1] == cut
@@ -1018,9 +1014,10 @@ def test_power_law_row_with_all_mass_on_rank_one(k):
                          + [(2**28, k) for k in (-1e-300, -0.75, -4.0)])
 def test_power_law_row_runs_the_kernel_on_a_small_head_and_the_nodes(monkeypatch, n, k):
     # one kernel call a row, on the ranks up to _PANEL_START and 24 nodes a
-    # panel, whatever n, and the walk visits no rank past 2^16; no panel of
-    # these rows is refused (a refused panel's ranks would take calls of
-    # their own, as in test_failed_panels_leave_the_row_to_the_kernel)
+    # panel, whatever n, and no block of ranks longer than the 128-rank
+    # head; no panel of these rows is refused (a refused panel's ranks would
+    # take calls of their own, as in
+    # test_failed_panels_leave_the_row_to_the_kernel)
     seen, blocks = [], []
     kernel, streams = algorithms._amplify_sub_block, AdviceDistribution._streams
 
@@ -1036,11 +1033,13 @@ def test_power_law_row_runs_the_kernel_on_a_small_head_and_the_nodes(monkeypatch
     monkeypatch.setattr(algorithms, "_amplify_sub_block", counted)
     monkeypatch.setattr(AdviceDistribution, "_streams", recorded)
     d = make_power_law(n, k)
-    blocks.clear()   # alpha's own walk
+    assert blocks == [(1, _PANEL_START)]   # alpha's own head
+    blocks.clear()
     unknown_expected_mu(d)
     panels = _panels(_panel_cut(d, DEFAULT_AMPLIFY_RATIO)[2])
     assert panels and seen == [_PANEL_START + _PANEL_NODES * len(panels)], (seen, panels)
-    assert blocks == [(1, _BUILD_STEP)]   # one block, ranks 1..2^16
+    # alpha's head and the row's, each ranks 1..128
+    assert blocks == [(1, _PANEL_START)] * 2, blocks
 
 
 def _two_call_panel_sums(law, sizes, fallback, panels, head):

@@ -19,7 +19,7 @@ from advice_search import (
 )
 from advice_search.algorithms import _SUB_BLOCK, _model_ratio
 from advice_search.bounds import _BoundColumns
-from advice_search.distributions import _BUILD_STEP, AdviceDistribution, _rank_weighted_sums
+from advice_search.distributions import _PANEL_START, AdviceDistribution, _rank_weighted_sums
 from advice_search.sweep import SweepSpec, run_point
 from advice_search.validation import _rank_ceilings, fallback_bound_ceiling
 
@@ -83,24 +83,19 @@ def test_geometric_upper_formula():
 
 
 def test_geometric_row_holds_no_n_vector():
-    # build plus the exact geometric row and its bounds: alpha's pass and
-    # each walk hold one base range of 2^16 ranks, those ranks and their
-    # block, whatever n is, and the bound columns root the walk's ranks in
-    # place
-    n = 2**22 + 3
+    # build plus the exact geometric row and its bounds make no rank past
+    # the 128-rank head, whatever n is, and the bound columns root the
+    # head's ranks in place: the whole call peaks at or below 512 KB under
+    # tracemalloc
     tracemalloc.start()
     try:
-        dist = make_power_law(n, -0.75)
-        live, peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
+        dist = make_power_law(2**26, -0.75)
         geometric_expected(dist)
         row_bounds(dist, "geometric")
-        _, walk_peak = tracemalloc.get_traced_memory()
+        _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert max(peak, walk_peak) < 3 * 8 * _BUILD_STEP + 2**20, (peak, walk_peak)
-    # the walks allocate their scratch and no per-block temporaries
-    assert walk_peak - live < 3 * 8 * _BUILD_STEP + 2**16, walk_peak - live
+    assert peak <= 2**19, peak
     assert dist._probs is None
 
 
@@ -241,16 +236,18 @@ def test_las_vegas_report_takes_integer_n():
 
 
 def _oracle_only_bounds(d):
-    """The oracle-only row's bounds from its columns summed in the kernel's
-    _SUB_BLOCK steps, and on a power law past 2^16 by the columns' tail."""
+    """The oracle-only row's bounds from its columns: on explicit advice
+    summed in the kernel's _SUB_BLOCK steps, on a power law over its
+    128-rank head in one block and past it by the columns' tail."""
     columns = _BoundColumns("unknown")
     fn = lambda block, ranks: columns.partials(block, ranks, d.n)   # noqa: E731
-    if d.power_law is None or d.n <= _BUILD_STEP:
+    law = d.power_law
+    if law is None:
         return columns.values(_rank_weighted_sums(d, fn, step=_SUB_BLOCK), d.n)
-    head = _rank_weighted_sums(AdviceDistribution(_BUILD_STEP, power_law=d.power_law), fn,
-                               step=_SUB_BLOCK)
-    tail = columns.tail(d.power_law, _BUILD_STEP, d.n, d.x0_threshold())
-    return columns.values([math.fsum((h, t)) for h, t in zip(head, tail, strict=True)], d.n)
+    head = _rank_weighted_sums(AdviceDistribution(min(d.n, _PANEL_START), power_law=law), fn,
+                               step=_PANEL_START)
+    tail = columns.tail(law.k, _PANEL_START, np.array([d.n]), law.alpha, d.x0_threshold())
+    return columns.values([math.fsum((h, *t)) for h, t in zip(head, tail, strict=True)], d.n)
 
 
 def _bound_weights(kind, n):
@@ -263,12 +260,14 @@ def _bound_weights(kind, n):
 
 
 def test_compute_bounds_report():
-    # a row's bound columns are summed in the model's walk: 2^16-rank
-    # blocks for the scans, as row_bounds' own walk uses, and the
-    # oracle-only kernel's 2^14-rank blocks, whose sums may differ in the
-    # last bits from row_bounds' ones; on a power law and on explicit advice
+    # a row's bound columns are summed in the model's walk: on explicit
+    # advice 2^16-rank blocks for the scans, as row_bounds' own walk uses,
+    # and the oracle-only kernel's 2^14-rank blocks, whose sums may differ
+    # in the last bits from row_bounds' ones; on a power law the 128-rank
+    # head and power sums past it, for every model and row_bounds alike
     for kind in ("powerlaw", "pareto", "zeros", "ties"):
-        for n in (1, _SUB_BLOCK, _SUB_BLOCK + 1, 3 * _SUB_BLOCK + 5, _BUILD_STEP + 1):
+        for n in (1, _PANEL_START, _PANEL_START + 1, _SUB_BLOCK, _SUB_BLOCK + 1,
+                  3 * _SUB_BLOCK + 5, 2**16 + 1):
             if kind == "powerlaw":
                 cfg, d = {"kind": "powerlaw", "n": n, "k": -1.0}, make_power_law(n, -1.0)
             else:
@@ -281,3 +280,5 @@ def test_compute_bounds_report():
             assert geometric == row_bounds(d, "geometric"), (kind, n)
             assert unknown == _oracle_only_bounds(d), (kind, n)
             assert unknown == pytest.approx(row_bounds(d, "unknown"), rel=1e-14, abs=0), (kind, n)
+            if kind == "powerlaw":
+                assert unknown == row_bounds(d, "unknown"), n

@@ -454,7 +454,7 @@ with open("/proc/self/status", encoding="ascii") as fh:
 def test_exact_runs_at_2_26_and_2_28_fit_in_64_mb(tmp_path):
     # a fresh process runs an exact classical and geometric row at n = 2^26,
     # a sweep of each to 2^26 in one walk, and an oracle-only row at 2^26 and
-    # at 2^28: a power law's rows walk its first 2^16 ranks and take the rest
+    # at 2^28: a power law's rows make their 128-rank head and take the rest
     # from power sums and panels, so the process holds no array of size n
     # (probs alone would be 512 MB at 2^26) and its peak stays near the
     # interpreter's own

@@ -24,7 +24,7 @@ from advice_search import (
 from advice_search import algorithms, distributions
 from advice_search.bounds import _BoundColumns
 from advice_search.distributions import (
-    _BUILD_STEP,
+    _PANEL_START,
     _check_int,
     _check_real,
     _dot,
@@ -56,20 +56,21 @@ def test_power_law_alpha_matches_reference():
 
 
 def test_built_alpha_is_power_law_alpha():
-    # at every golden and benchmark grid point, n = 1, and sizes that end one
-    # short of, one past or inside a 2^16-element block: up to n = 2^16 the
+    # at every golden and benchmark grid point, n = 1, and sizes at and
+    # around the 128-rank head and a 2^16-element block: up to n = 128 the
     # streamed alpha has the bits of one over the compensated sum of the
-    # whole x^k array; past it, where the ranks past 2^16 are one power sum,
+    # whole x^k array; past it, where the ranks past 128 are one power sum,
     # it is within 1e-15 of the exact alpha.  A built power law carries the
     # bits of power_law_alpha everywhere.
     points = {(2**e, k) for e in range(10, 25, 2) for k in (-0.75, -1.75, -2.5)}
     points |= {(n, k) for n in (16, 64, 256) for k in (-0.75, -2.5)}
+    points |= {(n, k) for n in (127, 128, 129, 160) for k in (-1e-9, -0.75, -1.0, -4.0)}
     points |= {(200, -1.25), (5_000_001, -2.5), (2**23 + 3, -1.25),
                (3 * 2**22 + 12_345, -1.75), (65_535, -0.75), (65_537, -1.0),
                (131_073, -1.75), (1, -0.75), (1, -2.5)}
     for n, k in sorted(points):
         alpha = power_law_alpha(n, k)
-        if n <= _BUILD_STEP:
+        if n <= _PANEL_START:
             powers = np.arange(1, n + 1, dtype=np.float64)
             assert alpha == 1.0 / compensated_sum(np.power(powers, k, out=powers)), (n, k)
         else:
@@ -83,39 +84,80 @@ _SUM_KS = (-1e-300, -1e-9, -0.05, -0.5, -1.0, -1.5, -2.0, -2.5, -4.0, -40.0)
 
 @pytest.mark.parametrize("k", _SUM_KS)
 def test_power_sums_match_exact_sums(k):
-    # the Euler-Maclaurin power sums past 2^16 of the scan (x^(k+1)), the
-    # bound column (x^(k+1/2)) and alpha (x^k), from one rank to 2^40 ranks,
-    # each alone and all at once, against exact sums
-    his = np.array([2**16 + 1, 2**16 + 2, 2**17 + 3, 2**24, 2**40])
-    for s in (k, k + 0.5, k + 1.0):
-        sums = distributions._power_sums(s, np.full(his.size, _BUILD_STEP), his)
-        for hi, got in zip(his, sums):
-            exact = ref_power_sum(s, _BUILD_STEP, int(hi))
-            assert abs(got - exact) <= 4e-15 * exact, (s, hi)
-            assert distributions._power_sums(s, _BUILD_STEP, int(hi)) == got, (s, hi)
+    # the Euler-Maclaurin power sums past the 128-rank head (and past 2^16)
+    # of the scan (x^(k+1)), the bound column (x^(k+1/2)) and alpha (x^k),
+    # from one rank to 2^40 ranks, each alone and all at once, against
+    # exact sums (at 80 digits for s < -4: from rank 129, 40 digits lose
+    # ~1e-11 at s = -40)
+    for lo in (_PANEL_START, 2**16):
+        his = np.array([lo + 1, lo + 2, 2 * lo + 3, 2**24, 2**40])
+        for s in (k, k + 0.5, k + 1.0):
+            sums = distributions._power_sums(s, np.full(his.size, lo), his)
+            for hi, got in zip(his, sums):
+                exact = ref_power_sum(s, lo, int(hi), dps=80 if s < -4.0 else 40)
+                assert abs(got - exact) <= 4e-15 * exact, (s, lo, hi)
+                assert distributions._power_sums(s, lo, int(hi)) == got, (s, lo, hi)
 
 
 @pytest.mark.parametrize("s", (-2.5, -1.0, -0.5, 0.5))
 def test_power_sums_err_by_the_first_dropped_term(s):
-    # from ranks far below 2^16, where the B_4 and B_6 terms are well above
+    # from ranks far below 128, where the B_14 and B_16 terms are well above
     # rounding, the sum errs by no more than the first term it drops, the
-    # B_8 term B_8/8! (f^(7)(hi) - f^(7)(lo + 1)) of f = x^s
-    for lo, hi in ((16, 40), (16, 10**4), (64, 2**20), (256, 2**30)):
+    # B_18 term B_18/18! (f^(17)(hi) - f^(17)(lo + 1)) of f = x^s; from
+    # ranks 17 to 257 that term is below rounding
+    for lo, hi in ((1, 40), (2, 10**4), (4, 2**20), (8, 2**30),
+                   (16, 40), (16, 10**4), (64, 2**20), (256, 2**30)):
         a, b = lo + 1, hi
-        falling = math.prod(s - u for u in range(7))
-        dropped = abs(falling * (b ** (s - 7) - a ** (s - 7))) / (30 * math.factorial(8))
+        falling = math.prod(s - u for u in range(17))
+        bernoulli = 43867 / 798   # B_18
+        dropped = abs(falling * (b ** (s - 17) - a ** (s - 17))) * bernoulli / math.factorial(18)
         exact = ref_power_sum(s, lo, hi)
         got = distributions._power_sums(s, lo, hi)
         assert abs(got - exact) <= 2 * dropped + 4e-15 * exact, (lo, hi)
 
 
 def test_power_sums_underflow_to_zero():
-    # where (2^16 + 1)^s underflows, as every x^k of the walk does, the sum
-    # is 0, with no overflow or 0 * inf on the way
-    for k in (-80.0, -1e300):
+    # where (lo + 1)^s underflows, as every x^k of the walk does, the sum is
+    # 0, with no overflow or 0 * inf on the way: from the 128-rank head,
+    # where 129^s underflows for s < -153.6, and from 2^16
+    for lo, k in ((_PANEL_START, -160.0), (_PANEL_START, -1e300),
+                  (2**16, -80.0), (2**16, -1e300)):
         for s in (k, k + 0.5, k + 1.0):
-            sums = distributions._power_sums(s, _BUILD_STEP, np.array([2**16 + 1, 2**24, 2**40]))
-            assert sums.tolist() == [0.0, 0.0, 0.0], s
+            sums = distributions._power_sums(s, lo, np.array([lo + 1, 2**24, 2**40]))
+            assert sums.tolist() == [0.0, 0.0, 0.0], (lo, s)
+
+
+def test_power_sums_of_empty_ranges_are_zero():
+    # a range with hi <= lo sums no rank, alone or beside ranges that do
+    for s in (-0.75, -2.5, 0.5):
+        sums = distributions._power_sums(s, np.array([128, 128, 128, 200]),
+                                         np.array([0, 128, 129, 150]))
+        assert sums.tolist() == [0.0, 0.0, 129.0 ** s, 0.0], s
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.sampled_from((-1e-300, -1e-9, -0.5, -1.0, -2.0, -40.0)) | st.floats(-40.0, -1e-300),
+       n=st.sampled_from((1, 127, 128, 129, 160, 2**16 + 1, 2**24, 2**40)) | st.integers(1, 2**40))
+def test_row_power_sums_match_mpmath(k, n):
+    # sum_{x<=n} x^s as a row forms it, the math.fsum of its 128-rank head
+    # and a _power_sums call past it, within 1e-15 of mpmath for the
+    # exponents of the columns, s = k, k + 1/2, k + 1 and k/2; where s > 0,
+    # n stops at 2^24.  The head's powers are summed exactly here: a row's
+    # np.sum of 128 of them adds up to ~4 ulps of its own
+    exponents = (k, k + 0.5, k + 1.0, k / 2)
+
+    def head(block, ranks):
+        return tuple(math.fsum(np.power(ranks, s)) for s in exponents)
+
+    def tail(law, lo, his):
+        return tuple(_power_sums(s, lo, his) for s in exponents)
+
+    sums = next(distributions._head_sums(_weights(n, k), head, tail))
+    for s, got in zip(exponents, sums, strict=True):
+        if s > 0 and n > 2**24:
+            continue
+        exact = ref_power_sum(s, 0, n)
+        assert abs(got - exact) <= 1e-15 * exact, (s, n, got, float(exact))
 
 
 def test_power_law_build_is_whole_array_power():
@@ -198,9 +240,9 @@ def test_threshold_rank():
         assert d.x0_threshold() == ref_x0(list(d.probs))
 
     # near k = 0, where floor((alpha n)^(-1/k)) gave 1, 36,787 and 321; at
-    # k = -1e-12 an ulp of alpha moves the count by ~4 ranks (36,790 at the
-    # exact alpha, 36,789 at the walk's, one ulp below this one)
-    for n, k, x0 in ((4096, -1e-300, 4096), (10**5, -1e-12, 36793), (1000, -1e-15, 372)):
+    # k = -1e-12 an ulp of alpha moves the count by ~4 ranks: 36,789 at the
+    # walk's alpha, the float nearest the exact one, and 36,793 one ulp above
+    for n, k, x0 in ((4096, -1e-300, 4096), (10**5, -1e-12, 36789), (1000, -1e-15, 372)):
         d = make_power_law(n, k)
         assert d.x0_threshold() == ref_x0(list(d.probs)) == x0
 
@@ -457,14 +499,14 @@ def _sqrt_rank_sums(block, ranks):
     return _dot(block, ranks), _dot(block, np.sqrt(ranks, out=ranks))
 
 
-# stops at small n, and at, inside and one past the power law's one
-# 2^16-rank block
-_STOPS = (1, 2, 17, 1000, _BUILD_STEP - 5, _BUILD_STEP - 1, _BUILD_STEP, _BUILD_STEP + 1,
-          2 * _BUILD_STEP + 3)
+# stops at small n, at and around the 128-rank head and its first panel's
+# end, and around a 2^16-rank block
+_STOPS = (1, 2, 17, 127, 128, 129, 160, 1000, 2**16 - 5, 2**16 - 1, 2**16, 2**16 + 1,
+          2 * 2**16 + 3)
 
 
 @settings(max_examples=40, deadline=None)
-@given(stops=st.sets(st.sampled_from(_STOPS) | st.integers(1, 3 * _BUILD_STEP), min_size=1,
+@given(stops=st.sets(st.sampled_from(_STOPS) | st.integers(1, 3 * 2**16), min_size=1,
                      max_size=5).map(sorted),
        k=st.floats(-3.0, -1e-300), model=st.sampled_from(("classical", "geometric")),
        ratio=st.sampled_from((None, 2.0, 1.5)))

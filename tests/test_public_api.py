@@ -29,6 +29,7 @@ REMOVED = (
     "q_mu_lower", "geometric_upper", "unknown_upper_mu", "_CEIL_SNAP", "_attempt_success",
     "_powers", "_floored_power", "_check_schedule_length", "_sums_at", "_kernel_workers",
     "_walk_workers", "unknown_search", "RunResult", "exact_expected", "_with_columns",
+    "rooted", "_scaled_power_sums",
 )
 
 SOURCES = sorted(pathlib.Path(advice_search.__file__).parent.glob("*.py"))
@@ -52,9 +53,14 @@ def test_package_all_is_the_submodule_lists():
 
 @pytest.mark.parametrize("module", MODULES)
 def test_removed_names_are_gone(module):
+    # neither a module nor a class it defines has the name
     mod = importlib.import_module(module)
+    classes = [value for value in vars(mod).values()
+               if isinstance(value, type) and value.__module__ == mod.__name__]
     for name in REMOVED:
         assert not hasattr(mod, name), f"{module}.{name}"
+        for cls in classes:
+            assert not hasattr(cls, name), f"{module}.{cls.__name__}.{name}"
 
 
 def _bisections(path: pathlib.Path):
@@ -95,6 +101,19 @@ def test_one_threshold_search(monkeypatch):
     sweep.run_sweep(sweep.SweepSpec(dist_cfg={"kind": "powerlaw", "k": -2.5}, model="unknown",
                                     n_grid=grid))
     assert calls == [1, 1, 2 * len(grid)]
+
+
+def test_build_step_only_in_distributions():
+    # _BUILD_STEP is the block length of explicit advice's walk, of a power
+    # law's probs and cdf builds and of compensated_sum, all in
+    # distributions.py: every power-law row makes only its 128-rank head
+    def names(path):   # every name read, assigned or imported, and every attribute
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            yield getattr(node, "id", None) or getattr(node, "attr", None) or getattr(
+                node, "name", None)
+
+    users = [path.name for path in SOURCES if "_BUILD_STEP" in set(names(path))]
+    assert users == ["distributions.py"], users
 
 
 def _imported_names(tree: ast.Module):
