@@ -491,9 +491,9 @@ def _panel_sums(k: float, sizes: tuple[int, ...], rows: list[tuple]) -> list[lis
                 terms.append(sums[j])
                 continue
             scratch = np.empty((_SCRATCH_ROWS, min(hi[j] - lo[j], _SUB_BLOCK)))
-            for start in range(lo[j], hi[j], _SUB_BLOCK):   # the walk's bits: x^k, then times alpha
-                q = np.power(np.arange(start + 1.0, min(start + _SUB_BLOCK, hi[j]) + 1.0), k)
-                q *= alpha
+            for start in range(lo[j], hi[j], _SUB_BLOCK):   # the walk's bits
+                q = PowerLawSpec(k, alpha).at(
+                    np.arange(start + 1.0, min(start + _SUB_BLOCK, hi[j]) + 1.0))
                 terms.append([_dot(q, v) for v in _amplify_sub_block(
                     q, sizes[:count], fallback, scratch)])
         out.append(list(zip(*terms)))
@@ -569,8 +569,8 @@ def _unknown_means(dist: AdviceDistribution, k: float, ns, fallbacks, columns):
     for n, alpha, r, fallback, cut in zip(ns, alphas, rounds, fallbacks, cuts):
         panels = _panels(cut)   # the kernel's head: up to the first panel, or the cut
         size = panels[0][0] if panels else cut
-        _, ranks, probs = next(AdviceDistribution(n, power_law=PowerLawSpec(n, law.k, alpha))
-                               ._streams(max(size, min(n, _PANEL_START))))
+        ranks = np.arange(1.0, max(size, min(n, _PANEL_START)) + 1.0)
+        probs = PowerLawSpec(law.k, alpha).at(ranks)
         rows.append((alpha, r, fallback, panels, probs[:size]))
         heads.append((ranks, probs[:min(n, _PANEL_START)]))
     terms = _panel_sums(law.k, sizes, rows)

@@ -1,14 +1,13 @@
 """Advice distributions over the search domain {1, ..., n}.
 
 An advice distribution assigns every domain element a prior probability of
-being the marked one.  Probabilities are stored sorted in non-increasing
-order; ``perm`` remembers where each sorted rank lived in the caller's
-original ordering (the identity for power laws, which are built in rank
-order).  Ranks and original positions are 1-based throughout, matching the
-{1, ..., n} domain convention.  A power law is streamed: an exact row
-makes only its first 128 probabilities and takes the rest from power sums,
-the builds make them block by block, and the n-sized ``probs`` exists only
-once something reads it.
+being the marked one.  Every cost and bound depends only on the
+probabilities sorted non-increasing, so that is all a distribution holds:
+the caller's original order of explicit weights is not kept.  Ranks are
+1-based, matching the {1, ..., n} domain convention.  A power law is
+streamed: an exact row makes only its first 128 probabilities and takes the
+rest from power sums, the builds make them block by block, and the n-sized
+``probs`` exists only once something reads it.
 """
 from __future__ import annotations
 
@@ -30,15 +29,11 @@ __all__ = [
     "compensated_sum",
 ]
 
-# Normalization slack allowed on sum(probs); everything downstream assumes
-# the probabilities are a distribution up to this tolerance.
-PROB_SUM_TOL = 1e-12
-
 # The block length of compensated_sum (np.sum of each block, the block sums
-# combined exactly with math.fsum) and of the walks of explicit advice and of
-# a power law's probs and cdf builds.  A walk's reused ranks and block (512
-# KB each) stay in cache, so a walk costs less than one pass over an n-sized
-# array.
+# combined exactly with math.fsum), of the walks of explicit advice, of a
+# power law's probs build and of sample's cdf.  A walk's reused ranks and
+# block (512 KB each) stay in cache, so a walk costs less than one pass over
+# an n-sized array.
 _BUILD_STEP = 1 << 16
 
 # Longest float64 array numpy can address: its byte size must fit in intp.
@@ -107,11 +102,11 @@ def _check_real(value, what: str, lo: float = -math.inf, hi: float = math.inf) -
     return real
 
 
-def _prefix_length(block: np.ndarray, threshold: float, side: str = "left") -> int:
+def _prefix_length(block: np.ndarray, threshold: float) -> int:
     """Length of the prefix of a non-increasing block whose values are at
-    least threshold (side "left") or above it (side "right"); it searches
-    the ascending reversed view, which copies nothing."""
-    return block.size - int(np.searchsorted(block[::-1], threshold, side=side))
+    least threshold; it searches the ascending reversed view, which copies
+    nothing."""
+    return block.size - int(np.searchsorted(block[::-1], threshold))
 
 
 def _dot(block: np.ndarray, v: np.ndarray) -> float:
@@ -205,8 +200,8 @@ def _head_sums(dist: AdviceDistribution, fn, tail, stops=None):
         return
     heads = {}
     for cut in {min(stop, _PANEL_START) for stop in stops}:
-        _, ranks, block = next(AdviceDistribution(cut, power_law=law)._streams(cut))
-        heads[cut] = fn(block, ranks)
+        ranks = np.arange(1.0, cut + 1.0)
+        heads[cut] = fn(law.at(ranks), ranks)
     far = [stop for stop in stops if stop > _PANEL_START]
     tails = zip(*tail(law, _PANEL_START, np.array(far, dtype=np.int64))) if far else iter(())
     for stop in stops:
@@ -260,17 +255,16 @@ def power_law_alpha(n: int, k: float) -> float:
 
 @dataclass(frozen=True)
 class PowerLawSpec:
-    """Parameters of a truncated power law p_x = alpha * x^k on {1..n}."""
+    """The probabilities p_x = alpha * x^k of a power law's ranks x (the
+    weights x^k alone at alpha 1); its n is the distribution's."""
 
-    n: int
     k: float
     alpha: float
 
-    def integral_bracket(self) -> tuple[float, float]:
-        """Bounds (lo, hi) with lo <= 1/alpha <= hi from the integral test:
-        lo the integral of x^k over [1, n], which does not cancel near k = -1."""
-        lo = float(_power_integral(self.k, 1.0, self.n))
-        return lo, lo + 1.0
+    def at(self, ranks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """alpha * x^k of each float rank x, into out if given: the bits
+        probs holds, as x * 1.0 = x."""
+        return np.multiply(np.power(ranks, self.k, out=out), self.alpha, out=out)
 
 
 class AdviceDistribution:
@@ -278,20 +272,16 @@ class AdviceDistribution:
 
     A power law (power_law given, probs None) is streamed: each walk makes
     its blocks alpha * x^k from their ranks as probs would hold them (x^k
-    alone for sums linear in p), so exact rows allocate nothing of size n.  probs
-    is built, with the same bits, only when read (statevector checks,
-    validate() and tests); Monte Carlo builds only the cdf.  perm=None means
-    the advice is already in rank order: the identity permutation is then
-    built only when read (exact rows and Monte Carlo never read it).
+    alone for sums linear in p), so exact rows allocate nothing of size n.
+    probs is built, with the same bits, only when read (statevector checks
+    and tests); Monte Carlo builds only the cdf, for its one sample call.
     """
 
     def __init__(self, n: int, probs: np.ndarray | None = None,
-                 perm: np.ndarray | None = None, power_law: PowerLawSpec | None = None):
+                 power_law: PowerLawSpec | None = None):
         self.n = n
         self.power_law = power_law
         self._probs = probs
-        self._perm = perm
-        self._cdf: np.ndarray | None = None
 
     @property
     def probs(self) -> np.ndarray:
@@ -303,21 +293,12 @@ class AdviceDistribution:
             self._probs = probs
         return self._probs
 
-    @property
-    def perm(self) -> np.ndarray:
-        """Original 1-based position of each sorted rank."""
-        if self._perm is None:
-            self._perm = np.arange(1, self.n + 1,
-                                   dtype=np.int32 if self.n < 2**31 else np.int64)
-        return self._perm
-
     def _streams(self, step: int = _BUILD_STEP):
         """Yield (lo, ranks, block) over the blocks of step ranks (the last may
         be shorter): the 1-based ranks lo + 1, ... as floats, and their
-        probabilities, for a power law made in scratch as np.power(ranks, k)
-        * alpha (x^k alone at alpha 1), otherwise a slice of probs.  The
-        scratch, a base range and the ranks and block it rewrites per block,
-        is allocated once per walk."""
+        probabilities, for a power law made in scratch by power_law.at,
+        otherwise a slice of probs.  The scratch, a base range and the ranks
+        and block it rewrites per block, is allocated once per walk."""
         base = np.arange(min(step, self.n), dtype=np.float64)
         scratch = np.empty((1 if self.power_law is None else 2, base.size))
         for lo in range(0, self.n, step):
@@ -326,9 +307,7 @@ class AdviceDistribution:
             if self.power_law is None:
                 block = self._probs[lo:lo + size]
             else:
-                block = np.power(ranks, self.power_law.k, out=scratch[1, :size])
-                if self.power_law.alpha != 1.0:   # x^k alone, for sums linear in p
-                    block *= self.power_law.alpha
+                block = self.power_law.at(ranks, out=scratch[1, :size])
             yield lo, ranks, block
 
     def _probs_at(self, ranks: np.ndarray) -> np.ndarray:
@@ -336,26 +315,23 @@ class AdviceDistribution:
         probs[ranks - 1], without building a power law's probs."""
         if self.power_law is None:
             return self._probs[ranks - 1]
-        return np.power(ranks.astype(np.float64), self.power_law.k) * self.power_law.alpha
+        return self.power_law.at(ranks.astype(np.float64))
 
     def _last_rank_at_least(self, threshold: float) -> int:
         """Largest rank whose probability is at least threshold, or 0 if
         none: _last_ranks_at_least on the bits of _probs_at."""
         return int(_last_ranks_at_least(self._probs_at, [self.n], [threshold])[0])
 
-    @property
-    def cdf(self) -> np.ndarray:
-        """Prefix sums of probs, the bits of np.cumsum(probs), built lazily
-        block by block (exact-mode runs never need it)."""
-        if self._cdf is None:
-            cdf, carry = np.empty(self.n), 0.0
-            for lo, _, block in self._streams():
-                out = cdf[lo:lo + block.size]
-                out[...] = block
-                out[0] += carry   # the running sum enters each block's first term
-                carry = np.cumsum(out, out=out)[-1]
-            self._cdf = cdf
-        return self._cdf
+    def _cdf(self) -> np.ndarray:
+        """Prefix sums of probs, the bits of np.cumsum(probs), built block by
+        block (exact rows never need them)."""
+        cdf, carry = np.empty(self.n), 0.0
+        for lo, _, block in self._streams():
+            out = cdf[lo:lo + block.size]
+            out[...] = block
+            out[0] += carry   # the running sum enters each block's first term
+            carry = np.cumsum(out, out=out)[-1]
+        return cdf
 
     def prob(self, rank: int) -> float:
         """Probability of the element at sorted rank (1-based)."""
@@ -371,23 +347,10 @@ class AdviceDistribution:
         return self._last_rank_at_least(1.0 / self.n)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw size sorted ranks ~ probs (never a zero-probability rank)."""
-        idx = np.searchsorted(self.cdf, rng.random(size), side="right")
+        """Draw size sorted ranks ~ probs (never a zero-probability rank), from
+        a cdf built for this call."""
+        idx = np.searchsorted(self._cdf(), rng.random(size), side="right")
         return np.minimum(idx, self.support_size() - 1).astype(np.int64) + 1
-
-    def validate(self) -> None:
-        """Raise if the structural invariants are violated."""
-        if self.probs.shape != (self.n,) or self.perm.shape != (self.n,):
-            raise ParameterError("probs/perm length must equal n")
-        total = compensated_sum(self.probs)
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ParameterError(f"probabilities sum to {total!r}, not 1")
-        if np.any(self.probs < 0.0):
-            raise ParameterError("negative probability")
-        if np.any(np.diff(self.probs) > 0.0):
-            raise ParameterError("probs not sorted non-increasing")
-        if not np.array_equal(np.sort(self.perm), np.arange(1, self.n + 1)):
-            raise ParameterError("perm is not a permutation of 1..n")
 
 
 def _check_power_law_params(n, k) -> float:
@@ -395,8 +358,8 @@ def _check_power_law_params(n, k) -> float:
     _check_int(n, "n", 1, _MAX_LEN)
     k = _check_real(k, "power-law exponent k", hi=0.0)
     # exact rows stream the probabilities and visit no rank past 128 (power
-    # sums, and the oracle-only panels), but Monte Carlo's cdf and validate()
-    # hold n of them, and past ~2^30 an oracle-only tail, whose rounds take
+    # sums, and the oracle-only panels), but Monte Carlo's cdf holds n of
+    # them, and past ~2^30 an oracle-only tail, whose rounds take
     # only the leading term p (4m^2 - 1)/3 of each budget's success series,
     # is off by ~7e-7 relative at the tail cut, more past it: such an n is
     # refused at once
@@ -408,22 +371,19 @@ def _check_power_law_params(n, k) -> float:
 
 def _weights(n: int, k: float) -> AdviceDistribution:
     """The weights x^k on {1..n}, unnormalized: a streamed power law of alpha 1."""
-    return AdviceDistribution(n=n, power_law=PowerLawSpec(n=n, k=k, alpha=1.0))
+    return AdviceDistribution(n=n, power_law=PowerLawSpec(k=k, alpha=1.0))
 
 
 def make_power_law(n: int, k: float) -> AdviceDistribution:
     """Power-law advice p_x = alpha * x^k on {1..n}, k < 0 (already sorted),
     streamed: it holds alpha, not probs."""
     alpha = power_law_alpha(n, k)   # which checks n and k
-    return AdviceDistribution(n=n, power_law=PowerLawSpec(n=n, k=float(k), alpha=alpha))
+    return AdviceDistribution(n=n, power_law=PowerLawSpec(k=float(k), alpha=alpha))
 
 
 def make_explicit(weights) -> AdviceDistribution:
-    """Normalize non-negative weights into an advice distribution.
-
-    Sorting is stable and descending, so equal weights keep their original
-    relative order in perm (perm[i] = original 1-based position of rank i+1).
-    """
+    """Normalize non-negative weights into an advice distribution, sorted
+    non-increasing; the weights' own order is not kept."""
     try:
         w = np.asarray(weights, dtype=np.float64)
     except (TypeError, ValueError) as exc:   # non-numeric or ragged
@@ -439,10 +399,9 @@ def make_explicit(weights) -> AdviceDistribution:
     total = compensated_sum(w)
     if total <= 0.0:
         raise ParameterError("weights must have positive total mass")
-    order = np.argsort(-w, kind="stable")
-    probs = w[order] / total
-    perm = (order + 1).astype(np.int64)
-    return AdviceDistribution(n=int(w.size), probs=probs, perm=perm)
+    w[::-1].sort()   # w, a copy since the scaling, sorted non-increasing in place
+    w /= total
+    return AdviceDistribution(n=int(w.size), probs=w)
 
 
 def _dist_kind(cfg: dict) -> str:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algorithms, bounds, rotation, statevector
-from .distributions import make_explicit, make_power_law
+from .distributions import _power_integral, make_explicit, make_power_law
 
 __all__ = ["CheckResult", "run_validation"]
 
@@ -209,13 +209,13 @@ def threshold_rank_bisection(points):
 
 @_check
 def alpha_integral_bracket(ns, ks):
-    """1/alpha of each power law lies in its integral-test bracket."""
+    """1/alpha of each power law lies in its integral-test bracket [lo, lo +
+    1]: lo the integral of x^k over [1, n], which does not cancel near k = -1."""
     for n in ns:
         for k in ks:
-            spec = make_power_law(n, k).power_law
-            lo, hi = spec.integral_bracket()
-            _require(lo <= 1.0 / spec.alpha <= hi,
-                     f"n={n} k={k}: 1/alpha outside [{lo:.4g}, {hi:.4g}]")
+            alpha, lo = make_power_law(n, k).power_law.alpha, float(_power_integral(k, 1.0, n))
+            _require(lo <= 1.0 / alpha <= lo + 1.0,
+                     f"n={n} k={k}: 1/alpha outside [{lo:.4g}, {lo + 1.0:.4g}]")
     _require(len(ns) * len(ks) > 0, "no cases")
     return f"{len(ns) * len(ks)} (n, k) pairs"
 

@@ -14,18 +14,22 @@ import mpmath
 import numpy as np
 
 
-def ref_sorted_probs(weights) -> tuple[list[float], list[int]]:
-    """Normalize and sort non-increasing; ties keep input order.
-
-    Returns (probs, perm) with perm[i] = 1-based original index of the
-    weight occupying sorted position i.
-    """
+def ref_sorted_probs(weights) -> list[float]:
+    """Normalize and sort non-increasing."""
     weights = [float(w) for w in weights]
     total = math.fsum(weights)
-    order = sorted(range(len(weights)), key=lambda i: (-weights[i], i))
-    probs = [weights[i] / total for i in order]
-    perm = [i + 1 for i in order]
-    return probs, perm
+    return sorted((w / total for w in weights), reverse=True)
+
+
+def ref_check_distribution(dist, tol: float = 1e-12) -> None:
+    """Assert the invariants of every advice distribution: n probabilities,
+    none negative, sorted non-increasing, summing to 1 within tol."""
+    probs = np.asarray(dist.probs)
+    assert probs.shape == (dist.n,), f"{probs.shape} probabilities for n = {dist.n}"
+    assert not np.any(probs < 0.0), "negative probability"
+    assert not np.any(np.diff(probs) > 0.0), "probabilities not sorted non-increasing"
+    total = math.fsum(probs)
+    assert abs(total - 1.0) <= tol, f"probabilities sum to {total!r}, not 1"
 
 
 def ref_power_probs(n: int, k: float) -> list[float]:
@@ -258,21 +262,31 @@ def ref_alpha(n: int, k: float) -> float:
 
 def ref_power_sum(s, lo: int, hi: int, dps: int = 40):
     """sum_{x=lo+1}^{hi} x^s as an mpmath number at dps digits, s a float or
-    an mpmath number: a difference of Hurwitz zeta values for s < 0 (of
-    digammas at s = -1), the count at s = 0, and for s > 0, where the Hurwitz
-    zeta takes seconds a call, the ranks up to 1024 term by term and the
-    rest by mpmath's Euler-Maclaurin summation (which errs by ~1e-9 from 1)."""
+    an mpmath number: a head of ranks term by term, and the ranks past it by
+    a difference of Hurwitz zeta values for s < 0 (of digammas at s = -1),
+    the count at s = 0, and for s > 0, where the Hurwitz zeta takes seconds
+    a call, by mpmath's Euler-Maclaurin summation (which errs by ~1e-9 from
+    1).  For s > 0 the head is the ranks up to 1024.  Below s = -4 it is the
+    first 4096 ranks: there mpmath's zeta(-s, a) errs by up to ~6e-10
+    relative for a from 129 to 4097 even at 40 digits (s = -20, -40), and
+    past the head its terms carry so little of the sum that the sum is
+    exact to 1e-28 from ranks 0 and 128, and to 1e-17 from 2^16.  From
+    s = -4 up the zeta is exact to 40 digits, and no head is summed: one of
+    4096 ranks costs ~50 ms a call."""
     with mpmath.workdps(dps):
-        s, a, b = mpmath.mpf(s), mpmath.mpf(lo) + 1, mpmath.mpf(hi)
+        s = mpmath.mpf(s)
+        mid = min(hi, max(lo, 1024)) if s > 0 else min(hi, lo + 4096) if s < -4 else lo
+        head = mpmath.fsum(mpmath.mpf(x) ** s for x in range(lo + 1, mid + 1))
+        a, b = mpmath.mpf(mid) + 1, mpmath.mpf(hi)
+        if a > b:
+            return head
         if s == -1:
             return mpmath.digamma(b + 1) - mpmath.digamma(a)
         if s == 0:
             return b - a + 1
         if s < 0:
-            return mpmath.zeta(-s, a) - mpmath.zeta(-s, b + 1)
-        head = mpmath.fsum(mpmath.mpf(x) ** s for x in range(lo + 1, min(hi, 1024) + 1))
-        a = max(a, 1025)
-        return head + (mpmath.sumem(lambda x: x ** s, [a, b]) if a <= b else 0)
+            return head + mpmath.zeta(-s, a) - mpmath.zeta(-s, b + 1)
+        return head + mpmath.sumem(lambda x: x ** s, [a, b])
 
 
 def ref_amplify_expected_whole(p, n: int, k: float, fused: bool = True):

@@ -1014,32 +1014,31 @@ def test_power_law_row_with_all_mass_on_rank_one(k):
                          + [(2**28, k) for k in (-1e-300, -0.75, -4.0)])
 def test_power_law_row_runs_the_kernel_on_a_small_head_and_the_nodes(monkeypatch, n, k):
     # one kernel call a row, on the ranks up to _PANEL_START and 24 nodes a
-    # panel, whatever n, and no block of ranks longer than the 128-rank
-    # head; no panel of these rows is refused (a refused panel's ranks would
-    # take calls of their own, as in
+    # panel, whatever n, and no power-law probabilities made for more ranks
+    # than the 128-rank head; no panel of these rows is refused (a refused
+    # panel's ranks would take calls of their own, as in
     # test_failed_panels_leave_the_row_to_the_kernel)
     seen, blocks = [], []
-    kernel, streams = algorithms._amplify_sub_block, AdviceDistribution._streams
+    kernel, at = algorithms._amplify_sub_block, PowerLawSpec.at
 
     def counted(sub, *args):
         seen.append(sub.size)
         return kernel(sub, *args)
 
-    def recorded(dist, *args):
-        for lo, ranks, block in streams(dist, *args):
-            blocks.append((lo + 1, block.size))
-            yield lo, ranks, block
+    def recorded(law, ranks, *args, **kwargs):
+        blocks.append((int(ranks[0]), ranks.size))
+        return at(law, ranks, *args, **kwargs)
 
     monkeypatch.setattr(algorithms, "_amplify_sub_block", counted)
-    monkeypatch.setattr(AdviceDistribution, "_streams", recorded)
+    monkeypatch.setattr(PowerLawSpec, "at", recorded)
     d = make_power_law(n, k)
     assert blocks == [(1, _PANEL_START)]   # alpha's own head
     blocks.clear()
     unknown_expected_mu(d)
-    panels = _panels(_panel_cut(d, DEFAULT_AMPLIFY_RATIO)[2])
-    assert panels and seen == [_PANEL_START + _PANEL_NODES * len(panels)], (seen, panels)
     # alpha's head and the row's, each ranks 1..128
     assert blocks == [(1, _PANEL_START)] * 2, blocks
+    panels = _panels(_panel_cut(d, DEFAULT_AMPLIFY_RATIO)[2])
+    assert panels and seen == [_PANEL_START + _PANEL_NODES * len(panels)], (seen, panels)
 
 
 def _two_call_panel_sums(law, sizes, fallback, panels, head):
@@ -1091,7 +1090,7 @@ def test_fused_kernel_call_replays_the_two_call_row(monkeypatch, n, k, ratio):
     assert bool(refused) == (ratio == 1.3 and k in (-1.0, -1.5)), refused
     row = unknown_expected_mu(d, ratio).means()
     monkeypatch.setattr(algorithms, "_panel_sums", lambda k, sizes, rows: [_two_call_panel_sums(
-        PowerLawSpec(n, k, alpha), sizes[:rounds], fallback, panels, head)[0]
+        PowerLawSpec(k, alpha), sizes[:rounds], fallback, panels, head)[0]
         for alpha, rounds, fallback, panels, head in rows])
     assert row == unknown_expected_mu(d, ratio).means()
 

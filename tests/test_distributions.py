@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from advice_search import (
     make_power_law,
     power_law_alpha,
 )
-from advice_search import algorithms, distributions
+from advice_search import algorithms, distributions, validation
 from advice_search.bounds import _BoundColumns
 from advice_search.distributions import (
     _PANEL_START,
@@ -34,7 +35,8 @@ from advice_search.distributions import (
     _weights,
 )
 
-from reference import ref_alpha, ref_power_probs, ref_power_sum, ref_sorted_probs, ref_x0
+from reference import (ref_alpha, ref_check_distribution, ref_power_probs, ref_power_sum,
+                       ref_sorted_probs, ref_x0)
 
 
 def test_power_law_two_elements():
@@ -87,16 +89,32 @@ def test_power_sums_match_exact_sums(k):
     # the Euler-Maclaurin power sums past the 128-rank head (and past 2^16)
     # of the scan (x^(k+1)), the bound column (x^(k+1/2)) and alpha (x^k),
     # from one rank to 2^40 ranks, each alone and all at once, against
-    # exact sums (at 80 digits for s < -4: from rank 129, 40 digits lose
-    # ~1e-11 at s = -40)
+    # exact sums
     for lo in (_PANEL_START, 2**16):
         his = np.array([lo + 1, lo + 2, 2 * lo + 3, 2**24, 2**40])
         for s in (k, k + 0.5, k + 1.0):
             sums = distributions._power_sums(s, np.full(his.size, lo), his)
             for hi, got in zip(his, sums):
-                exact = ref_power_sum(s, lo, int(hi), dps=80 if s < -4.0 else 40)
+                exact = ref_power_sum(s, lo, int(hi))
                 assert abs(got - exact) <= 4e-15 * exact, (s, lo, hi)
                 assert distributions._power_sums(s, lo, int(hi)) == got, (s, lo, hi)
+
+
+@pytest.mark.parametrize("s", (-4.0, -12.0, -20.0, -40.0))
+def test_reference_power_sums_match_term_by_term_sums(s):
+    # the tests' exact sums, term by term over a 4096-rank head below s =
+    # -4 and a Hurwitz zeta difference past it, against a 60-digit fsum of
+    # every term, on both sides of the head's end: to 1e-28 from ranks 0
+    # and 128, and to 1e-17 from 2^16, where the zeta past the head errs
+    # most (6.5e-18 at s = -40; from rank 129 a zeta difference alone errs
+    # by 1.2e-11 at s = -40)
+    for lo in (0, _PANEL_START, 2**16):
+        with mpmath.workdps(60):
+            terms = [mpmath.mpf(x) ** s for x in range(lo + 1, lo + 4201)]
+            for hi in (lo + 1, lo + 2, lo + 4096, lo + 4097, lo + 4200):
+                exact = mpmath.fsum(terms[:hi - lo])
+                got = ref_power_sum(s, lo, hi)
+                assert abs(got - exact) <= (1e-17 if lo == 2**16 else 1e-28) * exact, (lo, hi)
 
 
 @pytest.mark.parametrize("s", (-2.5, -1.0, -0.5, 0.5))
@@ -165,8 +183,7 @@ def test_power_law_build_is_whole_array_power():
     for n, k in ((2**22 + 3, -1.25), (5_000_001, -2.5)):
         d = make_power_law(n, k)
         assert np.array_equal(d.probs, np.arange(1, n + 1) ** k * d.power_law.alpha)
-        assert np.array_equal(d.perm, np.arange(1, n + 1))
-        d.validate()
+        ref_check_distribution(d)
 
 
 @pytest.mark.parametrize("step", (2**14, 2**16))
@@ -185,7 +202,7 @@ def test_streamed_blocks_are_probs_slices(step):
 
 
 def test_power_law_lookups_match_probs():
-    # probabilities of gathered ranks, prob, the support count and the
+    # probabilities of gathered ranks, prob, the support count and sample's
     # blockwise cdf have the bits that the built probs would give
     n = 2**17 + 7
     for k in (-0.75, -2.5, -80.0):   # at -80 ranks above ~11,000 underflow to 0
@@ -194,7 +211,7 @@ def test_power_law_lookups_match_probs():
         ranks = np.random.default_rng(1).integers(1, n + 1, size=5000)
         assert np.array_equal(d._probs_at(ranks), ref[ranks - 1])
         assert all(d.prob(int(r)) == ref[r - 1] for r in ranks[:50])
-        assert np.array_equal(d.cdf, np.cumsum(ref))
+        assert np.array_equal(d._cdf(), np.cumsum(ref))
         assert d.support_size() == np.count_nonzero(ref) == make_power_law(n, k).support_size()
         assert d.x0_threshold() == np.count_nonzero(ref >= 1.0 / n)
         assert d._probs is None
@@ -205,31 +222,36 @@ def test_alpha_integral_bracket():
     # digit: it gave [6, 7] at n = 1000, and 1/alpha is 7.4855
     points = [(n, k) for n in (2, 10, 1000, 10**6) for k in (-0.5, -1.0, -1.5, -2.0, -3.0)]
     for n, k in points + [(1000, -0.9999999999999999), (4096, -1.0000000000000002)]:
-        spec = make_power_law(n, k).power_law
-        lo, hi = spec.integral_bracket()
-        assert lo <= 1.0 / spec.alpha <= hi, (n, k)
+        result = validation.alpha_integral_bracket((n,), (k,))
+        assert not result.failed, (n, k, result.detail)
 
 
 def test_explicit_sorting_and_perm():
+    # the probabilities sorted non-increasing, with zeros: a permutation of
+    # the normalized weights (the permutation itself is not kept)
     d = make_explicit([1.0, 3.0])
     np.testing.assert_allclose(d.probs, [0.75, 0.25])
-    assert list(d.perm) == [2, 1]
 
     d = make_explicit([0.0, 0.0, 5.0])
     np.testing.assert_allclose(d.probs, [1.0, 0.0, 0.0])
-    assert list(d.perm) == [3, 1, 2]
+
+    weights = np.array([2.0, 0.0, 7.0, 1.0, 7.0])
+    d = make_explicit(weights)
+    np.testing.assert_allclose(np.sort(d.probs), np.sort(weights / weights.sum()))
+    assert not hasattr(d, "perm")
 
 
 def test_explicit_ties_are_stable():
+    # tied weights keep equal probabilities, in the reference's sorted order
     rng = np.random.default_rng(11)
     for _ in range(20):
         weights = rng.integers(0, 5, size=rng.integers(1, 40)).astype(float)
         if weights.sum() == 0:
             weights[0] = 1.0
         d = make_explicit(weights)
-        probs, perm = ref_sorted_probs(weights)
-        np.testing.assert_allclose(d.probs, probs, rtol=1e-13, atol=1e-16)
-        assert list(d.perm) == perm
+        np.testing.assert_allclose(d.probs, ref_sorted_probs(weights), rtol=1e-13, atol=1e-16)
+        assert np.unique(d.probs).size == np.unique(weights).size
+        ref_check_distribution(d)
 
 
 def test_threshold_rank():
@@ -296,7 +318,7 @@ def test_batched_threshold_search_is_each_pairs_own(laws, thresholds):
         lambda x: np.power(x.astype(np.float64), ks) * scales,
         [n for n, _, _ in pairs], [t for _, _, t in pairs])
     for (n, k, t), rank in zip(pairs, found):
-        d = AdviceDistribution(n, power_law=PowerLawSpec(n=n, k=k, alpha=alphas[n, k]))
+        d = AdviceDistribution(n, power_law=PowerLawSpec(k=k, alpha=alphas[n, k]))
         assert rank == d._last_rank_at_least(t), (n, k, t)
         if n <= 2**16:
             assert rank == np.count_nonzero(d.probs >= t), (n, k, t)
@@ -315,6 +337,22 @@ def test_threshold_counts_allocate_nothing_n_sized():
         tracemalloc.stop()
     assert peak <= 64 * 1024, peak
     assert d._probs is None
+
+
+def test_explicit_advice_holds_only_its_probabilities():
+    # 2^20 weights (8 MB) become their probabilities, sorted in place in
+    # the scaled copy: 8 MB held after the build, a 16 MB peak with the
+    # sort's buffer, and no index permutation
+    weights = np.random.default_rng(2).pareto(1.5, 2**20)
+    make_explicit(weights[:10])   # the first build pays for lazy imports
+    tracemalloc.start()
+    try:
+        d = make_explicit(weights)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 8.5 * 2**20 and peak <= 26 * 2**20, (held, peak)
+    np.testing.assert_array_equal(d.probs, np.sort(weights)[::-1] / compensated_sum(weights))
 
 
 def test_threshold_rank_explicit():
@@ -393,7 +431,7 @@ def test_config_round_trip():
     d = dist_from_config({"kind": "powerlaw", "n": 16, "k": -1.0})
     np.testing.assert_allclose(d.probs, make_power_law(16, -1.0).probs)
     d = dist_from_config({"kind": "explicit", "weights": [1, 3]})
-    assert list(d.perm) == [2, 1]
+    np.testing.assert_array_equal(d.probs, [0.75, 0.25])
 
 
 def test_config_errors():
@@ -464,7 +502,7 @@ def test_explicit_huge_weights_do_not_overflow():
     # must still come out exact, not as 0/inf
     d = make_explicit([1e308, 1e308])
     np.testing.assert_array_equal(d.probs, [0.5, 0.5])
-    d.validate()
+    ref_check_distribution(d)
     d = make_explicit([1e-310, 3e-310])
     np.testing.assert_array_equal(d.probs, [0.75, 0.25])
 
@@ -478,12 +516,12 @@ def test_explicit_scaling_keeps_probabilities_bit_identical():
 
 
 def test_validate_normalization():
-    d = make_power_law(1000, -2.0)
-    d.validate()
-    bad = AdviceDistribution(n=2, probs=np.array([0.7, 0.7]),
-                             perm=np.array([1, 2]))
-    with pytest.raises(ParameterError):
-        bad.validate()
+    # the tests' distribution checker passes a power law and catches a
+    # distribution that sums to 1.4
+    ref_check_distribution(make_power_law(1000, -2.0))
+    bad = AdviceDistribution(n=2, probs=np.array([0.7, 0.7]))
+    with pytest.raises(AssertionError, match="sum to 1.4"):
+        ref_check_distribution(bad)
 
 
 def test_compensated_sum_accuracy():
@@ -552,6 +590,6 @@ def test_large_n_normalization():
 
 def test_cdf_monotone_and_ends_at_one():
     d = make_power_law(1000, -0.7)
-    cdf = d.cdf
+    cdf = d._cdf()
     assert np.all(np.diff(cdf) >= -1e-15)
     assert math.isclose(float(cdf[-1]), 1.0, abs_tol=1e-12)

@@ -17,9 +17,11 @@ MODULES = ["advice_search"] + [f"advice_search.{name}" for name in (
 # Second copies of jobs that the CLI, validate and the benchmark do through
 # other names (the single-trial oracle-only simulator, now the tests'
 # reference), the worker counts of the removed sweep process pool and walk
-# threads, the per-oracle counters of that simulator's old ledger, and
-# helpers that only one caller or tests used; keeping one implementation per
-# job means they stay gone.
+# threads, the per-oracle counters of that simulator's old ledger, helpers
+# that only one caller or tests used, and a distribution's fields that no row
+# reads (the caller's order of explicit weights, the cached cdf, the checks
+# now in the tests' reference); keeping one implementation per job means
+# they stay gone.
 REMOVED = (
     "classical_sequential", "geometric_search", "compute_bounds", "BoundReport",
     "zalka_bound", "las_vegas_lower", "StateVector", "prepare_mu", "aa_iteration",
@@ -29,7 +31,8 @@ REMOVED = (
     "q_mu_lower", "geometric_upper", "unknown_upper_mu", "_CEIL_SNAP", "_attempt_success",
     "_powers", "_floored_power", "_check_schedule_length", "_sums_at", "_kernel_workers",
     "_walk_workers", "unknown_search", "RunResult", "exact_expected", "_with_columns",
-    "rooted", "_scaled_power_sums",
+    "rooted", "_scaled_power_sums", "perm", "validate", "cdf", "integral_bracket",
+    "PROB_SUM_TOL",
 )
 
 SOURCES = sorted(pathlib.Path(advice_search.__file__).parent.glob("*.py"))
@@ -105,7 +108,7 @@ def test_one_threshold_search(monkeypatch):
 
 def test_build_step_only_in_distributions():
     # _BUILD_STEP is the block length of explicit advice's walk, of a power
-    # law's probs and cdf builds and of compensated_sum, all in
+    # law's probs build, of sample's cdf and of compensated_sum, all in
     # distributions.py: every power-law row makes only its 128-rank head
     def names(path):   # every name read, assigned or imported, and every attribute
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -139,6 +142,18 @@ def test_every_import_is_used(path):
 
 def _trees():
     return [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
+
+
+def test_distributions_are_built_only_by_the_builders():
+    # only _weights, make_power_law and make_explicit construct an
+    # AdviceDistribution: a row's head makes its probabilities with
+    # PowerLawSpec.at, not through a distribution of its own
+    built = [(getattr(top, "name", None), f"{path.name}:{node.lineno}")
+             for path, tree in zip(SOURCES, _trees()) for top in tree.body
+             for node in ast.walk(top) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "AdviceDistribution"]
+    assert sorted(name for name, _ in built) == [
+        "_weights", "make_explicit", "make_power_law"], built
 
 
 def test_no_attribute_named_sums_or_dist_is_assigned():
